@@ -267,7 +267,7 @@ func run(flpName, flpFile, workload, ptrace, pkg, direction string, rconv float6
 		if err != nil {
 			return err
 		}
-		pts, err := model.ReplayRows(state, rows)
+		pts, err := model.NewSession().ReplayRows(state, rows)
 		closeRows()
 		if err != nil {
 			return err

@@ -30,6 +30,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/pctl"
 )
 
 // Quota bounds one tenant's resource share. Zero fields fall back to
@@ -165,7 +167,7 @@ type tenant struct {
 	shedRate     int64
 	shedQueue    int64
 	degraded     int64
-	queueWaits   *waitRing
+	queueWaits   *pctl.Ring // queue waits, milliseconds
 	totalWaitNS  int64
 	queuedEvents int64
 }
@@ -229,7 +231,7 @@ func (c *Controller) tenantLocked(name string) *tenant {
 			tokens:     q.burst(),
 			lastFill:   c.now(),
 			vtime:      c.vclock,
-			queueWaits: newWaitRing(512),
+			queueWaits: pctl.NewRing(512),
 		}
 		c.tenants[name] = t
 	}
@@ -429,7 +431,7 @@ func (c *Controller) grantLocked(t *tenant, now time.Time, queued bool, wait tim
 // Slot and gauge accounting already happened in dispatchLocked; this only
 // builds the Decision and records the wait.
 func (c *Controller) grantQueuedLocked(t *tenant, start time.Time, wait time.Duration, pressureAtEnqueue float64) *Decision {
-	t.queueWaits.add(wait)
+	t.queueWaits.Add(float64(wait) / float64(time.Millisecond))
 	t.totalWaitNS += int64(wait)
 	t.queuedEvents++
 	pressure := pressureAtEnqueue

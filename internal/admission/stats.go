@@ -1,61 +1,5 @@
 package admission
 
-import (
-	"math"
-	"sort"
-	"time"
-)
-
-// waitRing records the most recent queue waits in a fixed-size ring and
-// reports percentiles over that window — the same bounded-memory
-// nearest-rank scheme the service layer uses for solve latency.
-type waitRing struct {
-	buf  []float64 // milliseconds
-	n    int       // total observations ever
-	next int
-}
-
-func newWaitRing(size int) *waitRing {
-	if size < 16 {
-		size = 16
-	}
-	return &waitRing{buf: make([]float64, 0, size)}
-}
-
-// add records one wait. Caller holds the controller mutex.
-func (r *waitRing) add(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ms)
-	} else {
-		r.buf[r.next] = ms
-		r.next = (r.next + 1) % cap(r.buf)
-	}
-	r.n++
-}
-
-// percentiles computes nearest-rank (ceil) percentiles over the window.
-// Caller holds the controller mutex.
-func (r *waitRing) percentiles(ps ...float64) []float64 {
-	vals := make([]float64, len(ps))
-	if len(r.buf) == 0 {
-		return vals
-	}
-	cp := append([]float64(nil), r.buf...)
-	sort.Float64s(cp)
-	for i, p := range ps {
-		idx := int(math.Ceil(p/100*float64(len(cp)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(cp) {
-			idx = len(cp) - 1
-		}
-		vals[i] = cp[idx]
-	}
-	return vals
-}
-
 // TenantStats is one tenant's /v1/stats block.
 type TenantStats struct {
 	// Admitted counts granted admissions (fast-path and queued).
@@ -114,7 +58,7 @@ func (c *Controller) Stats() Snapshot {
 		snap.Pressure = float64(len(c.queue)) / float64(c.cfg.QueueDepth)
 	}
 	for name, t := range c.tenants {
-		ps := t.queueWaits.percentiles(50, 99)
+		ps := t.queueWaits.Percentiles(50, 99)
 		ts := TenantStats{
 			Admitted:       t.admitted,
 			ShedRate:       t.shedRate,

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/pctl"
 )
 
 // BenchmarkFleetRingOwner measures one bounded-load ring lookup — the pure
@@ -111,7 +112,7 @@ func BenchmarkFleetFailoverWindow(b *testing.B) {
 		}
 	}
 
-	lat := make([]time.Duration, 0, b.N)
+	lat := make([]float64, 0, b.N) // request latencies, ns
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -124,12 +125,10 @@ func BenchmarkFleetFailoverWindow(b *testing.B) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
-		lat = append(lat, time.Since(start))
+		lat = append(lat, float64(time.Since(start).Nanoseconds()))
 	}
 	b.StopTimer()
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	if len(lat) > 0 {
-		p99 := lat[len(lat)*99/100]
-		b.ReportMetric(float64(p99.Nanoseconds()), "failover-p99-ns")
+		b.ReportMetric(pctl.Percentiles(lat, 99)[0], "failover-p99-ns")
 	}
 }

@@ -190,6 +190,9 @@ type upstreamResult struct {
 	err   error
 	rep   *replica
 	hedge bool
+	// release, when set, cancels the context the response was fetched
+	// under; call it only once the body has been copied.
+	release context.CancelFunc
 }
 
 var errNoReplica = fmt.Errorf("fleet: no replica available")
@@ -223,6 +226,9 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		rt.failJSON(w, http.StatusBadGateway, true, fmt.Errorf("fleet: %w", res.err))
 		return
 	}
+	if res.release != nil {
+		defer res.release()
+	}
 	defer res.resp.Body.Close()
 	copyResponse(w, res.resp)
 }
@@ -230,7 +236,9 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 // dispatch runs the primary attempt chain and, for idempotent requests with
 // deadline headroom, a single hedge against the next ring owner once the
 // primary has run alone for HedgeDelay. The first settled chain with a
-// definitive response wins; the loser is cancelled and drained.
+// definitive response wins; the loser is cancelled and drained. Each chain
+// runs under its own context, so cancelling the loser never cuts off the
+// winner's body: the winner's context travels out in the result's release.
 func (rt *Router) dispatch(r *http.Request, key string, body []byte) upstreamResult {
 	ctx := r.Context()
 	primary, _ := rt.ring.OwnerBounded(key, rt.cfg.BoundedLoadFactor, rt.available, rt.loadOf)
@@ -243,11 +251,24 @@ func (rt *Router) dispatch(r *http.Request, key string, body []byte) upstreamRes
 		return rt.tryOwners(ctx, r, body, order, false)
 	}
 
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// Chain contexts, indexed primary 0, hedge 1. Every chain but the
+	// winner is cancelled on return.
+	var ctxs [2]context.Context
+	var cancels [2]context.CancelFunc
+	for i := range ctxs {
+		ctxs[i], cancels[i] = context.WithCancel(ctx)
+	}
+	winner := -1
+	defer func() {
+		for i, c := range cancels {
+			if i != winner {
+				c()
+			}
+		}
+	}()
 	resc := make(chan upstreamResult, 2)
 	running := 1
-	go func() { resc <- rt.tryOwners(raceCtx, r, body, order, false) }()
+	go func() { resc <- rt.tryOwners(ctxs[0], r, body, order, false) }()
 
 	hedgeTimer := time.NewTimer(rt.cfg.HedgeDelay)
 	defer hedgeTimer.Stop()
@@ -257,10 +278,12 @@ func (rt *Router) dispatch(r *http.Request, key string, body []byte) upstreamRes
 		case res := <-resc:
 			running--
 			if res.err == nil {
+				winner = 0
 				if res.hedge {
+					winner = 1
 					rt.counters.hedgesWon.Add(1)
 				}
-				cancel()
+				res.release = cancels[winner]
 				if running > 0 {
 					go drainResult(resc)
 				}
@@ -282,7 +305,7 @@ func (rt *Router) dispatch(r *http.Request, key string, body []byte) upstreamRes
 				continue
 			}
 			running++
-			go func() { resc <- rt.hedgeAttempt(raceCtx, r, body, order) }()
+			go func() { resc <- rt.hedgeAttempt(ctxs[1], r, body, order) }()
 		}
 	}
 }

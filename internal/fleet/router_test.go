@@ -327,6 +327,69 @@ func TestRouterHedge(t *testing.T) {
 	}
 }
 
+// TestRouterHedgeLargeBody: once a hedge has launched, whichever chain wins
+// must deliver its whole body, however large. Cancelling the losing chain
+// must not cut off the winner's body copy.
+func TestRouterHedgeLargeBody(t *testing.T) {
+	const size = 2 << 20
+	big := append([]byte(`{"pad":"`), bytes.Repeat([]byte("x"), size)...)
+	big = append(big, `"}`...)
+	for _, hedgeWins := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hedgeWins=%v", hedgeWins), func(t *testing.T) {
+			var primaryIdx atomic.Int64
+			primaryIdx.Store(-1)
+			handler := func(i int) http.Handler {
+				mux := http.NewServeMux()
+				mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(200) })
+				mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+					isPrimary := int64(i) == primaryIdx.Load()
+					if isPrimary == hedgeWins {
+						// The loser: answer only once cancelled.
+						select {
+						case <-r.Context().Done():
+						case <-time.After(5 * time.Second):
+						}
+						return
+					}
+					if isPrimary {
+						// Answer after the hedge has launched.
+						time.Sleep(100 * time.Millisecond)
+					}
+					w.Header().Set("Content-Type", "application/json")
+					w.Write(big)
+				})
+				return mux
+			}
+			h, rt, front := customFleet(t, 2, handler, func(c *Config) {
+				c.HedgeDelay = 20 * time.Millisecond
+				c.Breaker = BreakerConfig{FailureThreshold: 100, OpenTimeout: 500 * time.Millisecond}
+			})
+			spec := steadySpec("grid:3x3")
+			fp, err := spec.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, addr := range h.Addrs() {
+				if addr == rt.Ring().Owner(fp) {
+					primaryIdx.Store(int64(i))
+				}
+			}
+			resp, data := postJSON(t, front.Client(), front.URL+"/v1/steady", steadyBody(t, spec))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			if !bytes.Equal(data, big) {
+				t.Fatalf("winner's body: got %d bytes, want %d", len(data), len(big))
+			}
+			s := rt.Stats()
+			if s.HedgesLaunched != 1 || (s.HedgesWon == 1) != hedgeWins {
+				t.Fatalf("hedges launched %d, won %d; want 1 launched, hedge winning = %v",
+					s.HedgesLaunched, s.HedgesWon, hedgeWins)
+			}
+		})
+	}
+}
+
 // TestRouterExhaustAndNoReplica: with every replica dead, the first request
 // burns its budget into a 502 and trips every breaker; subsequent requests
 // shed 503 + Retry-After without an upstream call, and /readyz reports the

@@ -52,7 +52,7 @@ func (b *BatchSession) Width() int { return len(b.nodePowers) }
 // failures — invalid power values, a stalled iterative solve — land in
 // errs and leave that slot's state untouched; the returned error reports
 // batch-level failures that apply to every slot. Per-slot results are
-// bit-identical to Session.StepBlockPower.
+// bit-identical to stepping each slot alone.
 func (b *BatchSession) StepBlockPower(temps, blockPowers [][]float64, dt float64, errs []error) error {
 	m := b.m
 	kk := len(temps)

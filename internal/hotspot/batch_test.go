@@ -21,13 +21,13 @@ func pulseSchedule(fp *floorplan.Floorplan, block string, watts, onFor float64) 
 	}
 }
 
-// TestRunTraceBatchMatchesRunTrace: the worker-pool batch on one model must
-// reproduce the serial replays exactly.
+// TestRunTraceBatchMatchesRunTrace: a same-model sweep, which runs as one
+// lockstep group, must reproduce the serial RunTrace replays exactly.
 func TestRunTraceBatchMatchesRunTrace(t *testing.T) {
 	fp := floorplan.EV6()
 	m := oilModel(t, fp, Uniform, 1.0, true)
 	blocks := []string{"IntReg", "Dcache", "L2", "FPMap"}
-	var jobs []TraceJob
+	var jobs []SweepJob
 	var want [][]TracePoint
 	for _, b := range blocks {
 		sched := pulseSchedule(fp, b, 3, 5e-3)
@@ -36,14 +36,14 @@ func TestRunTraceBatchMatchesRunTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = append(want, pts)
-		jobs = append(jobs, TraceJob{
+		jobs = append(jobs, SweepJob{Model: m, TraceJob: TraceJob{
 			Temps:       m.AmbientState(),
 			Schedule:    sched,
 			Duration:    10e-3,
 			SampleEvery: 1e-3,
-		})
+		}})
 	}
-	got, err := m.RunTraceBatch(jobs, 0)
+	got, err := RunSweep(jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

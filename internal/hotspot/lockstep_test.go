@@ -9,8 +9,9 @@ import (
 )
 
 // Parity tests for the lockstep batch paths at the hotspot layer: RunSweep
-// and RunReplayBatch must reproduce their sequential counterparts bit for
-// bit at any worker count, and the K-wide BatchSession must match Session.
+// and ReplayBatchResults must reproduce their sequential counterparts bit
+// for bit at any worker count, and the K-wide BatchSession must match
+// width-1 stepping.
 
 func lockstepModels(t *testing.T) (*Model, *Model) {
 	t.Helper()
@@ -91,9 +92,9 @@ func TestRunSweepLockstepParity(t *testing.T) {
 	}
 }
 
-// TestRunReplayBatchLockstepParity: streamed lockstep replay — including
-// traces of different lengths in one group, which drop out at EOF — must
-// match sequential Session.ReplayRows bitwise.
+// TestRunReplayBatchLockstepParity: streamed lockstep replay through
+// ReplayBatchResults — including traces of different lengths in one group,
+// which drop out at EOF — must match sequential Session.ReplayRows bitwise.
 func TestRunReplayBatchLockstepParity(t *testing.T) {
 	oil, air := lockstepModels(t)
 	long := pulse(t, "IntReg")
@@ -120,11 +121,11 @@ func TestRunReplayBatchLockstepParity(t *testing.T) {
 		for j := range models {
 			jobs[j] = ReplayJob{Model: models[j], Rows: srcs[j].Reader()}
 		}
-		got, err := RunReplayBatch(jobs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, errs := ReplayBatchResults(jobs, workers)
 		for j := range ref {
+			if errs[j] != nil {
+				t.Fatalf("workers=%d job %d: %v", workers, j, errs[j])
+			}
 			if len(got[j]) != len(ref[j]) {
 				t.Fatalf("workers=%d job %d: %d points vs %d", workers, j, len(got[j]), len(ref[j]))
 			}
@@ -141,8 +142,8 @@ func TestRunReplayBatchLockstepParity(t *testing.T) {
 }
 
 // TestBatchSessionStepBlockPowerParity: the K-wide stepping session must
-// match per-cell Sessions bitwise, and an invalid slot must fail alone
-// without advancing its state.
+// match per-cell width-1 stepping bitwise, and an invalid slot must fail
+// alone without advancing its state.
 func TestBatchSessionStepBlockPowerParity(t *testing.T) {
 	oil, _ := lockstepModels(t)
 	nb := oil.Config().Floorplan.N()
@@ -162,8 +163,11 @@ func TestBatchSessionStepBlockPowerParity(t *testing.T) {
 	errs := make([]error, kk)
 	for step := 0; step < 5; step++ {
 		for k := 0; k < kk; k++ {
-			se := oil.NewSession()
-			if err := se.StepBlockPower(seq[k], pws[k], 1e-3); err != nil {
+			np, err := oil.BlockPowerVector(pws[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := oil.solver.NewSession().StepBE(seq[k], np, 1e-3); err != nil {
 				t.Fatal(err)
 			}
 		}

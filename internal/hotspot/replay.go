@@ -1,32 +1,31 @@
 package hotspot
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
-	"repro/internal/pool"
 	"repro/internal/rcnet"
 	"repro/internal/trace"
 )
 
 // Session is a per-goroutine simulation context over one compiled Model:
-// its own solve workspace, backward-Euler operator cache, steady-state
-// warm-start vector and block-power scratch. Any number of Sessions may run
-// concurrently against the same Model; one Session must not be shared
-// between goroutines. Long-lived services pool Sessions per cached model so
-// repeated steady solves warm-start from the previous solution and repeated
-// same-interval replays reuse one shifted operator.
+// its own solve workspace and steady-state warm-start vector. Any number of
+// Sessions may run concurrently against the same Model; one Session must
+// not be shared between goroutines. Long-lived services pool Sessions per
+// cached model so repeated steady solves warm-start from the previous
+// solution (replays share the model's per-interval factor cache either
+// way).
 type Session struct {
-	m         *Model
-	rs        *rcnet.Session
-	nodePower []float64
+	m  *Model
+	rs *rcnet.Session
 }
 
 // NewSession creates an independent simulation context. Safe to call
 // concurrently.
 func (m *Model) NewSession() *Session {
-	return &Session{m: m, rs: m.solver.NewSession(), nodePower: make([]float64, m.net.N())}
+	return &Session{m: m, rs: m.solver.NewSession()}
 }
 
 // Model returns the model this session runs against.
@@ -71,90 +70,17 @@ func (m *Model) CheckTraceNames(names []string) error {
 // memory, so a transient can proceed while its trace is still arriving over
 // a network stream. Replaying an in-memory trace (PowerTrace.Reader) and
 // streaming the same rows (trace.NewDecoder) produce bit-identical results.
+// The replay runs on the calling goroutine.
 //
 // temps (length = node count) is advanced in place. An empty trace (no
 // rows) is an error.
 func (s *Session) ReplayRows(temps []float64, rows trace.RowReader) ([]TracePoint, error) {
-	m := s.m
-	if len(temps) != m.net.N() {
-		return nil, fmt.Errorf("hotspot: temperature vector length %d, want %d", len(temps), m.net.N())
-	}
-	dt := rows.Interval()
-	if !(dt > 0) {
-		return nil, fmt.Errorf("hotspot: non-positive trace interval %g", dt)
-	}
-	cols := m.TraceColumns(rows.Names())
-	row := make([]float64, len(cols))
-	var out []TracePoint
-	record := func(t float64) {
-		out = append(out, TracePoint{Time: t, BlockC: m.NewResult(temps).BlocksC()})
-	}
-	record(0)
-	t := 0.0
-	n := 0
-	for {
-		err := rows.Next(row)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("hotspot: replay row %d: %w", n+1, err)
-		}
-		for i := range s.nodePower {
-			s.nodePower[i] = 0
-		}
-		for c, bi := range cols {
-			if bi >= 0 {
-				s.nodePower[m.blockNode[bi]] = row[c]
-			}
-		}
-		if err := s.rs.StepBE(temps, s.nodePower, dt); err != nil {
-			return nil, fmt.Errorf("hotspot: replay row %d: %w", n+1, err)
-		}
-		t += dt
-		n++
-		record(t)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("hotspot: empty trace: no power rows")
-	}
-	return out, nil
+	pts, errs := replay([]replayJob{rowJob(s.m, temps, rows)}, 1)
+	return pts[0], errs[0]
 }
 
-// StepBlockPower advances temps (length = node count, in place) by one
-// backward-Euler step of size dt under the given per-block power (floorplan
-// order, W). It is the building block of closed-loop co-simulation
-// (internal/scenario): callers recompute blockPower between steps from
-// feedback — throttling, temperature-dependent leakage — that an offline
-// trace cannot carry. Same-dt steps reuse the session's cached shifted
-// operator, exactly like ReplayRows.
-func (s *Session) StepBlockPower(temps, blockPower []float64, dt float64) error {
-	m := s.m
-	if len(temps) != m.net.N() {
-		return fmt.Errorf("hotspot: temperature vector length %d, want %d", len(temps), m.net.N())
-	}
-	if len(blockPower) != m.cfg.Floorplan.N() {
-		return fmt.Errorf("hotspot: got %d block powers, floorplan has %d", len(blockPower), m.cfg.Floorplan.N())
-	}
-	for i := range s.nodePower {
-		s.nodePower[i] = 0
-	}
-	for bi, w := range blockPower {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("hotspot: invalid power %g for block %d", w, bi)
-		}
-		s.nodePower[m.blockNode[bi]] = w
-	}
-	return s.rs.StepBE(temps, s.nodePower, dt)
-}
-
-// ReplayRows is Session.ReplayRows on a throwaway session. Safe to call
-// concurrently (each call builds its own session).
-func (m *Model) ReplayRows(temps []float64, rows trace.RowReader) ([]TracePoint, error) {
-	return m.NewSession().ReplayRows(temps, rows)
-}
-
-// ReplayJob describes one independent streamed replay for RunReplayBatch.
+// ReplayJob describes one independent streamed replay for
+// ReplayBatchResults.
 type ReplayJob struct {
 	Model *Model
 	// Temps is the initial state (advanced in place); nil starts from
@@ -168,13 +94,11 @@ type ReplayJob struct {
 // errors are both indexed like jobs, so callers serving independent
 // scenarios can attribute each failure to its own job.
 //
-// Jobs are split round-robin into per-worker chunks; each worker groups its
-// chunk by (model, trace interval) and advances every group in lockstep —
-// one row pulled from each live reader per step, then one batched solve for
-// all of them — so same-model same-interval jobs pay one factor traversal
-// per step instead of one per job. Per-job results are bit-identical to
-// Session.ReplayRows at any worker count. Shorter traces simply drop out of
-// their group at EOF.
+// Same-model same-interval jobs advance in lockstep — one row pulled from
+// each live reader per step, then one batched solve for all of them — so
+// they pay one factor traversal per step instead of one per job. Per-job
+// results are bit-identical to Session.ReplayRows at any worker count.
+// Shorter traces simply drop out of their group at EOF.
 //
 // Lockstep polling means each reader must be able to produce its next row
 // without another reader in the batch being drained first. Independent
@@ -182,208 +106,72 @@ type ReplayJob struct {
 // in this repository) satisfy that trivially; slices of one sequential
 // stream would not, and must be replayed one job per batch.
 func ReplayBatchResults(jobs []ReplayJob, workers int) ([][]TracePoint, []error) {
-	results := make([][]TracePoint, len(jobs))
-	errs := make([]error, len(jobs))
-	if len(jobs) == 0 {
-		return results, errs
-	}
-	valid := make([]int, 0, len(jobs))
+	rj := make([]replayJob, len(jobs))
 	for j, job := range jobs {
-		switch {
-		case job.Model == nil:
-			errs[j] = fmt.Errorf("nil model")
-		case job.Rows == nil:
-			errs[j] = fmt.Errorf("nil row source")
-		default:
-			valid = append(valid, j)
-		}
+		rj[j] = rowJob(job.Model, job.Temps, job.Rows)
 	}
-	pool.RunChunked(valid, workers, func(chunk []int) {
-		replayRowsChunk(jobs, chunk, results, errs)
-	})
-	return results, errs
+	return replay(rj, workers)
 }
 
-// replayRowsChunk groups one worker's jobs by (model, interval) and
-// locksteps each group, splitting past rcnet.MaxBatchWidth. Jobs whose
-// reader reports a non-positive interval fail up front, exactly like
-// ReplayRows, and a reader that panics in Interval() fails its own job.
-func replayRowsChunk(jobs []ReplayJob, idx []int, results [][]TracePoint, errs []error) {
-	type key struct {
-		m  *Model
-		dt float64
+// errEmptyTrace fails a streamed replay whose reader has no rows.
+var errEmptyTrace = errors.New("hotspot: empty trace: no power rows")
+
+// rowJob adapts a streamed trace to the stepping core: an open window of
+// the reader's interval, and a power fill that pulls one row per step.
+func rowJob(m *Model, temps []float64, rows trace.RowReader) replayJob {
+	switch {
+	case m == nil:
+		return replayJob{err: errors.New("nil model")}
+	case rows == nil:
+		return replayJob{err: errors.New("nil row source")}
 	}
-	interval := func(j int) (dt float64, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("job panicked: %v", r)
-			}
-		}()
-		return jobs[j].Rows.Interval(), nil
+	if temps == nil {
+		temps = m.AmbientState()
 	}
-	var order []key
-	groups := make(map[key][]int)
-	for _, j := range idx {
-		dt, err := interval(j)
-		if err != nil {
-			errs[j] = err
-			continue
-		}
-		if !(dt > 0) {
-			errs[j] = fmt.Errorf("hotspot: non-positive trace interval %g", dt)
-			continue
-		}
-		k := key{jobs[j].Model, dt}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], j)
-	}
-	for _, k := range order {
-		g := groups[k]
-		for off := 0; off < len(g); off += rcnet.MaxBatchWidth {
-			end := off + rcnet.MaxBatchWidth
-			if end > len(g) {
-				end = len(g)
-			}
-			lockstepRows(k.m, k.dt, jobs, g[off:end], results, errs)
-		}
+	src := &rowSource{m: m, rows: rows}
+	return replayJob{
+		m:     m,
+		w:     rcnet.Window{Duration: math.Inf(1), Step: rows.Interval()},
+		temps: temps,
+		fill:  src.fill,
+		wrap:  src.wrap,
 	}
 }
 
-// lockstepRows replays one ≤MaxBatchWidth group of same-interval streamed
-// jobs against one model: each step pulls one row per live reader, expands
-// it to node power, and advances every live state in one batched solve.
-func lockstepRows(m *Model, dt float64, jobs []ReplayJob, idx []int, results [][]TracePoint, errs []error) {
-	kk := len(idx)
-	bs := m.solver.NewBatchSession(kk)
-	n := m.net.N()
-	nb := len(m.blockNode)
-	temps := make([][]float64, kk)
-	powers := make([][]float64, kk)
-	serrs := make([]error, kk)
-	cols := make([][]int, kk)
-	rowBufs := make([][]float64, kk)
-	nrows := make([]int, kk)
-	// Per-job setup with panic containment: a broken reader's Names() must
-	// fail its own job, exactly like the per-job sessions it replaced.
-	setup := func(k, j int) {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[j] = fmt.Errorf("job panicked: %v", r)
-				temps[k] = nil
-			}
-		}()
-		temps[k] = jobs[j].Temps
-		if temps[k] == nil {
-			temps[k] = m.AmbientState()
-		}
-		if len(temps[k]) != n {
-			errs[j] = fmt.Errorf("hotspot: temperature vector length %d, want %d", len(temps[k]), n)
-			temps[k] = nil
-			return
-		}
-		powers[k] = make([]float64, n)
-		cols[k] = m.TraceColumns(jobs[j].Rows.Names())
-		rowBufs[k] = make([]float64, len(cols[k]))
-	}
-	for k, j := range idx {
-		setup(k, j)
-	}
-	record := func(k, j int, t float64) {
-		bc := make([]float64, nb)
-		m.BlocksCInto(temps[k], bc)
-		results[j] = append(results[j], TracePoint{Time: t, BlockC: bc})
-	}
-	fail := func(k, j int, err error) {
-		errs[j] = err
-		results[j] = nil
-		temps[k] = nil
-	}
-	for k, j := range idx {
-		if temps[k] != nil {
-			record(k, j, 0)
-		}
-	}
-	// nextRow pulls one row with per-job panic containment (a broken reader
-	// must fail its own job, not the batch).
-	nextRow := func(k, j int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("job panicked: %v", r)
-			}
-		}()
-		return jobs[j].Rows.Next(rowBufs[k])
-	}
-	t := 0.0
-	for {
-		live := 0
-		for k, j := range idx {
-			if temps[k] == nil {
-				continue
-			}
-			err := nextRow(k, j)
-			if err == io.EOF {
-				if nrows[k] == 0 {
-					fail(k, j, fmt.Errorf("hotspot: empty trace: no power rows"))
-				} else {
-					temps[k] = nil // finished; results stand
-				}
-				continue
-			}
-			if err != nil {
-				fail(k, j, fmt.Errorf("hotspot: replay row %d: %w", nrows[k]+1, err))
-				continue
-			}
-			np := powers[k]
-			for i := range np {
-				np[i] = 0
-			}
-			for c, bi := range cols[k] {
-				if bi >= 0 {
-					np[m.blockNode[bi]] = rowBufs[k][c]
-				}
-			}
-			live++
-		}
-		if live == 0 {
-			return
-		}
-		if err := bs.StepBE(temps, powers, dt, serrs); err != nil {
-			for k, j := range idx {
-				if temps[k] != nil {
-					fail(k, j, fmt.Errorf("hotspot: replay row %d: %w", nrows[k]+1, err))
-				}
-			}
-			return
-		}
-		t += dt
-		for k, j := range idx {
-			if temps[k] == nil {
-				continue
-			}
-			if serrs[k] != nil {
-				fail(k, j, fmt.Errorf("hotspot: replay row %d: %w", nrows[k]+1, serrs[k]))
-				serrs[k] = nil
-				continue
-			}
-			nrows[k]++
-			record(k, j, t)
-		}
-	}
+// rowSource expands streamed trace rows onto block nodes.
+type rowSource struct {
+	m    *Model
+	rows trace.RowReader
+	cols []int // trace column → block index (-1 = ignored); set by the first fill
+	row  []float64
+	n    int // 1-based index of the row last requested
 }
 
-// RunReplayBatch is ReplayBatchResults with the sweep-style error contract:
-// the first error (by job order) is returned after all jobs finish.
-func RunReplayBatch(jobs []ReplayJob, workers int) ([][]TracePoint, error) {
-	if len(jobs) == 0 {
-		return nil, nil
+func (r *rowSource) fill(_ float64, power []float64) error {
+	if r.cols == nil {
+		r.cols = r.m.TraceColumns(r.rows.Names())
+		r.row = make([]float64, len(r.cols))
 	}
-	results, errs := ReplayBatchResults(jobs, workers)
-	for j, err := range errs {
-		if err != nil {
-			return results, fmt.Errorf("hotspot: replay job %d: %w", j, err)
+	r.n++
+	if err := r.rows.Next(r.row); err != nil {
+		if err == io.EOF && r.n == 1 {
+			return errEmptyTrace
+		}
+		return err
+	}
+	clear(power)
+	for c, bi := range r.cols {
+		if bi >= 0 {
+			power[r.m.blockNode[bi]] = r.row[c]
 		}
 	}
-	return results, nil
+	return nil
+}
+
+// wrap names the row a failure happened at.
+func (r *rowSource) wrap(err error) error {
+	if r.n == 0 || errors.Is(err, errEmptyTrace) {
+		return err
+	}
+	return fmt.Errorf("hotspot: replay row %d: %w", r.n, err)
 }

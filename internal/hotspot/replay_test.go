@@ -48,11 +48,11 @@ func TestReplayStreamedMatchesLoaded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := m.ReplayRows(m.AmbientState(), tr.Reader())
+	loaded, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := m.ReplayRows(m.AmbientState(), dec)
+	streamed, err := m.NewSession().ReplayRows(m.AmbientState(), dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestReplayMatchesRunTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaReplay, err := m.ReplayRows(m.AmbientState(), tr.Reader())
+	viaReplay, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestSessionSteadyMatchesSolver(t *testing.T) {
 	}
 }
 
-// TestRunReplayBatchSharedModel: N jobs against one model match N serial
-// replays.
+// TestRunReplayBatchSharedModel: N jobs against one model through
+// ReplayBatchResults match N serial replays.
 func TestRunReplayBatchSharedModel(t *testing.T) {
 	m := testModel(t)
 	tr := pulseTrace(t, m.Floorplan())
@@ -138,11 +138,13 @@ func TestRunReplayBatchSharedModel(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = ReplayJob{Model: m, Rows: tr.Reader()}
 	}
-	batch, err := RunReplayBatch(jobs, n)
-	if err != nil {
-		t.Fatal(err)
+	batch, errs := ReplayBatchResults(jobs, n)
+	for j, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", j, err)
+		}
 	}
-	serial, err := m.ReplayRows(m.AmbientState(), tr.Reader())
+	serial, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,15 +173,11 @@ func TestEmptyTraceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Batch replay of an empty trace: Duration() == 0.
-	_, err = m.RunTraceBatch([]TraceJob{{
-		Temps:       m.AmbientState(),
-		Schedule:    func(tm float64, p []float64) { copy(p, empty.At(tm)) },
-		Duration:    empty.Duration(),
-		SampleEvery: empty.Interval,
-	}}, 0)
-	if err == nil || !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), "duration") {
-		t.Fatalf("RunTraceBatch empty trace: got %v", err)
+	// Schedule replay of an empty trace: Duration() == 0.
+	_, err = m.RunTrace(m.AmbientState(), func(tm float64, p []float64) { copy(p, empty.At(tm)) },
+		empty.Duration(), empty.Interval)
+	if err == nil || !strings.Contains(err.Error(), "duration") {
+		t.Fatalf("RunTrace empty trace: got %v", err)
 	}
 
 	// Sweep with an empty trace.
@@ -193,10 +191,14 @@ func TestEmptyTraceErrors(t *testing.T) {
 		t.Fatalf("RunSweep empty trace: got %v", err)
 	}
 
-	// Streaming replay of an empty trace.
-	_, err = m.ReplayRows(m.AmbientState(), empty.Reader())
+	// Streaming replay of an empty trace, alone and in a batch.
+	_, err = m.NewSession().ReplayRows(m.AmbientState(), empty.Reader())
 	if err == nil || !strings.Contains(err.Error(), "no power rows") {
 		t.Fatalf("ReplayRows empty trace: got %v", err)
+	}
+	_, errs := ReplayBatchResults([]ReplayJob{{Model: m, Rows: empty.Reader()}}, 0)
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "no power rows") {
+		t.Fatalf("ReplayBatchResults empty trace: got %v", errs[0])
 	}
 }
 
@@ -221,6 +223,7 @@ func TestSweepPanicBecomesError(t *testing.T) {
 		SampleEvery: tr.Interval,
 	}}
 	bad := good
+	bad.Temps = m.AmbientState() // the jobs may run concurrently: no shared state
 	bad.Schedule = func(tm float64, p []float64) { panic("schedule exploded") }
 	results, err := RunSweep([]SweepJob{bad, good}, 2)
 	if err == nil || !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), "panicked") {
@@ -239,7 +242,7 @@ func TestShortTraceStillRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := m.ReplayRows(m.AmbientState(), tr.Reader())
+	pts, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package hotspot
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/materials"
 	"repro/internal/pool"
@@ -186,48 +188,13 @@ type TracePoint struct {
 
 // RunTrace drives the model with a power schedule: schedule fills the
 // per-block power slice (floorplan order, W) for the interval starting at
-// time t. The state is sampled every sampleEvery seconds.
-//
-// RunTrace keeps all mutable solver state per call, so it is safe to run
-// several traces concurrently on one Model (each with its own temps and
-// schedule); RunTraceBatch and RunSweep do exactly that.
+// time t. The state is sampled every sampleEvery seconds. The replay runs
+// on the calling goroutine with all mutable state per call, so several
+// traces may run concurrently on one Model (each with its own temps and
+// schedule).
 func (m *Model) RunTrace(temps []float64, schedule func(t float64, blockPower []float64), duration, sampleEvery float64) ([]TracePoint, error) {
-	samples, err := m.solver.TransientTrace(temps, m.nodeSchedule(schedule), duration, sampleEvery)
-	if err != nil {
-		return nil, err
-	}
-	return m.tracePoints(samples), nil
-}
-
-// nodeSchedule adapts a per-block schedule to the solver's per-node power
-// contract. Each returned closure owns its block-power buffer, so distinct
-// jobs never share scratch.
-func (m *Model) nodeSchedule(schedule func(t float64, blockPower []float64)) func(t float64, nodePower []float64) {
-	blockPower := make([]float64, m.cfg.Floorplan.N())
-	return func(t float64, nodePower []float64) {
-		schedule(t, blockPower)
-		for i := range nodePower {
-			nodePower[i] = 0
-		}
-		for bi, w := range blockPower {
-			nodePower[m.blockNode[bi]] = w
-		}
-	}
-}
-
-// tracePoints converts solver samples to block-temperature points. All
-// BlockC vectors share one flat backing array: a replay converts thousands
-// of points, and two allocations beat two-per-point.
-func (m *Model) tracePoints(samples []rcnet.Sample) []TracePoint {
-	nb := len(m.blockNode)
-	flat := make([]float64, len(samples)*nb)
-	out := make([]TracePoint, len(samples))
-	for i, s := range samples {
-		bc := flat[i*nb : (i+1)*nb : (i+1)*nb]
-		m.BlocksCInto(s.Temp, bc)
-		out[i] = TracePoint{Time: s.Time, BlockC: bc}
-	}
-	return out
+	pts, errs := replay([]replayJob{m.scheduleJob(TraceJob{temps, schedule, duration, sampleEvery})}, 1)
+	return pts[0], errs[0]
 }
 
 // TraceJob describes one independent trace replay: an initial temperature
@@ -240,28 +207,27 @@ type TraceJob struct {
 	SampleEvery float64
 }
 
-// RunTraceBatch replays N independent power schedules against this model,
-// fanned across a goroutine worker pool (workers ≤ 0 = GOMAXPROCS). The
-// compiled conductance operator is shared read-only; every job gets its own
-// stepping session and scratch. Results are indexed like jobs.
-func (m *Model) RunTraceBatch(jobs []TraceJob, workers int) ([][]TracePoint, error) {
-	rjobs := make([]rcnet.TraceJob, len(jobs))
-	for i, j := range jobs {
-		rjobs[i] = rcnet.TraceJob{
-			Temp:        j.Temps,
-			Schedule:    m.nodeSchedule(j.Schedule),
-			Duration:    j.Duration,
-			SampleEvery: j.SampleEvery,
+// scheduleJob adapts a per-block schedule to the stepping core: a closed
+// window, and a power fill that expands the schedule's block powers onto
+// block nodes through a buffer the job owns.
+func (m *Model) scheduleJob(tj TraceJob) replayJob {
+	job := replayJob{m: m, w: rcnet.Window{Duration: tj.Duration, Step: tj.SampleEvery}, temps: tj.Temps}
+	if math.IsInf(tj.Duration, 1) {
+		// An infinite window is open-ended, and a schedule never ends it.
+		job.err = errors.New("hotspot: unbounded trace duration")
+	}
+	if tj.Schedule != nil {
+		blockPower := make([]float64, m.cfg.Floorplan.N())
+		job.fill = func(t float64, power []float64) error {
+			tj.Schedule(t, blockPower)
+			clear(power)
+			for bi, w := range blockPower {
+				power[m.blockNode[bi]] = w
+			}
+			return nil
 		}
 	}
-	samples, err := m.solver.TransientBatch(rjobs, workers)
-	out := make([][]TracePoint, len(jobs))
-	for i, s := range samples {
-		if s != nil {
-			out[i] = m.tracePoints(s)
-		}
-	}
-	return out, err
+	return job
 }
 
 // SweepJob pairs a model with one trace replay, for sweeps that span several
@@ -272,14 +238,11 @@ type SweepJob struct {
 }
 
 // RunSweep replays scenario jobs across a worker pool, where each job may
-// target a different Model. Jobs are split round-robin into per-worker
-// chunks (workers ≤ 0 uses GOMAXPROCS); each worker groups its chunk by
-// (model, replay window) and advances every group in lockstep, so
-// same-model same-window scenarios solve up to rcnet.MaxBatchWidth
-// right-hand sides per factor traversal. Per-job results are bit-identical
-// at any worker count (batching never changes per-column arithmetic).
-// Results are indexed like jobs; the first error (by job order) is returned
-// after all jobs finish.
+// target a different Model (workers ≤ 0 uses GOMAXPROCS). Same-model
+// same-window scenarios solve up to rcnet.MaxBatchWidth right-hand sides per
+// factor traversal; per-job results are bit-identical at any worker count
+// (batching never changes per-column arithmetic). Results are indexed like
+// jobs; the first error (by job order) is returned after all jobs finish.
 //
 // Jobs are validated before any stepping happens: a job built from an empty
 // or truncated power trace (non-positive duration or sample interval, nil
@@ -290,17 +253,15 @@ func RunSweep(jobs []SweepJob, workers int) ([][]TracePoint, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
-	results := make([][]TracePoint, len(jobs))
-	errs := make([]error, len(jobs))
-	valid := make([]int, 0, len(jobs))
+	rj := make([]replayJob, len(jobs))
 	for j, job := range jobs {
-		if errs[j] = validateSweepJob(job); errs[j] == nil {
-			valid = append(valid, j)
+		if job.Model == nil {
+			rj[j] = replayJob{err: errors.New("nil model")}
+			continue
 		}
+		rj[j] = job.Model.scheduleJob(job.TraceJob)
 	}
-	pool.RunChunked(valid, workers, func(chunk []int) {
-		sweepChunk(jobs, chunk, results, errs)
-	})
+	results, errs := replay(rj, workers)
 	for j, err := range errs {
 		if err != nil {
 			return results, fmt.Errorf("hotspot: sweep job %d: %w", j, err)
@@ -309,64 +270,94 @@ func RunSweep(jobs []SweepJob, workers int) ([][]TracePoint, error) {
 	return results, nil
 }
 
-// sweepChunk groups one worker's jobs by (model, window) — first-seen
-// order, jobs in index order — and locksteps each group through the model's
-// solver.
-func sweepChunk(jobs []SweepJob, idx []int, results [][]TracePoint, errs []error) {
-	type key struct {
-		m                     *Model
-		duration, sampleEvery float64
+// replayJob is one replay on the stepping core, built by an adapter
+// (rowJob, scheduleJob): the model and window it groups under, its initial
+// state, and its power fill. err fails the job before grouping; wrap, when
+// set, adds the adapter's context (the row it reached) to a failure.
+type replayJob struct {
+	m     *Model
+	w     rcnet.Window
+	temps []float64
+	fill  func(t float64, power []float64) error
+	wrap  func(error) error
+	err   error
+}
+
+// replay runs jobs on the stepping core and returns per-job points and
+// errors, indexed like jobs. Jobs are dealt round-robin across workers
+// (workers ≤ 0 = GOMAXPROCS; 1 runs on the calling goroutine); each worker
+// groups its chunk by (model, window) — first-seen order, jobs in index
+// order — and hands every group to its model's Solver.Replay. The deal
+// and grouping are deterministic, and batching never changes per-column
+// arithmetic, so results do not depend on the worker count.
+func replay(jobs []replayJob, workers int) ([][]TracePoint, []error) {
+	pts := make([][]TracePoint, len(jobs))
+	errs := make([]error, len(jobs))
+	idx := make([]int, 0, len(jobs))
+	for j := range jobs {
+		if errs[j] = jobs[j].err; errs[j] == nil {
+			idx = append(idx, j)
+		}
 	}
-	var order []key
-	groups := make(map[key][]int)
+	chunk := func(c []int) { runGroups(jobs, c, pts, errs) }
+	if workers == 1 {
+		chunk(idx)
+	} else {
+		pool.RunChunked(idx, workers, chunk)
+	}
+	return pts, errs
+}
+
+// runGroups groups one worker's jobs and runs each group. Groups are
+// found by linear search rather than a map so that a NaN window, which
+// never equals itself, forms its own group and is rejected by Replay
+// instead of vanishing.
+func runGroups(jobs []replayJob, idx []int, pts [][]TracePoint, errs []error) {
+	type group struct {
+		m   *Model
+		w   rcnet.Window
+		idx []int
+	}
+	var groups []group
 	for _, j := range idx {
-		k := key{jobs[j].Model, jobs[j].Duration, jobs[j].SampleEvery}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		g := slices.IndexFunc(groups, func(g group) bool { return g.m == jobs[j].m && g.w == jobs[j].w })
+		if g < 0 {
+			g = len(groups)
+			groups = append(groups, group{m: jobs[j].m, w: jobs[j].w})
 		}
-		groups[k] = append(groups[k], j)
+		groups[g].idx = append(groups[g].idx, j)
 	}
-	for _, k := range order {
-		g := groups[k]
-		rjobs := make([]rcnet.TraceJob, len(g))
-		for i, j := range g {
-			rjobs[i] = rcnet.TraceJob{
-				Temp:        jobs[j].Temps,
-				Schedule:    k.m.nodeSchedule(jobs[j].Schedule),
-				Duration:    jobs[j].Duration,
-				SampleEvery: jobs[j].SampleEvery,
-			}
+	for _, g := range groups {
+		recs := make([]recorder, len(g.idx))
+		rjobs := make([]rcnet.Job, len(g.idx))
+		for i, j := range g.idx {
+			recs[i].m = g.m
+			rjobs[i] = rcnet.Job{Temp: jobs[j].temps, Power: jobs[j].fill, Record: recs[i].record}
 		}
-		samples, serrs := k.m.solver.ReplayLockstep(rjobs)
-		for i, j := range g {
-			if serrs[i] != nil {
-				errs[j] = serrs[i]
+		for i, err := range g.m.solver.Replay(g.w, rjobs) {
+			j := g.idx[i]
+			if err == nil {
+				pts[j] = recs[i].pts
 				continue
 			}
-			results[j] = k.m.tracePoints(samples[i])
+			if jobs[j].wrap != nil {
+				err = jobs[j].wrap(err)
+			}
+			errs[j] = err
 		}
 	}
 }
 
-// validateSweepJob checks a sweep job's model, replay window, schedule and
-// state vector before any stepping happens.
-func validateSweepJob(job SweepJob) error {
-	if job.Model == nil {
-		return fmt.Errorf("nil model")
-	}
-	if job.Schedule == nil {
-		return fmt.Errorf("nil power schedule")
-	}
-	if !(job.Duration > 0) {
-		return fmt.Errorf("empty trace: non-positive duration %g", job.Duration)
-	}
-	if !(job.SampleEvery > 0) {
-		return fmt.Errorf("non-positive sample interval %g", job.SampleEvery)
-	}
-	if n := job.Model.net.N(); len(job.Temps) != n {
-		return fmt.Errorf("temperature vector length %d, want %d", len(job.Temps), n)
-	}
-	return nil
+// recorder collects a replay's block temperatures (°C) as TracePoints.
+type recorder struct {
+	m   *Model
+	pts []TracePoint
+}
+
+func (r *recorder) record(t float64, temp []float64) {
+	bc := make([]float64, len(r.m.blockNode))
+	r.m.BlocksCInto(temp, bc)
+	r.pts = append(r.pts, TracePoint{Time: t, BlockC: bc})
 }
 
 // DominantTimeConstant returns the network's slowest thermal time constant

@@ -81,11 +81,6 @@ type Workspace struct {
 	y                []float64 // direct-solve scratch (Cholesky permuted solve)
 	yb               []float64 // interleaved K-wide block (batched direct solves)
 
-	// Float32-refinement scratch: flat column blocks for the sweep result
-	// and the residual/correction, plus reusable column views over them.
-	refX, refR   []float64
-	refXV, refRV [][]float64
-
 	// LastIterations reports the iteration count of the most recent Solve
 	// through this workspace: CG iterations for the iterative backend, 0 for
 	// the direct ones. Callers use it for per-path solver statistics; the
@@ -94,8 +89,7 @@ type Workspace struct {
 
 	// KernelSolves counts direct triangular-sweep kernel invocations made
 	// through this workspace, by kernel width: slots 0..3 are the 1-, 4-,
-	// 8- and 16-wide kernels (a Float32 refinement pass counts as a second
-	// invocation). Per-goroutine like the rest of the workspace; callers
+	// 8- and 16-wide kernels. Per-goroutine like the rest of the workspace; callers
 	// that aggregate solver statistics read and reset the slots between
 	// solves.
 	KernelSolves [4]int64
@@ -132,35 +126,6 @@ func (w *Workspace) batchBuf(n int) []float64 {
 		w.yb = make([]float64, n)
 	}
 	return w.yb[:n]
-}
-
-// refineBlock returns k column views of length n over the two refinement
-// scratch blocks (sweep result, residual/correction), growing them if
-// needed. Views are re-sliced on every call, so mixed batch widths and
-// problem sizes share the same backing arrays.
-func (w *Workspace) refineBlock(n, k int) (xh, rb [][]float64) {
-	if cap(w.refX) < n*k {
-		w.refX = make([]float64, n*k)
-		w.refR = make([]float64, n*k)
-	}
-	if cap(w.refXV) < k {
-		w.refXV = make([][]float64, k)
-		w.refRV = make([][]float64, k)
-	}
-	xh = w.refXV[:k]
-	rb = w.refRV[:k]
-	flatX, flatR := w.refX[:n*k], w.refR[:n*k]
-	for i := 0; i < k; i++ {
-		xh[i] = flatX[i*n : (i+1)*n]
-		rb[i] = flatR[i*n : (i+1)*n]
-	}
-	return xh, rb
-}
-
-// refinePair returns the single-column refinement scratch vectors.
-func (w *Workspace) refinePair(n int) (xh, rb []float64) {
-	xv, rv := w.refineBlock(n, 1)
-	return xv[0], rv[0]
 }
 
 // vectors returns the five length-n scratch vectors, growing them if needed.

@@ -46,43 +46,19 @@ var ErrCholeskyFill = errors.New("linalg: Cholesky factor fill exceeds cap")
 // a structurally or numerically asymmetric matrix.
 var ErrNotSymmetric = errors.New("linalg: matrix is not symmetric")
 
-// FactorPrecision selects the storage precision of the compressed factor the
-// triangular sweeps traverse. Factorization always runs in float64 panels;
-// Float32 halves the factor's memory footprint and sweep bandwidth and
-// compensates with one step of float64 iterative refinement per solve
-// (x ← x̂ + L⁻ᵀD⁻¹L⁻¹(b − A·x̂), with the residual computed against the full-
-// precision matrix). See DESIGN.md §9.3 for the error analysis.
-type FactorPrecision int
-
-const (
-	// Float64 stores the compressed factor in full precision (the default).
-	Float64 FactorPrecision = iota
-	// Float32 stores the compressed factor in single precision and adds one
-	// iterative-refinement step to every solve.
-	Float32
-)
-
 // CholeskyBackend assembles sparse direct LDLᵀ-factored operators with an
 // approximate-minimum-degree fill-reducing ordering and a supernodal blocked
 // factorization. Factorization happens eagerly, so non-SPD and singular
-// systems are reported at Assemble. The zero value applies no fill cap and
-// stores factors in full precision.
+// systems are reported at Assemble. The zero value applies no fill cap.
 type CholeskyBackend struct {
 	// MaxFillRatio, when positive, aborts Assemble with ErrCholeskyFill if
 	// nnz(L+D+Lᵀ) exceeds MaxFillRatio × nnz(A). Auto-selecting callers use
 	// it to bound the memory and per-solve cost before committing.
 	MaxFillRatio float64
-	// Precision selects the factor storage precision (FactorPrecision docs).
-	Precision FactorPrecision
 }
 
 // Name implements Backend.
-func (cb CholeskyBackend) Name() string {
-	if cb.Precision == Float32 {
-		return "cholesky-f32"
-	}
-	return "cholesky"
-}
+func (cb CholeskyBackend) Name() string { return "cholesky" }
 
 // Assemble implements Backend.
 func (cb CholeskyBackend) Assemble(n int, entries []Coord) (Operator, error) {
@@ -94,20 +70,14 @@ func (cb CholeskyBackend) Assemble(n int, entries []Coord) (Operator, error) {
 			return nil, fmt.Errorf("linalg: entry (%d,%d) out of range for n=%d", e.I, e.J, n)
 		}
 	}
-	return NewCholeskyOperatorPrec(NewCSR(n, entries), cb.MaxFillRatio, cb.Precision)
+	return NewCholeskyOperator(NewCSR(n, entries), cb.MaxFillRatio)
 }
 
 // NewCholeskyOperator orders, analyzes and factors an existing CSR matrix
-// (which must be symmetric and must not be mutated afterwards) with a full-
-// precision factor. maxFillRatio follows the CholeskyBackend.MaxFillRatio
-// contract; pass 0 for no cap.
+// (which must be symmetric and must not be mutated afterwards).
+// maxFillRatio follows the CholeskyBackend.MaxFillRatio contract; pass 0
+// for no cap.
 func NewCholeskyOperator(m *CSR, maxFillRatio float64) (*CholeskyOperator, error) {
-	return NewCholeskyOperatorPrec(m, maxFillRatio, Float64)
-}
-
-// NewCholeskyOperatorPrec is NewCholeskyOperator with an explicit factor
-// storage precision.
-func NewCholeskyOperatorPrec(m *CSR, maxFillRatio float64, prec FactorPrecision) (*CholeskyOperator, error) {
 	if err := checkSymmetric(m); err != nil {
 		return nil, err
 	}
@@ -118,11 +88,11 @@ func NewCholeskyOperatorPrec(m *CSR, maxFillRatio float64, prec FactorPrecision)
 				ErrCholeskyFill, fill, maxFillRatio, sym.nnzL)
 		}
 	}
-	f, err := factorSupernodal(m, sym, prec)
+	f, err := factorSupernodal(m, sym)
 	if err != nil {
 		return nil, err
 	}
-	return &CholeskyOperator{m: m, sym: sym, f: f, prec: prec}, nil
+	return &CholeskyOperator{m: m, sym: sym, f: f}, nil
 }
 
 // checkSymmetric verifies exact structural and numeric symmetry. Rows of a
@@ -189,8 +159,8 @@ type cholSymbolic struct {
 	// plus relaxation zeros) — the capacity bound for a factor's
 	// compressed-column view.
 	slotCap int
-	maxW     int // widest panel
-	maxNR    int // tallest panel (width + below rows)
+	maxW    int // widest panel
+	maxNR   int // tallest panel (width + below rows)
 
 	// updaters[s] lists the supernodes whose row pattern intersects s's
 	// columns, ascending — exactly the panels whose outer products must be
@@ -540,14 +510,12 @@ func (s *cholSymbolic) Supernodes() int { return len(s.snStart) - 1 }
 // symbolic analysis: all panels in one flat column-major array, plus a
 // compressed copy of the nonzero entries that the sweep kernels traverse —
 // panel traversal only pays off when K columns share it, and the compression
-// drops every relaxation zero from the solve flop count. Exactly one of
-// c64/c32 is set, per the factor's FactorPrecision. d holds the pivots of D,
+// drops every relaxation zero from the solve flop count. d holds the pivots of D,
 // invD their inverses (for the solve's fused diagonal scale). L is unit-
 // lower-triangular; the diagonal slots inside panels are scratch.
 type cholFactor struct {
 	vals []float64
-	c64  *compFactor[float64]
-	c32  *compFactor[float32]
+	c    *compFactor
 	d    []float64
 	invD []float64
 }
@@ -618,7 +586,7 @@ func newSnScratch(sym *cholSymbolic) *snScratch {
 // Chunking is a pure function of the symbolic analysis and every output
 // entry accumulates its updates in the same deterministic order, so factors
 // are bit-stable at any GOMAXPROCS.
-func factorSupernodal(m *CSR, sym *cholSymbolic, prec FactorPrecision) (*cholFactor, error) {
+func factorSupernodal(m *CSR, sym *cholSymbolic) (*cholFactor, error) {
 	n := sym.n
 	f := &cholFactor{
 		vals: make([]float64, sym.panelLen),
@@ -638,7 +606,7 @@ func factorSupernodal(m *CSR, sym *cholSymbolic, prec FactorPrecision) (*cholFac
 				return nil, err
 			}
 		}
-		f.compress(sym, prec)
+		f.compress(sym)
 		return f, nil
 	}
 	errs := make([]error, ns)
@@ -694,7 +662,7 @@ func factorSupernodal(m *CSR, sym *cholSymbolic, prec FactorPrecision) (*cholFac
 			}
 		}
 	}
-	f.compress(sym, prec)
+	f.compress(sym)
 	return f, nil
 }
 
@@ -703,10 +671,8 @@ func factorSupernodal(m *CSR, sym *cholSymbolic, prec FactorPrecision) (*cholFac
 // relaxation introduced (so they cost panel flops only where the
 // factorization amortizes them) and any true-pattern entries that cancelled
 // to zero in this particular factor (skipping a zero subtraction never
-// changes a solve). Under Float32 the views are stored in single precision
-// (the float64 copies are discarded, so the memory and bandwidth halving is
-// real, not additive).
-func (f *cholFactor) compress(sym *cholSymbolic, prec FactorPrecision) {
+// changes a solve).
+func (f *cholFactor) compress(sym *cholSymbolic) {
 	cptr := make([]int32, sym.n+1)
 	crows := make([]int32, 0, sym.slotCap)
 	cvals := make([]float64, 0, sym.slotCap)
@@ -761,26 +727,10 @@ func (f *cholFactor) compress(sym *cholSymbolic, prec FactorPrecision) {
 			rvals[q] = cvals[p]
 		}
 	}
-	if prec == Float32 {
-		f.c32 = &compFactor[float32]{
-			cptr: cptr, crows: crows, cvals: shrinkVals(cvals),
-			rptr: rptr, rcols: rcols, rvals: shrinkVals(rvals),
-		}
-		return
-	}
-	f.c64 = &compFactor[float64]{
+	f.c = &compFactor{
 		cptr: cptr, crows: crows, cvals: cvals,
 		rptr: rptr, rcols: rcols, rvals: rvals,
 	}
-}
-
-// shrinkVals rounds a factor value array to single precision.
-func shrinkVals(v []float64) []float32 {
-	out := make([]float32, len(v))
-	for i, x := range v {
-		out[i] = float32(x)
-	}
-	return out
 }
 
 // factorPanelCols assembles target columns [tLo, tHi) of supernode s's panel
@@ -875,14 +825,10 @@ func lowerBound32(a []int32, x int32) int {
 // Immutable after construction and safe for concurrent solves
 // (per-goroutine scratch comes from the Workspace).
 type CholeskyOperator struct {
-	m    *CSR
-	sym  *cholSymbolic
-	f    *cholFactor
-	prec FactorPrecision
+	m   *CSR
+	sym *cholSymbolic
+	f   *cholFactor
 }
-
-// Precision reports the factor storage precision.
-func (c *CholeskyOperator) Precision() FactorPrecision { return c.prec }
 
 // Matrix exposes the underlying CSR (read-only).
 func (c *CholeskyOperator) Matrix() *CSR { return c.m }
@@ -913,10 +859,8 @@ func (c *CholeskyOperator) Apply(x, dst []float64) {
 
 // Solve implements Operator: permute, forward-substitute through L in row-
 // gather form, scale by D⁻¹, back-substitute through Lᵀ, permute back (the
-// sweepSolve kernel). Under a Float32 factor the sweep result is polished by
-// one step of float64 iterative refinement against the full-precision
-// matrix. Exact (direct), so the warm start is ignored. Allocation-free when
-// both dst and ws are provided; dst may alias b.
+// sweepSolve kernel). Exact (direct), so the warm start is ignored.
+// Allocation-free when both dst and ws are provided; dst may alias b.
 func (c *CholeskyOperator) Solve(b, _, dst []float64, ws *Workspace) ([]float64, error) {
 	n := c.m.N
 	if len(b) != n {
@@ -930,23 +874,7 @@ func (c *CholeskyOperator) Solve(b, _, dst []float64, ws *Workspace) ([]float64,
 	}
 	ws.LastIterations = 0
 	y := ws.direct(n)
-	if f := c.f; f.c32 != nil {
-		// x̂ lands in scratch (dst may alias b, and the residual still needs
-		// b); refinement reuses the residual buffer for the correction.
-		xh, r := ws.refinePair(n)
-		sweepSolve(f.c32, c.sym.perm, f.invD, y, b, xh)
-		c.m.MulVec(xh, r)
-		for i, bi := range b {
-			r[i] = bi - r[i]
-		}
-		sweepSolve(f.c32, c.sym.perm, f.invD, y, r, r)
-		for i := range dst {
-			dst[i] = xh[i] + r[i]
-		}
-		ws.KernelSolves[0] += 2
-		return dst, nil
-	}
-	sweepSolve(c.f.c64, c.sym.perm, c.f.invD, y, b, dst)
+	sweepSolve(c.f.c, c.sym.perm, c.f.invD, y, b, dst)
 	ws.KernelSolves[0]++
 	return dst, nil
 }
@@ -955,8 +883,8 @@ func (c *CholeskyOperator) Solve(b, _, dst []float64, ws *Workspace) ([]float64,
 // applicable interleaved sweep kernels — greedily 16, then 8, then 4 per
 // factor traversal, the remainder through the single-column path — so a
 // K-wide lockstep batch pays ⌈K/16⌉-ish traversals instead of K. Each
-// column's arithmetic — entry order, fused permutes, fused D⁻¹, refinement
-// under Float32 — is exactly the single Solve kernel's, so batched and
+// column's arithmetic — entry order, fused permutes, fused D⁻¹ — is
+// exactly the single Solve kernel's, so batched and
 // sequential results are bit-identical; batching changes memory traffic,
 // never arithmetic. Allocation-free when dst and ws are provided; dst[k]
 // may alias b[k].
@@ -1004,53 +932,29 @@ func (c *CholeskyOperator) SolveBatch(b, _, dst [][]float64, ws *Workspace) ([][
 }
 
 // solveChunk solves len(bs) ∈ {4, 8, 16} right-hand sides through one
-// K-wide sweep kernel invocation (two under Float32: solve plus batched
-// refinement correction).
+// K-wide sweep kernel invocation.
 func (c *CholeskyOperator) solveChunk(bs, xs [][]float64, ws *Workspace) {
-	n := c.m.N
 	kw := len(bs)
-	yb := ws.batchBuf(n * kw)
-	widx := kernelWidthIndex(kw)
-	f := c.f
-	if f.c32 != nil {
-		xh, rb := ws.refineBlock(n, kw)
-		sweepSolveK(f.c32, c.sym.perm, f.invD, yb, bs, xh)
-		for k := 0; k < kw; k++ {
-			c.m.MulVec(xh[k], rb[k])
-			rk := rb[k]
-			for i, bi := range bs[k] {
-				rk[i] = bi - rk[i]
-			}
-		}
-		sweepSolveK(f.c32, c.sym.perm, f.invD, yb, rb, rb)
-		for k := 0; k < kw; k++ {
-			xk, hk, rk := xs[k], xh[k], rb[k]
-			for i := range xk {
-				xk[i] = hk[i] + rk[i]
-			}
-		}
-		ws.KernelSolves[widx] += 2
-		return
-	}
-	sweepSolveK(f.c64, c.sym.perm, f.invD, yb, bs, xs)
-	ws.KernelSolves[widx]++
+	yb := ws.batchBuf(c.m.N * kw)
+	sweepSolveK(c.f.c, c.sym.perm, c.f.invD, yb, bs, xs)
+	ws.KernelSolves[kernelWidthIndex(kw)]++
 }
 
 // Shift implements Operator. The shift touches only the diagonal, so the
 // returned operator reuses the receiver's symbolic analysis (ordering,
 // elimination tree, supernode partition, update schedule) and pays for a
-// numeric refactorization only, at the receiver's factor precision. This is
-// the factor-cache contract backward-Euler stepping relies on.
+// numeric refactorization only. This is the factor-cache contract
+// backward-Euler stepping relies on.
 func (c *CholeskyOperator) Shift(diag []float64) (Operator, error) {
 	if len(diag) != c.m.N {
 		return nil, fmt.Errorf("linalg: Shift dimension mismatch %d vs %d", c.m.N, len(diag))
 	}
 	m2 := c.m.Shifted(diag)
-	f, err := factorSupernodal(m2, c.sym, c.prec)
+	f, err := factorSupernodal(m2, c.sym)
 	if err != nil {
 		return nil, err
 	}
-	return &CholeskyOperator{m: m2, sym: c.sym, f: f, prec: c.prec}, nil
+	return &CholeskyOperator{m: m2, sym: c.sym, f: f}, nil
 }
 
 // Diag implements Operator.

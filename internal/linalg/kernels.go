@@ -13,27 +13,18 @@ import "fmt"
 //     factor is bit-identical however the panel work is tiled or split
 //     across workers.
 //   - Solve-side: the interleaved K-wide forward/backward sweeps
-//     (sweepSolve, sweep4, sweep8, sweep16), generic over the factor storage
-//     precision. Accumulation is always float64; a float32 factor only
-//     changes the loads.
+//     (sweepSolve, sweep4, sweep8, sweep16).
 
-// factorValue constrains the compressed-factor element type: float64 for
-// full precision, float32 for the reduced-precision storage behind
-// FactorPrecision (solves then add one step of iterative refinement).
-type factorValue interface {
-	~float32 | ~float64
-}
-
-// compFactor is the zero-dropped compressed view of a finished factor in the
-// storage precision the sweeps traverse: column form (backward sweep) and
-// row-gather form (forward sweep).
-type compFactor[F factorValue] struct {
+// compFactor is the zero-dropped compressed view of a finished factor the
+// sweeps traverse: column form (backward sweep) and row-gather form
+// (forward sweep).
+type compFactor struct {
 	cptr  []int32
 	crows []int32
-	cvals []F
+	cvals []float64
 	rptr  []int32
 	rcols []int32
-	rvals []F
+	rvals []float64
 }
 
 // --- factor-side kernels ---
@@ -198,17 +189,17 @@ func densePanelLDL(sym *cholSymbolic, f *cholFactor, s int32) error {
 
 // sweepSolve runs the fused single-RHS forward/backward sweeps over a
 // compressed factor: permute, forward-substitute in row-gather form, scale
-// by D⁻¹, back-substitute over the columns, permute back. Accumulation is
-// float64 regardless of the factor storage precision. dst may alias b (the
-// forward sweep finishes reading b before the backward sweep writes dst).
-func sweepSolve[F factorValue](cf *compFactor[F], perm []int, invD, y, b, dst []float64) {
+// by D⁻¹, back-substitute over the columns, permute back. dst may alias b
+// (the forward sweep finishes reading b before the backward sweep writes
+// dst).
+func sweepSolve(cf *compFactor, perm []int, invD, y, b, dst []float64) {
 	n := len(perm)
 	rptr, rcols, rvals := cf.rptr, cf.rcols, cf.rvals
 	for j := 0; j < n; j++ {
 		sum := b[perm[j]]
 		p1 := rptr[j+1]
 		for p := rptr[j]; p < p1; p++ {
-			sum -= float64(rvals[p]) * y[rcols[p]]
+			sum -= rvals[p] * y[rcols[p]]
 		}
 		y[j] = sum
 	}
@@ -217,7 +208,7 @@ func sweepSolve[F factorValue](cf *compFactor[F], perm []int, invD, y, b, dst []
 		sum := y[j] * invD[j]
 		p1 := cptr[j+1]
 		for p := cptr[j]; p < p1; p++ {
-			sum -= float64(cvals[p]) * y[crows[p]]
+			sum -= cvals[p] * y[crows[p]]
 		}
 		y[j] = sum
 		dst[perm[j]] = sum
@@ -228,7 +219,7 @@ func sweepSolve[F factorValue](cf *compFactor[F], perm []int, invD, y, b, dst []
 // vectors interleave (yb[4j+k] is unknown j of system k), so every factor
 // entry and index loads once and feeds four register accumulators.
 // Per-column arithmetic is identical to sweepSolve.
-func sweep4[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, bs, xs [][]float64) {
+func sweep4(cf *compFactor, perm []int, invD, yb []float64, bs, xs [][]float64) {
 	n := len(perm)
 	b0, b1, b2, b3 := bs[0], bs[1], bs[2], bs[3]
 	x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
@@ -239,7 +230,7 @@ func sweep4[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, bs
 		p1 := rptr[j+1]
 		for p := rptr[j]; p < p1; p++ {
 			ri := int(rcols[p]) * 4
-			v := float64(rvals[p])
+			v := rvals[p]
 			s0 -= v * yb[ri]
 			s1 -= v * yb[ri+1]
 			s2 -= v * yb[ri+2]
@@ -256,7 +247,7 @@ func sweep4[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, bs
 		p1 := cptr[j+1]
 		for p := cptr[j]; p < p1; p++ {
 			ri := int(crows[p]) * 4
-			v := float64(cvals[p])
+			v := cvals[p]
 			s0 -= v * yb[ri]
 			s1 -= v * yb[ri+1]
 			s2 -= v * yb[ri+2]
@@ -270,7 +261,7 @@ func sweep4[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, bs
 
 // sweep8 is the 8-wide interleaved sweep: one factor traversal per eight
 // right-hand sides, eight register accumulators.
-func sweep8[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, bs, xs [][]float64) {
+func sweep8(cf *compFactor, perm []int, invD, yb []float64, bs, xs [][]float64) {
 	n := len(perm)
 	b0, b1, b2, b3 := bs[0], bs[1], bs[2], bs[3]
 	b4, b5, b6, b7 := bs[4], bs[5], bs[6], bs[7]
@@ -284,7 +275,7 @@ func sweep8[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, bs
 		p1 := rptr[j+1]
 		for p := rptr[j]; p < p1; p++ {
 			ri := int(rcols[p]) * 8
-			v := float64(rvals[p])
+			v := rvals[p]
 			y := yb[ri : ri+8 : ri+8]
 			s0 -= v * y[0]
 			s1 -= v * y[1]
@@ -310,7 +301,7 @@ func sweep8[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, bs
 		p1 := cptr[j+1]
 		for p := cptr[j]; p < p1; p++ {
 			ri := int(crows[p]) * 8
-			v := float64(cvals[p])
+			v := cvals[p]
 			y := yb[ri : ri+8 : ri+8]
 			s0 -= v * y[0]
 			s1 -= v * y[1]
@@ -336,7 +327,7 @@ func sweep8[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, bs
 // indices and factor values are L1-hot on the second pass, while the 16-wide
 // working block still streams the factor from memory exactly once. Per
 // accumulator the operation sequence is identical to sweepSolve.
-func sweep16[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, bs, xs [][]float64) {
+func sweep16(cf *compFactor, perm []int, invD, yb []float64, bs, xs [][]float64) {
 	n := len(perm)
 	b0, b1, b2, b3 := bs[0], bs[1], bs[2], bs[3]
 	b4, b5, b6, b7 := bs[4], bs[5], bs[6], bs[7]
@@ -355,7 +346,7 @@ func sweep16[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, b
 		s4, s5, s6, s7 := b4[pj], b5[pj], b6[pj], b7[pj]
 		for p := p0; p < p1; p++ {
 			ri := int(rcols[p]) * 16
-			v := float64(rvals[p])
+			v := rvals[p]
 			y := yb[ri : ri+8 : ri+8]
 			s0 -= v * y[0]
 			s1 -= v * y[1]
@@ -373,7 +364,7 @@ func sweep16[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, b
 		s4, s5, s6, s7 = b12[pj], b13[pj], b14[pj], b15[pj]
 		for p := p0; p < p1; p++ {
 			ri := int(rcols[p])*16 + 8
-			v := float64(rvals[p])
+			v := rvals[p]
 			y := yb[ri : ri+8 : ri+8]
 			s0 -= v * y[0]
 			s1 -= v * y[1]
@@ -399,7 +390,7 @@ func sweep16[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, b
 		s4, s5, s6, s7 := ylo[4]*d, ylo[5]*d, ylo[6]*d, ylo[7]*d
 		for p := p0; p < p1; p++ {
 			ri := int(crows[p]) * 16
-			v := float64(cvals[p])
+			v := cvals[p]
 			y := yb[ri : ri+8 : ri+8]
 			s0 -= v * y[0]
 			s1 -= v * y[1]
@@ -419,7 +410,7 @@ func sweep16[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, b
 		s4, s5, s6, s7 = yhi[4]*d, yhi[5]*d, yhi[6]*d, yhi[7]*d
 		for p := p0; p < p1; p++ {
 			ri := int(crows[p])*16 + 8
-			v := float64(cvals[p])
+			v := cvals[p]
 			y := yb[ri : ri+8 : ri+8]
 			s0 -= v * y[0]
 			s1 -= v * y[1]
@@ -439,7 +430,7 @@ func sweep16[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, b
 
 // sweepSolveK dispatches a K-wide interleaved sweep; K must be 4, 8 or 16
 // (SolveBatch's greedy width decomposition guarantees it).
-func sweepSolveK[F factorValue](cf *compFactor[F], perm []int, invD, yb []float64, bs, xs [][]float64) {
+func sweepSolveK(cf *compFactor, perm []int, invD, yb []float64, bs, xs [][]float64) {
 	switch len(bs) {
 	case 4:
 		sweep4(cf, perm, invD, yb, bs, xs)

@@ -7,8 +7,8 @@ import (
 )
 
 // Tests for the PR 6 register-blocked kernels: bit-stable multicore
-// factorization (within-panel splits included) and the reduced-precision
-// factor path.
+// factorization (within-panel splits included) and the per-width kernel
+// counters.
 
 // TestFactorBitIdenticalAcrossGOMAXPROCS: the numeric factorization must
 // produce identical bits at every worker count — serial sweep, 2 workers, 4
@@ -34,7 +34,7 @@ func TestFactorBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	var ref *cholFactor
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		f, err := factorSupernodal(m, sym, Float64)
+		f, err := factorSupernodal(m, sym)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,76 +52,6 @@ func TestFactorBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d: pivot %d: %v vs %v", procs, i, f.d[i], ref.d[i])
 			}
 		}
-	}
-}
-
-// TestFloat32FactorRefinement: the reduced-precision factor with one
-// refinement step must track the float64 factor's solutions to well below
-// the golden drift gate, halve the compressed-value storage, and preserve
-// its precision across Shift.
-func TestFloat32FactorRefinement(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	gn, ge := gridEntries(24, 18)
-	cases := []struct {
-		name    string
-		n       int
-		entries []Coord
-	}{
-		{"grid", gn, ge},
-		{"random", 250, spdEntries(rng, 250)},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			m := NewCSR(c.n, c.entries)
-			op64, err := NewCholeskyOperator(m, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			op32, err := NewCholeskyOperatorPrec(m, 0, Float32)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if op32.Precision() != Float32 || op32.f.c32 == nil || op32.f.c64 != nil {
-				t.Fatal("float32 operator did not store a single-precision factor")
-			}
-			b := make([]float64, c.n)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			x64, err := op64.Solve(b, nil, nil, &Workspace{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			x32, err := op32.Solve(b, nil, nil, &Workspace{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := relErr(x64, x32)
-			if e > 1e-9 {
-				t.Fatalf("refined float32 solve drifts from float64 by %g", e)
-			}
-			t.Logf("refined float32 vs float64 drift: %.3g", e)
-			// The residual must be at direct-solve level, not raw-f32 level.
-			r := make([]float64, c.n)
-			op32.Apply(x32, r)
-			num, den := 0.0, 0.0
-			for i := range r {
-				d := r[i] - b[i]
-				num += d * d
-				den += b[i] * b[i]
-			}
-			if num > 1e-24*den {
-				t.Fatalf("refined float32 residual too large: %g", num/den)
-			}
-			// Shift must stay single-precision (the BE factor-cache path).
-			shifted, err := op32.Shift(make([]float64, c.n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if shifted.(*CholeskyOperator).Precision() != Float32 {
-				t.Fatal("Shift dropped the factor precision")
-			}
-		})
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package pool provides the fixed-size goroutine worker pool shared by the
-// batched thermal-simulation APIs (rcnet.Solver.TransientBatch,
-// hotspot.RunSweep, hotspot.RunReplayBatch, scenario.RunGrid). It exists so
+// batched thermal-simulation APIs (the hotspot replay core behind RunSweep
+// and ReplayBatchResults, scenario.RunGrid, the supernodal factorization,
+// service sweeps). It exists so
 // the concurrency pattern — worker clamp, job fan-out, per-worker state,
 // completion barrier — lives in exactly one place; DESIGN.md §1.3 records
 // the concurrency model (immutable shared operators, one solving session
@@ -14,8 +15,8 @@ import (
 
 // RunChunked deals the given indices round-robin into min(workers, len)
 // chunks — workers ≤ 0 uses GOMAXPROCS — and runs each chunk on the pool.
-// It is the shared front half of every lockstep batch API (rcnet
-// TransientBatch, hotspot sweeps and replay batches, scenario grids): the
+// It is the shared front half of every lockstep batch API (hotspot sweeps
+// and replay batches, scenario grids): the
 // deal is deterministic, so per-chunk grouping downstream is too, and
 // results never depend on the worker count. Chunk functions must record
 // their own results/errors; RunChunked only guarantees completion.

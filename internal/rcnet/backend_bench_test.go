@@ -3,7 +3,6 @@ package rcnet
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/linalg"
@@ -171,9 +170,9 @@ func BenchmarkBackendTransientBE(b *testing.B) {
 	}
 }
 
-// BenchmarkTransientBatch measures trace replay throughput of the batched
-// API at 1 worker vs all cores: 16 independent 100-step replays on a
-// ~1000-node sparse-backed network.
+// BenchmarkTransientBatch measures lockstep trace replay throughput: 16
+// independent 100-step replays on a ~1000-node sparse-backed network, as
+// one 16-wide group and as 16 width-1 groups.
 func BenchmarkTransientBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	net := gridNetwork(rng, 23, 23)
@@ -186,24 +185,28 @@ func BenchmarkTransientBatch(b *testing.B) {
 	for j := range powers {
 		powers[j] = randomPower(rng, net.N())
 	}
-	mkJobs := func() []TraceJob {
-		out := make([]TraceJob, jobs)
+	mkJobs := func() []Job {
+		out := make([]Job, jobs)
 		for j := range out {
 			p := powers[j]
-			out[j] = TraceJob{
-				Temp:        s.AmbientVector(),
-				Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-				Duration:    0.1,
-				SampleEvery: 1e-3,
+			out[j] = Job{
+				Temp:  s.AmbientVector(),
+				Power: func(_ float64, dst []float64) error { copy(dst, p); return nil },
 			}
 		}
 		return out
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	w := Window{Duration: 0.1, Step: 1e-3}
+	for _, width := range []int{1, jobs} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := s.TransientBatch(mkJobs(), workers); err != nil {
-					b.Fatal(err)
+				all := mkJobs()
+				for off := 0; off < jobs; off += width {
+					for _, err := range s.Replay(w, all[off:off+width]) {
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
 			}
 		})

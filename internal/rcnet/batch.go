@@ -1,20 +1,23 @@
 package rcnet
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
 	"repro/internal/linalg"
-	"repro/internal/pool"
 )
 
-// This file holds the batched stepping layer: a BatchSession advances K
-// independent temperature states through one backward-Euler step with a
-// single factor traversal (linalg.Operator.SolveBatch), and the lockstep
-// replay engine drives K same-window trace jobs through shared steps. This
-// is how TransientBatch (and, one layer up, hotspot sweeps and the scenario
-// grid) stop paying the factor's full memory traffic once per job per step.
+// This file holds the stepping core. BatchSession.StepBE is the only
+// backward-Euler step in the package: it advances K independent temperature
+// states with a single factor traversal (linalg.Operator.SolveBatch), and a
+// single state is the width-1 case (Session, Solver.StepBE). Replay is the
+// only replay loop: it drives same-window jobs through shared steps, so
+// hotspot sweeps and streamed replays stop paying the factor's full memory
+// traffic once per job per step. The scenario grid, whose power depends on
+// each step's temperatures, calls StepBE directly.
 
 // MaxBatchWidth caps how many right-hand sides one lockstep group solves per
 // factor traversal. The packed block costs n·K floats of workspace; with the
@@ -42,10 +45,17 @@ type BatchSession struct {
 	iter   bool
 	nsteps uint64 // batched solves taken; drives the 1-in-8 latency sampling
 
-	// Reduced-path state, mirroring session: see rcnet.go.
+	// Reduced-path state: red is the current operator when it is a reduced
+	// projection (nil otherwise), epoch the solver epoch it was fetched at,
+	// res the residual-check scratch. All unused on full-backend solvers.
 	red   *linalg.ReducedOperator
 	epoch uint32
 	res   []float64
+
+	// one* are the width-1 argument slots step1 reuses, so single-state
+	// stepping allocates nothing.
+	oneT, oneP [1][]float64
+	oneErr     [1]error
 }
 
 // NewBatchSession creates a K-wide stepping context. Safe to call
@@ -73,17 +83,31 @@ func (s *Solver) NewBatchSession(width int) *BatchSession {
 // Width returns the number of slots.
 func (bs *BatchSession) Width() int { return len(bs.rhs) }
 
+// step1 is StepBE for one state: a slot-0 step whose per-slot error is
+// returned. On error, temp is left unchanged.
+func (bs *BatchSession) step1(temp, power []float64, dt float64) error {
+	bs.oneT[0], bs.oneP[0], bs.oneErr[0] = temp, power, nil
+	err := bs.StepBE(bs.oneT[:], bs.oneP[:], dt, bs.oneErr[:])
+	if err == nil {
+		err = bs.oneErr[0]
+	}
+	bs.oneT[0], bs.oneP[0], bs.oneErr[0] = nil, nil, nil
+	return err
+}
+
 // StepBE advances up to Width temperature states (in place) by one
 // backward-Euler step of size dt under per-slot constant power. Slots with a
 // nil temperature vector are skipped — that is how lockstep callers drop
 // jobs that already failed or finished. Per-slot solve failures (possible
 // only on the iterative backend) land in errs; the returned error reports
 // batch-level failures (bad dt, slot shape, operator factorization) that
-// apply to every slot. Per-slot results are bit-identical to stepping each
-// slot through its own Session: the batched solve never changes per-column
-// arithmetic.
+// apply to every slot. Per-slot results are bit-identical at any width:
+// the batched solve never changes per-column arithmetic.
 func (bs *BatchSession) StepBE(temps, powers [][]float64, dt float64, errs []error) error {
 	if !(dt > 0) || math.IsInf(dt, 0) {
+		// NaN must be rejected here, not just nonsense-tolerated: it would
+		// both poison the solver's (dt → factor) cache (NaN map keys never
+		// match a lookup) and factor to silent NaN temperatures.
 		return fmt.Errorf("rcnet: invalid step %g", dt)
 	}
 	kk := len(temps)
@@ -137,6 +161,8 @@ func (bs *BatchSession) StepBE(temps, powers [][]float64, dt float64, errs []err
 	}
 	st := &s.stats
 	st.recordBatchWidth(width)
+	// Solve latency is sampled one step in eight: two clock reads per step
+	// would cost ~10% of a small model's triangular solve.
 	sample := bs.nsteps&7 == 0
 	bs.nsteps++
 	var start time.Time
@@ -223,211 +249,141 @@ func (bs *BatchSession) StepBE(temps, powers [][]float64, dt float64, errs []err
 	return nil
 }
 
-// TransientBatch replays N independent power schedules against one compiled
-// network: jobs are split round-robin into per-worker chunks (workers ≤ 0
-// uses GOMAXPROCS), and each worker groups its chunk by replay window and
-// advances every group in lockstep, solving up to MaxBatchWidth right-hand
-// sides per factor traversal. Per-job results are bit-identical at any
-// worker count — the batched solve never changes per-column arithmetic, so
-// chunking and grouping only affect memory traffic. Results are indexed
-// like jobs; malformed jobs are rejected up front with descriptive errors
-// and a panicking schedule fails only its own job. The first job error (by
-// job order) is returned after all jobs finish.
-func (s *Solver) TransientBatch(jobs []TraceJob, workers int) ([][]Sample, error) {
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	results := make([][]Sample, len(jobs))
-	errs := make([]error, len(jobs))
-	valid := make([]int, 0, len(jobs))
-	for j, job := range jobs {
-		if errs[j] = s.validateTraceJob(job); errs[j] == nil {
-			valid = append(valid, j)
-		}
-	}
-	pool.RunChunked(valid, workers, func(chunk []int) {
-		s.replayChunk(jobs, chunk, results, errs)
-	})
-	for j, err := range errs {
-		if err != nil {
-			return results, fmt.Errorf("rcnet: batch job %d: %w", j, err)
-		}
-	}
-	return results, nil
+// Window is the step sequence a lockstep group shares: steps of Step
+// seconds from t = 0, the last one shortened to land on Duration. An
+// infinite Duration leaves the sequence open; it then runs until every
+// job's power fill reports io.EOF (how streamed rows end).
+type Window struct {
+	Duration float64
+	Step     float64
 }
 
-// replayChunk groups one worker's jobs by replay window (jobs sharing a
-// window share a step sequence) and locksteps each group, splitting past
-// MaxBatchWidth. Group composition is deterministic: windows appear in
-// first-seen order of the chunk, jobs stay in index order.
-func (s *Solver) replayChunk(jobs []TraceJob, idx []int, results [][]Sample, errs []error) {
-	type window struct{ duration, sampleEvery float64 }
-	var order []window
-	groups := make(map[window][]int)
-	for _, j := range idx {
-		w := window{jobs[j].Duration, jobs[j].SampleEvery}
-		if _, ok := groups[w]; !ok {
-			order = append(order, w)
-		}
-		groups[w] = append(groups[w], j)
-	}
-	for _, w := range order {
-		g := groups[w]
-		for off := 0; off < len(g); off += MaxBatchWidth {
-			end := off + MaxBatchWidth
-			if end > len(g) {
-				end = len(g)
-			}
-			s.runLockstep(jobs, g[off:end], results, errs)
-		}
-	}
+// Job is one state replayed by Replay.
+type Job struct {
+	// Temp is the initial state, advanced in place.
+	Temp []float64
+	// Power fills the node power for the step that starts at time t.
+	// io.EOF ends the job with everything recorded so far standing; any
+	// other error fails it.
+	Power func(t float64, power []float64) error
+	// Record, when set, observes the state at t = 0 and after every step.
+	// temp is the live state vector: copy what must outlive the call.
+	Record func(t float64, temp []float64)
 }
 
-// ReplayLockstep replays same-window trace jobs in lockstep on the calling
-// goroutine: all jobs must share Duration and SampleEvery (that is what
-// makes their step sequences identical), and each step solves every live
-// job's right-hand side in one factor traversal. Results and errors are
-// indexed like jobs; a job that fails (schedule panic, solve stall) drops
-// out of the batch while the rest keep stepping. Per-job results are
-// bit-identical to TransientTrace. Groups wider than MaxBatchWidth are
-// split internally.
-func (s *Solver) ReplayLockstep(jobs []TraceJob) ([][]Sample, []error) {
-	results := make([][]Sample, len(jobs))
+// Replay advances same-window jobs in lockstep on the calling goroutine:
+// each step fills every live job's power, then solves all their right-hand
+// sides in one factor traversal (groups wider than MaxBatchWidth split).
+// Errors are indexed like jobs. Malformed jobs are rejected before any
+// stepping; a job whose callback fails or panics, or whose solve stalls,
+// drops out while the rest keep stepping. Per-job results are bit-identical
+// to replaying each job alone.
+func (s *Solver) Replay(w Window, jobs []Job) []error {
 	errs := make([]error, len(jobs))
-	if len(jobs) == 0 {
-		return results, errs
+	var werr error
+	switch {
+	case !(w.Step > 0) || math.IsInf(w.Step, 0):
+		werr = fmt.Errorf("rcnet: replay window: invalid step %g", w.Step)
+	case !(w.Duration > 0):
+		werr = fmt.Errorf("rcnet: empty replay window: non-positive duration %g", w.Duration)
 	}
-	idx := make([]int, 0, len(jobs))
+	live := make([]int, 0, len(jobs))
 	for j, job := range jobs {
-		if errs[j] = s.validateTraceJob(job); errs[j] == nil {
-			idx = append(idx, j)
-		}
-	}
-	for j := 1; j < len(idx); j++ {
-		a, b := jobs[idx[0]], jobs[idx[j]]
-		if a.Duration != b.Duration || a.SampleEvery != b.SampleEvery {
-			errs[idx[j]] = fmt.Errorf("lockstep window mismatch: job has duration=%g sample=%g, group runs duration=%g sample=%g",
-				b.Duration, b.SampleEvery, a.Duration, a.SampleEvery)
-		}
-	}
-	live := idx[:0]
-	for _, j := range idx {
-		if errs[j] == nil {
+		switch {
+		case werr != nil:
+			errs[j] = werr
+		case job.Power == nil:
+			errs[j] = errors.New("rcnet: replay job has no power fill")
+		case len(job.Temp) != s.net.N():
+			errs[j] = fmt.Errorf("rcnet: temperature vector length %d, want %d", len(job.Temp), s.net.N())
+		default:
 			live = append(live, j)
 		}
 	}
 	for off := 0; off < len(live); off += MaxBatchWidth {
-		end := off + MaxBatchWidth
-		if end > len(live) {
-			end = len(live)
-		}
-		s.runLockstep(jobs, live[off:end], results, errs)
+		s.lockstep(w, jobs, live[off:min(off+MaxBatchWidth, len(live))], errs)
 	}
-	return results, errs
+	return errs
 }
 
-// stepCount replays the stepping loop's arithmetic to size the recording
-// buffers: the number of backward-Euler steps a (duration, sampleEvery)
-// window takes, final shortened step included.
-func stepCount(duration, sampleEvery float64) int {
-	steps := 0
-	t := 0.0
-	for t < duration-1e-12*duration {
-		step := sampleEvery
-		if step > duration-t {
-			step = duration - t
-		}
-		t += step
-		steps++
-	}
-	return steps
-}
-
-// runLockstep advances one ≤MaxBatchWidth group of validated same-window
-// jobs. Sample storage is flat-allocated per job (one backing array holds
-// every sample vector), so recording performs no per-step allocation.
-func (s *Solver) runLockstep(jobs []TraceJob, idx []int, results [][]Sample, errs []error) {
-	n := s.net.N()
+// lockstep advances one ≤MaxBatchWidth group of validated jobs through the
+// window.
+func (s *Solver) lockstep(w Window, jobs []Job, idx []int, errs []error) {
 	kk := len(idx)
-	duration := jobs[idx[0]].Duration
-	sampleEvery := jobs[idx[0]].SampleEvery
-	steps := stepCount(duration, sampleEvery)
-
 	bs := s.NewBatchSession(kk)
 	temps := make([][]float64, kk)
 	powers := make([][]float64, kk)
 	serrs := make([]error, kk)
-	flats := make([][]float64, kk)
 	for k, j := range idx {
 		temps[k] = jobs[j].Temp
-		powers[k] = make([]float64, n)
-		flats[k] = make([]float64, (steps+1)*n)
-		results[j] = make([]Sample, 0, steps+1)
+		powers[k] = make([]float64, s.net.N())
 	}
-	record := func(k, j int, t float64) {
-		i := len(results[j])
-		cp := flats[k][i*n : (i+1)*n]
-		copy(cp, temps[k])
-		results[j] = append(results[j], Sample{Time: t, Temp: cp})
-	}
-	fail := func(k, j int, err error) {
-		errs[j] = err
-		results[j] = nil
+	fail := func(k int, err error) {
+		errs[idx[k]] = err
 		temps[k] = nil
 	}
-	for k, j := range idx {
-		record(k, j, 0)
-	}
-	// schedule fills one job's power for the interval at t; a panicking
-	// schedule (e.g. one indexing an empty trace) fails its own job only.
-	schedule := func(k, j int, t float64) {
+	// advance records job k's state at t and, unless the window is over,
+	// fills its power for the step from t. A callback that fails or panics
+	// fails its own job only; io.EOF finishes the job.
+	advance := func(k int, t float64, last bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				fail(k, j, fmt.Errorf("job panicked: %v", r))
+				fail(k, fmt.Errorf("job panicked: %v", r))
 			}
 		}()
-		jobs[j].Schedule(t, powers[k])
+		job := &jobs[idx[k]]
+		if job.Record != nil {
+			job.Record(t, temps[k])
+		}
+		if last {
+			return
+		}
+		if err := job.Power(t, powers[k]); err == io.EOF {
+			temps[k] = nil
+		} else if err != nil {
+			fail(k, err)
+		}
+	}
+	end := w.Duration
+	if !math.IsInf(end, 1) {
+		end -= 1e-12 * end
 	}
 	t := 0.0
-	for t < duration-1e-12*duration {
-		step := sampleEvery
-		if step > duration-t {
-			step = duration - t
-		}
+	for {
+		last := !(t < end)
 		live := 0
-		for k, j := range idx {
+		for k := range temps {
 			if temps[k] == nil {
 				continue
 			}
-			schedule(k, j, t)
+			advance(k, t, last)
 			if temps[k] != nil {
 				live++
 			}
 		}
-		if live == 0 {
+		if last || live == 0 {
 			return
 		}
-		if err := bs.StepBE(temps, powers, step, serrs); err != nil {
+		dt := w.Step
+		if dt > w.Duration-t {
+			dt = w.Duration - t
+		}
+		if err := bs.StepBE(temps, powers, dt, serrs); err != nil {
 			// Batch-level failure (operator factorization): every live job
-			// fails the same way a serial step would have.
-			for k, j := range idx {
+			// fails the same way a lone step would have.
+			for k := range temps {
 				if temps[k] != nil {
-					fail(k, j, err)
+					fail(k, err)
 				}
 			}
 			return
 		}
-		t += step
-		for k, j := range idx {
-			if temps[k] == nil {
-				continue
-			}
-			if serrs[k] != nil {
-				fail(k, j, serrs[k])
+		t += dt
+		for k, err := range serrs {
+			if err != nil {
+				fail(k, err)
 				serrs[k] = nil
-				continue
 			}
-			record(k, j, t)
 		}
 	}
 }

@@ -1,25 +1,26 @@
 package rcnet
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// Tests for the batched stepping layer: bit-identical parity between the
-// batched and per-session paths on every backend, lockstep replay parity at
-// any worker count, the batch-width statistics, and the zero-allocation gate
-// on the batched hot path.
+// Tests for the stepping core: bit-identical parity between width-k and
+// width-1 steps on every backend, lockstep replay parity and isolation, the
+// batch-width statistics, and the zero-allocation gate on the batched hot
+// path.
 
 // TestBatchSessionMatchesSessions: K states stepped through one BatchSession
 // must be bit-identical to the same K states stepped through K independent
-// Sessions, on the dense, supernodal-Cholesky and CG backends, through a dt
-// switch.
+// width-1 Sessions, on the dense, supernodal-Cholesky, CG and reduced
+// backends, through a dt switch.
 func TestBatchSessionMatchesSessions(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	net := gridNetwork(rng, 6, 6)
 	const kk = 5
-	for _, hint := range []SolverHint{HintDense, HintCholesky, HintCG} {
+	for _, hint := range []SolverHint{HintDense, HintCholesky, HintCG, HintReduced} {
 		t.Run(hint.String(), func(t *testing.T) {
 			s, err := net.CompileHint(hint)
 			if err != nil {
@@ -91,9 +92,70 @@ func TestBatchSessionSkipsNilSlots(t *testing.T) {
 	}
 }
 
-// TestTransientBatchLockstepParity: the lockstep TransientBatch must produce
-// bit-identical samples to sequential TransientTrace for every job, at any
-// worker count, with mixed replay windows in one batch.
+// sample is one recorded replay state.
+type sample struct {
+	Time float64
+	Temp []float64
+}
+
+// traceJob is a schedule-driven replay for these tests: an initial state, a
+// power schedule and the replay window.
+type traceJob struct {
+	Temp        []float64
+	Schedule    func(t float64, power []float64)
+	Duration    float64
+	SampleEvery float64
+}
+
+// replayTraces runs jobs through Replay, one call per window in first-seen
+// order, and returns every job's recorded states (nil where it failed).
+func replayTraces(s *Solver, jobs []traceJob) ([][]sample, []error) {
+	out := make([][]sample, len(jobs))
+	errs := make([]error, len(jobs))
+	var order []Window
+	groups := make(map[Window][]int)
+	for j, job := range jobs {
+		w := Window{Duration: job.Duration, Step: job.SampleEvery}
+		if _, ok := groups[w]; !ok {
+			order = append(order, w)
+		}
+		groups[w] = append(groups[w], j)
+	}
+	for _, w := range order {
+		g := groups[w]
+		rjobs := make([]Job, len(g))
+		for i, j := range g {
+			j := j
+			var power func(float64, []float64) error
+			if sched := jobs[j].Schedule; sched != nil {
+				power = func(t float64, p []float64) error { sched(t, p); return nil }
+			}
+			rjobs[i] = Job{
+				Temp:  jobs[j].Temp,
+				Power: power,
+				Record: func(t float64, temp []float64) {
+					out[j] = append(out[j], sample{Time: t, Temp: append([]float64(nil), temp...)})
+				},
+			}
+		}
+		for i, err := range s.Replay(w, rjobs) {
+			if errs[g[i]] = err; err != nil {
+				out[g[i]] = nil
+			}
+		}
+	}
+	return out, errs
+}
+
+// replayTrace replays one schedule and returns its recorded states.
+func replayTrace(s *Solver, temp []float64, schedule func(t float64, power []float64), duration, sampleEvery float64) ([]sample, error) {
+	out, errs := replayTraces(s, []traceJob{{temp, schedule, duration, sampleEvery}})
+	return out[0], errs[0]
+}
+
+// TestTransientBatchLockstepParity: jobs replayed in lockstep groups must
+// record bit-identical samples to each job replayed alone (a width-1
+// group), with mixed replay windows in one batch.
 func TestTransientBatchLockstepParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := gridNetwork(rng, 6, 5)
@@ -107,12 +169,12 @@ func TestTransientBatchLockstepParity(t *testing.T) {
 		powers[j] = randomPower(rng, net.N())
 	}
 	windows := []struct{ dur, se float64 }{{0.02, 1e-3}, {0.01, 5e-4}}
-	mk := func() []TraceJob {
-		out := make([]TraceJob, jobs)
+	mk := func() []traceJob {
+		out := make([]traceJob, jobs)
 		for j := range out {
 			w := windows[j%len(windows)]
 			p := powers[j]
-			out[j] = TraceJob{
+			out[j] = traceJob{
 				Temp:        s.AmbientVector(),
 				Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
 				Duration:    w.dur,
@@ -121,32 +183,30 @@ func TestTransientBatchLockstepParity(t *testing.T) {
 		}
 		return out
 	}
-	ref := make([][]Sample, jobs)
+	ref := make([][]sample, jobs)
 	for j, job := range mk() {
-		samples, err := s.TransientTrace(job.Temp, job.Schedule, job.Duration, job.SampleEvery)
+		samples, err := replayTrace(s, job.Temp, job.Schedule, job.Duration, job.SampleEvery)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref[j] = samples
 	}
-	for _, workers := range []int{1, 2, 4, jobs} {
-		got, err := s.TransientBatch(mk(), workers)
-		if err != nil {
-			t.Fatal(err)
+	got, errs := replayTraces(s, mk())
+	for j := range ref {
+		if errs[j] != nil {
+			t.Fatalf("job %d: %v", j, errs[j])
 		}
-		for j := range ref {
-			if len(got[j]) != len(ref[j]) {
-				t.Fatalf("workers=%d job %d: %d samples vs %d", workers, j, len(got[j]), len(ref[j]))
+		if len(got[j]) != len(ref[j]) {
+			t.Fatalf("job %d: %d samples vs %d", j, len(got[j]), len(ref[j]))
+		}
+		for i := range ref[j] {
+			if got[j][i].Time != ref[j][i].Time {
+				t.Fatalf("job %d sample %d: time %v vs %v", j, i, got[j][i].Time, ref[j][i].Time)
 			}
-			for i := range ref[j] {
-				if got[j][i].Time != ref[j][i].Time {
-					t.Fatalf("workers=%d job %d sample %d: time %v vs %v", workers, j, i, got[j][i].Time, ref[j][i].Time)
-				}
-				for nn := range ref[j][i].Temp {
-					if got[j][i].Temp[nn] != ref[j][i].Temp[nn] {
-						t.Fatalf("workers=%d job %d sample %d node %d: %v vs %v",
-							workers, j, i, nn, got[j][i].Temp[nn], ref[j][i].Temp[nn])
-					}
+			for nn := range ref[j][i].Temp {
+				if got[j][i].Temp[nn] != ref[j][i].Temp[nn] {
+					t.Fatalf("job %d sample %d node %d: %v vs %v",
+						j, i, nn, got[j][i].Temp[nn], ref[j][i].Temp[nn])
 				}
 			}
 		}
@@ -163,7 +223,7 @@ func TestTransientBatchPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := randomPower(rng, net.N())
-	jobs := []TraceJob{
+	jobs := []traceJob{
 		{Temp: s.AmbientVector(), Schedule: func(_ float64, dst []float64) { copy(dst, p) }, Duration: 0.01, SampleEvery: 1e-3},
 		{Temp: s.AmbientVector(), Schedule: func(tm float64, dst []float64) {
 			if tm > 4e-3 {
@@ -173,16 +233,16 @@ func TestTransientBatchPanicIsolation(t *testing.T) {
 		}, Duration: 0.01, SampleEvery: 1e-3},
 		{Temp: s.AmbientVector(), Schedule: func(_ float64, dst []float64) { copy(dst, p) }, Duration: 0.01, SampleEvery: 1e-3},
 	}
-	results, err := s.TransientBatch(jobs, 1)
-	if err == nil || !strings.Contains(err.Error(), "job 1") || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("expected job 1 panic error, got %v", err)
+	results, errs := replayTraces(s, jobs)
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "panicked") {
+		t.Fatalf("expected job 1 panic error, got %v", errs[1])
 	}
 	if results[1] != nil {
 		t.Fatal("panicked job kept results")
 	}
 	for _, j := range []int{0, 2} {
-		if len(results[j]) != 11 {
-			t.Fatalf("healthy job %d: %d samples, want 11", j, len(results[j]))
+		if errs[j] != nil || len(results[j]) != 11 {
+			t.Fatalf("healthy job %d: %d samples (err %v), want 11", j, len(results[j]), errs[j])
 		}
 	}
 }
@@ -197,18 +257,21 @@ func TestBatchWidthHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	const jobs, steps = 6, 10
-	tj := make([]TraceJob, jobs)
+	tj := make([]traceJob, jobs)
 	for j := range tj {
 		p := randomPower(rng, net.N())
-		tj[j] = TraceJob{
+		tj[j] = traceJob{
 			Temp:        s.AmbientVector(),
 			Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
 			Duration:    float64(steps) * 1e-3,
 			SampleEvery: 1e-3,
 		}
 	}
-	if _, err := s.TransientBatch(tj, 1); err != nil {
-		t.Fatal(err)
+	_, errs := replayTraces(s, tj)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := s.Stats()
 	if st.BatchWidths["5-8"] != steps {
@@ -266,8 +329,9 @@ func TestBatchStepAllocationFree(t *testing.T) {
 	}
 }
 
-// TestReplayLockstepWindowMismatch: jobs that do not share the group's
-// replay window are rejected individually.
+// TestReplayLockstepWindowMismatch: Replay rejects a job it cannot step
+// (wrong state length, no power fill) on its own while the rest of the
+// group runs, and an invalid window rejects every job.
 func TestReplayLockstepWindowMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := gridNetwork(rng, 4, 4)
@@ -276,19 +340,28 @@ func TestReplayLockstepWindowMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := randomPower(rng, net.N())
-	sched := func(_ float64, dst []float64) { copy(dst, p) }
-	jobs := []TraceJob{
-		{Temp: s.AmbientVector(), Schedule: sched, Duration: 0.01, SampleEvery: 1e-3},
-		{Temp: s.AmbientVector(), Schedule: sched, Duration: 0.02, SampleEvery: 1e-3},
+	fill := func(_ float64, dst []float64) error { copy(dst, p); return nil }
+	steps := 0
+	jobs := []Job{
+		{Temp: s.AmbientVector(), Power: fill, Record: func(float64, []float64) { steps++ }},
+		{Temp: make([]float64, 1), Power: fill},
+		{Temp: s.AmbientVector()},
 	}
-	results, errs := s.ReplayLockstep(jobs)
-	if errs[0] != nil {
-		t.Fatalf("anchor job failed: %v", errs[0])
+	errs := s.Replay(Window{Duration: 0.01, Step: 1e-3}, jobs)
+	if errs[0] != nil || steps != 11 {
+		t.Fatalf("anchor job: %d records, err %v", steps, errs[0])
 	}
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "window mismatch") {
-		t.Fatalf("mismatched job error: %v", errs[1])
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "temperature vector length") {
+		t.Fatalf("short-state job error: %v", errs[1])
 	}
-	if results[1] != nil {
-		t.Fatal("mismatched job has results")
+	if errs[2] == nil || !strings.Contains(errs[2].Error(), "no power fill") {
+		t.Fatalf("fill-less job error: %v", errs[2])
+	}
+	for _, w := range []Window{{Duration: 0, Step: 1e-3}, {Duration: 0.01, Step: 0}, {Duration: 0.01, Step: math.NaN()}} {
+		for j, err := range s.Replay(w, jobs[:1]) {
+			if err == nil {
+				t.Fatalf("window %+v: job %d accepted", w, j)
+			}
+		}
 	}
 }

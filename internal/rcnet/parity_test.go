@@ -131,11 +131,11 @@ func TestBackendParityTrace(t *testing.T) {
 	}
 	td := dense.AmbientVector()
 	ts := sparse.AmbientVector()
-	sd, err := dense.TransientTrace(td, schedule, 0.5, 0.05)
+	sd, err := replayTrace(dense, td, schedule, 0.5, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := sparse.TransientTrace(ts, schedule, 0.5, 0.05)
+	ss, err := replayTrace(sparse, ts, schedule, 0.5, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +215,9 @@ func TestFloatingIslandRejectedBothBackends(t *testing.T) {
 	}
 }
 
-// TestTransientBatchMatchesSerial: the worker-pool batch must produce
-// bit-for-bit the same samples as serial replays of the same jobs, on both
-// the auto-selected (Cholesky) path and the CG path.
+// TestTransientBatchMatchesSerial: a lockstep group must record bit-for-bit
+// the same samples as each job replayed alone, on both the auto-selected
+// (Cholesky) path and the CG path.
 func TestTransientBatchMatchesSerial(t *testing.T) {
 	for _, hint := range []SolverHint{HintAuto, HintCG} {
 		t.Run(hint.String(), func(t *testing.T) { testTransientBatchMatchesSerial(t, hint) })
@@ -243,11 +243,11 @@ func testTransientBatchMatchesSerial(t *testing.T, hint SolverHint) {
 	for j := range powers {
 		powers[j] = randomPower(rng, net.N())
 	}
-	mkJobs := func() []TraceJob {
-		out := make([]TraceJob, jobs)
+	mkJobs := func() []traceJob {
+		out := make([]traceJob, jobs)
 		for j := range out {
 			p := powers[j]
-			out[j] = TraceJob{
+			out[j] = traceJob{
 				Temp:        s.AmbientVector(),
 				Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
 				Duration:    0.3,
@@ -257,19 +257,19 @@ func testTransientBatchMatchesSerial(t *testing.T, hint SolverHint) {
 		return out
 	}
 	serial := mkJobs()
-	want := make([][]Sample, jobs)
+	want := make([][]sample, jobs)
 	for j := range serial {
-		w, err := s.TransientTrace(serial[j].Temp, serial[j].Schedule, serial[j].Duration, serial[j].SampleEvery)
+		w, err := replayTrace(s, serial[j].Temp, serial[j].Schedule, serial[j].Duration, serial[j].SampleEvery)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[j] = w
 	}
-	got, err := s.TransientBatch(mkJobs(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, errs := replayTraces(s, mkJobs())
 	for j := range want {
+		if errs[j] != nil {
+			t.Fatalf("job %d: %v", j, errs[j])
+		}
 		if len(got[j]) != len(want[j]) {
 			t.Fatalf("job %d: %d samples vs %d", j, len(got[j]), len(want[j]))
 		}
@@ -284,8 +284,8 @@ func testTransientBatchMatchesSerial(t *testing.T, hint SolverHint) {
 	}
 }
 
-// TestTransientBatchReportsJobError: a bad job must surface its error with
-// the job index while the good jobs still complete.
+// TestTransientBatchReportsJobError: a bad job must surface its own error
+// while the good jobs still complete.
 func TestTransientBatchReportsJobError(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	net := gridNetwork(rng, 3, 3)
@@ -294,7 +294,7 @@ func TestTransientBatchReportsJobError(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := randomPower(rng, net.N())
-	good := TraceJob{
+	good := traceJob{
 		Temp:        s.AmbientVector(),
 		Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
 		Duration:    0.1,
@@ -302,12 +302,12 @@ func TestTransientBatchReportsJobError(t *testing.T) {
 	}
 	bad := good
 	bad.Temp = make([]float64, 1) // wrong length
-	res, err := s.TransientBatch([]TraceJob{good, bad}, 2)
-	if err == nil {
-		t.Fatal("expected an error from the malformed job")
+	res, errs := replayTraces(s, []traceJob{good, bad})
+	if errs[0] != nil || res[0] == nil {
+		t.Fatalf("good job should still have produced samples (err %v)", errs[0])
 	}
-	if res[0] == nil {
-		t.Fatal("good job should still have produced samples")
+	if errs[1] == nil {
+		t.Fatal("expected an error from the malformed job")
 	}
 	if res[1] != nil {
 		t.Fatal("bad job should have no samples")

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/ode"
@@ -170,11 +169,6 @@ const (
 	HintCholesky
 	// HintCG forces the Jacobi-preconditioned conjugate-gradient backend.
 	HintCG
-	// HintCholeskyF32 forces sparse direct LDLᵀ with the factor stored in
-	// float32 plus one step of iterative refinement per solve: half the
-	// factor memory traffic, accuracy restored to well inside the golden
-	// drift gate (DESIGN.md §9.4). Non-SPD systems fail Compile.
-	HintCholeskyF32
 	// HintReduced compiles onto the reduced-order (Krylov-projected) backend
 	// with default ReducedSpec settings: block-Arnoldi moment matching, dense
 	// pre-factored backward-Euler steps, automatic fallback to the full
@@ -192,8 +186,6 @@ func (h SolverHint) String() string {
 		return "cholesky"
 	case HintCG:
 		return "cg"
-	case HintCholeskyF32:
-		return "cholesky-f32"
 	case HintReduced:
 		return "reduced"
 	default:
@@ -210,9 +202,9 @@ func (h SolverHint) String() string {
 // SteadyState, DominantTimeConstant and HeatFlowToAmbient are safe to call
 // from any number of goroutines (per-call scratch comes from an internal
 // pool). The fixed-dt stepping methods (StepBE, TransientBE) share one
-// per-solver session and must not be called concurrently; concurrent
-// stepping goes through per-goroutine Sessions (NewSession) or the replay
-// entry points (TransientTrace, TransientBatch), which keep all mutable
+// per-solver width-1 BatchSession and must not be called concurrently;
+// concurrent stepping goes through per-goroutine Sessions (NewSession),
+// BatchSessions, or the lockstep replay loop (Replay), which keeps all mutable
 // state per call.
 type Solver struct {
 	net     *Network
@@ -226,9 +218,9 @@ type Solver struct {
 	ambRHS []float64
 	wsPool sync.Pool // *linalg.Workspace scratch for the steady entry points
 
-	// serial is the lazily-created stepping session backing StepBE and
-	// TransientBE; concurrent replays create their own sessions instead.
-	serial *session
+	// serial is the lazily-created width-1 stepping session backing StepBE
+	// and TransientBE; concurrent replays create their own sessions instead.
+	serial *BatchSession
 
 	// beOps caches backward-Euler operators (C/dt + A) per step size,
 	// shared by every session on this solver: the first session to step at
@@ -359,15 +351,15 @@ type SolverStats struct {
 	// panels and the tallest panel's row count.
 	Supernodes   int `json:"supernodes,omitempty"`
 	MaxPanelRows int `json:"max_panel_rows,omitempty"`
-	// BatchWidths histograms the batched solves by how many right-hand
-	// sides each solved per factor traversal (buckets "1".."65+"). Steps
-	// taken through non-batched sessions are not counted here.
+	// BatchWidths histograms the backward-Euler solves by how many
+	// right-hand sides each solved per factor traversal (buckets
+	// "1".."65+"). Every step runs through a BatchSession, so the "1"
+	// bucket counts single-state steps (Session, Solver.StepBE) too.
 	BatchWidths map[string]int64 `json:"batch_widths,omitempty"`
 	// KernelSolves counts sparse triangular-solve kernel invocations by
 	// register-block width ("1", "4", "8", "16"): one batched step over K
 	// right-hand sides decomposes greedily (e.g. K=31 → one 16-wide, one
-	// 8-wide, one 4-wide and three 1-wide invocations). Float32 factors
-	// count the refinement pass too (two invocations per solve).
+	// 8-wide, one 4-wide and three 1-wide invocations).
 	KernelSolves map[string]int64 `json:"kernel_solves,omitempty"`
 	// ReducedOrder and ReducedProjError describe the reduced-order backend
 	// (zero on every other path): the Krylov basis size and the worst
@@ -458,8 +450,6 @@ func (n *Network) CompileHint(hint SolverHint) (*Solver, error) {
 		return n.CompileWith(linalg.CholeskyBackend{})
 	case HintCG:
 		return n.CompileWith(linalg.SparseBackend{})
-	case HintCholeskyF32:
-		return n.CompileWith(linalg.CholeskyBackend{Precision: linalg.Float32})
 	case HintReduced:
 		return n.CompileReduced(ReducedSpec{})
 	}
@@ -770,13 +760,10 @@ func (s *Solver) beOperatorCached(dt float64) (linalg.Operator, error) {
 // warm-started from the current temperatures on the iterative backend. On
 // error, temp is left unchanged.
 func (s *Solver) StepBE(temp, power []float64, dt float64) error {
-	if len(temp) != s.net.N() {
-		return fmt.Errorf("rcnet: temperature vector length %d, want %d", len(temp), s.net.N())
-	}
 	if s.serial == nil {
-		s.serial = s.newSession()
+		s.serial = s.NewBatchSession(1)
 	}
-	return s.serial.stepBE(temp, power, dt)
+	return s.serial.step1(temp, power, dt)
 }
 
 // TransientBE advances temp by duration using fixed backward-Euler steps of
@@ -795,208 +782,6 @@ func (s *Solver) TransientBE(temp, power []float64, duration, dt float64) error 
 			return err
 		}
 		t += step
-	}
-	return nil
-}
-
-// Sample is one point of a recorded transient trace.
-type Sample struct {
-	Time float64
-	Temp []float64 // copy of all node temperatures, K
-}
-
-// session is an independent backward-Euler stepping context: its own solve
-// workspace and scratch buffers, plus a reference to the solver-cached
-// backward-Euler operator for its current step size. Concurrent trace
-// replays on one Solver each get a session, so the mutable state they share
-// is limited to the solver's factor cache and atomic counters.
-type session struct {
-	s        *Solver
-	ws       linalg.Workspace
-	rhs, sol []float64
-	capDt    []float64 // C/dt for the current step size (hot-path rhs term)
-	step     float64
-	op       linalg.Operator
-	iter     bool   // op.Iterative(), cached off the hot path
-	nsteps   uint64 // steps taken; drives the 1-in-8 latency sampling
-
-	// Reduced-path state: red is the current operator when it is a reduced
-	// projection (nil otherwise), epoch the solver epoch it was fetched at,
-	// res the residual-check scratch. All unused on full-backend solvers.
-	red   *linalg.ReducedOperator
-	epoch uint32
-	res   []float64
-}
-
-func (s *Solver) newSession() *session {
-	n := s.net.N()
-	return &session{s: s, rhs: make([]float64, n), sol: make([]float64, n), capDt: make([]float64, n)}
-}
-
-// stepBE performs one backward-Euler step. temp is updated only by a
-// successful solve: iterative solves land in session scratch first, direct
-// solves cannot fail after factorization.
-func (ss *session) stepBE(temp, power []float64, dt float64) error {
-	if !(dt > 0) || math.IsInf(dt, 0) {
-		// NaN must be rejected here, not just nonsense-tolerated: it would
-		// both poison the solver's (dt → factor) cache (NaN map keys never
-		// match a lookup) and factor to silent NaN temperatures.
-		return fmt.Errorf("rcnet: invalid step %g", dt)
-	}
-	net := ss.s.net
-	if len(power) != net.N() {
-		panic(fmt.Sprintf("rcnet: power vector length %d, want %d", len(power), net.N()))
-	}
-	if ss.op == nil || ss.step != dt || (ss.s.reduced != nil && ss.epoch != ss.s.epoch.Load()) {
-		op, err := ss.s.beOperatorCached(dt)
-		if err != nil {
-			return err
-		}
-		ss.op, ss.step, ss.iter = op, dt, op.Iterative()
-		for i, c := range net.cap {
-			ss.capDt[i] = c / dt
-		}
-		ss.red, _ = op.(*linalg.ReducedOperator)
-		if ss.s.reduced != nil {
-			ss.epoch = ss.s.epoch.Load()
-			if ss.red != nil && ss.res == nil {
-				ss.res = make([]float64, net.N())
-			}
-		}
-	}
-	ambRHS, capDt := ss.s.ambRHS, ss.capDt
-	for i := range ss.rhs {
-		ss.rhs[i] = power[i] + ambRHS[i] + capDt[i]*temp[i]
-	}
-	// Solve latency is sampled one step in eight: two clock reads per step
-	// would cost ~10% of a small model's triangular solve.
-	sample := ss.nsteps&7 == 0
-	ss.nsteps++
-	var start time.Time
-	if sample {
-		start = time.Now()
-	}
-	st := &ss.s.stats
-	if ss.iter {
-		// Iterative solves land in session scratch and are copied into temp
-		// only on success, so a stalled solve cannot corrupt the caller's
-		// state.
-		if _, err := ss.op.Solve(ss.rhs, temp, ss.sol, &ss.ws); err != nil {
-			return fmt.Errorf("rcnet: backward Euler solve: %w", err)
-		}
-		if sample {
-			st.stepSolveNanos.Add(8 * int64(time.Since(start)))
-		}
-		st.cgSteps.Add(1)
-		st.cgIterations.Add(int64(ss.ws.LastIterations))
-		copy(temp, ss.sol)
-		return nil
-	}
-	if ss.red != nil {
-		// Reduced solves land in session scratch so a sampled residual
-		// check can reject the step before the caller's state changes.
-		if _, err := ss.op.Solve(ss.rhs, nil, ss.sol, &ss.ws); err != nil {
-			return fmt.Errorf("rcnet: backward Euler solve: %w", err)
-		}
-		if sample {
-			st.stepSolveNanos.Add(8 * int64(time.Since(start)))
-			if !ss.s.checkReducedResidual(ss.red, ss.rhs, ss.sol, ss.res) {
-				// Gate tripped: the solver switched to the full backend.
-				// Redo this step through it (temp is still the pre-step
-				// state; the refetch at the top picks up the new epoch).
-				ss.op = nil
-				return ss.stepBE(temp, power, dt)
-			}
-		}
-		st.directSteps.Add(1)
-		st.reducedSteps.Add(1)
-		copy(temp, ss.sol)
-		return nil
-	}
-	// Direct solves cannot fail after factorization and write the result
-	// only in their final permutation scatter, so they may target temp
-	// in place (no scratch copy).
-	if _, err := ss.op.Solve(ss.rhs, nil, temp, &ss.ws); err != nil {
-		return fmt.Errorf("rcnet: backward Euler solve: %w", err)
-	}
-	if sample {
-		st.stepSolveNanos.Add(8 * int64(time.Since(start)))
-	}
-	st.directSteps.Add(1)
-	st.absorbKernels(&ss.ws)
-	return nil
-}
-
-// TransientTrace integrates for duration under a time-varying power schedule
-// and records the state every sampleEvery seconds (plus the final state).
-// The schedule callback fills power for the interval beginning at time t; it
-// is invoked once per sample interval, so sampleEvery is also the power
-// update granularity (exactly how trace-driven HotSpot simulation works).
-//
-// All mutable solver state lives in a per-call session, so TransientTrace
-// may be called concurrently from multiple goroutines on one Solver (each
-// call with its own temp vector and schedule).
-func (s *Solver) TransientTrace(temp []float64, schedule func(t float64, power []float64), duration, sampleEvery float64) ([]Sample, error) {
-	return s.transientTrace(s.newSession(), temp, schedule, duration, sampleEvery)
-}
-
-// transientTrace is TransientTrace against a caller-owned session, so batch
-// workers can reuse one session (and its cached BE operator) across jobs.
-func (s *Solver) transientTrace(ses *session, temp []float64, schedule func(t float64, power []float64), duration, sampleEvery float64) ([]Sample, error) {
-	if len(temp) != s.net.N() {
-		return nil, fmt.Errorf("rcnet: temperature vector length %d, want %d", len(temp), s.net.N())
-	}
-	if sampleEvery <= 0 || duration <= 0 {
-		return nil, fmt.Errorf("rcnet: invalid trace parameters duration=%g sample=%g", duration, sampleEvery)
-	}
-	power := make([]float64, s.net.N())
-	var out []Sample
-	record := func(t float64) {
-		cp := make([]float64, len(temp))
-		copy(cp, temp)
-		out = append(out, Sample{Time: t, Temp: cp})
-	}
-	record(0)
-	t := 0.0
-	for t < duration-1e-12*duration {
-		step := sampleEvery
-		if step > duration-t {
-			step = duration - t
-		}
-		schedule(t, power)
-		if err := ses.stepBE(temp, power, step); err != nil {
-			return nil, err
-		}
-		t += step
-		record(t)
-	}
-	return out, nil
-}
-
-// TraceJob describes one independent trace replay for TransientBatch: an
-// initial temperature state (advanced in place), a power schedule, and the
-// replay window. Schedule follows the TransientTrace contract.
-type TraceJob struct {
-	Temp        []float64
-	Schedule    func(t float64, power []float64)
-	Duration    float64
-	SampleEvery float64
-}
-
-// validateTraceJob checks a TraceJob's replay window, schedule and state
-// vector before any stepping happens.
-func (s *Solver) validateTraceJob(job TraceJob) error {
-	if job.Schedule == nil {
-		return fmt.Errorf("nil power schedule")
-	}
-	if !(job.Duration > 0) {
-		return fmt.Errorf("empty trace: non-positive duration %g", job.Duration)
-	}
-	if !(job.SampleEvery > 0) {
-		return fmt.Errorf("non-positive sample interval %g", job.SampleEvery)
-	}
-	if len(job.Temp) != s.net.N() {
-		return fmt.Errorf("temperature vector length %d, want %d", len(job.Temp), s.net.N())
 	}
 	return nil
 }

@@ -177,7 +177,7 @@ func TestTransientTraceRecordsSamples(t *testing.T) {
 	s, _ := n.Compile()
 	temp := s.AmbientVector()
 	// Pulse train: on for the first half, off after.
-	samples, err := s.TransientTrace(temp, func(tm float64, p []float64) {
+	samples, err := replayTrace(s, temp, func(tm float64, p []float64) {
 		if tm < 0.5 {
 			p[i] = 4
 		} else {

@@ -1,73 +1,42 @@
 package service
 
 import (
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/admission"
+	"repro/internal/pctl"
 	"repro/internal/tstore"
 )
 
 // latencyRing records the most recent solve latencies (milliseconds) in a
-// fixed-size ring and reports percentiles over that window. Bounded memory,
-// lock held only for a copy.
+// shared pctl.Ring and reports percentiles over that window. Bounded
+// memory, lock held only for a copy.
 type latencyRing struct {
-	mu   sync.Mutex
-	buf  []float64
-	n    int // total observations ever
-	next int
+	mu sync.Mutex
+	r  *pctl.Ring
 }
 
 func newLatencyRing(size int) *latencyRing {
-	if size < 16 {
-		size = 16
-	}
-	return &latencyRing{buf: make([]float64, 0, size)}
+	return &latencyRing{r: pctl.NewRing(size)}
 }
 
 func (l *latencyRing) add(ms float64) {
 	l.mu.Lock()
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, ms)
-	} else {
-		l.buf[l.next] = ms
-		l.next = (l.next + 1) % cap(l.buf)
-	}
-	l.n++
+	l.r.Add(ms)
 	l.mu.Unlock()
 }
 
-// percentiles returns the requested percentiles (0..100) over the window,
-// plus the window size and the total observation count ever recorded (the
-// two diverge once the ring wraps; callers must not conflate them).
-// Percentiles use nearest-rank (ceil) indexing: p's value is the smallest
-// sample with at least p% of the window at or below it. Truncating toward
-// zero instead would bias every percentile low — with 100 samples, p99
-// would land on the 99th-smallest rather than the 100th.
+// percentiles returns the requested nearest-rank percentiles (0..100) over
+// the window, plus the window size and the total observation count ever
+// recorded (the two diverge once the ring wraps; callers must not conflate
+// them).
 func (l *latencyRing) percentiles(ps ...float64) (vals []float64, window, total int) {
 	l.mu.Lock()
-	cp := append([]float64(nil), l.buf...)
-	total = l.n
+	cp := l.r.Window(nil)
+	total = l.r.Total()
 	l.mu.Unlock()
-	window = len(cp)
-	vals = make([]float64, len(ps))
-	if len(cp) == 0 {
-		return vals, window, total
-	}
-	sort.Float64s(cp)
-	for i, p := range ps {
-		idx := int(math.Ceil(p/100*float64(len(cp)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(cp) {
-			idx = len(cp) - 1
-		}
-		vals[i] = cp[idx]
-	}
-	return vals, window, total
+	return pctl.Percentiles(cp, ps...), len(cp), total
 }
 
 // metrics aggregates service counters. All fields are safe for concurrent
@@ -112,11 +81,8 @@ func (m *metrics) requestCounts() map[string]int64 {
 
 // LatencyStats summarizes the solve-latency window. The percentiles cover
 // only the Window most recent observations (the ring's contents); Total
-// counts every observation ever recorded. Count is a deprecated alias of
-// Total kept for existing dashboards — it was historically reported next to
-// window-only percentiles as if it were their sample count.
+// counts every observation ever recorded.
 type LatencyStats struct {
-	Count  int     `json:"count"`
 	Window int     `json:"window"`
 	Total  int     `json:"total"`
 	P50MS  float64 `json:"p50_ms"`
@@ -292,7 +258,7 @@ func (m *metrics) snapshot(cache *ModelCache) Stats {
 		SolveErrors:         m.solveErrors.Load(),
 		Cache:               cs,
 		CacheHitRate:        hitRate,
-		SolveLatency:        LatencyStats{Count: total, Window: window, Total: total, P50MS: ps[0], P90MS: ps[1], P99MS: ps[2]},
+		SolveLatency:        LatencyStats{Window: window, Total: total, P50MS: ps[0], P90MS: ps[1], P99MS: ps[2]},
 		Solver:              solver,
 		Degrade: DegradeStats{
 			DegradedSolves:  m.degradedSolves.Load(),

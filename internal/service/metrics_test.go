@@ -1,52 +1,6 @@
 package service
 
-import (
-	"math"
-	"testing"
-)
-
-// nearestRank is the reference definition: the smallest sample with at
-// least p% of the window at or below it (sorted 1-based index ⌈p/100·n⌉).
-func nearestRank(sorted []float64, p float64) float64 {
-	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// The ring's percentiles must follow nearest-rank indexing at every window
-// size. The old truncating index int(p/100·(n-1)) biased p50/p90/p99 low —
-// e.g. with n=2 it reported p50 as the minimum, and with n=100 it reported
-// p99 as the 99th-smallest sample instead of the 100th.
-func TestLatencyRingPercentilesNearestRank(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 10, 100, 128} {
-		ring := newLatencyRing(size)
-		// Distinct, descending values so any off-by-one index is visible.
-		sorted := make([]float64, size)
-		for i := 0; i < size; i++ {
-			ring.add(float64(size - i)) // size, size-1, ..., 1
-			sorted[i] = float64(i + 1)
-		}
-		// The ring capacity is at least 16, so nothing has wrapped and the
-		// window holds exactly the `size` values added.
-		vals, window, total := ring.percentiles(50, 90, 99, 0, 100)
-		if total != size {
-			t.Fatalf("size %d: total = %d, want %d", size, total, size)
-		}
-		if window != len(sorted) {
-			t.Fatalf("size %d: window = %d, want %d", size, window, len(sorted))
-		}
-		for i, p := range []float64{50, 90, 99, 0, 100} {
-			if want := nearestRank(sorted, p); vals[i] != want {
-				t.Fatalf("size %d p%g = %g, want %g", size, p, vals[i], want)
-			}
-		}
-	}
-}
+import "testing"
 
 // Two hand-checked anchors, independent of the reference helper.
 func TestLatencyRingPercentilesKnownValues(t *testing.T) {

@@ -193,6 +193,12 @@ func TestTwoTenantOverload(t *testing.T) {
 	// bound: ≤4 light waiting + ≤4 heavy queued ≤ QueueDepth).
 	hold()
 	released = true
+	// The first light wave fills the global queue with the heavy backlog;
+	// let it drain before the second wave arrives, or the second wave races
+	// the dequeue and is shed by the full global queue.
+	waitCond(t, "first light wave dequeued", func() bool {
+		return srv.admission.Stats().Tenants["light"].Queued == 0
+	})
 	wg.Add(4)
 	for i := 0; i < 4; i++ {
 		go func() {

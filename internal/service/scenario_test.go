@@ -82,9 +82,9 @@ func TestScenarioEndpoint(t *testing.T) {
 		t.Fatalf("first scenario request should report a cache miss, got %q", out.Cache)
 	}
 	// A repeat is a full cache hit and bit-identical.
-	resp2, raw2 := postJSON(t, ts.URL+"/scenario", ScenarioRequest{Spec: json.RawMessage(sweepSpecJSON)})
+	resp2, raw2 := postJSON(t, ts.URL+"/v1/scenario", ScenarioRequest{Spec: json.RawMessage(sweepSpecJSON)})
 	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("alias status %d", resp2.StatusCode)
+		t.Fatalf("repeat status %d", resp2.StatusCode)
 	}
 	var out2 ScenarioResponse
 	decodeInto(t, raw2, &out2)

@@ -113,9 +113,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/invert", s.handleInvert)
 	s.mux.HandleFunc("POST /v1/scenario", s.handleScenario)
 	s.mux.HandleFunc("POST /v1/scenario/stream", s.handleScenarioStream)
-	// Unversioned aliases for the scenario endpoints.
-	s.mux.HandleFunc("POST /scenario", s.handleScenario)
-	s.mux.HandleFunc("POST /scenario/stream", s.handleScenarioStream)
 	// Telemetry read path (answers 503 until a store is configured).
 	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/query/stream", s.handleQueryStream)
@@ -657,7 +654,7 @@ func transientResponse(m *hotspot.Model, pts []hotspot.TracePoint, maxPoints int
 
 // handleSweep runs batched scenarios: steady power maps solve across the
 // request's worker budget, trace scenarios fan out through
-// hotspot.RunReplayBatch (the same internal/pool path the experiment sweeps
+// hotspot.ReplayBatchResults (the same lockstep core the experiment sweeps
 // use).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.metrics.countRequest("sweep")

@@ -88,8 +88,8 @@ func TestSteadyEndpointAndCache(t *testing.T) {
 	if st.Cache.Compiles != 1 || st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Fatalf("cache stats: %+v", st.Cache)
 	}
-	if st.SolveLatency.Count < 2 {
-		t.Fatalf("latency samples %d", st.SolveLatency.Count)
+	if st.SolveLatency.Total < 2 {
+		t.Fatalf("latency samples %d", st.SolveLatency.Total)
 	}
 }
 

@@ -304,7 +304,7 @@ func BenchmarkTransientStepBE(b *testing.B) {
 }
 
 // BenchmarkReducedStepBE times one backward-Euler step through the
-// reduced-order session (DESIGN.md §10) on the same EV6 oil model as
+// reduced-order backend (DESIGN.md §10) on the same EV6 oil model as
 // BenchmarkTransientStepBE — the per-user serving path, where the solve is
 // a pre-factored dense system of the reduction order instead of the full
 // sparse factor. The sessions/host metric is how many concurrent real-time
@@ -342,53 +342,6 @@ func BenchmarkReducedStepBE(b *testing.B) {
 	}
 	nsPerStep := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(float64(st.ReducedOrder), "order")
-	b.ReportMetric(1e6/nsPerStep, "sessions/host")
-}
-
-// BenchmarkReducedSessionStream times one step of the streaming per-user
-// session on the same EV6 oil model: state held in reduced coordinates, a
-// step is a single order² dense matvec (the propagator recurrence,
-// DESIGN.md §10.4) plus a 1-in-64 sampled exactness check. This is the
-// serving hot path the sessions/host capacity figure comes from; compare
-// against BenchmarkReducedStepBE (full-space stepping through the same
-// reduction) and BenchmarkTransientStepBE (the sparse direct solver).
-func BenchmarkReducedSessionStream(b *testing.B) {
-	m, err := hotspot.New(hotspot.Config{
-		Floorplan: floorplan.EV6(),
-		Package:   hotspot.OilSilicon,
-		Oil:       hotspot.OilConfig{Direction: hotspot.LeftToRight, TargetRconv: 0.3},
-		Secondary: hotspot.SecondaryPathConfig{Enabled: true},
-		Reduced:   hotspot.ReducedConfig{Enabled: true},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ss, err := m.NewStreamSession(1e-3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ss.Start(m.AmbientState()); err != nil {
-		b.Fatal(err)
-	}
-	blocks := make([]float64, m.Floorplan().N())
-	for i := range blocks {
-		blocks[i] = 0.5
-	}
-	if err := ss.SetBlockPower(blocks); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ss.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if !ss.Reduced() {
-		b.Fatal("stream session tripped onto the full backend mid-benchmark")
-	}
-	nsPerStep := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(float64(ss.Order()), "order")
 	b.ReportMetric(1e6/nsPerStep, "sessions/host")
 }
 

@@ -9,6 +9,7 @@ package dtm
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/hotspot"
@@ -204,13 +205,18 @@ func Run(cfg Config, probeBlock string) (Metrics, []hotspot.TracePoint, error) {
 	m.ObservedPeakC = math.Inf(-1)
 
 	scale := cfg.Policy.PowerScale()
-	blockPower := make([]float64, fp.N())
+	blocksC := make([]float64, fp.N())
 	var points []hotspot.TracePoint
 
-	for step := 0; step < steps; step++ {
+	// The loop is one closed-loop job on the hotspot stepping core: its
+	// power fill reads the live state before every step of dt.
+	step := 0
+	loop := hotspot.LoopJob{Model: cfg.Model, Temps: temps, Step: dt, Power: func(blockPower []float64) error {
+		if step == steps {
+			return io.EOF
+		}
 		t := float64(step) * dt
-		res := cfg.Model.NewResult(temps)
-		blocksC := res.BlocksC()
+		cfg.Model.BlocksCInto(temps, blocksC)
 
 		// True state accounting.
 		hot := blocksC[0]
@@ -257,17 +263,15 @@ func Run(cfg Config, probeBlock string) (Metrics, []hotspot.TracePoint, error) {
 			}
 			blockPower[bi] = p
 		}
-		vec, err := cfg.Model.BlockPowerVector(blockPower)
-		if err != nil {
-			return Metrics{}, nil, err
-		}
-		if err := cfg.Model.Transient(temps, vec, dt, dt); err != nil {
-			return Metrics{}, nil, err
-		}
 		if engaged {
 			m.EngagedTime += dt
 			m.PerfPenalty += dt * (1 - cfg.Policy.PerfFactor)
 		}
+		step++
+		return nil
+	}}
+	if err := hotspot.RunLoops([]hotspot.LoopJob{loop}, 1)[0]; err != nil {
+		return Metrics{}, nil, err
 	}
 	m.Engagements = ctrl.Engagements()
 	m.PerfPenalty /= duration

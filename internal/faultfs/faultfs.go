@@ -1,8 +1,10 @@
 // Package faultfs is a fault-injecting filesystem shim for the telemetry
 // store's chaos suite (DESIGN.md §12). It wraps any tstore.FS and injects
 // errors, short writes and latency per operation with configured
-// probabilities, driven by a deterministic seed so a failing chaos run
-// replays exactly. Disk-full episodes can be toggled at runtime to model an
+// probabilities, driven by one seeded random stream. A run replays exactly
+// only when its calls arrive in a fixed order (one goroutine); concurrent
+// callers interleave their draws, so they replay the fault rates, not the
+// sequence. Disk-full episodes can be toggled at runtime to model an
 // outage that begins and ends while writers are live. Every injection is
 // counted per (op, mode), so tests can reconcile observed failures against
 // what the shim actually injected.
@@ -109,8 +111,9 @@ type FS struct {
 	counts map[string]int64 // "<op>/<mode>" → injections
 }
 
-// New wraps base (nil = the real filesystem) with the given rules,
-// deterministically seeded.
+// New wraps base (nil = the real filesystem) with the given rules, drawing
+// from one random stream seeded with seed (exact replay needs a fixed call
+// order).
 func New(base tstore.FS, seed int64, rules ...Rule) *FS {
 	if base == nil {
 		base = tstore.OSFS()

@@ -142,10 +142,13 @@ type SecondaryPathConfig struct {
 // ReducedConfig selects Krylov model-order reduction for the compiled RC
 // network (DESIGN.md §10): the conductance system is projected onto a
 // block-Arnoldi basis built from the per-block power-input columns, after
-// which a backward-Euler step is a pre-factored dense solve of dimension
-// Order and a live session's working state is a few KB. The reduction is
-// drift-gated: sampled step residuals against the exact matrix trip an
-// automatic fallback onto the full backend (visible in SolverStats).
+// which every backward-Euler step — through the same batched step and
+// replay driver as a full model — is a pre-factored dense solve of
+// dimension Order plus two O(nodes·Order) projections. That is not
+// cheaper than the direct step on floorplan-scale models (EV6: 11.6 µs vs
+// 0.86 µs). The reduction is drift-gated: sampled step residuals against
+// the exact matrix trip an automatic fallback onto the full backend
+// (visible in SolverStats).
 type ReducedConfig struct {
 	// Enabled compiles the model onto the reduced-order solver backend.
 	Enabled bool

@@ -1,6 +1,7 @@
 package hotspot
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 
 // Parity tests for the lockstep batch paths at the hotspot layer: RunSweep
 // and ReplayBatchResults must reproduce their sequential counterparts bit
-// for bit at any worker count, and the K-wide BatchSession must match
-// width-1 stepping.
+// for bit at any worker count, and closed loops stepped K wide through
+// RunLoops must match each loop run alone.
 
 func lockstepModels(t *testing.T) (*Model, *Model) {
 	t.Helper()
@@ -141,66 +142,71 @@ func TestRunReplayBatchLockstepParity(t *testing.T) {
 	}
 }
 
-// TestBatchSessionStepBlockPowerParity: the K-wide stepping session must
-// match per-cell width-1 stepping bitwise, and an invalid slot must fail
-// alone without advancing its state.
+// TestBatchSessionStepBlockPowerParity: closed loops stepped in lockstep
+// through RunLoops must match each loop run alone (width 1) bit for bit,
+// and an invalid block power must fail only its own loop, leaving its state
+// at the last good step.
 func TestBatchSessionStepBlockPowerParity(t *testing.T) {
 	oil, _ := lockstepModels(t)
 	nb := oil.Config().Floorplan.N()
-	const kk = 3
-	seq := make([][]float64, kk)
-	bat := make([][]float64, kk)
-	pws := make([][]float64, kk)
-	for k := 0; k < kk; k++ {
-		seq[k] = oil.AmbientState()
-		bat[k] = oil.AmbientState()
-		pws[k] = make([]float64, nb)
-		for b := range pws[k] {
-			pws[k][b] = float64(k+1) * 0.3
+	const kk, steps = 3, 5
+	// loop k runs steps steps, feeding each block's own temperature back
+	// into its power (so a state mixed up between loops would show), and
+	// emits an invalid power at step badAt (-1 = never).
+	loop := func(k int, temps []float64, steps, badAt int) LoopJob {
+		n := 0
+		blocksC := make([]float64, nb)
+		return LoopJob{Model: oil, Temps: temps, Step: 1e-3, Power: func(bp []float64) error {
+			if n == steps {
+				return io.EOF
+			}
+			oil.BlocksCInto(temps, blocksC)
+			for b := range bp {
+				bp[b] = float64(k+1)*0.3 + 0.01*blocksC[b]
+			}
+			if n == badAt {
+				bp[0] = -1
+			}
+			n++
+			return nil
+		}}
+	}
+	const victim, badAt = 1, 3
+	ref := make([][]float64, kk)
+	for k := range ref {
+		n := steps
+		if k == victim {
+			n = badAt
+		}
+		ref[k] = oil.AmbientState()
+		if errs := RunLoops([]LoopJob{loop(k, ref[k], n, -1)}, 1); errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 	}
-	bs := oil.NewBatchSession(kk)
-	errs := make([]error, kk)
-	for step := 0; step < 5; step++ {
-		for k := 0; k < kk; k++ {
-			np, err := oil.BlockPowerVector(pws[k])
-			if err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		got := make([][]float64, kk)
+		jobs := make([]LoopJob, kk)
+		for k := range jobs {
+			bad := -1
+			if k == victim {
+				bad = badAt
 			}
-			if err := oil.solver.NewSession().StepBE(seq[k], np, 1e-3); err != nil {
-				t.Fatal(err)
-			}
+			got[k] = oil.AmbientState()
+			jobs[k] = loop(k, got[k], steps, bad)
 		}
-		if err := bs.StepBlockPower(bat, pws, 1e-3, errs); err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < kk; k++ {
-			if errs[k] != nil {
-				t.Fatalf("slot %d: %v", k, errs[k])
+		errs := RunLoops(jobs, workers)
+		for k := range jobs {
+			switch {
+			case k == victim && (errs[k] == nil || !strings.Contains(errs[k].Error(), "invalid power")):
+				t.Fatalf("workers=%d: invalid loop error: %v", workers, errs[k])
+			case k != victim && errs[k] != nil:
+				t.Fatalf("workers=%d: healthy loop %d failed: %v", workers, k, errs[k])
 			}
-			for i := range bat[k] {
-				if bat[k][i] != seq[k][i] {
-					t.Fatalf("step %d slot %d node %d: %v vs %v", step, k, i, bat[k][i], seq[k][i])
+			for i := range ref[k] {
+				if got[k][i] != ref[k][i] {
+					t.Fatalf("workers=%d loop %d node %d: %v vs width-1 %v", workers, k, i, got[k][i], ref[k][i])
 				}
 			}
 		}
-	}
-
-	// Invalid power in one slot: that slot errors and freezes, others step.
-	before := append([]float64(nil), bat[1]...)
-	pws[1][0] = -1
-	if err := bs.StepBlockPower(bat, pws, 1e-3, errs); err != nil {
-		t.Fatal(err)
-	}
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "invalid power") {
-		t.Fatalf("invalid slot error: %v", errs[1])
-	}
-	for i := range before {
-		if bat[1][i] != before[i] {
-			t.Fatal("failed slot advanced")
-		}
-	}
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("healthy slots failed: %v %v", errs[0], errs[2])
 	}
 }

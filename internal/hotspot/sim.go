@@ -270,17 +270,83 @@ func RunSweep(jobs []SweepJob, workers int) ([][]TracePoint, error) {
 	return results, nil
 }
 
+// LoopJob is one closed-loop co-simulation for RunLoops: a temperature
+// state stepped at a fixed interval under block powers that Power computes,
+// before every step, from that live state.
+type LoopJob struct {
+	Model *Model
+	// Temps is the initial state, advanced in place; Power reads the live
+	// state through it.
+	Temps []float64
+	// Step is the backward-Euler step (s). Every step is exactly Step long.
+	Step float64
+	// Power fills the per-block power (floorplan order, W) of the next
+	// step. io.EOF ends the job with the steps taken so far standing; any
+	// other error fails it.
+	Power func(blockPower []float64) error
+}
+
+// RunLoops runs closed-loop jobs across a worker pool (workers ≤ 0 =
+// GOMAXPROCS) and returns per-job errors indexed like jobs. It is the
+// stepping core behind RunSweep and ReplayBatchResults with a third power
+// source: jobs are dealt round-robin across workers, and each step fills
+// every live same-model same-step job's power, then solves them all in one
+// batched step. A job whose Power fails or panics, whose block power is
+// negative or non-finite, or whose solve stalls fails alone and keeps the
+// state of its last good step. Per-job results are bit-identical at any
+// worker count.
+func RunLoops(jobs []LoopJob, workers int) []error {
+	rj := make([]replayJob, len(jobs))
+	for j, job := range jobs {
+		rj[j] = loopJob(job)
+	}
+	_, errs := replay(rj, workers)
+	return errs
+}
+
+// loopJob adapts a closed loop to the stepping core: an open window of the
+// job's step, so no step is ever shortened, a block-power fill validated
+// and expanded onto block nodes through a buffer the job owns, and no
+// recorder.
+func loopJob(job LoopJob) replayJob {
+	m := job.Model
+	if m == nil {
+		return replayJob{err: errors.New("nil model")}
+	}
+	rj := replayJob{m: m, w: rcnet.Window{Duration: math.Inf(1), Step: job.Step}, temps: job.Temps, noRecord: true}
+	if job.Power != nil {
+		blockPower := make([]float64, m.cfg.Floorplan.N())
+		rj.fill = func(_ float64, power []float64) error {
+			if err := job.Power(blockPower); err != nil {
+				return err
+			}
+			clear(power)
+			for bi, w := range blockPower {
+				if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+					return fmt.Errorf("hotspot: invalid power %g for block %d", w, bi)
+				}
+				power[m.blockNode[bi]] = w
+			}
+			return nil
+		}
+	}
+	return rj
+}
+
 // replayJob is one replay on the stepping core, built by an adapter
-// (rowJob, scheduleJob): the model and window it groups under, its initial
-// state, and its power fill. err fails the job before grouping; wrap, when
-// set, adds the adapter's context (the row it reached) to a failure.
+// (rowJob, scheduleJob, loopJob): the model and window it groups under, its
+// initial state, and its power fill. err fails the job before grouping;
+// wrap, when set, adds the adapter's context (the row it reached) to a
+// failure; noRecord skips the recorder (closed loops read their own
+// state).
 type replayJob struct {
-	m     *Model
-	w     rcnet.Window
-	temps []float64
-	fill  func(t float64, power []float64) error
-	wrap  func(error) error
-	err   error
+	m        *Model
+	w        rcnet.Window
+	temps    []float64
+	fill     func(t float64, power []float64) error
+	wrap     func(error) error
+	err      error
+	noRecord bool
 }
 
 // replay runs jobs on the stepping core and returns per-job points and
@@ -331,8 +397,11 @@ func runGroups(jobs []replayJob, idx []int, pts [][]TracePoint, errs []error) {
 		recs := make([]recorder, len(g.idx))
 		rjobs := make([]rcnet.Job, len(g.idx))
 		for i, j := range g.idx {
-			recs[i].m = g.m
-			rjobs[i] = rcnet.Job{Temp: jobs[j].temps, Power: jobs[j].fill, Record: recs[i].record}
+			rjobs[i] = rcnet.Job{Temp: jobs[j].temps, Power: jobs[j].fill}
+			if !jobs[j].noRecord {
+				recs[i].m = g.m
+				rjobs[i].Record = recs[i].record
+			}
 		}
 		for i, err := range g.m.solver.Replay(g.w, rjobs) {
 			j := g.idx[i]
@@ -365,7 +434,7 @@ func (r *recorder) record(t float64, temp []float64) {
 func (m *Model) DominantTimeConstant() float64 { return m.solver.DominantTimeConstant() }
 
 // SolverBackend names the linear-solver backend the model compiled onto
-// ("dense", "cholesky" or "sparse").
+// ("dense", "cholesky", "sparse" or "reduced").
 func (m *Model) SolverBackend() string { return m.solver.Backend() }
 
 // SolverStats snapshots the model's per-path solver counters

@@ -11,15 +11,14 @@ package linalg
 //
 // ReducedOperator deliberately keeps the *full-space* Operator contract —
 // Dim() = n, Solve maps an n-vector right-hand side to an n-vector solution
-// through dst = V·Â⁻¹·Vᵀb — so the rcnet session, batch and stats machinery
-// run unchanged on top of it. Apply and Diag go through the exact sparse
+// through dst = V·Â⁻¹·Vᵀb — so the rcnet batch step and stats machinery run
+// unchanged on top of it. Apply and Diag go through the exact sparse
 // matrix, which is what makes cheap a-posteriori residual checks (and the
 // automatic fallback they gate) possible.
 
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // morDeflationTol is the relative column-norm threshold below which a
@@ -40,12 +39,6 @@ type ReducedOperator struct {
 	red  *Matrix   // VᵀAV, kept for deriving shifted operators
 	fac  *morChol  // dense Cholesky factor of red
 	caps []float64 // capacitance diagonal (shared; basis construction + Shift)
-	dhat *Matrix   // Vᵀdiag(d)V of the Shift that made this operator (nil on the base)
-
-	// Lazily-built dense backward-Euler propagator Â⁻¹·D̂ (see Propagator),
-	// shared by every streaming session stepping through this operator.
-	propOnce sync.Once
-	prop     *Matrix
 
 	projErr float64 // a-priori projection error estimate (see NewReducedOperator)
 }
@@ -384,11 +377,11 @@ func (ro *ReducedOperator) Shift(d []float64) (Operator, error) {
 		caps:    ro.caps,
 		projErr: ro.projErr,
 	}
-	out.dhat = NewMatrix(ro.r, ro.r)
-	addProjectedDiag(out.dhat, ro.v, ro.n, ro.r, d)
+	dhat := NewMatrix(ro.r, ro.r)
+	addProjectedDiag(dhat, ro.v, ro.n, ro.r, d)
 	out.red = NewMatrix(ro.r, ro.r)
 	for i, base := range ro.red.Data {
-		out.red.Data[i] = base + out.dhat.Data[i]
+		out.red.Data[i] = base + dhat.Data[i]
 	}
 	fac, err := factorMor(out.red)
 	if err != nil {
@@ -416,104 +409,6 @@ func addProjectedDiag(red *Matrix, v []float64, n, r int, d []float64) {
 	}
 }
 
-// ReduceInto projects a full-space vector onto the basis: z = Vᵀx. z must
-// have length Order(), x length Dim(). O(n·r).
-func (ro *ReducedOperator) ReduceInto(x, z []float64) {
-	mulVT(ro.v, ro.n, ro.r, x, z)
-}
-
-// ExpandInto reconstructs a full-space vector from reduced coordinates:
-// x = V·z. O(n·r).
-func (ro *ReducedOperator) ExpandInto(z, x []float64) {
-	mulV(ro.v, ro.n, ro.r, z, x)
-}
-
-// StepReducedBE advances backward-Euler state entirely in reduced
-// coordinates: znew = Â⁻¹(bhat + D̂·z), where Â = Vᵀ(G + D)V is this
-// operator's factored system and D̂ = Vᵀdiag(d)V is the projected C/dt
-// block recorded by Shift. bhat is the caller's projected source term
-// Vᵀ(power + ambient). This is the per-user streaming hot path: O(r²) per
-// step — independent of the full dimension — versus O(n·r) for a
-// full-space Solve. Only valid on an operator returned by Shift. znew must
-// not alias z; no allocation when ws is provided.
-func (ro *ReducedOperator) StepReducedBE(z, bhat, znew []float64, ws *Workspace) error {
-	if ro.dhat == nil {
-		return fmt.Errorf("linalg: StepReducedBE on an unshifted reduced operator")
-	}
-	r := ro.r
-	if len(z) != r || len(bhat) != r || len(znew) != r {
-		return fmt.Errorf("linalg: StepReducedBE dimension: got %d/%d/%d, want %d", len(z), len(bhat), len(znew), r)
-	}
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	bh, _, y := ws.reduced(r)
-	for a := 0; a < r; a++ {
-		row := ro.dhat.Row(a)
-		s := bhat[a]
-		var s0, s1 float64
-		c := 0
-		for ; c+1 < r; c += 2 {
-			s0 += row[c] * z[c]
-			s1 += row[c+1] * z[c+1]
-		}
-		if c < r {
-			s0 += row[c] * z[c]
-		}
-		bh[a] = s + s0 + s1
-	}
-	ro.fac.solveInto(bh, znew, y)
-	return nil
-}
-
-// Propagator returns the dense backward-Euler propagator P = Â⁻¹·D̂ of a
-// Shift-produced operator, built once (r back-substitutions, O(r³)) and
-// cached. With it, the reduced BE recurrence splits as
-// znew = Â⁻¹bhat + P·z: a caller that also caches c = Â⁻¹bhat (see
-// SolveReducedInto) pays a single r² matvec per step — half the flops of
-// StepReducedBE and none of its triangular-solve latency. P is the
-// discrete-time system matrix, contractive for any SPD (G, C) pencil, so
-// iterating it is as stable as the solve form.
-func (ro *ReducedOperator) Propagator() (*Matrix, error) {
-	if ro.dhat == nil {
-		return nil, fmt.Errorf("linalg: Propagator on an unshifted reduced operator")
-	}
-	ro.propOnce.Do(func() {
-		r := ro.r
-		p := NewMatrix(r, r)
-		col := make([]float64, r)
-		x := make([]float64, r)
-		y := make([]float64, r)
-		for j := 0; j < r; j++ {
-			for i := 0; i < r; i++ {
-				col[i] = ro.dhat.Row(i)[j]
-			}
-			ro.fac.solveInto(col, x, y)
-			for i := 0; i < r; i++ {
-				p.Row(i)[j] = x[i]
-			}
-		}
-		ro.prop = p
-	})
-	return ro.prop, nil
-}
-
-// SolveReducedInto solves c = Â⁻¹·bhat entirely in reduced coordinates
-// (O(r²), no allocation when ws is provided) — the source-term half of the
-// propagator-form recurrence.
-func (ro *ReducedOperator) SolveReducedInto(bhat, c []float64, ws *Workspace) error {
-	r := ro.r
-	if len(bhat) != r || len(c) != r {
-		return fmt.Errorf("linalg: SolveReducedInto dimension: got %d/%d, want %d", len(bhat), len(c), r)
-	}
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	_, _, y := ws.reduced(r)
-	ro.fac.solveInto(bhat, c, y)
-	return nil
-}
-
 // mulVT computes bh = Vᵀb (r dot products over contiguous columns).
 func mulVT(v []float64, n, r int, b, bh []float64) {
 	for j := 0; j < r; j++ {
@@ -534,7 +429,7 @@ func mulVT(v []float64, n, r int, b, bh []float64) {
 }
 
 // mulV expands dst = V·xh, two columns per destination sweep to halve the
-// store traffic on the session hot path.
+// store traffic on the stepping hot path.
 func mulV(v []float64, n, r int, xh, dst []float64) {
 	for i := range dst {
 		dst[i] = 0

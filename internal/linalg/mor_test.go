@@ -194,72 +194,3 @@ func TestReducedOperatorSolveBatch(t *testing.T) {
 		}
 	}
 }
-
-// StepReducedBE must reproduce the full-space reduced solve for states in
-// span(V): with x = V·z, Solve(b + D·x) on the shifted operator equals
-// V·StepReducedBE(z, Vᵀb) up to projection rounding. It is also rejected on
-// operators that did not come from Shift.
-func TestStepReducedBEMatchesFullSpaceSolve(t *testing.T) {
-	g, caps, inputs := morTestSystem(6, 6)
-	n := g.N
-	base, err := NewReducedOperator(g, caps, inputs, n, 0)
-	if err != nil {
-		t.Fatalf("NewReducedOperator: %v", err)
-	}
-	if err := base.StepReducedBE(nil, nil, nil, nil); err == nil {
-		t.Fatal("StepReducedBE on an unshifted operator must error")
-	}
-	d := make([]float64, n)
-	for i, c := range caps {
-		d[i] = c / 1e-3
-	}
-	opAny, err := base.Shift(d)
-	if err != nil {
-		t.Fatalf("Shift: %v", err)
-	}
-	op := opAny.(*ReducedOperator)
-	r := op.Order()
-
-	// A state in span(V): expand an arbitrary reduced vector.
-	z := make([]float64, r)
-	for i := range z {
-		z[i] = math.Sin(float64(3*i + 1))
-	}
-	x := make([]float64, n)
-	op.ExpandInto(z, x)
-
-	// Source term b and its projection.
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = math.Cos(float64(2 * i))
-	}
-	bhat := make([]float64, r)
-	op.ReduceInto(b, bhat)
-
-	// Full-space reference: Solve(b + D·x) through the reduced operator.
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = b[i] + d[i]*x[i]
-	}
-	var ws Workspace
-	want, err := op.Solve(rhs, nil, nil, &ws)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-
-	znew := make([]float64, r)
-	if err := op.StepReducedBE(z, bhat, znew, &ws); err != nil {
-		t.Fatalf("StepReducedBE: %v", err)
-	}
-	got := make([]float64, n)
-	op.ExpandInto(znew, got)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
-			t.Fatalf("node %d: reduced-state %g vs full-space %g", i, got[i], want[i])
-		}
-	}
-
-	if err := op.StepReducedBE(z[:r-1], bhat, znew, &ws); err == nil {
-		t.Fatal("StepReducedBE must reject mismatched lengths")
-	}
-}

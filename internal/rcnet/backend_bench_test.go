@@ -212,74 +212,3 @@ func BenchmarkTransientBatch(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkBackendReducedStream measures one streaming backward-Euler step
-// of a ReducedSession on few-input grids — the per-user serving regime
-// model-order reduction exists for: a handful of power-input nodes on a
-// large network, state kept in reduced coordinates, each step one order²
-// matvec independent of N. Compare against the cholesky/auto rows of
-// BenchmarkBackendTransientBE (full-space stepping, O(factor nnz) per
-// step): the reduced step is flat across sizes while the sparse step grows
-// with N. The order metric reports the realized basis size after deflation.
-func BenchmarkBackendReducedStream(b *testing.B) {
-	for _, sz := range benchSizes {
-		if sz.nx*sz.ny*2 > 20000 {
-			// Basis construction at N=65536 pays minutes of Arnoldi sweeps;
-			// the scaling story is already visible at N=16384.
-			continue
-		}
-		rng := rand.New(rand.NewSource(6))
-		net := gridNetwork(rng, sz.nx, sz.ny)
-		n := net.N()
-		const nin = 12
-		inputs := make([]int, nin)
-		for i := range inputs {
-			inputs[i] = i * n / nin
-		}
-		s, err := net.CompileReduced(ReducedSpec{Inputs: inputs, Order: 104})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Backend() != "reduced" {
-			b.Fatalf("backend %q at %s, want reduced", s.Backend(), sz.name)
-		}
-		power := make([]float64, n)
-		for _, i := range inputs {
-			power[i] = 1 + rng.Float64()
-		}
-		b.Run(sz.name, func(b *testing.B) {
-			rs, err := s.NewReducedSession(1e-3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := rs.Start(s.SteadyState(power)); err != nil {
-				b.Fatal(err)
-			}
-			scaled := make([]float64, n)
-			for i, p := range power {
-				scaled[i] = 1.3 * p
-			}
-			if err := rs.SetPower(scaled); err != nil {
-				b.Fatal(err)
-			}
-			// Take the first step before the timer: it always runs the
-			// O(n·order) sampled exactness check, which at short benchtimes
-			// would swamp the steady-state matvec the row measures (the
-			// TransientBE rows warm their factor for the same reason).
-			if err := rs.Step(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := rs.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if !rs.Reduced() {
-				b.Fatal("session tripped onto the full backend mid-benchmark")
-			}
-			b.ReportMetric(float64(rs.Order()), "order")
-		})
-	}
-}

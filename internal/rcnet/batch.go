@@ -10,14 +10,14 @@ import (
 	"repro/internal/linalg"
 )
 
-// This file holds the stepping core. BatchSession.StepBE is the only
+// This file holds the stepping core. batchSession.StepBE is the only
 // backward-Euler step in the package: it advances K independent temperature
 // states with a single factor traversal (linalg.Operator.SolveBatch), and a
-// single state is the width-1 case (Session, Solver.StepBE). Replay is the
-// only replay loop: it drives same-window jobs through shared steps, so
-// hotspot sweeps and streamed replays stop paying the factor's full memory
-// traffic once per job per step. The scenario grid, whose power depends on
-// each step's temperatures, calls StepBE directly.
+// single state is the width-1 case (Solver.StepBE). Replay is the only
+// replay loop: it drives same-window jobs through shared steps, so sweeps,
+// streamed replays and closed-loop co-simulations stop paying the factor's
+// full memory traffic once per job per step. A closed loop is a job whose
+// power fill reads its own live state.
 
 // MaxBatchWidth caps how many right-hand sides one lockstep group solves per
 // factor traversal. The packed block costs n·K floats of workspace; with the
@@ -27,12 +27,12 @@ import (
 // results are unaffected (batching never changes per-column arithmetic).
 const MaxBatchWidth = 64
 
-// BatchSession is a K-wide backward-Euler stepping context over one
+// batchSession is a K-wide backward-Euler stepping context over one
 // compiled Solver: one solve workspace, one cached (C/dt + A) operator, and
-// K right-hand-side slots stepped together. Like Session, a BatchSession
-// must not be used from more than one goroutine at a time; any number of
-// BatchSessions may run concurrently against the same Solver.
-type BatchSession struct {
+// K right-hand-side slots stepped together. A batchSession must not be used
+// from more than one goroutine at a time; any number of them may run
+// concurrently against the same Solver.
+type batchSession struct {
 	s      *Solver
 	ws     linalg.Workspace
 	rhs    [][]float64 // per-slot right-hand sides
@@ -58,14 +58,14 @@ type BatchSession struct {
 	oneErr     [1]error
 }
 
-// NewBatchSession creates a K-wide stepping context. Safe to call
+// newBatchSession creates a K-wide stepping context. Safe to call
 // concurrently.
-func (s *Solver) NewBatchSession(width int) *BatchSession {
+func (s *Solver) newBatchSession(width int) *batchSession {
 	if width < 1 {
 		width = 1
 	}
 	n := s.net.N()
-	bs := &BatchSession{
+	bs := &batchSession{
 		s:     s,
 		rhs:   make([][]float64, width),
 		sol:   make([][]float64, width),
@@ -80,12 +80,9 @@ func (s *Solver) NewBatchSession(width int) *BatchSession {
 	return bs
 }
 
-// Width returns the number of slots.
-func (bs *BatchSession) Width() int { return len(bs.rhs) }
-
 // step1 is StepBE for one state: a slot-0 step whose per-slot error is
 // returned. On error, temp is left unchanged.
-func (bs *BatchSession) step1(temp, power []float64, dt float64) error {
+func (bs *batchSession) step1(temp, power []float64, dt float64) error {
 	bs.oneT[0], bs.oneP[0], bs.oneErr[0] = temp, power, nil
 	err := bs.StepBE(bs.oneT[:], bs.oneP[:], dt, bs.oneErr[:])
 	if err == nil {
@@ -95,7 +92,7 @@ func (bs *BatchSession) step1(temp, power []float64, dt float64) error {
 	return err
 }
 
-// StepBE advances up to Width temperature states (in place) by one
+// StepBE advances up to width temperature states (in place) by one
 // backward-Euler step of size dt under per-slot constant power. Slots with a
 // nil temperature vector are skipped — that is how lockstep callers drop
 // jobs that already failed or finished. Per-slot solve failures (possible
@@ -103,7 +100,7 @@ func (bs *BatchSession) step1(temp, power []float64, dt float64) error {
 // batch-level failures (bad dt, slot shape, operator factorization) that
 // apply to every slot. Per-slot results are bit-identical at any width:
 // the batched solve never changes per-column arithmetic.
-func (bs *BatchSession) StepBE(temps, powers [][]float64, dt float64, errs []error) error {
+func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64, errs []error) error {
 	if !(dt > 0) || math.IsInf(dt, 0) {
 		// NaN must be rejected here, not just nonsense-tolerated: it would
 		// both poison the solver's (dt → factor) cache (NaN map keys never
@@ -310,7 +307,7 @@ func (s *Solver) Replay(w Window, jobs []Job) []error {
 // window.
 func (s *Solver) lockstep(w Window, jobs []Job, idx []int, errs []error) {
 	kk := len(idx)
-	bs := s.NewBatchSession(kk)
+	bs := s.newBatchSession(kk)
 	temps := make([][]float64, kk)
 	powers := make([][]float64, kk)
 	serrs := make([]error, kk)

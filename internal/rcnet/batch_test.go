@@ -12,17 +12,17 @@ import (
 // batch-width statistics, and the zero-allocation gate on the batched hot
 // path.
 
-// TestBatchSessionMatchesSessions: K states stepped through one BatchSession
-// must be bit-identical to the same K states stepped through K independent
-// width-1 Sessions, on the dense, supernodal-Cholesky, CG and reduced
-// backends, through a dt switch.
+// TestBatchSessionMatchesSessions: K states stepped through one batch
+// session must be bit-identical to the same K states stepped one at a time
+// through Solver.StepBE (width 1), on the dense, supernodal-Cholesky, CG and
+// reduced backends, through a dt switch.
 func TestBatchSessionMatchesSessions(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	net := gridNetwork(rng, 6, 6)
 	const kk = 5
-	for _, hint := range []SolverHint{HintDense, HintCholesky, HintCG, HintReduced} {
-		t.Run(hint.String(), func(t *testing.T) {
-			s, err := net.CompileHint(hint)
+	for _, tb := range []testBackend{denseTB, choleskyTB, cgTB, reducedTB} {
+		t.Run(tb.name, func(t *testing.T) {
+			s, err := tb.compile(net)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,12 +34,11 @@ func TestBatchSessionMatchesSessions(t *testing.T) {
 				seqTemps[k] = s.AmbientVector()
 				batTemps[k] = s.AmbientVector()
 			}
-			bs := s.NewBatchSession(kk)
+			bs := s.newBatchSession(kk)
 			errs := make([]error, kk)
 			for step, dt := range []float64{1e-3, 1e-3, 2e-3, 1e-3} {
 				for k := 0; k < kk; k++ {
-					se := s.NewSession() // fresh session: state lives in temps
-					if err := se.StepBE(seqTemps[k], powers[k], dt); err != nil {
+					if err := s.StepBE(seqTemps[k], powers[k], dt); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -73,11 +72,10 @@ func TestBatchSessionSkipsNilSlots(t *testing.T) {
 	}
 	p := randomPower(rng, net.N())
 	ref := s.AmbientVector()
-	se := s.NewSession()
-	if err := se.StepBE(ref, p, 1e-3); err != nil {
+	if err := s.StepBE(ref, p, 1e-3); err != nil {
 		t.Fatal(err)
 	}
-	bs := s.NewBatchSession(3)
+	bs := s.newBatchSession(3)
 	live := s.AmbientVector()
 	temps := [][]float64{nil, live, nil}
 	powers := [][]float64{nil, p, nil}
@@ -296,9 +294,9 @@ func TestBatchWidthHistogram(t *testing.T) {
 func TestBatchStepAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	net := gridNetwork(rng, 6, 6)
-	for _, hint := range []SolverHint{HintDense, HintCholesky} {
-		t.Run(hint.String(), func(t *testing.T) {
-			s, err := net.CompileHint(hint)
+	for _, tb := range []testBackend{denseTB, choleskyTB} {
+		t.Run(tb.name, func(t *testing.T) {
+			s, err := tb.compile(net)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +307,7 @@ func TestBatchStepAllocationFree(t *testing.T) {
 				temps[k] = s.AmbientVector()
 				powers[k] = randomPower(rng, net.N())
 			}
-			bs := s.NewBatchSession(kk)
+			bs := s.newBatchSession(kk)
 			errs := make([]error, kk)
 			step := func() {
 				if err := bs.StepBE(temps, powers, 1e-3, errs); err != nil {
@@ -323,7 +321,7 @@ func TestBatchStepAllocationFree(t *testing.T) {
 			}
 			step() // warm: factor + scratch growth
 			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-				t.Fatalf("%v batched StepBE allocates %v times per step, want 0", hint, allocs)
+				t.Fatalf("%s batched StepBE allocates %v times per step, want 0", tb.name, allocs)
 			}
 		})
 	}

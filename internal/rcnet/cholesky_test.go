@@ -17,15 +17,15 @@ import (
 // compileThree compiles one network onto dense LU, Cholesky and CG.
 func compileThree(t *testing.T, n *Network) (dense, chol, cg *Solver) {
 	t.Helper()
-	d, err := n.CompileHint(HintDense)
+	d, err := denseTB.compile(n)
 	if err != nil {
 		t.Fatalf("dense compile: %v", err)
 	}
-	c, err := n.CompileHint(HintCholesky)
+	c, err := choleskyTB.compile(n)
 	if err != nil {
 		t.Fatalf("cholesky compile: %v", err)
 	}
-	g, err := n.CompileHint(HintCG)
+	g, err := cgTB.compile(n)
 	if err != nil {
 		t.Fatalf("cg compile: %v", err)
 	}
@@ -113,12 +113,11 @@ func TestFactorCacheContract(t *testing.T) {
 		t.Fatalf("after compile: %d factorizations, want 1 (the eager conductance factor)", base.Factorizations)
 	}
 	p := randomPower(rng, net.N())
-	se := s.NewSession()
 	temp := s.AmbientVector()
 	const dt1, dt2 = 1e-3, 2e-3
 	steps := []float64{dt1, dt1, dt1, dt2, dt2, dt1, dt2, dt1}
 	for i, dt := range steps {
-		if err := se.StepBE(temp, p, dt); err != nil {
+		if err := s.StepBE(temp, p, dt); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -142,10 +141,11 @@ func TestFactorCacheContract(t *testing.T) {
 		t.Fatalf("step solve time not recorded")
 	}
 
-	// A second session at an already-cached dt must reuse, not re-factor.
-	se2 := s.NewSession()
+	// A second stepping session at an already-cached dt must reuse, not
+	// re-factor.
+	se2 := s.newBatchSession(1)
 	temp2 := s.AmbientVector()
-	if err := se2.StepBE(temp2, p, dt1); err != nil {
+	if err := se2.step1(temp2, p, dt1); err != nil {
 		t.Fatal(err)
 	}
 	st2 := s.Stats()
@@ -162,15 +162,14 @@ func TestFactorCacheContract(t *testing.T) {
 func TestCGPathCountsIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	net := gridNetwork(rng, 6, 6)
-	s, err := net.CompileHint(HintCG)
+	s, err := cgTB.compile(net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := randomPower(rng, net.N())
-	se := s.NewSession()
 	temp := s.AmbientVector()
 	for i := 0; i < 5; i++ {
-		if err := se.StepBE(temp, p, 1e-3); err != nil {
+		if err := s.StepBE(temp, p, 1e-3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,25 +196,24 @@ func TestCGPathCountsIterations(t *testing.T) {
 func TestStepBEAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	net := gridNetwork(rng, 6, 6)
-	for _, hint := range []SolverHint{HintDense, HintCholesky, HintCG} {
-		t.Run(hint.String(), func(t *testing.T) {
-			s, err := net.CompileHint(hint)
+	for _, tb := range []testBackend{denseTB, choleskyTB, cgTB} {
+		t.Run(tb.name, func(t *testing.T) {
+			s, err := tb.compile(net)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p := randomPower(rng, net.N())
-			se := s.NewSession()
 			temp := s.AmbientVector()
-			if err := se.StepBE(temp, p, 1e-3); err != nil {
+			if err := s.StepBE(temp, p, 1e-3); err != nil {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				if err := se.StepBE(temp, p, 1e-3); err != nil {
+				if err := s.StepBE(temp, p, 1e-3); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("%v StepBE allocates %v times per step, want 0", hint, allocs)
+				t.Fatalf("%s StepBE allocates %v times per step, want 0", tb.name, allocs)
 			}
 		})
 	}
@@ -233,11 +231,10 @@ func TestStepBERejectsInvalidDt(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := randomPower(rng, net.N())
-	se := s.NewSession()
 	temp := s.AmbientVector()
 	want := append([]float64(nil), temp...)
 	for _, dt := range []float64{0, -1e-3, math.NaN(), math.Inf(1)} {
-		if err := se.StepBE(temp, p, dt); err == nil {
+		if err := s.StepBE(temp, p, dt); err == nil {
 			t.Fatalf("dt=%g: expected error", dt)
 		}
 	}
@@ -251,16 +248,16 @@ func TestStepBERejectsInvalidDt(t *testing.T) {
 	}
 }
 
-// TestCholeskyHintSurfacesSingular: with the escape hatch forcing Cholesky,
-// a structurally singular network must still be rejected at Compile (by the
+// TestCholeskyHintSurfacesSingular: with CompileWith forcing Cholesky, a
+// structurally singular network must still be rejected at Compile (by the
 // ground check, exactly like every other backend).
 func TestCholeskyHintSurfacesSingular(t *testing.T) {
 	n := New(300)
 	n.AddNode("a", 1)
 	b := n.AddNode("b", 1)
 	n.ConnectAmbientR(b, 1)
-	if _, err := n.CompileHint(HintCholesky); err == nil {
-		t.Fatal("expected floating-island error on the cholesky hint")
+	if _, err := choleskyTB.compile(n); err == nil {
+		t.Fatal("expected floating-island error on the forced cholesky backend")
 	}
 }
 
@@ -271,11 +268,11 @@ func TestCholeskySteadyBitStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	net := gridNetwork(rng, 7, 5)
 	p := randomPower(rng, net.N())
-	s1, err := net.CompileHint(HintCholesky)
+	s1, err := choleskyTB.compile(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := net.CompileHint(HintCholesky)
+	s2, err := choleskyTB.compile(net)
 	if err != nil {
 		t.Fatal(err)
 	}

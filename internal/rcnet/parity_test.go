@@ -41,6 +41,25 @@ func gridNetwork(rng *rand.Rand, nx, ny int) *Network {
 	return n
 }
 
+// testBackend names one way to compile a network, for tests that run on
+// several backends; name is the subtest name.
+type testBackend struct {
+	name    string
+	compile func(*Network) (*Solver, error)
+}
+
+func withBackend(b linalg.Backend) func(*Network) (*Solver, error) {
+	return func(n *Network) (*Solver, error) { return n.CompileWith(b) }
+}
+
+var (
+	autoTB     = testBackend{"auto", (*Network).Compile}
+	denseTB    = testBackend{"dense", withBackend(linalg.DenseBackend{})}
+	choleskyTB = testBackend{"cholesky", withBackend(linalg.CholeskyBackend{})}
+	cgTB       = testBackend{"cg", withBackend(linalg.SparseBackend{})}
+	reducedTB  = testBackend{"reduced", func(n *Network) (*Solver, error) { return n.CompileReduced(ReducedSpec{}) }}
+)
+
 func randomPower(rng *rand.Rand, n int) []float64 {
 	p := make([]float64, n)
 	for i := range p {
@@ -153,8 +172,7 @@ func TestBackendParityTrace(t *testing.T) {
 
 // TestCompileSelectsBackendBySize: the automatic selection must route tiny
 // networks to dense LU and everything floorplan-shaped (modest fill) to the
-// sparse direct Cholesky path, with the SolverHint escape hatch forcing any
-// backend.
+// sparse direct Cholesky path, with CompileWith forcing any backend.
 func TestCompileSelectsBackendBySize(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tiny := New(300)
@@ -185,17 +203,16 @@ func TestCompileSelectsBackendBySize(t *testing.T) {
 	if s2.Backend() != "cholesky" {
 		t.Fatalf("big network compiled onto %q, want cholesky", s2.Backend())
 	}
-	for hint, want := range map[SolverHint]string{
-		HintDense:    "dense",
-		HintCholesky: "cholesky",
-		HintCG:       "sparse",
-	} {
-		s, err := big.CompileHint(hint)
+	for _, c := range []struct {
+		tb   testBackend
+		want string
+	}{{denseTB, "dense"}, {choleskyTB, "cholesky"}, {cgTB, "sparse"}} {
+		s, err := c.tb.compile(big)
 		if err != nil {
-			t.Fatalf("hint %v: %v", hint, err)
+			t.Fatalf("backend %s: %v", c.tb.name, err)
 		}
-		if s.Backend() != want {
-			t.Fatalf("hint %v compiled onto %q, want %q", hint, s.Backend(), want)
+		if s.Backend() != c.want {
+			t.Fatalf("backend %s compiled onto %q, want %q", c.tb.name, s.Backend(), c.want)
 		}
 	}
 }
@@ -219,24 +236,24 @@ func TestFloatingIslandRejectedBothBackends(t *testing.T) {
 // the same samples as each job replayed alone, on both the auto-selected
 // (Cholesky) path and the CG path.
 func TestTransientBatchMatchesSerial(t *testing.T) {
-	for _, hint := range []SolverHint{HintAuto, HintCG} {
-		t.Run(hint.String(), func(t *testing.T) { testTransientBatchMatchesSerial(t, hint) })
+	for _, tb := range []testBackend{autoTB, cgTB} {
+		t.Run(tb.name, func(t *testing.T) { testTransientBatchMatchesSerial(t, tb) })
 	}
 }
 
-func testTransientBatchMatchesSerial(t *testing.T, hint SolverHint) {
+func testTransientBatchMatchesSerial(t *testing.T, tb testBackend) {
 	rng := rand.New(rand.NewSource(9))
 	net := gridNetwork(rng, 6, 6)
-	s, err := net.CompileHint(hint)
+	s, err := tb.compile(net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want72 := "cholesky"
-	if hint == HintCG {
+	if tb.name == cgTB.name {
 		want72 = "sparse"
 	}
 	if s.Backend() != want72 {
-		t.Fatalf("hint %v: compiled onto %q, want %q", hint, s.Backend(), want72)
+		t.Fatalf("backend %s: compiled onto %q, want %q", tb.name, s.Backend(), want72)
 	}
 	const jobs = 6
 	powers := make([][]float64, jobs)

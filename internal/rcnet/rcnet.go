@@ -144,7 +144,7 @@ func (n *Network) checkIndex(i int) {
 // cutoff from 64 to 8: an air-sink EV6 network (~40 nodes) solves ~5×
 // faster through the compressed sparse factor than through O(n²) dense
 // back-substitution, and the sparse path batches. The dense backend remains
-// the parity oracle via CompileHint(HintDense).
+// the parity oracle via CompileWith(linalg.DenseBackend{}).
 const DenseCutoff = 8
 
 // CholeskyMaxFill caps the sparse direct path: Compile falls back to the CG
@@ -153,45 +153,6 @@ const DenseCutoff = 8
 // (measured in DESIGN.md §7.2); genuinely 3D grids — the reference solver's
 // territory — blow far past this.
 const CholeskyMaxFill = 40
-
-// SolverHint selects the linear-solver backend at Compile time.
-type SolverHint int
-
-const (
-	// HintAuto picks dense LU for tiny networks, sparse Cholesky (LDLᵀ)
-	// when the predicted fill is acceptable, and CG otherwise. This is what
-	// Compile does.
-	HintAuto SolverHint = iota
-	// HintDense forces the dense LU oracle.
-	HintDense
-	// HintCholesky forces the sparse direct LDLᵀ backend with no fill cap;
-	// non-SPD systems fail Compile.
-	HintCholesky
-	// HintCG forces the Jacobi-preconditioned conjugate-gradient backend.
-	HintCG
-	// HintReduced compiles onto the reduced-order (Krylov-projected) backend
-	// with default ReducedSpec settings: block-Arnoldi moment matching, dense
-	// pre-factored backward-Euler steps, automatic fallback to the full
-	// backend when the sampled residual gate trips (DESIGN.md §10). Use
-	// CompileReduced directly to pick the input columns and order.
-	HintReduced
-)
-
-// String names the hint for logs.
-func (h SolverHint) String() string {
-	switch h {
-	case HintDense:
-		return "dense"
-	case HintCholesky:
-		return "cholesky"
-	case HintCG:
-		return "cg"
-	case HintReduced:
-		return "reduced"
-	default:
-		return "auto"
-	}
-}
 
 // Solver is an assembled network ready for simulation. It holds the
 // conductance system behind a linalg.Operator (dense LU, sparse direct
@@ -202,10 +163,9 @@ func (h SolverHint) String() string {
 // SteadyState, DominantTimeConstant and HeatFlowToAmbient are safe to call
 // from any number of goroutines (per-call scratch comes from an internal
 // pool). The fixed-dt stepping methods (StepBE, TransientBE) share one
-// per-solver width-1 BatchSession and must not be called concurrently;
-// concurrent stepping goes through per-goroutine Sessions (NewSession),
-// BatchSessions, or the lockstep replay loop (Replay), which keeps all mutable
-// state per call.
+// per-solver width-1 stepping session and must not be called concurrently;
+// concurrent stepping goes through the lockstep replay loop (Replay), which
+// keeps all mutable state per call.
 type Solver struct {
 	net     *Network
 	backend linalg.Backend
@@ -220,7 +180,7 @@ type Solver struct {
 
 	// serial is the lazily-created width-1 stepping session backing StepBE
 	// and TransientBE; concurrent replays create their own sessions instead.
-	serial *BatchSession
+	serial *batchSession
 
 	// beOps caches backward-Euler operators (C/dt + A) per step size,
 	// shared by every session on this solver: the first session to step at
@@ -353,8 +313,8 @@ type SolverStats struct {
 	MaxPanelRows int `json:"max_panel_rows,omitempty"`
 	// BatchWidths histograms the backward-Euler solves by how many
 	// right-hand sides each solved per factor traversal (buckets
-	// "1".."65+"). Every step runs through a BatchSession, so the "1"
-	// bucket counts single-state steps (Session, Solver.StepBE) too.
+	// "1".."65+"). Every step runs through the one batched step, so the
+	// "1" bucket counts single-state steps (Solver.StepBE, TransientBE) too.
 	BatchWidths map[string]int64 `json:"batch_widths,omitempty"`
 	// KernelSolves counts sparse triangular-solve kernel invocations by
 	// register-block width ("1", "4", "8", "16"): one batched step over K
@@ -432,37 +392,25 @@ func (s *Solver) putWS(ws *linalg.Workspace) {
 // CholeskyMaxFill, and Jacobi-CG otherwise. It verifies every node has a
 // path to ambient (otherwise the conductance matrix is singular and the
 // steady state unbounded), so the direct backends never see a structurally
-// singular system. Equivalent to CompileHint(HintAuto); use CompileHint to
-// force a specific backend.
+// singular system. Use CompileWith to force a specific backend.
 func (n *Network) Compile() (*Solver, error) {
-	return n.CompileHint(HintAuto)
+	return autoSelect(n.N(), n.CompileWith)
 }
 
-// CompileHint is Compile with an explicit backend choice. HintAuto applies
-// the selection heuristic above; the other hints force their backend (and
-// surface its errors — e.g. HintCholesky on a non-SPD system fails instead
-// of falling back).
-func (n *Network) CompileHint(hint SolverHint) (*Solver, error) {
-	switch hint {
-	case HintDense:
-		return n.CompileWith(linalg.DenseBackend{})
-	case HintCholesky:
-		return n.CompileWith(linalg.CholeskyBackend{})
-	case HintCG:
-		return n.CompileWith(linalg.SparseBackend{})
-	case HintReduced:
-		return n.CompileReduced(ReducedSpec{})
+// autoSelect applies Compile's backend choice for an sz-node system through
+// build, which assembles onto one backend: dense LU at or below DenseCutoff,
+// fill-capped Cholesky above it, and CG when the factor would fill past the
+// cap or the system cannot be factored. Compile and a tripped reduced
+// solver's full fallback (Solver.fullOperator) share it.
+func autoSelect[T any](sz int, build func(linalg.Backend) (T, error)) (T, error) {
+	if sz <= DenseCutoff {
+		return build(linalg.DenseBackend{})
 	}
-	if n.N() <= DenseCutoff {
-		return n.CompileWith(linalg.DenseBackend{})
+	v, err := build(linalg.CholeskyBackend{MaxFillRatio: CholeskyMaxFill})
+	if errors.Is(err, linalg.ErrCholeskyFill) || errors.Is(err, linalg.ErrNotSPD) || errors.Is(err, linalg.ErrNotSymmetric) {
+		return build(linalg.SparseBackend{})
 	}
-	s, err := n.CompileWith(linalg.CholeskyBackend{MaxFillRatio: CholeskyMaxFill})
-	if err != nil && (errors.Is(err, linalg.ErrCholeskyFill) || errors.Is(err, linalg.ErrNotSPD) || errors.Is(err, linalg.ErrNotSymmetric)) {
-		// Too much fill (or a system the direct path cannot factor): the
-		// iterative backend handles both.
-		return n.CompileWith(linalg.SparseBackend{})
-	}
-	return s, err
+	return v, err
 }
 
 // CompileWith assembles the network onto an explicit solver backend. Use it
@@ -761,7 +709,7 @@ func (s *Solver) beOperatorCached(dt float64) (linalg.Operator, error) {
 // error, temp is left unchanged.
 func (s *Solver) StepBE(temp, power []float64, dt float64) error {
 	if s.serial == nil {
-		s.serial = s.NewBatchSession(1)
+		s.serial = s.newBatchSession(1)
 	}
 	return s.serial.step1(temp, power, dt)
 }

@@ -1,21 +1,19 @@
 package rcnet
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/linalg"
 )
 
 // This file holds the reduced-order (MOR) compile path: CompileReduced
 // projects the assembled conductance system onto a block-Krylov basis
-// (linalg.NewReducedOperator), after which every backward-Euler step is a
-// dense O(n·r + r²) solve and a session's working state is a few KB — the
-// per-user serving regime. The projection is approximate, so the stepping
-// layer samples an a-posteriori residual against the exact matrix and trips
-// the solver back onto its full backend when the gate is exceeded
-// (DESIGN.md §10.3); construction failures fall back at compile time.
+// (linalg.NewReducedOperator), after which every backward-Euler step of the
+// one batched step is a dense O(n·r + r²) solve — the per-user serving
+// regime. The projection is approximate, so the batch step samples an
+// a-posteriori residual against the exact matrix and trips the solver back
+// onto its full backend when the gate is exceeded (DESIGN.md §10.3);
+// construction failures fall back at compile time.
 
 // DefaultReducedOrder caps the reduced basis size when ReducedSpec.Order is
 // unset. It sits at the top of the useful range: floorplan-scale networks
@@ -182,21 +180,14 @@ func (s *Solver) baseOp() linalg.Operator {
 }
 
 // fullOperator lazily assembles the full-backend conductance operator a
-// tripped reduced solver falls back onto, applying Compile's auto-selection
-// (dense for tiny networks, Cholesky with CG fallback above).
+// tripped reduced solver falls back onto, with Compile's backend choice.
 func (s *Solver) fullOperator() (linalg.Operator, error) {
 	s.fullOnce.Do(func() {
 		sz := s.net.N()
 		entries := s.net.assemble()
-		if sz <= DenseCutoff {
-			s.fullOp, s.fullErr = linalg.DenseBackend{}.Assemble(sz, entries)
-		} else {
-			op, err := linalg.CholeskyBackend{MaxFillRatio: CholeskyMaxFill}.Assemble(sz, entries)
-			if err != nil && (errors.Is(err, linalg.ErrCholeskyFill) || errors.Is(err, linalg.ErrNotSPD) || errors.Is(err, linalg.ErrNotSymmetric)) {
-				op, err = linalg.SparseBackend{}.Assemble(sz, entries)
-			}
-			s.fullOp, s.fullErr = op, err
-		}
+		s.fullOp, s.fullErr = autoSelect(sz, func(b linalg.Backend) (linalg.Operator, error) {
+			return b.Assemble(sz, entries)
+		})
 		if s.fullErr == nil && !s.fullOp.Iterative() {
 			s.stats.factorizations.Add(1)
 		}
@@ -206,7 +197,7 @@ func (s *Solver) fullOperator() (linalg.Operator, error) {
 
 // tripReduced switches the solver from the reduced projection onto the full
 // backend: the backward-Euler factor cache is dropped (its entries were
-// reduced projections) and the epoch is bumped so every live session
+// reduced projections) and the epoch is bumped so every live batch session
 // refetches its operator on the next step. Idempotent; if the full backend
 // itself cannot assemble, the solver stays on the reduced path rather than
 // failing.
@@ -226,239 +217,10 @@ func (s *Solver) tripReduced() {
 	s.beMu.Unlock()
 }
 
-// ReducedSession is a streaming per-user stepping context that keeps its
-// thermal state in reduced coordinates: one backward-Euler step is an O(r²)
-// dense recurrence ẑ ← Â⁻¹(b̂ + D̂ẑ), independent of the full node count.
-// Full-space Session stepping through a reduced solver still pays O(n·r)
-// per step to project and expand every vector; this session projects the
-// power vector only when it changes (SetPower) and expands temperatures
-// only on reads and on the sampled residual checks — the regime where model
-// order reduction actually beats the sparse direct solve, n ≫ order.
-//
-// The recurrence is exact with respect to full-space reduced stepping once
-// the state lies in span(V); Start projects the seed onto the basis, so
-// seed the session from a steady state solved by the same reduced solver
-// (already in span(V)) for bit-level agreement. Sampled steps verify the
-// a-posteriori residual against the exact matrix exactly like Session
-// stepping does; a tripped gate transparently switches the session (and the
-// solver) onto the full backend, re-doing the offending step there. A
-// ReducedSession must not be used from more than one goroutine at a time.
-type ReducedSession struct {
-	s  *Solver
-	dt float64
-	op *linalg.ReducedOperator // BE-shifted projection; nil once on the full path
-
-	// Propagator-form recurrence state (DESIGN.md §10.4): one step is
-	// znew = csrc + prop·z, a single r² matvec. prop = Â⁻¹D̂ is cached on
-	// the shared operator; csrc = Â⁻¹Vᵀ(p + ambient) is recomputed only by
-	// SetPower.
-	prop          *linalg.Matrix
-	csrc          []float64
-	z, znew, bhat []float64 // reduced state, step scratch, projected source
-	power         []float64 // full-space power behind bhat (residual checks, fallback)
-	temp          []float64 // full-space scratch: pre-step state on sampled checks
-	xnew          []float64 // full-space scratch: candidate state on sampled checks
-	rhs, res      []float64 // exact-rhs and residual scratch for sampled checks
-	capDt         []float64 // C/dt (sampled-check rhs term)
-	ws            linalg.Workspace
-	nsteps        uint64
-	sampleMask    uint64 // residual check every sampleMask+1 steps (power of two)
-	started       bool
-	havePower     bool
-	full          *Session // non-nil once tripped onto the full backend
-}
-
-// NewReducedSession creates a streaming context stepping at a fixed dt.
-// Only solvers compiled through CompileReduced support it; a solver whose
-// residual gate already tripped hands back a session that steps through the
-// full backend from the start.
-func (s *Solver) NewReducedSession(dt float64) (*ReducedSession, error) {
-	if s.reduced == nil {
-		return nil, fmt.Errorf("rcnet: solver was not compiled with CompileReduced")
-	}
-	if !(dt > 0) || math.IsInf(dt, 0) {
-		return nil, fmt.Errorf("rcnet: invalid step %g", dt)
-	}
-	op, err := s.beOperatorCached(dt)
-	if err != nil {
-		return nil, err
-	}
-	n := s.net.N()
-	rs := &ReducedSession{
-		s: s, dt: dt,
-		power: make([]float64, n), temp: make([]float64, n), capDt: make([]float64, n),
-	}
-	for i, c := range s.net.cap {
-		rs.capDt[i] = c / dt
-	}
-	if red, ok := op.(*linalg.ReducedOperator); ok && s.epoch.Load() == 0 {
-		prop, err := red.Propagator()
-		if err != nil {
-			return nil, err
-		}
-		r := red.Order()
-		rs.op, rs.prop = red, prop
-		rs.z, rs.znew, rs.bhat = make([]float64, r), make([]float64, r), make([]float64, r)
-		rs.csrc = make([]float64, r)
-		rs.xnew, rs.rhs, rs.res = make([]float64, n), make([]float64, n), make([]float64, n)
-		// A sampled check costs two O(n·r) expansions against O(r²) steps in
-		// between; stretch the cadence on large networks so its amortized
-		// cost stays a small fraction of the matvec (first step always
-		// checked, so a hopeless basis still trips immediately).
-		cadence := uint64(64)
-		for cadence < uint64(8*n/r) && cadence < 4096 {
-			cadence *= 2
-		}
-		rs.sampleMask = cadence - 1
-	} else {
-		rs.full = s.NewSession()
-	}
-	return rs, nil
-}
-
-// Reduced reports whether the session is still stepping in reduced
-// coordinates (false once tripped onto the full backend).
-func (rs *ReducedSession) Reduced() bool { return rs.full == nil }
-
-// Order returns the reduced dimension the session steps in, 0 on the full
-// path.
-func (rs *ReducedSession) Order() int {
-	if rs.op == nil {
-		return 0
-	}
-	return rs.op.Order()
-}
-
-// Start seeds the session's thermal state (Kelvin, full node vector). On
-// the reduced path the seed is projected onto the basis: a seed already in
-// span(V) — any state produced by this solver — is represented exactly.
-func (rs *ReducedSession) Start(temp []float64) error {
-	if len(temp) != rs.s.net.N() {
-		return fmt.Errorf("rcnet: temperature vector length %d, want %d", len(temp), rs.s.net.N())
-	}
-	copy(rs.temp, temp)
-	if rs.op != nil {
-		rs.op.ReduceInto(temp, rs.z)
-	}
-	rs.started = true
-	return nil
-}
-
-// SetPower installs the per-node power vector for subsequent steps,
-// projecting it onto the basis once (O(n·r)). Call only when the power
-// actually changes; Step is O(order²) in between.
-func (rs *ReducedSession) SetPower(power []float64) error {
-	if len(power) != rs.s.net.N() {
-		return fmt.Errorf("rcnet: power vector length %d, want %d", len(power), rs.s.net.N())
-	}
-	copy(rs.power, power)
-	if rs.op != nil {
-		for i := range rs.rhs {
-			rs.rhs[i] = power[i] + rs.s.ambRHS[i]
-		}
-		rs.op.ReduceInto(rs.rhs, rs.bhat)
-		if err := rs.op.SolveReducedInto(rs.bhat, rs.csrc, &rs.ws); err != nil {
-			return err
-		}
-	}
-	rs.havePower = true
-	return nil
-}
-
-// stepReduced advances z → znew through the propagator recurrence
-// znew = csrc + P·z and swaps the state buffers: one r×r matvec, the whole
-// per-step cost of the reduced path.
-func (rs *ReducedSession) stepReduced() {
-	r := len(rs.z)
-	z, c := rs.z[:r], rs.csrc
-	for a := 0; a < r; a++ {
-		row := rs.prop.Row(a)[:r]
-		var s0, s1, s2, s3 float64
-		j := 0
-		for ; j+3 < r; j += 4 {
-			s0 += row[j] * z[j]
-			s1 += row[j+1] * z[j+1]
-			s2 += row[j+2] * z[j+2]
-			s3 += row[j+3] * z[j+3]
-		}
-		for ; j < r; j++ {
-			s0 += row[j] * z[j]
-		}
-		rs.znew[a] = c[a] + (s0 + s1) + (s2 + s3)
-	}
-	rs.z, rs.znew = rs.znew, rs.z
-}
-
-// Step advances the state by one backward-Euler step of dt under the
-// current power. The first step and periodically sampled ones (every 64
-// steps on small networks, stretched up to every 4096 on large ones to keep
-// the O(n·order) expansion amortized away) are verified against the exact
-// matrix; a residual above the solver's gate trips the session onto the
-// full backend and re-does the step there, so the returned trajectory never
-// includes an unverified-and-rejected state.
-func (rs *ReducedSession) Step() error {
-	if !rs.started {
-		return fmt.Errorf("rcnet: ReducedSession.Step before Start")
-	}
-	if !rs.havePower {
-		return fmt.Errorf("rcnet: ReducedSession.Step before SetPower")
-	}
-	if rs.op != nil && rs.s.epoch.Load() != 0 {
-		// Another session tripped the solver; follow it onto the full path.
-		rs.op.ExpandInto(rs.z, rs.temp)
-		rs.op, rs.full = nil, rs.s.NewSession()
-	}
-	if rs.full != nil {
-		return rs.full.StepBE(rs.temp, rs.power, rs.dt)
-	}
-	st := &rs.s.stats
-	sample := rs.nsteps&rs.sampleMask == 0
-	rs.nsteps++
-	if !sample {
-		rs.stepReduced()
-		st.directSteps.Add(1)
-		st.reducedSteps.Add(1)
-		return nil
-	}
-	// Sampled step: expand the pre-step state, build the exact backward-Euler
-	// right-hand side, take the reduced step, and check the candidate against
-	// the full matrix before committing it.
-	rs.op.ExpandInto(rs.z, rs.temp)
-	for i := range rs.rhs {
-		rs.rhs[i] = rs.power[i] + rs.s.ambRHS[i] + rs.capDt[i]*rs.temp[i]
-	}
-	rs.stepReduced()
-	rs.op.ExpandInto(rs.z, rs.xnew)
-	if !rs.s.checkReducedResidual(rs.op, rs.rhs, rs.xnew, rs.res) {
-		// Gate tripped: undo the swap so rs.temp (pre-step state) seeds the
-		// full backend, then redo the step there and stay there.
-		rs.z, rs.znew = rs.znew, rs.z
-		rs.op, rs.full = nil, rs.s.NewSession()
-		return rs.full.StepBE(rs.temp, rs.power, rs.dt)
-	}
-	st.directSteps.Add(1)
-	st.reducedSteps.Add(1)
-	return nil
-}
-
-// Temps writes the current full-space temperatures into dst (allocated when
-// nil) and returns it. O(n·order) on the reduced path.
-func (rs *ReducedSession) Temps(dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, rs.s.net.N())
-	}
-	if rs.full != nil {
-		copy(dst, rs.temp)
-	} else {
-		rs.op.ExpandInto(rs.z, dst)
-	}
-	return dst
-}
-
 // checkReducedResidual samples the a-posteriori quality of one reduced
 // backward-Euler solve: the relative residual of x against the exact
 // shifted matrix. A residual above the gate trips the fallback and reports
-// false, telling the session to redo the step through the full backend.
+// false, telling the batch step to redo itself through the full backend.
 func (s *Solver) checkReducedResidual(op *linalg.ReducedOperator, rhs, x, scratch []float64) bool {
 	if op.RelativeResidual(rhs, x, scratch) <= s.redGate {
 		return true

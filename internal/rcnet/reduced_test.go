@@ -77,6 +77,21 @@ func TestCompileReducedMatchesFull(t *testing.T) {
 			t.Fatalf("steady[%d]: full %g, reduced %g", i, sf[i], sr[i])
 		}
 	}
+	// The default spec (every node an input column) compiles onto the
+	// reduced backend too and reproduces the full steady state.
+	def, err := net.CompileReduced(ReducedSpec{})
+	if err != nil {
+		t.Fatalf("CompileReduced(default spec): %v", err)
+	}
+	if def.Backend() != "reduced" {
+		t.Fatalf("default spec: Backend() = %q, want reduced", def.Backend())
+	}
+	sd := def.SteadyState(power)
+	for i := range sf {
+		if math.Abs(sf[i]-sd[i]) > 1e-6 {
+			t.Fatalf("steady[%d]: full %g, default-spec reduced %g", i, sf[i], sd[i])
+		}
+	}
 
 	tf, tr := full.AmbientVector(), red.AmbientVector()
 	for step := 0; step < 50; step++ {
@@ -149,8 +164,8 @@ func TestReducedResidualGateTripsFallback(t *testing.T) {
 	}
 }
 
-// The batched stepping path must agree with per-session stepping on the
-// reduced backend and count its steps.
+// The batched stepping path must agree with width-1 stepping on the reduced
+// backend.
 func TestReducedBatchStepMatchesSerial(t *testing.T) {
 	net, inputs := reducedTestNet(8, 8)
 	red, err := net.CompileReduced(ReducedSpec{Inputs: inputs, Order: 24})
@@ -171,7 +186,7 @@ func TestReducedBatchStepMatchesSerial(t *testing.T) {
 		}
 		powers[j] = p
 	}
-	bs := red.NewBatchSession(k)
+	bs := red.newBatchSession(k)
 	errs := make([]error, k)
 	for step := 0; step < 10; step++ {
 		if err := bs.StepBE(batch, powers, 1e-3, errs); err != nil {
@@ -179,9 +194,8 @@ func TestReducedBatchStepMatchesSerial(t *testing.T) {
 		}
 	}
 	for j := 0; j < k; j++ {
-		ses := red.NewSession()
 		for step := 0; step < 10; step++ {
-			if err := ses.StepBE(serial[j], powers[j], 1e-3); err != nil {
+			if err := red.StepBE(serial[j], powers[j], 1e-3); err != nil {
 				t.Fatalf("serial StepBE: %v", err)
 			}
 		}
@@ -207,199 +221,5 @@ func TestCompileReducedConstructionFallback(t *testing.T) {
 	}
 	if got := s.Stats().ReducedFallbacks; got != 1 {
 		t.Fatalf("ReducedFallbacks = %d, want 1", got)
-	}
-}
-
-// HintReduced routes through CompileReduced and names itself.
-func TestHintReduced(t *testing.T) {
-	if HintReduced.String() != "reduced" {
-		t.Fatalf("HintReduced.String() = %q", HintReduced.String())
-	}
-	net, inputs := reducedTestNet(5, 5)
-	s, err := net.CompileHint(HintReduced)
-	if err != nil {
-		t.Fatalf("CompileHint(HintReduced): %v", err)
-	}
-	if s.Backend() != "reduced" {
-		t.Fatalf("Backend() = %q, want reduced", s.Backend())
-	}
-	power := reducedTestPower(net, inputs)
-	full, _ := net.Compile()
-	sf, sr := full.SteadyState(power), s.SteadyState(power)
-	for i := range sf {
-		if math.Abs(sf[i]-sr[i]) > 1e-6 {
-			t.Fatalf("steady[%d]: full %g, hint-reduced %g", i, sf[i], sr[i])
-		}
-	}
-}
-
-// A ReducedSession streaming in reduced coordinates must track full-space
-// Session stepping on the same reduced solver, including across a
-// mid-stream power change, when seeded from a state in span(V).
-func TestReducedSessionMatchesSessionStepping(t *testing.T) {
-	net, inputs := reducedTestNet(8, 8)
-	red, err := net.CompileReduced(ReducedSpec{Inputs: inputs, Order: 24})
-	if err != nil {
-		t.Fatalf("CompileReduced: %v", err)
-	}
-	power := reducedTestPower(net, inputs)
-	seed := red.SteadyState(power) // in span(V): exactly representable
-
-	rs, err := red.NewReducedSession(1e-3)
-	if err != nil {
-		t.Fatalf("NewReducedSession: %v", err)
-	}
-	if !rs.Reduced() {
-		t.Fatal("Reduced() = false on a fresh session")
-	}
-	if rs.Order() <= 0 || rs.Order() > 24 {
-		t.Fatalf("Order() = %d, want 1..24", rs.Order())
-	}
-	if err := rs.Step(); err == nil {
-		t.Fatal("Step before Start must error")
-	}
-	if err := rs.Start(seed); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if err := rs.Step(); err == nil {
-		t.Fatal("Step before SetPower must error")
-	}
-
-	ref := append([]float64(nil), seed...)
-	ses := red.NewSession()
-	halved := make([]float64, len(power))
-	for i, p := range power {
-		halved[i] = 0.5 * p
-	}
-	if err := rs.SetPower(halved); err != nil {
-		t.Fatalf("SetPower: %v", err)
-	}
-	for step := 0; step < 150; step++ {
-		if step == 70 {
-			if err := rs.SetPower(power); err != nil {
-				t.Fatalf("SetPower: %v", err)
-			}
-		}
-		p := halved
-		if step >= 70 {
-			p = power
-		}
-		if err := rs.Step(); err != nil {
-			t.Fatalf("Step %d: %v", step, err)
-		}
-		if err := ses.StepBE(ref, p, 1e-3); err != nil {
-			t.Fatalf("Session StepBE %d: %v", step, err)
-		}
-	}
-	if !rs.Reduced() {
-		t.Fatal("session tripped onto the full backend on a healthy basis")
-	}
-	got := rs.Temps(nil)
-	for i := range ref {
-		if math.Abs(got[i]-ref[i]) > 1e-8*(1+math.Abs(ref[i])) {
-			t.Fatalf("node %d: streaming %g vs full-space %g (Δ=%g)", i, got[i], ref[i], got[i]-ref[i])
-		}
-	}
-	if st := red.Stats(); st.ReducedFallbacks != 0 {
-		t.Fatalf("ReducedFallbacks = %d, want 0", st.ReducedFallbacks)
-	}
-}
-
-// A ReducedSession whose sampled residual trips the gate must switch onto
-// the full backend, redo the offending step there, and keep tracking the
-// full solver afterwards.
-func TestReducedSessionTripsToFull(t *testing.T) {
-	net, inputs := reducedTestNet(8, 8)
-	red, err := net.CompileReduced(ReducedSpec{Inputs: inputs, Order: 24, ResidualGate: 1e-300})
-	if err != nil {
-		t.Fatalf("CompileReduced: %v", err)
-	}
-	full, err := net.Compile()
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	power := reducedTestPower(net, inputs)
-	seed := red.SteadyState(power)
-
-	rs, err := red.NewReducedSession(1e-3)
-	if err != nil {
-		t.Fatalf("NewReducedSession: %v", err)
-	}
-	if err := rs.Start(seed); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if err := rs.SetPower(power); err != nil {
-		t.Fatalf("SetPower: %v", err)
-	}
-	ref := append([]float64(nil), seed...)
-	for step := 0; step < 30; step++ {
-		if err := rs.Step(); err != nil {
-			t.Fatalf("Step %d: %v", step, err)
-		}
-		if err := full.StepBE(ref, power, 1e-3); err != nil {
-			t.Fatalf("full StepBE %d: %v", step, err)
-		}
-	}
-	if rs.Reduced() {
-		t.Fatal("Reduced() = true after an impossible gate — trip never happened")
-	}
-	if rs.Order() != 0 {
-		t.Fatalf("Order() = %d on the full path, want 0", rs.Order())
-	}
-	st := red.Stats()
-	if st.ReducedFallbacks != 1 {
-		t.Fatalf("ReducedFallbacks = %d, want 1", st.ReducedFallbacks)
-	}
-	if st.ReducedSteps != 0 {
-		t.Fatalf("ReducedSteps = %d, want 0 — the first sampled step must be redone in full", st.ReducedSteps)
-	}
-	got := rs.Temps(nil)
-	for i := range ref {
-		// The seed round-trips through the basis (V·Vᵀ), so post-trip
-		// agreement with the full solver is to projection accuracy, not
-		// bitwise.
-		if math.Abs(got[i]-ref[i]) > 1e-8*(1+math.Abs(ref[i])) {
-			t.Fatalf("node %d: tripped-session %g vs full %g", i, got[i], ref[i])
-		}
-	}
-
-	// A session created after the trip starts on the full path outright.
-	rs2, err := red.NewReducedSession(1e-3)
-	if err != nil {
-		t.Fatalf("NewReducedSession post-trip: %v", err)
-	}
-	if rs2.Reduced() {
-		t.Fatal("post-trip session must start on the full backend")
-	}
-}
-
-// NewReducedSession is rejected on full-backend solvers and bad step sizes.
-func TestReducedSessionConstructionErrors(t *testing.T) {
-	net, inputs := reducedTestNet(5, 5)
-	full, err := net.Compile()
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	if _, err := full.NewReducedSession(1e-3); err == nil {
-		t.Fatal("NewReducedSession on a full-backend solver must error")
-	}
-	red, err := net.CompileReduced(ReducedSpec{Inputs: inputs})
-	if err != nil {
-		t.Fatalf("CompileReduced: %v", err)
-	}
-	for _, dt := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		if _, err := red.NewReducedSession(dt); err == nil {
-			t.Fatalf("NewReducedSession(%g) must error", dt)
-		}
-	}
-	rs, err := red.NewReducedSession(1e-3)
-	if err != nil {
-		t.Fatalf("NewReducedSession: %v", err)
-	}
-	if err := rs.Start(make([]float64, 3)); err == nil {
-		t.Fatal("Start with a short vector must error")
-	}
-	if err := rs.SetPower(make([]float64, 3)); err == nil {
-		t.Fatal("SetPower with a short vector must error")
 	}
 }

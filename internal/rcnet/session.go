@@ -1,18 +1,20 @@
 package rcnet
 
-// Session is an exported per-goroutine solving context over one compiled
-// Solver: a width-1 BatchSession (its own solve workspace and cached
-// backward-Euler operator) plus a steady-state warm-start vector. Any
-// number of Sessions may run concurrently against the same Solver (they
-// share only the immutable conductance operator); a single Session must not
-// be used from more than one goroutine at a time.
+import "repro/internal/linalg"
+
+// Session is an exported per-goroutine steady-state context over one
+// compiled Solver: its own solve workspace plus a steady-state warm-start
+// vector. Any number of Sessions may run concurrently against the same
+// Solver (they share only the immutable conductance operator); a single
+// Session must not be used from more than one goroutine at a time.
 //
 // Long-lived services keep a pool of Sessions per compiled model: repeated
 // steady solves then warm-start from the previous solution (the iterative
-// backend converges almost immediately for similar power maps), and repeated
-// same-dt stepping reuses one shifted operator.
+// backend converges almost immediately for similar power maps). Transients
+// step through Solver.Replay, which keeps its own per-call state.
 type Session struct {
-	bs *BatchSession
+	s  *Solver
+	ws linalg.Workspace
 	// steadyWarm is the previous steady solution, used to warm-start the
 	// next one; steadyRHS is the right-hand side that produced it, so a
 	// repeated identical request is answered by memoization (bit-identical
@@ -24,11 +26,11 @@ type Session struct {
 // NewSession creates an independent solving context. Safe to call
 // concurrently.
 func (s *Solver) NewSession() *Session {
-	return &Session{bs: s.NewBatchSession(1)}
+	return &Session{s: s}
 }
 
 // Solver returns the compiled solver this session runs against.
-func (se *Session) Solver() *Solver { return se.bs.s }
+func (se *Session) Solver() *Solver { return se.s }
 
 // SteadyState returns the equilibrium temperatures (Kelvin) for constant
 // per-node power injection. A repeat of the session's previous power map
@@ -37,7 +39,7 @@ func (se *Session) Solver() *Solver { return se.bs.s }
 // solve is deterministic and both refine to near-direct accuracy); only the
 // work differs. The returned slice is the caller's to mutate.
 func (se *Session) SteadyState(power []float64) []float64 {
-	s := se.bs.s
+	s := se.s
 	b := s.rhs(power)
 	if se.steadyRHS != nil && equalVec(b, se.steadyRHS) {
 		out := make([]float64, len(se.steadyWarm))
@@ -48,7 +50,7 @@ func (se *Session) SteadyState(power []float64) []float64 {
 	if warm == nil {
 		warm = s.AmbientVector()
 	}
-	x := s.solveRefined(b, warm, &se.bs.ws)
+	x := s.solveRefined(b, warm, &se.ws)
 	se.steadyWarm = append(se.steadyWarm[:0], x...)
 	se.steadyRHS = append(se.steadyRHS[:0], b...)
 	return x
@@ -64,11 +66,4 @@ func equalVec(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// StepBE advances temp (in place) by one backward-Euler step of size dt
-// under constant power, using the session's cached (C/dt + A) operator. On
-// error, temp is left unchanged.
-func (se *Session) StepBE(temp, power []float64, dt float64) error {
-	return se.bs.step1(temp, power, dt)
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -11,9 +12,7 @@ import (
 	"repro/internal/dtm"
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
-	"repro/internal/pool"
 	"repro/internal/power"
-	"repro/internal/rcnet"
 	"repro/internal/uarch"
 )
 
@@ -660,18 +659,17 @@ func (c *Compiled) nominalPrepass(ctx context.Context) error {
 }
 
 // RunGrid co-simulates every grid cell across a worker pool (workers ≤ 0 =
-// GOMAXPROCS) and returns per-cell results indexed like Cells(). Cells are
-// split round-robin into per-worker chunks; each worker groups its chunk by
-// package and advances every group in lockstep through a
-// hotspot.BatchSession, so same-package cells share both the cached
-// backward-Euler factor and each step's factor traversal (one batched solve
-// for the whole group). Cells themselves stay fully independent (own CPU
-// state, own temperatures, own controller), and batching never changes
-// per-column arithmetic, so the results are bit-identical for any worker
-// count. onCell, when non-nil, is called once per cell as it finishes (any
-// order, serialized) — the service's NDJSON streaming hook. ctx, when
-// non-nil, aborts unfinished cells with its error once cancelled; finished
-// cells keep their results.
+// GOMAXPROCS) and returns per-cell results indexed like Cells(). Every cell
+// is one hotspot.RunLoops job whose power fill runs the cell's control step
+// against its own live temperatures, so same-package cells share both the
+// cached backward-Euler factor and each step's factor traversal (one
+// batched solve per step for the lockstep group). Cells themselves stay
+// fully independent (own CPU state, own temperatures, own controller), and
+// batching never changes per-column arithmetic, so the results are
+// bit-identical for any worker count. onCell, when non-nil, is called once
+// per cell as it finishes (any order, serialized) — the service's NDJSON
+// streaming hook. ctx, when non-nil, aborts unfinished cells with its error
+// once cancelled; finished cells keep their results.
 func (c *Compiled) RunGrid(ctx context.Context, workers int, onCell func(CellResult)) []CellResult {
 	return c.runGrid(ctx, workers, onCell, nil)
 }
@@ -717,273 +715,194 @@ func (c *Compiled) RunGridTelemetry(ctx context.Context, workers int, onCell fun
 func (c *Compiled) runGrid(ctx context.Context, workers int, onCell func(CellResult), sink TelemetrySink) []CellResult {
 	cells := c.Cells()
 	results := make([]CellResult, len(cells))
-	if len(cells) == 0 {
-		return results
-	}
 	var mu sync.Mutex
-	emit := func(i int) {
+	done := func(r *cellRun, err error) {
+		r.finished = true
+		results[r.cell.Index] = CellResult{Cell: r.cell, Metrics: r.m, Err: err}
 		if onCell != nil {
 			mu.Lock()
-			onCell(results[i])
-			mu.Unlock()
+			defer mu.Unlock()
+			onCell(results[r.cell.Index])
 		}
 	}
-	all := make([]int, len(cells))
-	for i := range all {
-		all[i] = i
-	}
-	pool.RunChunked(all, workers, func(chunk []int) {
-		// Group the chunk's cells by package, first-seen order.
-		var order []*compiledPackage
-		groups := make(map[*compiledPackage][]int)
-		for _, i := range chunk {
-			pkg := &c.pkgs[cells[i].Index/len(c.policies)]
-			if _, ok := groups[pkg]; !ok {
-				order = append(order, pkg)
-			}
-			groups[pkg] = append(groups[pkg], i)
-		}
-		for _, pkg := range order {
-			g := groups[pkg]
-			for off := 0; off < len(g); off += rcnet.MaxBatchWidth {
-				end := off + rcnet.MaxBatchWidth
-				if end > len(g) {
-					end = len(g)
-				}
-				c.runCellGroup(ctx, pkg, cells, g[off:end], results, sink)
-				for _, i := range g[off:end] {
-					emit(i)
-				}
-			}
-		}
-	})
-	return results
-}
-
-// cellRun is the per-cell mutable state of one lockstep group member.
-type cellRun struct {
-	pol        dtm.Policy
-	ctrl       *dtm.Controller
-	pr         *producer
-	temps      []float64
-	blockPower []float64
-	blocksC    []float64
-	m          Metrics
-	nonWorkPen float64 // engaged non-workload penalty accumulator
-	tel        []string // telemetry series names, nil unless a sink is attached
-	err        error
-	done       bool
-}
-
-// runCellGroup runs one ≤MaxBatchWidth group of same-package closed-loop
-// cells in lockstep. Per-cell stepping order is unchanged from the serial
-// engine (DESIGN.md §6): read the true state, account violations, sample
-// sensors on the controller schedule, decide engagement, produce this
-// step's power under that engagement — then advance every cell's thermal
-// state in one batched solve, so actuation alters the power of the step it
-// triggers in and its thermal effect reaches the sensors one step later.
-func (c *Compiled) runCellGroup(ctx context.Context, pkg *compiledPackage, cells []Cell, idx []int, results []CellResult, sink TelemetrySink) {
-	kk := len(idx)
-	model := pkg.model
-	runs := make([]*cellRun, kk)
-	tview := make([][]float64, kk)
-	pview := make([][]float64, kk)
-	serrs := make([]error, kk)
-	bs := model.NewBatchSession(kk)
-	// Per-cell setup with panic containment (a broken workload constructor
-	// must fail its own cell, like the per-cell recover it replaced).
-	setup := func(k, i int) {
-		r := runs[k]
-		defer func() {
-			if p := recover(); p != nil {
-				r.err = fmt.Errorf("scenario: cell %d panicked: %v", i, p)
-				r.done = true
-			}
-		}()
-		ctrl, err := dtm.NewController(r.pol, c.dt)
-		if err != nil {
-			r.err, r.done = err, true
-			return
-		}
-		r.ctrl = ctrl
+	runs := make([]*cellRun, len(cells))
+	jobs := make([]hotspot.LoopJob, len(cells))
+	for i, cell := range cells {
+		pkg := &c.pkgs[i/len(c.policies)]
+		r := &cellRun{c: c, ctx: ctx, sink: sink, cell: cell, model: pkg.model}
 		r.temps = append([]float64(nil), pkg.initTemps...)
-		r.blockPower = make([]float64, c.fp.N())
-		r.blocksC = make([]float64, c.fp.N())
-		r.pr = c.newProducer()
-	}
-	for k, i := range idx {
-		r := &cellRun{pol: cells[i].Policy}
 		r.m.DurationS = float64(c.steps) * c.dt
 		r.m.PeakC = math.Inf(-1)
 		r.m.ObservedPeakC = math.Inf(-1)
 		if sink != nil {
-			r.tel = c.TelemetrySeries(cells[i].Index)
+			r.tel = c.TelemetrySeries(cell.Index)
 		}
-		runs[k] = r
-		setup(k, i)
+		runs[i] = r
+		jobs[i] = hotspot.LoopJob{Model: pkg.model, Temps: r.temps, Step: c.dt, Power: func(blockPower []float64) error {
+			err := r.step(blockPower)
+			switch {
+			case err == io.EOF:
+				done(r, nil)
+			case err != nil:
+				done(r, err)
+			}
+			return err
+		}}
 	}
-	// preStep runs one cell's sense/decide/produce phase for step; panics
-	// (a broken schedule or workload) fail their own cell only.
-	preStep := func(k int, step int) {
-		r := runs[k]
-		defer func() {
-			if p := recover(); p != nil {
-				r.err = fmt.Errorf("scenario: cell %d panicked: %v", idx[k], p)
-				r.done = true
-			}
-		}()
-		model.BlocksCInto(r.temps, r.blocksC)
-		hot := r.blocksC[0]
-		for _, v := range r.blocksC {
-			if v > hot {
-				hot = v
-			}
+	// Failures outside a cell's own step (a panic, an invalid block power,
+	// a stalled solve) surface here.
+	for i, err := range hotspot.RunLoops(jobs, workers) {
+		if err != nil && !runs[i].finished {
+			done(runs[i], fmt.Errorf("scenario: cell %d: %w", i, err))
 		}
-		if step == 0 {
-			r.m.InitialHotC = hot
-		}
-		if hot > r.m.PeakC {
-			r.m.PeakC = hot
-		}
+	}
+	return results
+}
 
-		// Sense and decide.
-		if r.ctrl.ShouldSample(step) {
-			obs := math.Inf(-1)
+// cellRun is one grid cell's closed loop. Its step is the cell's power fill
+// on the stepping core, which calls it once per control step with the
+// cell's temperatures advanced in place in between.
+type cellRun struct {
+	c          *Compiled
+	ctx        context.Context
+	sink       TelemetrySink
+	cell       Cell
+	model      *hotspot.Model
+	temps      []float64 // live thermal state
+	k          int       // control steps taken
+	ctrl       *dtm.Controller
+	pr         *producer
+	blocksC    []float64
+	m          Metrics
+	nonWorkPen float64  // engaged non-workload penalty accumulator
+	tel        []string // telemetry series names, nil unless a sink is attached
+	finished   bool     // result recorded
+}
+
+// step runs the cell's phase for control step r.k, in the serial engine's
+// order (DESIGN.md §6): read the true state, account violations, sample
+// sensors on the controller schedule, decide engagement, produce this
+// step's block power under that engagement. The stepping core then
+// advances every live cell's thermal state in one batched solve, so
+// actuation alters the power of the step it triggers in and its thermal
+// effect reaches the sensors one step later. After the last step, step
+// computes the closing metrics and returns io.EOF.
+func (r *cellRun) step(blockPower []float64) error {
+	c := r.c
+	if r.k == c.steps {
+		c.finishCell(r)
+		r.pr = nil // the CPU state is dead weight until the grid returns
+		return io.EOF
+	}
+	if r.ctx != nil {
+		if err := r.ctx.Err(); err != nil {
+			return fmt.Errorf("scenario: aborted at step %d/%d: %w", r.k, c.steps, err)
+		}
+	}
+	if r.k == 0 {
+		ctrl, err := dtm.NewController(r.cell.Policy, c.dt)
+		if err != nil {
+			return err
+		}
+		r.ctrl = ctrl
+		r.blocksC = make([]float64, c.fp.N())
+		r.pr = c.newProducer()
+	}
+	step := r.k
+	r.model.BlocksCInto(r.temps, r.blocksC)
+	hot := r.blocksC[0]
+	for _, v := range r.blocksC {
+		if v > hot {
+			hot = v
+		}
+	}
+	if step == 0 {
+		r.m.InitialHotC = hot
+	}
+	if hot > r.m.PeakC {
+		r.m.PeakC = hot
+	}
+
+	// Sense and decide.
+	if r.ctrl.ShouldSample(step) {
+		obs := math.Inf(-1)
+		if len(c.sensorIdx) == 0 {
+			obs = hot
+		} else {
+			for i, bi := range c.sensorIdx {
+				if v := r.blocksC[bi] + c.sensorOff[i]; v > obs {
+					obs = v
+				}
+			}
+		}
+		if r.tel != nil {
+			// Record exactly what the controller is about to see, at the
+			// sample's simulation time. A sink failure (disk full, store
+			// closed) fails this cell and leaves the grid running.
+			tSec := float64(step) * c.dt
 			if len(c.sensorIdx) == 0 {
-				obs = hot
+				if err := r.sink.Append(r.tel[0], tSec, obs); err != nil {
+					return err
+				}
 			} else {
 				for i, bi := range c.sensorIdx {
-					if v := r.blocksC[bi] + c.sensorOff[i]; v > obs {
-						obs = v
+					if err := r.sink.Append(r.tel[i], tSec, r.blocksC[bi]+c.sensorOff[i]); err != nil {
+						return err
 					}
 				}
 			}
-			if r.tel != nil {
-				// Record exactly what the controller is about to see, at the
-				// sample's simulation time. A sink failure (disk full, store
-				// closed) fails this cell and leaves the group running.
-				tSec := float64(step) * c.dt
-				if len(c.sensorIdx) == 0 {
-					if err := sink.Append(r.tel[0], tSec, obs); err != nil {
-						r.err, r.done = err, true
-						return
-					}
-				} else {
-					for i, bi := range c.sensorIdx {
-						if err := sink.Append(r.tel[i], tSec, r.blocksC[bi]+c.sensorOff[i]); err != nil {
-							r.err, r.done = err, true
-							return
-						}
-					}
-				}
-			}
-			if obs > r.m.ObservedPeakC {
-				r.m.ObservedPeakC = obs
-			}
-			r.ctrl.Observe(step, obs)
 		}
-		engaged := r.ctrl.Engaged(step)
+		if obs > r.m.ObservedPeakC {
+			r.m.ObservedPeakC = obs
+		}
+		r.ctrl.Observe(step, obs)
+	}
+	engaged := r.ctrl.Engaged(step)
 
-		// Violation accounting against the true state.
-		if hot > c.spec.EmergencyC {
-			r.m.ViolationS += c.dt
-			if engaged {
-				r.m.CoveredViolationS += c.dt
-			}
+	// Violation accounting against the true state.
+	if hot > c.spec.EmergencyC {
+		r.m.ViolationS += c.dt
+		if engaged {
+			r.m.CoveredViolationS += c.dt
 		}
+	}
 
-		// Produce this step's power under the engagement decision.
-		progress, vScale, sScale, rowScale := 1.0, 1.0, 1.0, 1.0
-		if engaged {
-			progress = r.pol.PerfFactor
-			rowScale = r.pol.PowerScale()
-			if r.pol.Actuator == dtm.DVFS {
-				f := r.pol.PerfFactor
-				vScale = f * f     // dynamic: energy/access ∝ V²
-				sScale = f * f * f // static: idle/clock power ∝ f·V²
-			}
-		}
-		isWorkload := c.phases[r.pr.phase].kind == phaseWorkload
-		var leakTemps []float64
-		if isWorkload && !c.spec.DisableLeakageFeedback {
-			leakTemps = r.blocksC
-		}
-		committed, err := r.pr.next(r.blockPower, progress, vScale, sScale, rowScale, leakTemps)
-		if err != nil {
-			r.err, r.done = err, true
-			return
-		}
-		r.m.Committed += committed
-		if engaged {
-			r.m.EngagedS += c.dt
-			if !isWorkload {
-				r.nonWorkPen += c.dt * (1 - r.pol.PerfFactor)
-			}
+	// Produce this step's power under the engagement decision.
+	pol := r.cell.Policy
+	progress, vScale, sScale, rowScale := 1.0, 1.0, 1.0, 1.0
+	if engaged {
+		progress = pol.PerfFactor
+		rowScale = pol.PowerScale()
+		if pol.Actuator == dtm.DVFS {
+			f := pol.PerfFactor
+			vScale = f * f     // dynamic: energy/access ∝ V²
+			sScale = f * f * f // static: idle/clock power ∝ f·V²
 		}
 	}
-	for step := 0; step < c.steps; step++ {
-		var ctxErr error
-		if ctx != nil {
-			ctxErr = ctx.Err()
-		}
-		live := 0
-		for k := range runs {
-			tview[k], pview[k] = nil, nil
-			if runs[k].done {
-				continue
-			}
-			if ctxErr != nil {
-				runs[k].err = fmt.Errorf("scenario: aborted at step %d/%d: %w", step, c.steps, ctxErr)
-				runs[k].done = true
-				continue
-			}
-			preStep(k, step)
-			if runs[k].done {
-				continue
-			}
-			tview[k], pview[k] = runs[k].temps, runs[k].blockPower
-			live++
-		}
-		if live == 0 {
-			break
-		}
-		// Advance every live cell's thermal state in one batched solve.
-		if err := bs.StepBlockPower(tview, pview, c.dt, serrs); err != nil {
-			for k := range runs {
-				if tview[k] != nil {
-					runs[k].err, runs[k].done = err, true
-				}
-			}
-			break
-		}
-		for k := range runs {
-			if tview[k] != nil && serrs[k] != nil {
-				runs[k].err, runs[k].done = serrs[k], true
-				serrs[k] = nil
-			}
+	isWorkload := c.phases[r.pr.phase].kind == phaseWorkload
+	var leakTemps []float64
+	if isWorkload && !c.spec.DisableLeakageFeedback {
+		leakTemps = r.blocksC
+	}
+	committed, err := r.pr.next(blockPower, progress, vScale, sScale, rowScale, leakTemps)
+	if err != nil {
+		return err
+	}
+	r.m.Committed += committed
+	if engaged {
+		r.m.EngagedS += c.dt
+		if !isWorkload {
+			r.nonWorkPen += c.dt * (1 - pol.PerfFactor)
 		}
 	}
-	finish := func(k, i int) {
-		r := runs[k]
-		defer func() {
-			if p := recover(); p != nil {
-				r.err = fmt.Errorf("scenario: cell %d panicked: %v", i, p)
-			}
-		}()
-		if r.err == nil {
-			c.finishCell(model, r)
-		}
-	}
-	for k, i := range idx {
-		finish(k, i)
-		results[i] = CellResult{Cell: cells[i], Metrics: runs[k].m, Err: runs[k].err}
-	}
+	r.k++
+	return nil
 }
 
 // finishCell computes a completed cell's closing metrics.
-func (c *Compiled) finishCell(model *hotspot.Model, r *cellRun) {
+func (c *Compiled) finishCell(r *cellRun) {
 	r.m.Engagements = r.ctrl.Engagements()
-	model.BlocksCInto(r.temps, r.blocksC)
+	r.model.BlocksCInto(r.temps, r.blocksC)
 	r.m.FinalHotC = r.blocksC[0]
 	for _, v := range r.blocksC {
 		if v > r.m.FinalHotC {

@@ -58,6 +58,30 @@ func baselines(t *testing.T) (airC, oilC float64) {
 	return airC, oilC
 }
 
+// cellCalls is an onCell hook recording every call by cell index. RunGrid
+// serializes onCell, so it needs no lock (the race detector checks that).
+type cellCalls map[int][]CellResult
+
+func (cc cellCalls) onCell(cr CellResult) { cc[cr.Cell.Index] = append(cc[cr.Cell.Index], cr) }
+
+// check asserts exactly one onCell call per cell, equal to the result
+// RunGrid returned for it.
+func (cc cellCalls) check(t *testing.T, res []CellResult) {
+	t.Helper()
+	if len(cc) != len(res) {
+		t.Fatalf("onCell saw %d cells, RunGrid returned %d", len(cc), len(res))
+	}
+	for i, want := range res {
+		got := cc[i]
+		if len(got) != 1 {
+			t.Fatalf("cell %d: onCell called %d times, want 1", i, len(got))
+		}
+		if !reflect.DeepEqual(got[0], want) {
+			t.Fatalf("cell %d: onCell saw %+v, RunGrid returned %+v", i, got[0], want)
+		}
+	}
+}
+
 // TestGridWorkerParity: RunGrid at workers=4 is bit-identical to workers=1
 // (the acceptance criterion): cells are fully independent and worker count
 // only changes scheduling.
@@ -72,8 +96,14 @@ func TestGridWorkerParity(t *testing.T) {
 	if n := len(c.Cells()); n != 12 {
 		t.Fatalf("want 12 grid cells, got %d", n)
 	}
-	serial := c.RunGrid(nil, 1, nil)
-	parallel := c.RunGrid(nil, 4, nil)
+	run := func(workers int) []CellResult {
+		calls := cellCalls{}
+		res := c.RunGrid(nil, workers, calls.onCell)
+		calls.check(t, res)
+		return res
+	}
+	serial := run(1)
+	parallel := run(4)
 	for i := range serial {
 		if serial[i].Err != nil || parallel[i].Err != nil {
 			t.Fatalf("cell %d errors: %v / %v", i, serial[i].Err, parallel[i].Err)
@@ -84,7 +114,7 @@ func TestGridWorkerParity(t *testing.T) {
 		}
 	}
 	// And a re-run is reproducible outright.
-	again := c.RunGrid(nil, 3, nil)
+	again := run(3)
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i].Metrics, again[i].Metrics) {
 			t.Fatalf("cell %d not reproducible across runs", i)
@@ -299,7 +329,9 @@ func TestRunGridCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := c.RunGrid(ctx, 1, nil)
+	calls := cellCalls{}
+	res := c.RunGrid(ctx, 1, calls.onCell)
+	calls.check(t, res)
 	for _, r := range res {
 		if r.Err == nil {
 			t.Fatal("cancelled run should error every cell")

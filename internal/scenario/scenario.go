@@ -3,13 +3,14 @@
 // workload schedule (synthetic uarch phases, inline power traces, or pulse
 // trains), a set of cooling packages, on-die sensor placements and a grid of
 // DTM policies, and the engine co-simulates every (package, policy) grid
-// cell in closed loop — uarch pipeline → power → hotspot.Session → sensors →
-// dtm controller — so that throttling feeds back into the next step's power,
-// which an offline trace replay (dtm.Run) cannot represent. RunGrid fans the
-// grid across a worker pool with one stepping session per worker per model
-// (the PR 1 batched-transient machinery) and is bit-identical at any worker
-// count; internal/service exposes it as POST /v1/scenario[/stream] behind
-// the compiled-model cache. See DESIGN.md §6 for the architecture.
+// cell in closed loop — uarch pipeline → power → hotspot thermal step →
+// sensors → dtm controller — so that throttling feeds back into the next
+// step's power, which an offline trace replay (dtm.Run) cannot represent.
+// RunGrid runs every cell as one hotspot.RunLoops job, so same-package cells
+// step in lockstep through one batched solve per step, and is bit-identical
+// at any worker count; internal/service exposes it as POST
+// /v1/scenario[/stream] behind the compiled-model cache. See DESIGN.md §6
+// for the architecture.
 package scenario
 
 import (

@@ -154,7 +154,9 @@ func TestRunGridTelemetrySinkErrorFailsOneCell(t *testing.T) {
 	}
 	victim := c.TelemetrySeries(1)[0]
 	sink := &gridSink{fail: victim}
-	res := c.RunGridTelemetry(nil, 2, nil, sink)
+	calls := cellCalls{}
+	res := c.RunGridTelemetry(nil, 2, calls.onCell, sink)
+	calls.check(t, res)
 	failed := 0
 	for _, r := range res {
 		if r.Cell.Index == 1 {

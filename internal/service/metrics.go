@@ -97,7 +97,7 @@ type LatencyStats struct {
 // CG solve latency per step.
 type SolverPathStats struct {
 	// Backends counts resident models per solver backend name
-	// ("dense", "cholesky", "sparse").
+	// ("dense", "cholesky", "sparse", "reduced").
 	Backends map[string]int `json:"backends"`
 	// Factorizations counts numeric factorizations (compile-time plus one
 	// per distinct backward-Euler step size per model).
@@ -121,8 +121,9 @@ type SolverPathStats struct {
 	MaxPanelRows int   `json:"max_panel_rows"`
 	// BatchWidths histograms batched solves by how many right-hand sides
 	// each solved per factor traversal (buckets "1".."65+"), summed over
-	// resident models. Sweep, replay-batch and scenario-grid traffic lands
-	// here; single-state stepping does not.
+	// resident models. Every backward-Euler step is a batched step, so
+	// single-state stepping lands in the "1" bucket alongside sweep,
+	// replay-batch and scenario-grid traffic.
 	BatchWidths map[string]int64 `json:"batch_widths,omitempty"`
 	// KernelSolves counts sparse triangular-solve kernel invocations by
 	// register-block width ("1", "4", "8", "16"), summed over resident

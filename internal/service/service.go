@@ -415,7 +415,8 @@ func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) {
 	)
 	if streaming {
 		var err error
-		req, err = transientQueryParams(r)
+		var interval float64
+		req, interval, err = transientQueryParams(r)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, err)
 			return
@@ -429,7 +430,6 @@ func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) {
 			d = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(d))
-		interval, _ := strconv.ParseFloat(r.URL.Query().Get("interval"), 64)
 		dec, err := trace.NewDecoder(r.Body, trace.DecoderOptions{DefaultInterval: interval})
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, err)
@@ -564,10 +564,10 @@ func isJSONRequest(r *http.Request) bool {
 	return strings.TrimSpace(ct) == "application/json"
 }
 
-// transientQueryParams parses the streamed-transient parameters.
-func transientQueryParams(r *http.Request) (TransientRequest, error) {
+// transientQueryParams parses the streamed-transient parameters; interval
+// is the trace's default row interval (0 when unset).
+func transientQueryParams(r *http.Request) (req TransientRequest, interval float64, err error) {
 	q := r.URL.Query()
-	var req TransientRequest
 	req.Model = ModelSpec{
 		Floorplan: q.Get("floorplan"),
 		FLP:       q.Get("flp"),
@@ -575,29 +575,33 @@ func transientQueryParams(r *http.Request) (TransientRequest, error) {
 		Direction: q.Get("direction"),
 		Secondary: q.Get("secondary") == "true",
 	}
-	var err error
 	if v := q.Get("rconv"); v != "" {
 		if req.Model.Rconv, err = strconv.ParseFloat(v, 64); err != nil {
-			return req, fmt.Errorf("rconv: %v", err)
+			return req, 0, fmt.Errorf("rconv: %v", err)
 		}
 	}
 	if v := q.Get("ambient_c"); v != "" {
 		if req.Model.AmbientC, err = strconv.ParseFloat(v, 64); err != nil {
-			return req, fmt.Errorf("ambient_c: %v", err)
+			return req, 0, fmt.Errorf("ambient_c: %v", err)
+		}
+	}
+	if v := q.Get("interval"); v != "" {
+		if interval, err = strconv.ParseFloat(v, 64); err != nil {
+			return req, 0, fmt.Errorf("interval: %v", err)
 		}
 	}
 	if v := q.Get("max_points"); v != "" {
 		if req.MaxPoints, err = strconv.Atoi(v); err != nil {
-			return req, fmt.Errorf("max_points: %v", err)
+			return req, 0, fmt.Errorf("max_points: %v", err)
 		}
 	}
 	if v := q.Get("timeout_ms"); v != "" {
 		if req.TimeoutMS, err = strconv.Atoi(v); err != nil {
-			return req, fmt.Errorf("timeout_ms: %v", err)
+			return req, 0, fmt.Errorf("timeout_ms: %v", err)
 		}
 	}
 	req.Persist = q.Get("persist")
-	return req, nil
+	return req, interval, nil
 }
 
 // warmStartPower is the node-power vector of the trace's average.

@@ -501,7 +501,7 @@ func TestStatsSolverPath(t *testing.T) {
 
 func TestStreamedTransientBadModelParams(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, q := range []string{"rconv=abc", "ambient_c=x", "max_points=x", "timeout_ms=x", "floorplan=grid:0x9", "floorplan=grid:9"} {
+	for _, q := range []string{"rconv=abc", "ambient_c=x", "interval=abc", "max_points=x", "timeout_ms=x", "floorplan=grid:0x9", "floorplan=grid:9"} {
 		resp, err := http.Post(ts.URL+"/v1/transient?"+q, "text/plain",
 			strings.NewReader("# interval 1e-3 s\nIntReg\n1\n"))
 		if err != nil {

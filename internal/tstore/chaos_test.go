@@ -259,12 +259,17 @@ func TestChaosDiskFull(t *testing.T) {
 
 // TestChaosSlowAndFailingReads injects latency and errors on the query
 // path's segment reads: queries either succeed bit-exactly or fail with a
-// typed error; they never panic and never return wrong data.
+// typed error; they never panic and never return wrong data. A full-range
+// query makes 32 segment reads, each failing with probability
+// (1-0.3)·0.03 ≈ 0.021 (the error rule is only drawn when the delay rule
+// did not fire), so about half the queries succeed and both outcomes occur
+// in every run. The four readers interleave their draws on the shim's one
+// random stream, so the exact outcome sequence varies between runs.
 func TestChaosSlowAndFailingReads(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.New(nil, 7,
 		faultfs.Rule{Op: faultfs.OpReadAt, Mode: faultfs.ModeDelay, P: 0.3, Delay: time.Millisecond},
-		faultfs.Rule{Op: faultfs.OpReadAt, Mode: faultfs.ModeError, P: 0.2},
+		faultfs.Rule{Op: faultfs.OpReadAt, Mode: faultfs.ModeError, P: 0.03},
 	)
 	st, err := tstore.Open(dir, tstore.Options{FlushRows: 32, FS: ffs})
 	if err != nil {

@@ -29,10 +29,10 @@ func fuzzSeeds() [][]byte {
 	}
 	add(appendSegment(nil, uniform))
 
-	add(one[:3])                               // short header
-	add(one[:len(one)-5])                      // truncated footer
-	add(append([]byte("XXXX"), one[4:]...))    // bad magic
-	mutLen := append([]byte(nil), one...)      // absurd payload length
+	add(one[:3])                            // short header
+	add(one[:len(one)-5])                   // truncated footer
+	add(append([]byte("XXXX"), one[4:]...)) // bad magic
+	mutLen := append([]byte(nil), one...)   // absurd payload length
 	binary.LittleEndian.PutUint32(mutLen[4:], 1<<30)
 	add(mutLen)
 	mutCRC := append([]byte(nil), one...) // last-byte CRC damage

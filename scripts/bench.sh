@@ -2,10 +2,9 @@
 # bench.sh — the solver benchmark harness.
 #
 # Runs the solver-path micro-benchmarks (the root EV6 benchmarks including
-# the reduced-order step and streaming-session rows, the rcnet backend
-# matrix with the N=16384/N=65536 reference-grid rows and the reduced
-# streaming row, the linalg kernel benchmarks: numeric refactorization,
-# solve-kernel widths, and the tstore telemetry-store
+# the reduced-order step row, the rcnet backend matrix with the
+# N=16384/N=65536 reference-grid rows, the linalg kernel benchmarks: numeric
+# refactorization, solve-kernel widths, and the tstore telemetry-store
 # group: ingest rows/s — gated at ≥1M rows/s on one core — plus rollup and
 # raw query latency, and the fleet routing group: bounded-load ring
 # lookups, proxy wire overhead against no-op backends, and the failover
@@ -52,7 +51,7 @@ for procs in $BENCH_PROCS; do
   echo "=== GOMAXPROCS=$procs ==="
 
   echo "== root solver benchmarks (-benchtime $STEP_BENCHTIME)"
-  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkTransientStepBE$|BenchmarkSteadyStateSolve$|BenchmarkReducedStepBE$|BenchmarkReducedSessionStream$' \
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkTransientStepBE$|BenchmarkSteadyStateSolve$|BenchmarkReducedStepBE$' \
     -benchmem -benchtime "$STEP_BENCHTIME" . | tee -a "$tmp"
 
   echo "== trace replay sweep (-benchtime $SWEEP_BENCHTIME)"
@@ -60,7 +59,7 @@ for procs in $BENCH_PROCS; do
     -benchmem -benchtime "$SWEEP_BENCHTIME" . | tee -a "$tmp"
 
   echo "== rcnet backend benchmarks (-benchtime $RCNET_BENCHTIME)"
-  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkBackendSteadyStateSolveOnly|BenchmarkBackendTransientBE|BenchmarkBackendReducedStream' \
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkBackendSteadyStateSolveOnly|BenchmarkBackendTransientBE' \
     -benchmem -benchtime "$RCNET_BENCHTIME" ./internal/rcnet | tee -a "$tmp"
 
   echo "== linalg kernel benchmarks (-benchtime $KERNEL_BENCHTIME)"

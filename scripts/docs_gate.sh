@@ -2,7 +2,8 @@
 # docs_gate.sh — the CI documentation gate.
 #
 # Asserts, in order:
-#   1. `go vet ./...` is clean (doc-adjacent static checks ride along);
+#   1. `go vet ./...` is clean (doc-adjacent static checks ride along), and
+#      `gofmt -l` lists no file;
 #   2. every Go package in internal/, cmd/ and examples/ carries a package
 #      doc comment: a comment line directly attached to the package clause
 #      of at least one non-test file (the godoc attachment rule);
@@ -17,6 +18,14 @@ fail=0
 echo "== go vet"
 if ! go vet ./...; then
   echo "docs gate: go vet failed"
+  fail=1
+fi
+
+echo "== gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "docs gate: gofmt -l lists unformatted files:"
+  echo "$unformatted"
   fail=1
 fi
 

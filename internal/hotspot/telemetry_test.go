@@ -2,24 +2,30 @@ package hotspot
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
-type bufSink struct {
-	series []string
-	ts     []float64
-	vs     []float64
-	failAt int // fail the nth append (1-based); 0 = never
+type sinkCall struct {
+	series        string
+	times, values []float64
 }
 
-func (b *bufSink) Append(series string, t, v float64) error {
-	if b.failAt > 0 && len(b.series)+1 == b.failAt {
+// colSink records each AppendSeries call, copying the slices the emitter
+// may reuse.
+type colSink struct {
+	calls  []sinkCall
+	shared []*float64 // &times[0] per call
+	failAt int        // fail the nth call (1-based); 0 = never
+}
+
+func (c *colSink) AppendSeries(series string, times, values []float64) error {
+	if c.failAt > 0 && len(c.calls)+1 == c.failAt {
 		return errors.New("sink full")
 	}
-	b.series = append(b.series, series)
-	b.ts = append(b.ts, t)
-	b.vs = append(b.vs, v)
+	c.calls = append(c.calls, sinkCall{series, append([]float64(nil), times...), append([]float64(nil), values...)})
+	c.shared = append(c.shared, &times[0])
 	return nil
 }
 
@@ -27,44 +33,56 @@ func TestEmitTracePoints(t *testing.T) {
 	pts := []TracePoint{
 		{Time: 0, BlockC: []float64{300, 310}},
 		{Time: 1e-3, BlockC: []float64{301, 311}},
+		{Time: 2e-3, BlockC: []float64{302, 312}},
 	}
 	names := []string{"A", "B"}
 
-	var sink bufSink
+	// One call per block, in block order, each with the block's column.
+	var sink colSink
 	if err := EmitTracePoints(&sink, "run1", names, pts); err != nil {
 		t.Fatal(err)
 	}
-	wantSeries := []string{"run1/A", "run1/B", "run1/A", "run1/B"}
-	wantV := []float64{300, 310, 301, 311}
-	if len(sink.series) != 4 {
-		t.Fatalf("%d appends", len(sink.series))
+	want := []sinkCall{
+		{"run1/A", []float64{0, 1e-3, 2e-3}, []float64{300, 301, 302}},
+		{"run1/B", []float64{0, 1e-3, 2e-3}, []float64{310, 311, 312}},
 	}
-	for i := range wantSeries {
-		if sink.series[i] != wantSeries[i] || sink.vs[i] != wantV[i] {
-			t.Fatalf("append %d: %s=%v, want %s=%v", i, sink.series[i], sink.vs[i], wantSeries[i], wantV[i])
+	if len(sink.calls) != len(want) {
+		t.Fatalf("%d calls, want one per block", len(sink.calls))
+	}
+	for i, w := range want {
+		got := sink.calls[i]
+		if got.series != w.series || !slices.Equal(got.times, w.times) || !slices.Equal(got.values, w.values) {
+			t.Fatalf("call %d: %+v, want %+v", i, got, w)
 		}
 	}
-	if sink.ts[0] != 0 || sink.ts[2] != 1e-3 {
-		t.Fatalf("times %v", sink.ts)
+	// The time column is built once and shared by every block.
+	if sink.shared[0] != sink.shared[1] {
+		t.Fatal("each block got its own times slice")
 	}
 
 	// Empty prefix: series are the bare block names.
-	sink = bufSink{}
+	sink = colSink{}
 	if err := EmitTracePoints(&sink, "", names, pts[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if sink.series[0] != "A" || sink.series[1] != "B" {
-		t.Fatalf("bare series %v", sink.series)
+	if sink.calls[0].series != "A" || sink.calls[1].series != "B" {
+		t.Fatalf("bare series %v, %v", sink.calls[0].series, sink.calls[1].series)
 	}
 
-	// Shape mismatch is an error, not a panic.
-	if err := EmitTracePoints(&bufSink{}, "", []string{"A"}, pts); err == nil {
+	// A shape mismatch is an error, not a panic, and appends nothing — even
+	// when the malformed point comes after well-formed ones.
+	sink = colSink{}
+	bad := append(append([]TracePoint(nil), pts...), TracePoint{Time: 3e-3, BlockC: []float64{303}})
+	if err := EmitTracePoints(&sink, "", names, bad); err == nil {
 		t.Fatal("shape mismatch accepted")
+	}
+	if len(sink.calls) != 0 {
+		t.Fatalf("shape mismatch appended %d series", len(sink.calls))
 	}
 
 	// Sink errors propagate with the series attached.
-	err := EmitTracePoints(&bufSink{failAt: 3}, "r", names, pts)
-	if err == nil || !strings.Contains(err.Error(), `"r/A"`) {
+	err := EmitTracePoints(&colSink{failAt: 2}, "r", names, pts)
+	if err == nil || !strings.Contains(err.Error(), `"r/B"`) {
 		t.Fatalf("sink error not propagated with series: %v", err)
 	}
 }

@@ -675,9 +675,11 @@ func (c *Compiled) RunGrid(ctx context.Context, workers int, onCell func(CellRes
 }
 
 // TelemetrySink consumes the per-sensor observed temperatures a telemetry
-// run records. It is the structural twin of hotspot.TelemetrySink (the
-// scenario layer declares its own so the import graph stays flat);
-// tstore.Writer satisfies both. Implementations must be safe for concurrent
+// run records, one row per call as each control step lands. It is the
+// per-row counterpart of hotspot.TelemetrySink, which takes a replay's
+// whole series at once; tstore.Writer satisfies both, and its Append
+// returns only rejected rows, so a failing disk fails no cell (the flush
+// after the grid reports it). Implementations must be safe for concurrent
 // use: grid workers append from multiple goroutines, though each individual
 // series is only ever written by the one goroutine running its cell.
 type TelemetrySink interface {

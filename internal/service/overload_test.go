@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/faultfs"
+	"repro/internal/floorplan"
+	"repro/internal/trace"
 	"repro/internal/tstore"
 )
 
@@ -557,6 +559,58 @@ func TestPersistDegradedRecovery(t *testing.T) {
 	decodeInto(t, raw, &q)
 	if len(q.Rows) == 0 {
 		t.Fatal("no rows recovered after the disk healed")
+	}
+}
+
+// TestPersistPendingLongRunOnFullDisk: a persisted run longer than
+// FlushRows on a full disk stages every row, not only those before the
+// first failed flush. The failed flushes surface once, as persist_pending,
+// and after the disk heals the retrier makes every row of every block
+// queryable.
+func TestPersistPendingLongRunOnFullDisk(t *testing.T) {
+	ffs := faultfs.New(tstore.OSFS(), 1)
+	st, err := tstore.Open(t.TempDir(), tstore.Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	srv, ts := newTestServer(t, Config{Store: st})
+
+	// 5000 steps: more than the default FlushRows of 4096.
+	tr, err := trace.PulseTrain(floorplan.EV6().Names(), "IntReg", 3.0, 25e-3, 25e-3, 1e-4, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.SetDiskFull(true)
+	resp, raw := postJSON(t, ts.URL+"/v1/transient", TransientRequest{
+		Model:     ModelSpec{Floorplan: "ev6", Package: "air-sink"},
+		Trace:     traceSpec(tr),
+		MaxPoints: 1,
+		Persist:   "runs/long",
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("transient with full disk: status %d: %s", resp.StatusCode, raw)
+	}
+	var out TransientResponse
+	decodeInto(t, raw, &out)
+	if !out.PersistPending || out.PersistedRows != 0 {
+		t.Fatalf("persist_pending %v, persisted_rows %d; want pending with 0 durable rows", out.PersistPending, out.PersistedRows)
+	}
+
+	ffs.SetDiskFull(false)
+	waitCond(t, "retrier recovery", func() bool {
+		d := srv.Stats().Degrade
+		return d.PersistRecovered >= 1 && !d.PersistPending
+	})
+	want := len(tr.Rows) + 1 // the initial state plus one point per step
+	for _, block := range tr.Names {
+		res, err := st.Query("runs/long/"+block, -1<<62, 1<<62, 0)
+		if err != nil {
+			t.Fatalf("block %s: %v", block, err)
+		}
+		if len(res.Rows) != want {
+			t.Fatalf("block %s: %d rows queryable after the disk healed, want %d", block, len(res.Rows), want)
+		}
 	}
 }
 

@@ -184,7 +184,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp.Rows = telemetryRows(rows)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleQueryStream answers the same query as NDJSON: a
@@ -257,7 +257,7 @@ func (s *Server) handleQuerySeries(w http.ResponseWriter, r *http.Request) {
 			resp.Series = append(resp.Series, si)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // persistWriter validates a persist run name against the configured store

@@ -273,7 +273,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	for _, cr := range results {
 		resp.Cells = append(resp.Cells, cellJSON(cr))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleScenarioStream runs the same grid but streams NDJSON: one header

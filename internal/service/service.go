@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/admission"
@@ -243,12 +245,23 @@ func (s *Server) model(spec ModelSpec) (*CachedModel, string, error) {
 
 // --- response helpers ---
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// jsonBufs recycles response encode buffers.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v before committing the status, so a value encoding/json
+// rejects — an infinite temperature, say — answers 500 with the JSON error,
+// counted in solve_errors, instead of a 200 with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // the client is gone when this fails
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
@@ -258,7 +271,7 @@ func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	if code == http.StatusInternalServerError {
 		s.metrics.solveErrors.Add(1)
 	}
-	writeJSON(w, code, errorResponse{Error: err.Error()})
+	s.writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
 // failRetryAfter writes an error response carrying a Retry-After header.
@@ -291,7 +304,7 @@ func decodeJSON(r *http.Request, v any) error {
 // draining or not. Restart decisions key off this; routing decisions must
 // not — that is /readyz's job.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is readiness: 503 while draining so fleets and load
@@ -301,15 +314,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.admission.Draining() {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.metrics.countRequest("stats")
-	writeJSON(w, http.StatusOK, s.Stats())
+	s.writeJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
@@ -355,7 +368,7 @@ func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
 	s.metrics.solveLatency.add(solveMS)
 
 	hotName, hotC := res.Hottest()
-	writeJSON(w, http.StatusOK, SteadyResponse{
+	s.writeJSON(w, http.StatusOK, SteadyResponse{
 		BlockC:       blockMap(cm.Model, res.BlocksC()),
 		HottestBlock: hotName,
 		HottestC:     hotC,
@@ -550,7 +563,7 @@ func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) {
 	if persistedRows > 0 {
 		resp.Persist, resp.PersistedRows = req.Persist, persistedRows
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 func isJSONRequest(r *http.Request) bool {
@@ -794,7 +807,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	solveMS := float64(time.Since(start)) / float64(time.Millisecond)
 	s.metrics.solveLatency.add(solveMS)
-	writeJSON(w, http.StatusOK, SweepResponse{Results: results, SolveMS: solveMS})
+	s.writeJSON(w, http.StatusOK, SweepResponse{Results: results, SolveMS: solveMS})
 }
 
 // handleInvert recovers per-block power from observed temperatures through
@@ -859,7 +872,7 @@ func (s *Server) handleInvert(w http.ResponseWriter, r *http.Request) {
 	for _, v := range p {
 		total += v
 	}
-	writeJSON(w, http.StatusOK, InvertResponse{
+	s.writeJSON(w, http.StatusOK, InvertResponse{
 		PowerW:  blockMap(cm.Model, p),
 		TotalW:  total,
 		Cache:   cacheState,

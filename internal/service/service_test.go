@@ -499,6 +499,30 @@ func TestStatsSolverPath(t *testing.T) {
 	}
 }
 
+// TestUnencodableResponseIs500: a solve whose answer JSON cannot carry — a
+// 1e308 W block drives the temperatures to +Inf — answers 500 with a JSON
+// error counted in solve_errors, never a 200 with an empty body.
+func TestUnencodableResponseIs500(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	req := steadyReq()
+	req.Power = map[string]float64{"IntReg": 1e308}
+	resp, raw := postJSON(t, ts.URL+"/v1/steady", req)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d with body %q, want 500", resp.StatusCode, raw)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("content type %q", ct)
+	}
+	var e errorResponse
+	decodeInto(t, raw, &e)
+	if !strings.Contains(e.Error, "unsupported value") {
+		t.Fatalf("error %q does not name the encoding failure", e.Error)
+	}
+	if got := srv.Stats().SolveErrors; got != 1 {
+		t.Fatalf("solve_errors %d, want 1", got)
+	}
+}
+
 func TestStreamedTransientBadModelParams(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, q := range []string{"rconv=abc", "ambient_c=x", "interval=abc", "max_points=x", "timeout_ms=x", "floorplan=grid:0x9", "floorplan=grid:9"} {

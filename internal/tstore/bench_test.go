@@ -88,12 +88,12 @@ func BenchmarkTstoreIngestSweep(b *testing.B) {
 }
 
 // benchStore populates a store with one long flushed series for the query
-// benchmarks: 1M rows at a 100 µs cadence (100 s of telemetry). The cap on
-// staged rows is disabled for the fixture: the 1M-row bulk append is setup,
-// not the measured path, and lands in one call before the first flush.
+// benchmarks: 1M rows at a 100 µs cadence (100 s of telemetry), staged in
+// one AppendRows call that flushes every FlushRows rows under the default
+// options.
 func benchStore(b *testing.B) *Store {
 	b.Helper()
-	st, err := Open(b.TempDir(), Options{MaxStagedRows: -1})
+	st, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func benchStore(b *testing.B) *Store {
 	for i := range rows {
 		rows[i] = Row{T: int64(i) * 100_000, V: 300 + float64(i%211)*0.0625}
 	}
-	if err := st.AppendRows("s", rows); err != nil {
+	if _, err := st.AppendRows("s", rows); err != nil {
 		b.Fatal(err)
 	}
 	if err := st.Flush(); err != nil {

@@ -1,51 +1,51 @@
 package tstore
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+)
 
 // errShortBits is the internal sentinel for a bitstream that ends before the
 // decoder has read everything the header promised. Callers wrap it into
 // ErrCorrupt with positional context; it never escapes the package.
 var errShortBits = errors.New("bitstream truncated")
 
-// bitWriter appends bits MSB-first onto a byte slice. The zero value writes
-// into a fresh buffer; wrap an existing slice to continue after byte-aligned
-// content (the varint row count precedes the bitstream in a segment payload).
+// bitWriter appends bits MSB-first onto a byte slice. Bits collect in a
+// left-aligned 64-bit accumulator that reaches the slice a whole word at a
+// time; flush appends the final partial word, zero-padded to a byte, and
+// runs once after the last write. The zero value writes into a fresh
+// buffer; wrap an existing slice to continue after byte-aligned content
+// (the varint row count precedes the bitstream in a segment payload).
 type bitWriter struct {
-	b    []byte
-	free uint // unused low-order bits in the final byte (0 when byte-aligned)
+	b   []byte
+	acc uint64 // pending bits, left-aligned
+	n   uint   // pending bit count, always < 64
 }
 
-func (w *bitWriter) writeBit(bit uint64) {
-	if w.free == 0 {
-		w.b = append(w.b, 0)
-		w.free = 8
-	}
-	w.free--
-	if bit != 0 {
-		w.b[len(w.b)-1] |= 1 << w.free
-	}
-}
+func (w *bitWriter) writeBit(bit uint64) { w.writeBits(bit, 1) }
 
 // writeBits emits the low n bits of v, most significant first. n must be at
 // most 64; n == 0 is a no-op.
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for n > 0 {
-		if w.free == 0 {
-			w.b = append(w.b, 0)
-			w.free = 8
-		}
-		take := w.free
-		if take > n {
-			take = n
-		}
-		chunk := v >> (n - take)
-		if take < 64 {
-			chunk &= (1 << take) - 1
-		}
-		w.b[len(w.b)-1] |= byte(chunk << (w.free - take))
-		w.free -= take
-		n -= take
+	v <<= 64 - n // left-align, dropping the bits above n (all of them when n == 0)
+	w.acc |= v >> w.n
+	if w.n+n < 64 {
+		w.n += n
+		return
 	}
+	w.b = binary.BigEndian.AppendUint64(w.b, w.acc)
+	w.acc = v << (64 - w.n) // the bits that did not fit; none when w.n == 0
+	w.n += n - 64
+}
+
+// flush appends the pending bits, zero-padded to a whole byte, and returns
+// the finished slice.
+func (w *bitWriter) flush() []byte {
+	for ; w.n > 0; w.n -= min(w.n, 8) {
+		w.b = append(w.b, byte(w.acc>>56))
+		w.acc <<= 8
+	}
+	return w.b
 }
 
 // bitReader consumes bits MSB-first from a byte slice. Every read is bounds

@@ -257,6 +257,62 @@ func TestChaosDiskFull(t *testing.T) {
 	verifyReopen(t, dir, writers)
 }
 
+// TestChaosWriterAcceptsPastFailedFlush: on a full disk a Writer accepts
+// whole runs longer than FlushRows, column-wise and row by row. The flush
+// that fails at the FlushRows boundary is not an append error and cuts no
+// run short; Flush reports it, and after the disk heals Flush makes every
+// row durable.
+func TestChaosWriterAcceptsPastFailedFlush(t *testing.T) {
+	ffs := faultfs.New(nil, 11)
+	st, err := tstore.Open(t.TempDir(), tstore.Options{FlushRows: 64, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const n = 300
+	times, values := make([]float64, n), make([]float64, n)
+	for i := range times {
+		times[i], values[i] = float64(i)*1e-3, 300+float64(i)*0.25
+	}
+	w := tstore.NewWriter(st, "run")
+	ffs.SetDiskFull(true)
+	if err := w.AppendSeries("col", times, values); err != nil {
+		t.Fatalf("series append on a full disk: %v", err)
+	}
+	for i := range times {
+		if err := w.Append("row", times[i], values[i]); err != nil {
+			t.Fatalf("row %d on a full disk: %v", i, err)
+		}
+	}
+	if w.Rows() != 2*n {
+		t.Fatalf("writer accepted %d rows, want %d", w.Rows(), 2*n)
+	}
+	if st.Stats().FlushErrors == 0 {
+		t.Fatal("no flush reached the full disk")
+	}
+	if err := w.Flush(); !errors.Is(err, faultfs.ErrDiskFull) {
+		t.Fatalf("flush on a full disk: %v, want ErrDiskFull", err)
+	}
+	ffs.SetDiskFull(false)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"run/col", "run/row"} {
+		res, err := st.Query(name, -1<<62, 1<<62, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != n {
+			t.Fatalf("%s: %d rows durable, want %d", name, len(res.Rows), n)
+		}
+		for i, r := range res.Rows {
+			if r != (tstore.Row{T: tstore.Nanos(times[i]), V: values[i]}) {
+				t.Fatalf("%s row %d: %+v", name, i, r)
+			}
+		}
+	}
+}
+
 // TestChaosSlowAndFailingReads injects latency and errors on the query
 // path's segment reads: queries either succeed bit-exactly or fail with a
 // typed error; they never panic and never return wrong data. A full-range

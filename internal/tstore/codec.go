@@ -74,14 +74,11 @@ func appendSegment(dst []byte, rows []Row) []byte {
 		case dod == 0:
 			w.writeBit(0)
 		case dod >= -64 && dod <= 63:
-			w.writeBits(0b10, 2)
-			w.writeBits(uint64(dod+64), 7)
+			w.writeBits(0b10<<7|uint64(dod+64), 2+7)
 		case dod >= -2048 && dod <= 2047:
-			w.writeBits(0b110, 3)
-			w.writeBits(uint64(dod+2048), 12)
+			w.writeBits(0b110<<12|uint64(dod+2048), 3+12)
 		case dod >= -(1<<19) && dod <= (1<<19)-1:
-			w.writeBits(0b1110, 4)
-			w.writeBits(uint64(dod+(1<<19)), 20)
+			w.writeBits(0b1110<<20|uint64(dod+(1<<19)), 4+20)
 		default:
 			w.writeBits(0b1111, 4)
 			w.writeBits(uint64(dod), 64)
@@ -121,13 +118,11 @@ func appendSegment(dst []byte, rows []Row) []byte {
 			continue
 		}
 		sig := 64 - lead - trail
-		w.writeBits(0b11, 2)
-		w.writeBits(uint64(lead), 5)
-		w.writeBits(uint64(sig-1), 6)
+		w.writeBits(0b11<<11|uint64(lead)<<6|uint64(sig-1), 2+5+6)
 		w.writeBits(xor>>trail, uint(sig))
 		prevLead, prevTrail = lead, trail
 	}
-	dst = w.b
+	dst = w.flush()
 	binary.LittleEndian.PutUint32(dst[start+4:], uint32(len(dst)-payloadStart))
 
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(rows[0].T))

@@ -12,7 +12,8 @@ import (
 
 // teeSink records every append in memory while forwarding it to a store
 // writer — one simulation run feeds both sides, so the comparison below is
-// free of any cross-run determinism assumption.
+// free of any cross-run determinism assumption. It takes scenario's
+// per-row appends and hotspot's whole-series appends alike.
 type teeSink struct {
 	mu  sync.Mutex
 	buf map[string][]Row
@@ -23,13 +24,27 @@ func (s *teeSink) Append(series string, tSec, v float64) error {
 	if err := s.w.Append(series, tSec, v); err != nil {
 		return err
 	}
+	s.record(series, []float64{tSec}, []float64{v})
+	return nil
+}
+
+func (s *teeSink) AppendSeries(series string, times, values []float64) error {
+	if err := s.w.AppendSeries(series, times, values); err != nil {
+		return err
+	}
+	s.record(series, times, values)
+	return nil
+}
+
+func (s *teeSink) record(series string, times, values []float64) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.buf == nil {
 		s.buf = make(map[string][]Row)
 	}
-	s.buf[series] = append(s.buf[series], Row{T: Nanos(tSec), V: v})
-	s.mu.Unlock()
-	return nil
+	for i, tSec := range times {
+		s.buf[series] = append(s.buf[series], Row{T: Nanos(tSec), V: values[i]})
+	}
 }
 
 func assertPersistedMatchesBuffered(t *testing.T, st *Store, run string, buf map[string][]Row) {

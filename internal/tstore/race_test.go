@@ -12,9 +12,10 @@ import (
 
 // TestConcurrentSweepWritersAndReaders is the race/stress battery: several
 // goroutines run real hotspot.RunSweep replays and stream the results into
-// one store through the telemetry sink, while readers hammer raw and
-// downsampled queries, listings and stats, and a flusher forces segment
-// churn. Run under -race this exercises the store-level series map, the
+// one store through one shared telemetry Writer, while readers hammer raw
+// and downsampled queries, listings and stats, and a flusher forces segment
+// churn, alternating store-wide and writer-scoped flushes. Run under -race
+// this exercises the store-level series map, the writer's series map, the
 // per-series locks and the ReadAt-based query path against concurrent
 // appends. A final pass verifies every writer's data survived verbatim.
 func TestConcurrentSweepWritersAndReaders(t *testing.T) {
@@ -45,6 +46,7 @@ func TestConcurrentSweepWritersAndReaders(t *testing.T) {
 
 	const writers, iters = 3, 4
 	errs := make(chan error, writers+3)
+	shared := NewWriter(st, "")
 	refs := make([][][]hotspot.TracePoint, writers)
 
 	var writeWG sync.WaitGroup
@@ -62,7 +64,7 @@ func TestConcurrentSweepWritersAndReaders(t *testing.T) {
 				}
 				refs[w][it] = pts[0]
 				run := fmt.Sprintf("w%d/i%d", w, it)
-				if err := hotspot.EmitTracePoints(NewWriter(st, ""), run, names, pts[0]); err != nil {
+				if err := hotspot.EmitTracePoints(shared, run, names, pts[0]); err != nil {
 					errs <- err
 					return
 				}
@@ -104,13 +106,17 @@ func TestConcurrentSweepWritersAndReaders(t *testing.T) {
 	auxWG.Add(1)
 	go func() {
 		defer auxWG.Done()
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			if err := st.Flush(); err != nil {
+			flush := st.Flush
+			if i%2 == 1 {
+				flush = shared.Flush
+			}
+			if err := flush(); err != nil {
 				errs <- err
 				return
 			}

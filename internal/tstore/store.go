@@ -204,6 +204,7 @@ type series struct {
 	any     bool // at least one row ever accepted (staged or flushed)
 	flushed int64
 	rollups []rollupLevel
+	closed  bool // set by Store.Close: later staging fails with ErrClosed
 }
 
 // Store is an on-disk telemetry store. All methods are safe for concurrent
@@ -472,44 +473,61 @@ func (s *Store) seriesFor(name string, create bool) (*series, error) {
 }
 
 // Append stages one row on series name, creating the series on first use.
-// Rows must be non-decreasing in time per series and finite-valued; a full
-// staging buffer flushes synchronously into a new segment.
+// Rows must be non-decreasing in time per series and finite-valued; a row
+// that fills the staging buffer to FlushRows flushes it synchronously into
+// a new segment. A flush error comes back with the row still staged
+// (DESIGN.md §12.3): the next flush retries it.
 func (s *Store) Append(name string, t int64, v float64) error {
-	se, err := s.seriesFor(name, true)
-	if err != nil {
-		return err
-	}
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	if err := se.stage(t, v); err != nil {
-		return err
-	}
-	if len(se.staged) >= s.opts.FlushRows {
-		return se.flushLocked(s.opts.FlushRows)
-	}
-	return nil
+	_, err := s.AppendRows(name, []Row{{T: t, V: v}})
+	return err
 }
 
-// AppendRows stages a batch on series name with the same contract as Append.
-func (s *Store) AppendRows(name string, rows []Row) error {
+// AppendRows stages rows on series name in order, as that many Append calls
+// would: every row is checked and the buffer flushes each time it reaches
+// FlushRows, so segments, file bytes and staging match row-by-row appends.
+// It stops at the first rejected row, returning the rejection and how many
+// rows it staged before it. A failed flush leaves its rows staged; the
+// batch keeps staging without retrying it, and the flush error is returned
+// when no row was rejected.
+func (s *Store) AppendRows(name string, rows []Row) (int, error) {
 	if len(rows) == 0 {
-		return nil
+		return 0, nil
 	}
 	se, err := s.seriesFor(name, true)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	n, rejected, flushErr := se.appendRows(rows)
+	if rejected != nil {
+		return n, rejected
+	}
+	return n, flushErr
+}
+
+// appendRows is the one staging loop behind Append, AppendRows and Writer:
+// under one hold of the series lock it stages rows in order, stopping at
+// the first rejection, and flushes whenever the buffer reaches FlushRows.
+// It returns the rows staged, the rejection that stopped it and the first
+// flush error. A failed flush is not retried within the call, so a failing
+// disk costs one attempt per call rather than one per row.
+func (se *series) appendRows(rows []Row) (n int, rejected, flushErr error) {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	for _, r := range rows {
+	if se.closed {
+		return 0, ErrClosed, nil
+	}
+	if se.staged == nil {
+		se.staged = make([]Row, 0, min(len(rows), se.st.opts.FlushRows))
+	}
+	for i, r := range rows {
 		if err := se.stage(r.T, r.V); err != nil {
-			return err
+			return i, err, flushErr
+		}
+		if len(se.staged) >= se.st.opts.FlushRows && flushErr == nil {
+			flushErr = se.flushLocked()
 		}
 	}
-	if len(se.staged) >= s.opts.FlushRows {
-		return se.flushLocked(s.opts.FlushRows)
-	}
-	return nil
+	return len(rows), nil, flushErr
 }
 
 func (se *series) stage(t int64, v float64) error {
@@ -530,10 +548,14 @@ func (se *series) stage(t int64, v float64) error {
 	return nil
 }
 
-// flushLocked encodes the staging buffer into segments of at most flushRows
+// segBufs recycles flush encode buffers: a flush's bytes are dead once its
+// WriteAt returns.
+var segBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// flushLocked encodes the staging buffer into segments of at most FlushRows
 // rows each and appends them durably, then folds the flushed rows into the
 // rollups. Caller holds se.mu.
-func (se *series) flushLocked(flushRows int) error {
+func (se *series) flushLocked() error {
 	if len(se.staged) == 0 {
 		return nil
 	}
@@ -555,7 +577,13 @@ func (se *series) flushLocked(flushRows int) error {
 		se.f = f
 		se.size = int64(len(hdr))
 	}
-	var buf []byte
+	bp := segBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		*bp = buf[:0]
+		segBufs.Put(bp)
+	}()
+	flushRows := se.st.opts.FlushRows
 	for off := 0; off < len(se.staged); off += flushRows {
 		end := off + flushRows
 		if end > len(se.staged) {
@@ -621,16 +649,32 @@ func maxV(rows []Row) float64 {
 // attempted even when one fails — a fault on one file must not leave the
 // others unflushed — and the first error is returned.
 func (s *Store) Flush() error {
+	return flushEach(s.snapshotSeries())
+}
+
+// flushEach runs an explicit flush on each series in order, attempting all
+// of them, and returns the first error.
+func flushEach(ses []*series) error {
 	var firstErr error
-	for _, se := range s.snapshotSeries() {
-		se.mu.Lock()
-		err := se.flushLocked(s.opts.FlushRows)
-		se.mu.Unlock()
-		if err != nil && firstErr == nil {
+	for _, se := range ses {
+		if err := se.flush(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// flush is an explicit flush. Once it empties the staging buffer it also
+// releases it, so a finished series holds no staging memory; flushes at
+// FlushRows keep the buffer for the rows still to come.
+func (se *series) flush() error {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	if err := se.flushLocked(); err != nil {
+		return err
+	}
+	se.staged = nil
+	return nil
 }
 
 func (s *Store) snapshotSeries() []*series {
@@ -640,8 +684,14 @@ func (s *Store) snapshotSeries() []*series {
 	for _, se := range s.series {
 		out = append(out, se)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	sortByName(out)
 	return out
+}
+
+// sortByName orders series by name, the fixed order explicit flushes and
+// listings run in.
+func sortByName(ses []*series) {
+	sort.Slice(ses, func(i, j int) bool { return ses[i].name < ses[j].name })
 }
 
 // Close flushes all staged rows and closes the underlying files. The store
@@ -657,7 +707,8 @@ func (s *Store) Close() error {
 	var firstErr error
 	for _, se := range s.snapshotSeries() {
 		se.mu.Lock()
-		if err := se.flushLocked(s.opts.FlushRows); err != nil && firstErr == nil {
+		se.closed = true
+		if err := se.flushLocked(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if se.f != nil {

@@ -1,10 +1,12 @@
 package tstore
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -259,5 +261,135 @@ func TestWriterPrefixesAndCounts(t *testing.T) {
 	}
 	if _, err := st.Query("bare", 0, 1, 0); err != nil {
 		t.Fatal(err)
+	}
+	// A series the writer resolved before Close refuses rows after it.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append("cell0/hot", 3e-3, 347.0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after close: %v", err)
+	}
+	if err := w.AppendSeries("cell0/hot", []float64{3e-3}, []float64{347.0}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("series append after close: %v", err)
+	}
+}
+
+// TestAppendRowsMatchesAppends: one AppendRows call of 70 000 rows — more
+// than the default MaxStagedRows — succeeds on a healthy disk. It leaves
+// the same segments and staged rows as 70 000 single Appends, and after
+// Flush the same files and Query answers.
+func TestAppendRowsMatchesAppends(t *testing.T) {
+	rows := make([]Row, 70_000)
+	for i := range rows {
+		rows[i] = Row{T: int64(i) * 100_000, V: 300 + float64(i%211)*0.0625}
+	}
+	batch := mustOpen(t, t.TempDir(), Options{})
+	single := mustOpen(t, t.TempDir(), Options{})
+	if n, err := batch.AppendRows("s", rows); err != nil || n != len(rows) {
+		t.Fatalf("AppendRows staged %d of %d rows: %v", n, len(rows), err)
+	}
+	for _, r := range rows {
+		if err := single.Append("s", r.T, r.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bs, ss := batch.series["s"], single.series["s"]
+	if len(bs.segs) != 70_000/4096 || !slices.Equal(bs.segs, ss.segs) {
+		t.Fatalf("segments: AppendRows %d, Appends %d, want %d alike", len(bs.segs), len(ss.segs), 70_000/4096)
+	}
+	if !slices.Equal(bs.staged, ss.staged) || len(bs.staged) != 70_000%4096 {
+		t.Fatalf("staged: AppendRows %d rows, Appends %d, want %d alike", len(bs.staged), len(ss.staged), 70_000%4096)
+	}
+	if b, s := batch.Stats(), single.Stats(); b != s {
+		t.Fatalf("stats differ: AppendRows %+v, Appends %+v", b, s)
+	}
+
+	for _, st := range []*Store{batch, single} {
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bFiles, _ := filepath.Glob(filepath.Join(batch.Dir(), "*.tseg"))
+	sFiles, _ := filepath.Glob(filepath.Join(single.Dir(), "*.tseg"))
+	if len(bFiles) != 1 || len(sFiles) != 1 || filepath.Base(bFiles[0]) != filepath.Base(sFiles[0]) {
+		t.Fatalf("files %v vs %v", bFiles, sFiles)
+	}
+	bBytes, err := os.ReadFile(bFiles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sBytes, err := os.ReadFile(sFiles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bBytes, sBytes) {
+		t.Fatal("AppendRows and Appends wrote different file bytes")
+	}
+	for _, g := range []int64{0, 100_000_000, 7_000_000} {
+		br, err := batch.Query("s", 0, 1<<40, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := single.Query("s", 0, 1<<40, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(br.Rows, sr.Rows) || !slices.Equal(br.Buckets, sr.Buckets) {
+			t.Fatalf("downsample %d: query answers differ", g)
+		}
+	}
+
+	// A rejected row stops the batch: the rows before it stay staged and
+	// the count says how many.
+	st := mustOpen(t, t.TempDir(), Options{})
+	bad := []Row{{T: 10, V: 1}, {T: 20, V: 2}, {T: 15, V: 3}, {T: 30, V: 4}}
+	if n, err := st.AppendRows("s", bad); n != 2 || !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("out-of-order batch: staged %d, err %v; want 2, ErrOutOfOrder", n, err)
+	}
+	if got := st.Stats().Staged; got != 2 {
+		t.Fatalf("%d rows staged, want 2", got)
+	}
+}
+
+// TestWriterFlushScope: a writer's Flush flushes only the series it
+// appended to, leaving another writer's staged rows staged, and releases
+// the staging buffers of the series it emptied. A flush at FlushRows keeps
+// the buffer.
+func TestWriterFlushScope(t *testing.T) {
+	st := mustOpen(t, t.TempDir(), Options{FlushRows: 64})
+	times, values := make([]float64, 100), make([]float64, 100)
+	for i := range times {
+		times[i], values[i] = float64(i)*1e-4, 300+float64(i)
+	}
+	a, b := NewWriter(st, "a"), NewWriter(st, "b")
+	for _, w := range []*Writer{a, b} {
+		for _, name := range []string{"x", "y"} {
+			if err := w.AppendSeries(name, times, values); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a/x", "a/y"} {
+		if se := st.series[name]; se.staged != nil {
+			t.Fatalf("%s: flushed series keeps a %d-row staging buffer", name, cap(se.staged))
+		}
+	}
+	for _, name := range []string{"b/x", "b/y"} {
+		se := st.series[name]
+		if len(se.staged) != 100-64 {
+			t.Fatalf("%s: %d rows staged after the other writer's flush, want %d", name, len(se.staged), 100-64)
+		}
+		if cap(se.staged) < 64 {
+			t.Fatalf("%s: the flush at FlushRows released the staging buffer", name)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Staged != 0 || s.Rows != 400 {
+		t.Fatalf("stats after both flushes %+v", s)
 	}
 }

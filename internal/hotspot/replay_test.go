@@ -34,10 +34,16 @@ func pulseTrace(t *testing.T, fp *floorplan.Floorplan) *trace.PowerTrace {
 
 // TestReplayStreamedMatchesLoaded: replaying rows streamed through the
 // ptrace decoder must be bit-identical to replaying the same in-memory
-// trace through its cursor.
+// trace through its cursor. Every other row carries a full-precision power,
+// so the stream mixes short decimals and 17-digit values.
 func TestReplayStreamedMatchesLoaded(t *testing.T) {
 	m := testModel(t)
 	tr := pulseTrace(t, m.Floorplan())
+	for i, row := range tr.Rows {
+		if i%2 == 1 {
+			row[i%len(row)] = 1 / float64(i+2)
+		}
+	}
 
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {

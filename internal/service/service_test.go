@@ -111,9 +111,18 @@ func traceSpec(tr *trace.PowerTrace) *TraceSpec {
 	return &TraceSpec{Names: tr.Names, Interval: tr.Interval, Rows: rows}
 }
 
+// TestTransientStreamedMatchesInlineBitIdentical: a trace streamed as a
+// ptrace body replays bit-identically to the same trace sent inline. Every
+// other row carries a full-precision power, so the body mixes short
+// decimals and 17-digit values.
 func TestTransientStreamedMatchesInlineBitIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	tr := testTrace(t)
+	for i, row := range tr.Rows {
+		if i%2 == 1 {
+			row[i%len(row)] = 1 / float64(i+2)
+		}
+	}
 
 	// Inline JSON request.
 	resp, raw := postJSON(t, ts.URL+"/v1/transient", TransientRequest{

@@ -8,9 +8,15 @@ import (
 )
 
 // FuzzDecoder feeds arbitrary bytes through the streaming trace decoder in
-// every format mode. The invariants: never panic, and any row the decoder
-// accepts contains only finite, non-negative powers of the header's width.
+// every format mode. The invariants: never panic, any row the decoder
+// accepts contains only finite, non-negative powers of the header's width,
+// and a ptrace or CSV stream decodes exactly as the per-line reference
+// (refDecode) decodes it: the same names, interval and rows bit for bit,
+// and the same error text after the same row.
 func FuzzDecoder(f *testing.F) {
+	for _, in := range edgeInputs() {
+		f.Add([]byte(in))
+	}
 	f.Add([]byte("# interval 0.001 s\nA\tB\n1 2\n3 4\n"))
 	f.Add([]byte("A,B,C\n1, 2, 3\n4.5,0,6\n"))
 	f.Add([]byte(`{"names":["A","B"],"interval":1e-3}` + "\n[1,2]\n[3,4]\n"))
@@ -25,6 +31,9 @@ func FuzzDecoder(f *testing.F) {
 	f.Add([]byte("A\n1\n# trailing comment\n2\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, format := range []Format{FormatAuto, FormatPTrace, FormatCSV, FormatNDJSON} {
+			if err := matchLineCode(data, format); err != nil {
+				t.Fatalf("format %v: %v", format, err)
+			}
 			d, err := NewDecoder(bytes.NewReader(data), DecoderOptions{Format: format, DefaultInterval: 1e-3})
 			if err != nil {
 				continue

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -110,7 +112,9 @@ type ndjsonHeader struct {
 // Decoder incrementally decodes a power trace from a stream. It reads the
 // header eagerly (so Names and Interval are available immediately) and then
 // yields one validated row per Next call. Memory use is O(one row)
-// regardless of trace length.
+// regardless of trace length, and a ptrace or CSV row of short decimals
+// decodes in one pass over the scanner's bytes without allocating
+// (DESIGN.md §5.2).
 type Decoder struct {
 	names    []string
 	interval float64
@@ -138,13 +142,14 @@ func NewDecoder(r io.Reader, opt DecoderOptions) (*Decoder, error) {
 	}
 	d.sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	for {
-		text, err := d.nextLine()
+		line, err := d.nextLine()
 		if err == io.EOF {
 			return nil, fmt.Errorf("trace: empty stream (no header)")
 		}
 		if err != nil {
 			return nil, err
 		}
+		text := string(line)
 		if strings.HasPrefix(text, "#") {
 			var v float64
 			if n, _ := fmt.Sscanf(text, "# interval %g s", &v); n == 1 && isFinitePositive(v) {
@@ -199,26 +204,30 @@ func (d *Decoder) Rows() int { return d.rows }
 
 // Next decodes the next power row into dst (length must equal len(Names)).
 // It returns io.EOF at end of stream, and a descriptive error for malformed
-// rows, non-finite powers (NaN/Inf), or negative powers.
+// rows, non-finite powers (NaN/Inf), or negative powers. A ptrace or CSV row
+// whose fields are all short decimals is split and converted in place with
+// exact arithmetic and no allocation; any other row goes through the general
+// line parser. Either way a value has the bits strconv.ParseFloat gives it,
+// and a malformed row gets the same error.
 func (d *Decoder) Next(dst []float64) error {
 	if len(dst) != len(d.names) {
 		return fmt.Errorf("trace: destination has %d slots, want %d", len(dst), len(d.names))
 	}
-	text, err := d.nextLine()
+	line, err := d.nextLine()
 	if err != nil {
 		return err
 	}
 	// Comment lines between rows are skipped (the writer only emits one up
 	// front, but hand-edited traces interleave them).
-	for strings.HasPrefix(text, "#") {
-		if text, err = d.nextLine(); err != nil {
+	for line[0] == '#' {
+		if line, err = d.nextLine(); err != nil {
 			return err
 		}
 	}
 	switch d.format {
 	case FormatNDJSON:
 		var row []float64
-		if err := json.Unmarshal([]byte(text), &row); err != nil {
+		if err := json.Unmarshal(line, &row); err != nil {
 			return fmt.Errorf("trace: line %d: %v", d.line, err)
 		}
 		if len(row) != len(d.names) {
@@ -226,21 +235,10 @@ func (d *Decoder) Next(dst []float64) error {
 		}
 		copy(dst, row)
 	default:
-		var fields []string
-		if d.format == FormatCSV {
-			fields = splitCSV(text)
-		} else {
-			fields = strings.Fields(text)
-		}
-		if len(fields) != len(d.names) {
-			return fmt.Errorf("trace: line %d: row has %d values, want %d", d.line, len(fields), len(d.names))
-		}
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return fmt.Errorf("trace: line %d: %v", d.line, err)
+		if !parseRow(line, dst, d.format == FormatCSV) {
+			if err := d.parseLine(string(line), dst); err != nil {
+				return err
 			}
-			dst[i] = v
 		}
 	}
 	for i, v := range dst {
@@ -252,20 +250,164 @@ func (d *Decoder) Next(dst []float64) error {
 	return nil
 }
 
-// nextLine returns the next non-blank line, or io.EOF.
-func (d *Decoder) nextLine() (string, error) {
+// parseLine is the general ptrace/CSV row parser: strings.Fields or splitCSV,
+// then strconv.ParseFloat per field. It is the only path for the rows
+// parseRow declines: hex floats, Inf/NaN, long mantissas, Unicode spaces
+// and malformed rows.
+func (d *Decoder) parseLine(text string, dst []float64) error {
+	var fields []string
+	if d.format == FormatCSV {
+		fields = splitCSV(text)
+	} else {
+		fields = strings.Fields(text)
+	}
+	if len(fields) != len(d.names) {
+		return fmt.Errorf("trace: line %d: row has %d values, want %d", d.line, len(fields), len(d.names))
+	}
+	for i, f := range fields {
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			return fmt.Errorf("trace: line %d: %v", d.line, err)
+		}
+		dst[i] = v
+	}
+	return nil
+}
+
+// parseRow is the one-pass row parser. It splits a trimmed ptrace line at
+// runs of spaces and tabs, or a CSV line at commas with optional spaces and
+// tabs around them, and converts every field with parseShortDecimal straight
+// into dst. It reports false, with dst partly written, unless the line is
+// exactly len(dst) such fields; parseLine then decides what the line means.
+func parseRow(line []byte, dst []float64, csv bool) bool {
+	for n, i := 0, 0; n < len(dst); n++ {
+		v, j, ok := parseShortDecimal(line, i)
+		if !ok {
+			return false
+		}
+		dst[n] = v
+		i = skipBlanks(line, j)
+		switch {
+		case i == len(line):
+			return n+1 == len(dst)
+		case csv:
+			if line[i] != ',' {
+				return false
+			}
+			i = skipBlanks(line, i+1)
+		case i == j:
+			return false // the number runs into a byte that is not a separator
+		}
+	}
+	return false // more fields than columns
+}
+
+// skipBlanks returns the index of the first byte at or after i that is not a
+// space or a tab.
+func skipBlanks(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t') {
+		i++
+	}
+	return i
+}
+
+// pow10 holds the powers of ten that a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseShortDecimal reads a number of the form [+-]digits[.digits] with an
+// optional [eE][+-]digits exponent from b[i:] and returns its value and the
+// index just past it. It needs at least one mantissa digit, as
+// strconv.ParseFloat does, and at most four exponent digits. It reports ok
+// only when the mantissa digits form an integer m ≤ 2^53 and the net power
+// of ten e has |e| ≤ 22: then float64(m) and 10^|e| are exact, so the one
+// multiply or divide below rounds m·10^e correctly, and a correctly rounded
+// value is the one ParseFloat returns (the exact case of Clinger's
+// algorithm, which strconv also takes). A leading '-' on a zero gives -0, as
+// in ParseFloat.
+func parseShortDecimal(b []byte, i int) (v float64, end int, ok bool) {
+	neg := false
+	if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		neg = b[i] == '-'
+		i++
+	}
+	var m uint64
+	digits, frac, point := 0, 0, false
+mantissa:
+	for ; i < len(b); i++ {
+		switch c := b[i]; {
+		case '0' <= c && c <= '9':
+			if m = m*10 + uint64(c-'0'); m > 1<<53 {
+				return 0, 0, false
+			}
+			digits++
+			if point {
+				frac++
+			}
+		case c == '.' && !point:
+			point = true
+		default:
+			break mantissa
+		}
+	}
+	if digits == 0 {
+		return 0, 0, false
+	}
+	e := 0
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		eneg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
+		}
+		start := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if i-start == 4 {
+				return 0, 0, false // longer exponents are left to ParseFloat
+			}
+			e = e*10 + int(b[i]-'0')
+		}
+		if i == start {
+			return 0, 0, false
+		}
+		if eneg {
+			e = -e
+		}
+	}
+	e -= frac
+	v = float64(m)
+	if neg {
+		v = -v
+	}
+	switch {
+	case 0 <= e && e <= 22:
+		v *= pow10[e]
+	case -22 <= e && e < 0:
+		v /= pow10[-e]
+	default:
+		return 0, 0, false
+	}
+	return v, i, true
+}
+
+// nextLine returns the next non-blank line with surrounding whitespace
+// trimmed, or io.EOF. The bytes are the scanner's and stay valid only until
+// the next call.
+func (d *Decoder) nextLine() ([]byte, error) {
 	for d.sc.Scan() {
 		d.line++
-		text := strings.TrimSpace(d.sc.Text())
-		if text == "" {
-			continue
+		if line := bytes.TrimSpace(d.sc.Bytes()); len(line) > 0 {
+			return line, nil
 		}
-		return text, nil
 	}
 	if err := d.sc.Err(); err != nil {
-		return "", err
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("trace: line %d: longer than %d bytes: %w", d.line+1, maxLineBytes, err)
+		}
+		return nil, err
 	}
-	return "", io.EOF
+	return nil, io.EOF
 }
 
 // sniffFormat guesses the wire format from the first data line.

@@ -63,9 +63,25 @@ func TestDecoderStreamMatchesCursorBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every other row carries a full-precision power, so the one stream
+	// runs rows through both the one-pass parser and the line parser.
+	for i, row := range tr.Rows {
+		if i%2 == 1 {
+			row[i%len(row)] = 1 / float64(i+2)
+		}
+	}
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
+	}
+	declined := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[2:] {
+		if !parseRow([]byte(line), make([]float64, len(names)), false) {
+			declined++
+		}
+	}
+	if declined == 0 || declined == len(tr.Rows) {
+		t.Fatalf("%d of %d rows declined by the one-pass parser; the test needs both paths", declined, len(tr.Rows))
 	}
 	d, err := NewDecoder(&buf, DecoderOptions{})
 	if err != nil {
@@ -81,7 +97,7 @@ func TestDecoderStreamMatchesCursorBitwise(t *testing.T) {
 	}
 	for i := range loaded {
 		for j := range loaded[i] {
-			if streamed[i][j] != loaded[i][j] {
+			if math.Float64bits(streamed[i][j]) != math.Float64bits(loaded[i][j]) {
 				t.Fatalf("row %d col %d: streamed %.17g vs loaded %.17g", i, j, streamed[i][j], loaded[i][j])
 			}
 		}

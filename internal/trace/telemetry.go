@@ -62,7 +62,10 @@ func ReadTelemetry(r io.Reader) (TelemetryResult, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	if !sc.Scan() {
-		return res, fmt.Errorf("trace: telemetry stream empty: %v", sc.Err())
+		if err := sc.Err(); err != nil {
+			return res, fmt.Errorf("trace: telemetry stream: %w", err)
+		}
+		return res, fmt.Errorf("trace: telemetry stream empty")
 	}
 	if err := json.Unmarshal(sc.Bytes(), &res.Header); err != nil {
 		return res, fmt.Errorf("trace: telemetry header: %w", err)

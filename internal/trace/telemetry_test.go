@@ -2,8 +2,10 @@ package trace
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestReadTelemetryRows(t *testing.T) {
@@ -60,5 +62,17 @@ func TestReadTelemetryRejectsTruncation(t *testing.T) {
 	}
 	if _, err := ReadTelemetry(strings.NewReader("{\"series\":\"s\"}\nnot json\n")); err == nil {
 		t.Fatal("garbage line accepted")
+	}
+}
+
+// TestReadTelemetryEmptyStream: an empty stream says so without a stray
+// "<nil>", and a failing reader's error stays matchable.
+func TestReadTelemetryEmptyStream(t *testing.T) {
+	if _, err := ReadTelemetry(strings.NewReader("")); err == nil || err.Error() != "trace: telemetry stream empty" {
+		t.Fatalf("empty stream: %v", err)
+	}
+	boom := errors.New("boom")
+	if _, err := ReadTelemetry(iotest.ErrReader(boom)); !errors.Is(err, boom) {
+		t.Fatalf("failing reader: %v, want it to wrap %v", err, boom)
 	}
 }

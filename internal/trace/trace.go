@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -231,17 +232,21 @@ func Switch(names []string, blockA, blockB string, watts, tSwitch, duration, int
 
 // Write emits the trace in HotSpot ".ptrace" format: a header row of names
 // followed by one whitespace-separated power row per interval. The interval
-// is recorded in a leading comment.
+// is recorded in a leading comment. Each power is written as the shortest
+// decimal that parses back to the same float64, so Write then Read returns
+// every value bit for bit.
 func (p *PowerTrace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# interval %g s\n", p.Interval)
 	fmt.Fprintln(bw, strings.Join(p.Names, "\t"))
+	var num []byte
 	for _, row := range p.Rows {
 		for i, v := range row {
 			if i > 0 {
 				bw.WriteByte('\t')
 			}
-			fmt.Fprintf(bw, "%.6g", v)
+			num = strconv.AppendFloat(num[:0], v, 'g', -1, 64)
+			bw.Write(num)
 		}
 		bw.WriteByte('\n')
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -132,8 +133,21 @@ func TestRepeat(t *testing.T) {
 	}
 }
 
+// TestWriteReadRoundTrip: Write then Read returns every power bit for bit,
+// across magnitudes and at full precision.
 func TestWriteReadRoundTrip(t *testing.T) {
-	tr, _ := PulseTrain(names, "b", 1.5, 0.01, 0.02, 0.005, 2)
+	rng := rand.New(rand.NewSource(1))
+	tr, _ := New(names, 3.33e-6)
+	row := make([]float64, len(names))
+	for i := 0; i < 500; i++ {
+		for j := range row {
+			row[j] = rng.Float64() * math.Pow(10, float64(rng.Intn(61)-30))
+		}
+		row[i%len(row)] = math.Round(row[i%len(row)]*1000) / 1000
+		if err := tr.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -150,8 +164,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	for i := range tr.Rows {
 		for j := range tr.Rows[i] {
-			if math.Abs(got.Rows[i][j]-tr.Rows[i][j]) > 1e-9 {
-				t.Fatalf("row %d col %d: %g vs %g", i, j, got.Rows[i][j], tr.Rows[i][j])
+			if math.Float64bits(got.Rows[i][j]) != math.Float64bits(tr.Rows[i][j]) {
+				t.Fatalf("row %d col %d: read %.17g, wrote %.17g", i, j, got.Rows[i][j], tr.Rows[i][j])
 			}
 		}
 	}

@@ -8,7 +8,9 @@
 # group: ingest rows/s — gated at ≥1M rows/s on one core — plus rollup and
 # raw query latency, and the fleet routing group: bounded-load ring
 # lookups, proxy wire overhead against no-op backends, and the failover
-# window p99 while the primary owner is dead) and emits BENCH_solver.json
+# window p99 while the primary owner is dead, and the trace-decode row:
+# ns/row and allocs/op streaming a 30 000-row, 18-column ptrace built like
+# the persist-query workload's) and emits BENCH_solver.json
 # via cmd/benchreport:
 # ns/op, B/op, allocs/op, custom metrics, GOMAXPROCS and the commit hash.
 #
@@ -39,6 +41,7 @@ RCNET_BENCHTIME="${BENCHTIME:-20x}"
 KERNEL_BENCHTIME="${BENCHTIME:-20x}"
 TSTORE_BENCHTIME="${BENCHTIME:-200x}"
 FLEET_BENCHTIME="${BENCHTIME:-200x}"
+TRACE_BENCHTIME="${BENCHTIME:-20x}"
 OUT="${OUT:-BENCH_solver.json}"
 BENCH_PROCS="${BENCH_PROCS:-1 4}"
 
@@ -73,6 +76,10 @@ for procs in $BENCH_PROCS; do
   echo "== fleet routing benchmarks (-benchtime $FLEET_BENCHTIME)"
   GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkFleet' \
     -benchmem -benchtime "$FLEET_BENCHTIME" ./internal/fleet | tee -a "$tmp"
+
+  echo "== trace decode benchmark (-benchtime $TRACE_BENCHTIME)"
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkTraceDecode$' \
+    -benchmem -benchtime "$TRACE_BENCHTIME" ./internal/trace | tee -a "$tmp"
 
   prev_args=()
   if [ -f "$OUT" ]; then

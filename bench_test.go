@@ -303,48 +303,6 @@ func BenchmarkTransientStepBE(b *testing.B) {
 	}
 }
 
-// BenchmarkReducedStepBE times one backward-Euler step through the
-// reduced-order backend (DESIGN.md §10) on the same EV6 oil model as
-// BenchmarkTransientStepBE — the per-user serving path, where the solve is
-// a pre-factored dense system of the reduction order instead of the full
-// sparse factor. The sessions/host metric is how many concurrent real-time
-// streaming sessions one core sustains at a 1 kHz thermal control-step
-// rate (1e9 ns/s ÷ 1000 steps/s ÷ ns/step).
-func BenchmarkReducedStepBE(b *testing.B) {
-	m, err := hotspot.New(hotspot.Config{
-		Floorplan: floorplan.EV6(),
-		Package:   hotspot.OilSilicon,
-		Oil:       hotspot.OilConfig{Direction: hotspot.LeftToRight, TargetRconv: 0.3},
-		Secondary: hotspot.SecondaryPathConfig{Enabled: true},
-		Reduced:   hotspot.ReducedConfig{Enabled: true},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if m.SolverBackend() != "reduced" {
-		b.Fatalf("backend %q, want reduced", m.SolverBackend())
-	}
-	p, err := m.PowerVector(map[string]float64{"IntReg": 2, "L2": 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	state := m.AmbientState()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Transient(state, p, 3.33e-6, 3.33e-6); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := m.SolverStats()
-	if st.ReducedFallbacks != 0 {
-		b.Fatalf("reduced path tripped its fallback %d times mid-benchmark", st.ReducedFallbacks)
-	}
-	nsPerStep := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(float64(st.ReducedOrder), "order")
-	b.ReportMetric(1e6/nsPerStep, "sessions/host")
-}
-
 func BenchmarkUarchThroughput(b *testing.B) {
 	s, err := uarch.NewStream(uarch.GCC(), 1)
 	if err != nil {

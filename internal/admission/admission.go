@@ -19,9 +19,8 @@
 //     races ahead) while an occasional tenant is dispatched almost
 //     immediately on arrival.
 //
-// The controller also exposes a queue-pressure signal (Decision.Pressure)
-// that the service layer uses to pick when to degrade solves onto the
-// reduced-order backend, and per-tenant statistics for /v1/stats.
+// The controller also keeps per-tenant statistics and the live queue
+// occupancy for /v1/stats.
 package admission
 
 import (
@@ -127,11 +126,6 @@ type Decision struct {
 	Queued bool
 	// QueueWait is how long the request waited before getting a slot.
 	QueueWait time.Duration
-	// Pressure is the global queue occupancy in [0, 1] observed when the
-	// request was admitted (waiters including this one / QueueDepth). The
-	// service layer degrades eligible solves onto the reduced-order
-	// backend when this crosses its threshold.
-	Pressure float64
 
 	release func()
 }
@@ -166,7 +160,6 @@ type tenant struct {
 	admitted     int64
 	shedRate     int64
 	shedQueue    int64
-	degraded     int64
 	queueWaits   *pctl.Ring // queue waits, milliseconds
 	totalWaitNS  int64
 	queuedEvents int64
@@ -354,7 +347,6 @@ func (c *Controller) Admit(ctx context.Context, tenantName string) (*Decision, e
 	t.vtime += 1 / t.quota.weight()
 	c.insertWaiterLocked(w)
 	t.queued++
-	pressureAtEnqueue := float64(len(c.queue)) / float64(c.cfg.QueueDepth)
 	c.mu.Unlock()
 
 	select {
@@ -368,7 +360,7 @@ func (c *Controller) Admit(ctx context.Context, tenantName string) (*Decision, e
 		}
 		c.mu.Lock()
 		wait := c.now().Sub(now)
-		d := c.grantQueuedLocked(t, now, wait, pressureAtEnqueue)
+		d := c.grantQueuedLocked(t, now, wait)
 		c.mu.Unlock()
 		return d, nil
 	case <-ctx.Done():
@@ -420,32 +412,22 @@ func (c *Controller) grantLocked(t *tenant, now time.Time, queued bool, wait tim
 		t.vtime = c.vclock
 	}
 	t.vtime += 1 / t.quota.weight()
-	pressure := 0.0
-	if c.cfg.QueueDepth > 0 {
-		pressure = float64(len(c.queue)) / float64(c.cfg.QueueDepth)
-	}
-	return c.decisionLocked(t, now, queued, wait, pressure)
+	return c.decisionLocked(t, now, queued, wait)
 }
 
 // grantQueuedLocked finalizes a queued request after its ready signal.
 // Slot and gauge accounting already happened in dispatchLocked; this only
 // builds the Decision and records the wait.
-func (c *Controller) grantQueuedLocked(t *tenant, start time.Time, wait time.Duration, pressureAtEnqueue float64) *Decision {
+func (c *Controller) grantQueuedLocked(t *tenant, start time.Time, wait time.Duration) *Decision {
 	t.queueWaits.Add(float64(wait) / float64(time.Millisecond))
 	t.totalWaitNS += int64(wait)
 	t.queuedEvents++
-	pressure := pressureAtEnqueue
-	if c.cfg.QueueDepth > 0 {
-		if p := float64(len(c.queue)+1) / float64(c.cfg.QueueDepth); p > pressure {
-			pressure = p
-		}
-	}
-	return c.decisionLocked(t, start, true, wait, pressure)
+	return c.decisionLocked(t, start, true, wait)
 }
 
-func (c *Controller) decisionLocked(t *tenant, now time.Time, queued bool, wait time.Duration, pressure float64) *Decision {
+func (c *Controller) decisionLocked(t *tenant, now time.Time, queued bool, wait time.Duration) *Decision {
 	var once sync.Once
-	d := &Decision{Tenant: t.name, Queued: queued, QueueWait: wait, Pressure: pressure}
+	d := &Decision{Tenant: t.name, Queued: queued, QueueWait: wait}
 	start := c.now()
 	d.release = func() {
 		once.Do(func() { c.release(t, start) })
@@ -559,22 +541,4 @@ func (c *Controller) Queued() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.queue)
-}
-
-// Pressure returns the current queue occupancy in [0, 1].
-func (c *Controller) Pressure() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cfg.QueueDepth == 0 {
-		return 0
-	}
-	return float64(len(c.queue)) / float64(c.cfg.QueueDepth)
-}
-
-// RecordDegraded counts one degraded (reduced-order) solve for the tenant,
-// for /v1/stats attribution.
-func (c *Controller) RecordDegraded(tenantName string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tenantLocked(tenantName).degraded++
 }

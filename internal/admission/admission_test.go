@@ -482,7 +482,6 @@ func TestSnapshotShape(t *testing.T) {
 		Now:     clk.now,
 	})
 	d := mustAdmit(t, c, "")
-	c.RecordDegraded("")
 	st := c.Stats()
 	if st.Slots != 2 || st.QueueDepth != 4 || st.InFlight != 1 || st.Queued != 0 {
 		t.Fatalf("snapshot %+v", st)
@@ -491,7 +490,7 @@ func TestSnapshotShape(t *testing.T) {
 	if !ok {
 		t.Fatalf("no default tenant in %+v", st.Tenants)
 	}
-	if ts.Admitted != 1 || ts.Degraded != 1 || ts.InFlight != 1 || ts.Weight != 1 {
+	if ts.Admitted != 1 || ts.InFlight != 1 || ts.Weight != 1 {
 		t.Fatalf("tenant stats %+v", ts)
 	}
 	d.Release()
@@ -527,22 +526,18 @@ func TestPressureSignal(t *testing.T) {
 		}()
 	}
 	waitUntil(t, func() bool { return c.Queued() == 3 })
-	if p := c.Pressure(); p != 0.75 {
+	if p := c.Stats().Pressure; p != 0.75 {
 		t.Fatalf("pressure %v, want 0.75", p)
 	}
 	freeHold()
 	for i := 0; i < 3; i++ {
 		d := <-results
-		// Each waiter saw at least its own enqueue-time occupancy.
-		if d.Pressure < 0.25 {
-			t.Fatalf("decision pressure %v, want >= 0.25", d.Pressure)
-		}
 		if !d.Queued || d.QueueWait < 0 {
 			t.Fatalf("queued decision %+v", d)
 		}
 		d.Release()
 	}
-	if p := c.Pressure(); p != 0 {
+	if p := c.Stats().Pressure; p != 0 {
 		t.Fatalf("idle pressure %v", p)
 	}
 }

@@ -9,9 +9,6 @@ type TenantStats struct {
 	// ShedQueue counts rejections from queue bounds (global, per-tenant,
 	// or drain eviction).
 	ShedQueue int64 `json:"shed_queue,omitempty"`
-	// Degraded counts solves served by the reduced-order backend under
-	// pressure (RecordDegraded).
-	Degraded int64 `json:"degraded,omitempty"`
 	// InFlight and Queued are current gauges, exact under the controller
 	// mutex.
 	InFlight int `json:"in_flight"`
@@ -63,7 +60,6 @@ func (c *Controller) Stats() Snapshot {
 			Admitted:       t.admitted,
 			ShedRate:       t.shedRate,
 			ShedQueue:      t.shedQueue,
-			Degraded:       t.degraded,
 			InFlight:       t.inFlight,
 			Queued:         t.queued,
 			QueuedEvents:   t.queuedEvents,

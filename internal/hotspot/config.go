@@ -139,25 +139,6 @@ type SecondaryPathConfig struct {
 	BacksideRAir float64
 }
 
-// ReducedConfig selects Krylov model-order reduction for the compiled RC
-// network (DESIGN.md §10): the conductance system is projected onto a
-// block-Arnoldi basis built from the per-block power-input columns, after
-// which every backward-Euler step — through the same batched step and
-// replay driver as a full model — is a pre-factored dense solve of
-// dimension Order plus two O(nodes·Order) projections. That is not
-// cheaper than the direct step on floorplan-scale models (EV6: 11.6 µs vs
-// 0.86 µs). The reduction is drift-gated: sampled step residuals against
-// the exact matrix trip an automatic fallback onto the full backend
-// (visible in SolverStats).
-type ReducedConfig struct {
-	// Enabled compiles the model onto the reduced-order solver backend.
-	Enabled bool
-	// Order caps the Krylov basis size (0 = rcnet.DefaultReducedOrder;
-	// always capped at the node count). Larger orders track the full model
-	// more closely and step slower.
-	Order int
-}
-
 // Config assembles a full model description.
 type Config struct {
 	Floorplan    *floorplan.Floorplan
@@ -179,7 +160,6 @@ type Config struct {
 	Oil       OilConfig
 	Micro     MicrochannelConfig
 	Secondary SecondaryPathConfig
-	Reduced   ReducedConfig
 }
 
 // Defaulted returns a copy of cfg with zero values replaced by defaults.
@@ -267,9 +247,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.LateralConstriction < 0 {
 		return fmt.Errorf("hotspot: negative lateral constriction")
-	}
-	if cfg.Reduced.Order < 0 {
-		return fmt.Errorf("hotspot: negative reduced order %d", cfg.Reduced.Order)
 	}
 	switch cfg.Package {
 	case AirSink:

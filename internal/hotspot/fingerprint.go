@@ -64,7 +64,7 @@ func (cfg Config) Fingerprint() string {
 	// them and this sits on the service's warm request path.
 	bw := bufio.NewWriterSize(h, 4096)
 	w := &fingerprintWriter{h: bw}
-	w.str("hotspot-model-v2")
+	w.str("hotspot-model-v3")
 
 	fp := c.Floorplan
 	if fp == nil {
@@ -97,12 +97,6 @@ func (cfg Config) Fingerprint() string {
 	w.bool(s.Enabled)
 	w.f64(s.InterconnectThickness, s.C4Thickness, s.SubstrateThickness,
 		s.SolderThickness, s.PCBThickness, s.SubstrateSide, s.PCBSide, s.BacksideRAir)
-
-	// The reduction basis is part of the compiled model: the same physical
-	// config at a different order (or unreduced) factors differently, so it
-	// must key the factor cache separately.
-	w.bool(c.Reduced.Enabled)
-	w.u64(uint64(c.Reduced.Order))
 
 	bw.Flush()
 	return hex.EncodeToString(h.Sum(nil))

@@ -37,17 +37,7 @@ func New(cfg Config) (*Model, error) {
 	if err := m.build(); err != nil {
 		return nil, err
 	}
-	var s *rcnet.Solver
-	var err error
-	if cfg.Reduced.Enabled {
-		// The power-input columns are the silicon node of every floorplan
-		// block — exactly the directions BlockPowerVector injects on.
-		// Construction failures fall back to the full backend inside
-		// CompileReduced (counted in SolverStats).
-		s, err = m.net.CompileReduced(rcnet.ReducedSpec{Inputs: m.blockNode, Order: cfg.Reduced.Order})
-	} else {
-		s, err = m.net.Compile()
-	}
+	s, err := m.net.Compile()
 	if err != nil {
 		return nil, err
 	}

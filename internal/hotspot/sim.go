@@ -434,7 +434,7 @@ func (r *recorder) record(t float64, temp []float64) {
 func (m *Model) DominantTimeConstant() float64 { return m.solver.DominantTimeConstant() }
 
 // SolverBackend names the linear-solver backend the model compiled onto
-// ("dense", "cholesky", "sparse" or "reduced").
+// ("dense", "cholesky" or "sparse").
 func (m *Model) SolverBackend() string { return m.solver.Backend() }
 
 // SolverStats snapshots the model's per-path solver counters

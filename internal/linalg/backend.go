@@ -42,8 +42,8 @@ type Operator interface {
 	// path; dense LU and CG fall back to per-column solves). x0 and dst
 	// follow the Solve contract column-wise (either may be nil, as may
 	// individual columns). The x0 warm-start contract is asymmetric by
-	// design: direct backends (dense LU, Cholesky, reduced) ignore x0
-	// entirely — their results are bit-identical for any warm start — while
+	// design: direct backends (dense LU, Cholesky) ignore x0 entirely —
+	// their results are bit-identical for any warm start — while
 	// the iterative backend uses x0[k] as column k's initial guess, reaching
 	// the same converged answer in fewer iterations when the guess is close.
 	// Per-column results are identical to K successive Solve calls —
@@ -93,21 +93,6 @@ type Workspace struct {
 	// that aggregate solver statistics read and reset the slots between
 	// solves.
 	KernelSolves [4]int64
-
-	// Reduced-operator scratch: projected right-hand side, reduced solution
-	// and triangular-sweep intermediate, each of length order r.
-	rb, rx, ry []float64
-}
-
-// reduced returns the three length-r reduced-solve scratch vectors, growing
-// them if needed.
-func (w *Workspace) reduced(r int) (bh, xh, y []float64) {
-	if cap(w.rb) < r {
-		w.rb = make([]float64, r)
-		w.rx = make([]float64, r)
-		w.ry = make([]float64, r)
-	}
-	return w.rb[:r], w.rx[:r], w.ry[:r]
 }
 
 // direct returns the length-n direct-solve scratch vector, growing it if

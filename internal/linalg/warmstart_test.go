@@ -12,6 +12,39 @@ import (
 // guess is close. These tests pin both halves so a future backend cannot
 // silently start honoring (or ignoring) x0 and shift results.
 
+// gridTestSystem builds an SPD grid-Laplacian system: an nx×ny five-point
+// stencil plus ambient legs on the boundary, the same shape as an
+// assembled RC thermal network.
+func gridTestSystem(nx, ny int) *CSR {
+	n := nx * ny
+	var entries []Coord
+	diag := make([]float64, n)
+	at := func(x, y int) int { return y*nx + x }
+	couple := func(a, b int, w float64) {
+		entries = append(entries, Coord{I: a, J: b, V: -w}, Coord{I: b, J: a, V: -w})
+		diag[a] += w
+		diag[b] += w
+	}
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			i := at(x, y)
+			if x+1 < nx {
+				couple(i, at(x+1, y), 1.0+0.1*float64(i%7))
+			}
+			if y+1 < ny {
+				couple(i, at(x, y+1), 1.5+0.05*float64(i%5))
+			}
+			if x == 0 || y == 0 || x == nx-1 || y == ny-1 {
+				diag[i] += 0.3 // ambient leg
+			}
+		}
+	}
+	for i, d := range diag {
+		entries = append(entries, Coord{I: i, J: i, V: d})
+	}
+	return NewCSR(n, entries)
+}
+
 // junkFilled returns a batch of x0 vectors full of garbage (huge, negative,
 // NaN-free but wildly wrong) that would perturb any solver that read them.
 func junkFilled(k, n int) [][]float64 {
@@ -36,10 +69,10 @@ func warmTestRHS(k, n int) [][]float64 {
 	return b
 }
 
-// Direct backends (dense LU, Cholesky, reduced) must be bit-identical under
+// Direct backends (dense LU, Cholesky) must be bit-identical under
 // any x0, both per-column and batched.
 func TestDirectBackendsIgnoreWarmStart(t *testing.T) {
-	g, caps, inputs := morTestSystem(7, 7)
+	g := gridTestSystem(7, 7)
 	n := g.N
 	entries := make([]Coord, 0, g.NNZ())
 	for i := 0; i < n; i++ {
@@ -55,17 +88,13 @@ func TestDirectBackendsIgnoreWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cholesky: %v", err)
 	}
-	red, err := NewReducedOperator(g, caps, inputs, n, 0)
-	if err != nil {
-		t.Fatalf("reduced: %v", err)
-	}
 	const k = 4
 	b := warmTestRHS(k, n)
 	junk := junkFilled(k, n)
 	for _, tc := range []struct {
 		name string
 		op   Operator
-	}{{"dense", dense}, {"cholesky", chol}, {"reduced", red}} {
+	}{{"dense", dense}, {"cholesky", chol}} {
 		if tc.op.Iterative() {
 			t.Fatalf("%s: Iterative() = true for a direct backend", tc.name)
 		}
@@ -105,7 +134,7 @@ func TestDirectBackendsIgnoreWarmStart(t *testing.T) {
 // its converged answer has to take strictly fewer iterations than starting
 // cold, while reaching the same tolerance.
 func TestCGWarmStartConvergesFaster(t *testing.T) {
-	g, _, _ := morTestSystem(12, 12)
+	g := gridTestSystem(12, 12)
 	n := g.N
 	op := NewSparseOperator(g, CGOptions{})
 	if !op.Iterative() {

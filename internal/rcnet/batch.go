@@ -45,13 +45,6 @@ type batchSession struct {
 	iter   bool
 	nsteps uint64 // batched solves taken; drives the 1-in-8 latency sampling
 
-	// Reduced-path state: red is the current operator when it is a reduced
-	// projection (nil otherwise), epoch the solver epoch it was fetched at,
-	// res the residual-check scratch. All unused on full-backend solvers.
-	red   *linalg.ReducedOperator
-	epoch uint32
-	res   []float64
-
 	// one* are the width-1 argument slots step1 reuses, so single-state
 	// stepping allocates nothing.
 	oneT, oneP [1][]float64
@@ -123,7 +116,7 @@ func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64, errs []err
 				k, len(temps[k]), len(powers[k]), n)
 		}
 	}
-	if bs.op == nil || bs.step != dt || (s.reduced != nil && bs.epoch != s.epoch.Load()) {
+	if bs.op == nil || bs.step != dt {
 		op, err := s.beOperatorCached(dt)
 		if err != nil {
 			return err
@@ -131,13 +124,6 @@ func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64, errs []err
 		bs.op, bs.step, bs.iter = op, dt, op.Iterative()
 		for i, c := range s.net.cap {
 			bs.capDt[i] = c / dt
-		}
-		bs.red, _ = op.(*linalg.ReducedOperator)
-		if s.reduced != nil {
-			bs.epoch = s.epoch.Load()
-			if bs.red != nil && bs.res == nil {
-				bs.res = make([]float64, n)
-			}
 		}
 	}
 	ambRHS, capDt := s.ambRHS, bs.capDt
@@ -185,42 +171,6 @@ func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64, errs []err
 		if sample {
 			st.stepSolveNanos.Add(8 * int64(time.Since(start)))
 		}
-		return nil
-	}
-	if bs.red != nil {
-		// Reduced path: per-column solves into slot scratch (there is no
-		// factor traversal to amortize), with a sampled residual check on
-		// the first live slot before any caller state changes.
-		for k := 0; k < kk; k++ {
-			if temps[k] == nil {
-				continue
-			}
-			if _, err := bs.op.Solve(bs.rhs[k], nil, bs.sol[k], &bs.ws); err != nil {
-				return fmt.Errorf("rcnet: backward Euler batch solve: %w", err)
-			}
-		}
-		if sample {
-			st.stepSolveNanos.Add(8 * int64(time.Since(start)))
-			for k := 0; k < kk; k++ {
-				if temps[k] == nil {
-					continue
-				}
-				if !s.checkReducedResidual(bs.red, bs.rhs[k], bs.sol[k], bs.res) {
-					// Gate tripped: redo the whole batch step through the
-					// full backend (no temp has been written yet).
-					bs.op = nil
-					return bs.StepBE(temps, powers, dt, errs)
-				}
-				break
-			}
-		}
-		for k := 0; k < kk; k++ {
-			if temps[k] != nil {
-				copy(temps[k], bs.sol[k])
-			}
-		}
-		st.directSteps.Add(int64(width))
-		st.reducedSteps.Add(int64(width))
 		return nil
 	}
 	// Direct path: one factor traversal for every active slot. Direct

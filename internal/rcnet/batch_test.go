@@ -14,13 +14,13 @@ import (
 
 // TestBatchSessionMatchesSessions: K states stepped through one batch
 // session must be bit-identical to the same K states stepped one at a time
-// through Solver.StepBE (width 1), on the dense, supernodal-Cholesky, CG and
-// reduced backends, through a dt switch.
+// through Solver.StepBE (width 1), on the dense, supernodal-Cholesky and CG
+// backends, through a dt switch.
 func TestBatchSessionMatchesSessions(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	net := gridNetwork(rng, 6, 6)
 	const kk = 5
-	for _, tb := range []testBackend{denseTB, choleskyTB, cgTB, reducedTB} {
+	for _, tb := range []testBackend{denseTB, choleskyTB, cgTB} {
 		t.Run(tb.name, func(t *testing.T) {
 			s, err := tb.compile(net)
 			if err != nil {

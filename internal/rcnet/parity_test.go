@@ -57,7 +57,6 @@ var (
 	denseTB    = testBackend{"dense", withBackend(linalg.DenseBackend{})}
 	choleskyTB = testBackend{"cholesky", withBackend(linalg.CholeskyBackend{})}
 	cgTB       = testBackend{"cg", withBackend(linalg.SparseBackend{})}
-	reducedTB  = testBackend{"reduced", func(n *Network) (*Solver, error) { return n.CompileReduced(ReducedSpec{}) }}
 )
 
 func randomPower(rng *rand.Rand, n int) []float64 {

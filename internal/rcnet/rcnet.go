@@ -200,18 +200,6 @@ type Solver struct {
 	// iterative backend stalls on (see rescueSolve).
 	rescueOnce sync.Once
 	rescue     linalg.Operator
-
-	// Reduced-order state (nil/zero unless compiled via CompileReduced):
-	// reduced is the projection operator, redGate the sampled-residual
-	// threshold, epoch bumps when the gate trips so sessions refetch their
-	// operators, and fullOp is the lazily-assembled full backend the solver
-	// falls back onto (see reduced.go).
-	reduced  *linalg.ReducedOperator
-	redGate  float64
-	epoch    atomic.Uint32
-	fullOnce sync.Once
-	fullOp   linalg.Operator
-	fullErr  error
 }
 
 // beCacheCap bounds the per-solver (dt → operator) cache.
@@ -264,9 +252,6 @@ type solverStats struct {
 	stepSolveNanos atomic.Int64
 	batchHist      [len(batchWidthBuckets)]atomic.Int64
 	kernelSolves   [len(kernelWidthLabels)]atomic.Int64
-
-	reducedSteps     atomic.Int64
-	reducedFallbacks atomic.Int64
 }
 
 func (st *solverStats) recordBatchWidth(w int) {
@@ -321,17 +306,6 @@ type SolverStats struct {
 	// right-hand sides decomposes greedily (e.g. K=31 → one 16-wide, one
 	// 8-wide, one 4-wide and three 1-wide invocations).
 	KernelSolves map[string]int64 `json:"kernel_solves,omitempty"`
-	// ReducedOrder and ReducedProjError describe the reduced-order backend
-	// (zero on every other path): the Krylov basis size and the worst
-	// relative residual over the input columns at construction time.
-	ReducedOrder     int     `json:"reduced_order,omitempty"`
-	ReducedProjError float64 `json:"reduced_proj_error,omitempty"`
-	// ReducedSteps counts backward-Euler steps solved through the reduced
-	// projection; ReducedFallbacks counts falls back onto the full backend
-	// (at compile, when the basis cannot be built, or at run time, when a
-	// sampled step residual exceeds the gate).
-	ReducedSteps     int64 `json:"reduced_steps,omitempty"`
-	ReducedFallbacks int64 `json:"reduced_fallbacks,omitempty"`
 }
 
 // Stats snapshots the solver's per-path counters.
@@ -348,12 +322,6 @@ func (s *Solver) Stats() SolverStats {
 		out.Supernodes = c.Supernodes()
 		out.MaxPanelRows = c.MaxPanelRows()
 	}
-	if s.reduced != nil {
-		out.ReducedOrder = s.reduced.Order()
-		out.ReducedProjError = s.reduced.ProjectionError()
-	}
-	out.ReducedSteps = s.stats.reducedSteps.Load()
-	out.ReducedFallbacks = s.stats.reducedFallbacks.Load()
 	for i := range s.stats.batchHist {
 		if v := s.stats.batchHist[i].Load(); v > 0 {
 			if out.BatchWidths == nil {
@@ -394,23 +362,16 @@ func (s *Solver) putWS(ws *linalg.Workspace) {
 // steady state unbounded), so the direct backends never see a structurally
 // singular system. Use CompileWith to force a specific backend.
 func (n *Network) Compile() (*Solver, error) {
-	return autoSelect(n.N(), n.CompileWith)
-}
-
-// autoSelect applies Compile's backend choice for an sz-node system through
-// build, which assembles onto one backend: dense LU at or below DenseCutoff,
-// fill-capped Cholesky above it, and CG when the factor would fill past the
-// cap or the system cannot be factored. Compile and a tripped reduced
-// solver's full fallback (Solver.fullOperator) share it.
-func autoSelect[T any](sz int, build func(linalg.Backend) (T, error)) (T, error) {
-	if sz <= DenseCutoff {
-		return build(linalg.DenseBackend{})
+	if n.N() <= DenseCutoff {
+		return n.CompileWith(linalg.DenseBackend{})
 	}
-	v, err := build(linalg.CholeskyBackend{MaxFillRatio: CholeskyMaxFill})
+	s, err := n.CompileWith(linalg.CholeskyBackend{MaxFillRatio: CholeskyMaxFill})
 	if errors.Is(err, linalg.ErrCholeskyFill) || errors.Is(err, linalg.ErrNotSPD) || errors.Is(err, linalg.ErrNotSymmetric) {
-		return build(linalg.SparseBackend{})
+		// Too much fill, or a system the direct path cannot factor: the
+		// iterative backend handles both.
+		return n.CompileWith(linalg.SparseBackend{})
 	}
-	return v, err
+	return s, err
 }
 
 // CompileWith assembles the network onto an explicit solver backend. Use it
@@ -532,7 +493,7 @@ func (s *Solver) FactorInfo() (nnzL int, fillRatio float64, ok bool) {
 }
 
 // Backend returns the name of the linear-algebra backend in use ("dense",
-// "cholesky", "sparse" or "reduced").
+// "cholesky" or "sparse").
 func (s *Solver) Backend() string { return s.backend.Name() }
 
 // SteadyState returns the equilibrium temperatures (Kelvin) for constant
@@ -559,24 +520,20 @@ func (s *Solver) SteadyState(power []float64) []float64 {
 // backend stalls outright (catastrophically ill-conditioned conductances),
 // the solve falls back to a lazily-built dense LU rather than failing.
 func (s *Solver) solveRefined(b, warm []float64, ws *linalg.Workspace) []float64 {
-	op := s.baseOp()
-	x, err := op.Solve(b, warm, nil, ws)
+	x, err := s.op.Solve(b, warm, nil, ws)
 	if err != nil {
 		return s.rescueSolve(b)
 	}
-	if !op.Iterative() && s.reduced == nil {
-		return x // exact direct solve: refinement would buy nothing
+	if !s.op.Iterative() {
+		return x // direct solve: refinement would buy nothing
 	}
-	// Iterative tolerance or reduced projection: one refinement step. (For
-	// the reduced path Apply is the exact matrix, so the step removes the
-	// within-subspace part of the projection error.)
 	r := make([]float64, len(b))
-	op.Apply(x, r)
+	s.op.Apply(x, r)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
 	if linalg.Norm2(r) > 1e-14*linalg.Norm2(b) {
-		if d, err := op.Solve(r, nil, nil, ws); err == nil {
+		if d, err := s.op.Solve(r, nil, nil, ws); err == nil {
 			linalg.AXPY(1, d, x)
 		}
 	}
@@ -667,7 +624,7 @@ func (s *Solver) beOperator(dt float64) (linalg.Operator, error) {
 	for i, c := range s.net.cap {
 		shift[i] = c / dt
 	}
-	op, err := s.baseOp().Shift(shift)
+	op, err := s.op.Shift(shift)
 	if err != nil {
 		return nil, fmt.Errorf("rcnet: backward Euler operator: %w", err)
 	}
@@ -744,7 +701,7 @@ func (s *Solver) DominantTimeConstant() float64 {
 	ws := s.getWS()
 	defer s.putWS(ws)
 	solve := func(b, warm []float64) []float64 {
-		x, err := s.baseOp().Solve(b, warm, nil, ws)
+		x, err := s.op.Solve(b, warm, nil, ws)
 		if err != nil {
 			return s.rescueSolve(b)
 		}

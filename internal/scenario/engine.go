@@ -165,19 +165,13 @@ type Compiled struct {
 func (c *Compiled) Name() string { return c.spec.Name }
 
 // SolverBackends maps each package label to the linear-solver backend its
-// model compiled onto ("dense", "cholesky", "sparse", or
-// "reduced(order=N)"). Grid cells inherit the backend's per-step cost
-// directly — every control step is one backward-Euler solve — so the
-// mapping is part of a run's provenance. Reduced backends carry their basis
-// order because it, not the node count, sets the per-step cost.
+// model compiled onto ("dense", "cholesky" or "sparse"). Grid cells inherit
+// the backend's per-step cost directly — every control step is one
+// backward-Euler solve — so the mapping is part of a run's provenance.
 func (c *Compiled) SolverBackends() map[string]string {
 	out := make(map[string]string, len(c.pkgs))
 	for _, p := range c.pkgs {
-		b := p.model.SolverBackend()
-		if b == "reduced" {
-			b = fmt.Sprintf("reduced(order=%d)", p.model.SolverStats().ReducedOrder)
-		}
-		out[p.label] = b
+		out[p.label] = p.model.SolverBackend()
 	}
 	return out
 }

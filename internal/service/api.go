@@ -54,17 +54,6 @@ type ModelSpec struct {
 	Secondary bool    `json:"secondary,omitempty"`
 	// AmbientC is the ambient temperature in °C (default 45).
 	AmbientC float64 `json:"ambient_c,omitempty"`
-	// Serving hints the serving shape. "per-user" declares many concurrent
-	// long-lived streaming sessions against this model and auto-selects the
-	// reduced-order backend (DESIGN.md §10); "auto" keeps the full backend
-	// normally but lets the server degrade the solve onto the reduced
-	// backend under queue pressure (the response carries degraded:true when
-	// it does); "" or "batch" keeps the default full backend always.
-	Serving string `json:"serving,omitempty"`
-	// Reduced forces the reduced-order backend regardless of Serving.
-	Reduced bool `json:"reduced,omitempty"`
-	// ReducedOrder caps the reduction basis size (0 = solver default).
-	ReducedOrder int `json:"reduced_order,omitempty"`
 }
 
 // maxGridSide bounds synthetic grid floorplans (128×128 blocks ≈ 33k RC
@@ -141,28 +130,13 @@ func (sp ModelSpec) config() (hotspot.Config, error) {
 	if ambientC == 0 {
 		ambientC = 45
 	}
-	switch sp.Serving {
-	case "", "batch", "per-user", "auto":
-	default:
-		return hotspot.Config{}, fmt.Errorf("unknown serving mode %q (have per-user, batch, auto)", sp.Serving)
-	}
-	cfg, err := core.BuildConfig(fp, core.PackageSpec{
+	return core.BuildConfig(fp, core.PackageSpec{
 		Kind:      sp.Package,
 		Rconv:     sp.Rconv,
 		Direction: sp.Direction,
 		Secondary: sp.Secondary,
 		AmbientK:  ambientC + 273.15,
 	})
-	if err != nil {
-		return cfg, err
-	}
-	// Per-user streaming means many concurrent sessions each stepping the
-	// same compiled model: the reduced backend's tiny pre-factored solve is
-	// built for exactly that, so the serving hint auto-selects it.
-	if sp.Reduced || sp.Serving == "per-user" {
-		cfg.Reduced = hotspot.ReducedConfig{Enabled: true, Order: sp.ReducedOrder}
-	}
-	return cfg, nil
 }
 
 // Fingerprint resolves the spec and returns its model-cache key — the same
@@ -215,9 +189,6 @@ type SteadyResponse struct {
 	SpreadC      float64            `json:"spread_c"`
 	Cache        string             `json:"cache"` // "hit" or "miss"
 	SolveMS      float64            `json:"solve_ms"`
-	// Degraded reports that queue pressure dropped this solve onto the
-	// reduced-order backend (serving "auto" only).
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // TransientRequest replays an inline power trace. Streamed bodies (non-JSON
@@ -264,9 +235,6 @@ type TransientResponse struct {
 	// them with backoff. PersistedRows is zero in that case — the rows are
 	// not yet durable.
 	PersistPending bool `json:"persist_pending,omitempty"`
-	// Degraded reports that queue pressure dropped this solve onto the
-	// reduced-order backend (serving "auto" only).
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // SweepScenario is one entry of a sweep: a model plus either a steady power

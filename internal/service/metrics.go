@@ -53,7 +53,6 @@ type metrics struct {
 	badRequests         atomic.Int64
 	solveErrors         atomic.Int64
 
-	degradedSolves  atomic.Int64
 	persistDeferred atomic.Int64
 
 	solveLatency *latencyRing
@@ -97,7 +96,7 @@ type LatencyStats struct {
 // CG solve latency per step.
 type SolverPathStats struct {
 	// Backends counts resident models per solver backend name
-	// ("dense", "cholesky", "sparse", "reduced").
+	// ("dense", "cholesky", "sparse").
 	Backends map[string]int `json:"backends"`
 	// Factorizations counts numeric factorizations (compile-time plus one
 	// per distinct backward-Euler step size per model).
@@ -129,36 +128,12 @@ type SolverPathStats struct {
 	// register-block width ("1", "4", "8", "16"), summed over resident
 	// models: how batched steps actually decomposed onto the wide kernels.
 	KernelSolves map[string]int64 `json:"kernel_solves,omitempty"`
-	// Reduced summarizes the reduced-order models among the residents;
-	// absent when none compiled onto the reduced backend.
-	Reduced *ReducedStats `json:"reduced,omitempty"`
 }
 
-// ReducedStats aggregates reduced-order solver state (DESIGN.md §10) over
-// the resident models that carry a reduction basis.
-type ReducedStats struct {
-	// Models counts resident models on the reduced backend (including any
-	// that have since tripped to their full fallback).
-	Models int `json:"models"`
-	// MaxOrder is the largest reduction basis among them.
-	MaxOrder int `json:"max_order"`
-	// MaxProjError is the worst a-priori projection error estimate
-	// (relative residual of the basis-construction input columns).
-	MaxProjError float64 `json:"max_proj_error"`
-	// Steps counts backward-Euler steps answered by a reduced solve.
-	Steps int64 `json:"steps"`
-	// Fallbacks counts automatic trips to the full backend (construction
-	// failures plus residual-gate violations).
-	Fallbacks int64 `json:"fallbacks"`
-}
-
-// DegradeStats reports the graceful-degradation rungs (DESIGN.md §12): how
-// often solves dropped to the reduced-order backend and how telemetry
-// persistence fell back from synchronous to buffered-with-retry.
+// DegradeStats reports the buffered-telemetry rung of the degradation
+// ladder (DESIGN.md §12): how often telemetry persistence fell back from
+// synchronous to buffered-with-retry.
 type DegradeStats struct {
-	// DegradedSolves counts solves served by the reduced-order backend
-	// because queue pressure crossed the degrade threshold.
-	DegradedSolves int64 `json:"degraded_solves"`
 	// PersistDeferred counts requests whose telemetry flush failed and was
 	// handed to the background retrier (response carried persist_pending).
 	PersistDeferred int64 `json:"persist_deferred"`
@@ -231,21 +206,6 @@ func (m *metrics) snapshot(cache *ModelCache) Stats {
 		if steps := st.DirectSteps + st.CGSteps; steps > 0 {
 			solver.MeanStepSolveUS += float64(st.StepSolveNanos) / 1e3
 		}
-		if st.ReducedOrder > 0 || st.ReducedFallbacks > 0 {
-			if solver.Reduced == nil {
-				solver.Reduced = &ReducedStats{}
-			}
-			r := solver.Reduced
-			r.Models++
-			if st.ReducedOrder > r.MaxOrder {
-				r.MaxOrder = st.ReducedOrder
-			}
-			if st.ReducedProjError > r.MaxProjError {
-				r.MaxProjError = st.ReducedProjError
-			}
-			r.Steps += st.ReducedSteps
-			r.Fallbacks += st.ReducedFallbacks
-		}
 	}
 	if steps := solver.DirectSteps + solver.CGSteps; steps > 0 {
 		solver.MeanStepSolveUS /= float64(steps)
@@ -261,9 +221,6 @@ func (m *metrics) snapshot(cache *ModelCache) Stats {
 		CacheHitRate:        hitRate,
 		SolveLatency:        LatencyStats{Window: window, Total: total, P50MS: ps[0], P90MS: ps[1], P99MS: ps[2]},
 		Solver:              solver,
-		Degrade: DegradeStats{
-			DegradedSolves:  m.degradedSolves.Load(),
-			PersistDeferred: m.persistDeferred.Load(),
-		},
+		Degrade:             DegradeStats{PersistDeferred: m.persistDeferred.Load()},
 	}
 }

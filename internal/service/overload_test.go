@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -108,11 +109,10 @@ func TestOversizedTenantRejected(t *testing.T) {
 
 // TestTwoTenantOverload is the overload acceptance scenario: a heavy tenant
 // bursting far past its queue bound is shed with 429 + Retry-After while a
-// light tenant keeps succeeding with bounded queue waits, and its
-// pressure-degraded solves are flagged and counted exactly.
+// light tenant keeps succeeding with bounded queue waits.
 func TestTwoTenantOverload(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		MaxConcurrent: 2, QueueDepth: 8, DegradeThreshold: 0.1,
+		MaxConcurrent: 2, QueueDepth: 8,
 		Tenants: map[string]admission.Quota{
 			"heavy": {MaxQueue: 4},
 			"light": {Weight: 2},
@@ -133,10 +133,9 @@ func TestTwoTenantOverload(t *testing.T) {
 	}()
 
 	type outcome struct {
-		tenant   string
-		status   int
-		retry    string
-		degraded bool
+		tenant string
+		status int
+		retry  string
 	}
 	results := make(chan outcome, 64)
 	var wg sync.WaitGroup
@@ -159,18 +158,16 @@ func TestTwoTenantOverload(t *testing.T) {
 			results <- outcome{tenant: tenant, status: -1}
 			return
 		}
-		var out SteadyResponse
-		_ = json.NewDecoder(resp.Body).Decode(&out)
+		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		results <- outcome{tenant, resp.StatusCode, resp.Header.Get("Retry-After"), out.Degraded}
+		results <- outcome{tenant, resp.StatusCode, resp.Header.Get("Retry-After")}
 	}
 
 	light := steadyReq()
-	light.Model.Serving = "auto" // degrade-eligible
 	heavy := steadyReq()
 
 	// First light wave queues while the slots are held, so every one of them
-	// is granted under pressure and must degrade.
+	// is granted from the queue.
 	wg.Add(4)
 	for i := 0; i < 4; i++ {
 		go post("light", light)
@@ -214,7 +211,7 @@ func TestTwoTenantOverload(t *testing.T) {
 	wg.Wait()
 	close(results)
 
-	var lightOK, lightBad, heavyOK, heavySheds, degraded int
+	var lightOK, lightBad, heavyOK, heavySheds int
 	for o := range results {
 		switch o.tenant {
 		case "light":
@@ -237,18 +234,12 @@ func TestTwoTenantOverload(t *testing.T) {
 				t.Errorf("heavy request: status %d", o.status)
 			}
 		}
-		if o.degraded {
-			degraded++
-		}
 	}
 	if lightOK != 12 || lightBad != 0 {
 		t.Fatalf("light tenant: %d ok, %d failed, want 12/0", lightOK, lightBad)
 	}
 	if heavySheds == 0 || heavyOK+heavySheds != 30 {
 		t.Fatalf("heavy tenant: %d ok + %d shed, want 30 with sheds > 0", heavyOK, heavySheds)
-	}
-	if degraded < 4 {
-		t.Fatalf("degraded responses = %d, want at least the 4 queued light ones", degraded)
 	}
 
 	st := srv.Stats()
@@ -262,85 +253,10 @@ func TestTwoTenantOverload(t *testing.T) {
 	if st.RejectedQueueFull != int64(heavySheds) {
 		t.Fatalf("rejected_queue_full = %d, want %d", st.RejectedQueueFull, heavySheds)
 	}
-	if st.Degrade.DegradedSolves != int64(degraded) || lt.Degraded != int64(degraded) {
-		t.Fatalf("degraded counters: stats %d, tenant %d, observed %d",
-			st.Degrade.DegradedSolves, lt.Degraded, degraded)
-	}
 	// The light tenant's queue waits stayed bounded (well under the test's
 	// own 5 s patience).
 	if lt.QueueWaitP99MS >= 5000 {
 		t.Fatalf("light p99 queue wait %.1f ms", lt.QueueWaitP99MS)
-	}
-}
-
-// TestDegradeUnderPressure: a serving "auto" request granted while the queue
-// sits at or past the degrade threshold lands on the reduced-order backend
-// and says so.
-func TestDegradeUnderPressure(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 2})
-
-	release := occupySlots(t, srv, "hold", 1)
-	// Park one raw waiter so the queue is half full (pressure 0.5 = default
-	// threshold) when the HTTP request enqueues behind it.
-	parked := make(chan *admission.Decision, 1)
-	go func() {
-		dec, err := srv.admission.Admit(context.Background(), "parker")
-		if err != nil {
-			t.Error(err)
-		}
-		parked <- dec
-	}()
-	waitCond(t, "parker queued", func() bool { return srv.admission.Queued() == 1 })
-
-	req := steadyReq()
-	req.Model.Serving = "auto"
-	done := make(chan []byte, 1)
-	status := make(chan int, 1)
-	go func() {
-		raw, _ := json.Marshal(req)
-		resp, err := http.Post(ts.URL+"/v1/steady", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			status <- -1
-			done <- nil
-			return
-		}
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		resp.Body.Close()
-		status <- resp.StatusCode
-		done <- buf.Bytes()
-	}()
-	waitCond(t, "auto request queued", func() bool { return srv.admission.Queued() == 2 })
-
-	release()
-	if dec := <-parked; dec != nil {
-		dec.Release()
-	}
-	if code := <-status; code != http.StatusOK {
-		t.Fatalf("auto request: status %d", code)
-	}
-	var out SteadyResponse
-	decodeInto(t, <-done, &out)
-	if !out.Degraded {
-		t.Fatal("auto request under pressure not flagged degraded")
-	}
-	st := srv.Stats()
-	if st.Degrade.DegradedSolves != 1 {
-		t.Fatalf("degraded_solves = %d, want 1", st.Degrade.DegradedSolves)
-	}
-	if ten := st.Admission.Tenants["default"]; ten.Degraded != 1 {
-		t.Fatalf("default tenant degraded = %d, want 1", ten.Degraded)
-	}
-
-	// The same request with a free queue runs the full backend undegraded.
-	resp, raw := postJSON(t, ts.URL+"/v1/steady", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unloaded auto request: status %d: %s", resp.StatusCode, raw)
-	}
-	var calm SteadyResponse
-	decodeInto(t, raw, &calm)
-	if calm.Degraded {
-		t.Fatal("unloaded auto request flagged degraded")
 	}
 }
 
@@ -614,12 +530,13 @@ func TestPersistPendingLongRunOnFullDisk(t *testing.T) {
 	}
 }
 
-// TestScenarioServingValidation: the scenario endpoints validate the serving
-// hint like ModelSpec does.
+// TestScenarioServingValidation: the scenario endpoints refuse a serving
+// hint. The field no longer exists, so any value is an unknown field and
+// answers 400 instead of silently running the default backend.
 func TestScenarioServingValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, raw := postJSON(t, ts.URL+"/v1/scenario", ScenarioRequest{
-		Spec: json.RawMessage(sweepSpecJSON), Serving: "bogus",
+	resp, raw := postJSON(t, ts.URL+"/v1/scenario", map[string]any{
+		"spec": json.RawMessage(sweepSpecJSON), "serving": "bogus",
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", resp.StatusCode, raw)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/hotspot"
 	"repro/internal/scenario"
 )
@@ -28,12 +27,6 @@ type ScenarioRequest struct {
 	// the server to be configured with a store.
 	Persist   string `json:"persist,omitempty"`
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
-	// Serving hints the serving shape for every model in the grid, with the
-	// same semantics as ModelSpec.Serving: "per-user" always compiles the
-	// reduced-order backend, "auto" does so only under queue pressure (the
-	// response then carries degraded:true), "" or "batch" keeps the full
-	// backend.
-	Serving string `json:"serving,omitempty"`
 }
 
 // ScenarioPolicyJSON names one grid cell's DTM policy.
@@ -66,9 +59,6 @@ type ScenarioHeaderJSON struct {
 	// Solver maps each package label to the linear-solver backend its model
 	// compiled onto ("dense", "cholesky", "sparse").
 	Solver map[string]string `json:"solver,omitempty"`
-	// Degraded reports that queue pressure dropped the grid's models onto
-	// the reduced-order backend (serving "auto" only).
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // ScenarioResponse is the buffered /v1/scenario reply.
@@ -89,9 +79,6 @@ type ScenarioResponse struct {
 	Persist        string `json:"persist,omitempty"`
 	PersistedRows  int64  `json:"persisted_rows,omitempty"`
 	PersistPending bool   `json:"persist_pending,omitempty"`
-	// Degraded reports that queue pressure dropped the grid's models onto
-	// the reduced-order backend (serving "auto" only).
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // ScenarioTrailerJSON is the last NDJSON row of a streamed scenario.
@@ -126,34 +113,13 @@ func cellJSON(r scenario.CellResult) ScenarioCellJSON {
 	return out
 }
 
-// scenarioReduced resolves the request's serving mode against the admission
-// decision: "per-user" always compiles reduced-order models (not a
-// degradation — the client asked for them), "auto" does so only when queue
-// pressure has crossed the degrade threshold, in which case the solve counts
-// as degraded.
-func (s *Server) scenarioReduced(serving string, dec *admission.Decision) (reduced, degraded bool) {
-	switch serving {
-	case "per-user":
-		return true, false
-	case "auto":
-		if dec.Pressure >= s.cfg.DegradeThreshold {
-			s.metrics.degradedSolves.Add(1)
-			s.admission.RecordDegraded(dec.Tenant)
-			return true, true
-		}
-	}
-	return false, false
-}
-
 // compileScenario decodes and compiles a scenario request, resolving its
 // package models through the single-flight compiled-model cache (the same
 // fingerprint keying every other endpoint uses). ctx bounds the compile
 // itself (nominal prepass, model builds, initial steady solves) so a
-// deadline cannot pin the serving slot. reduced forces every package model
-// onto the reduced-order backend (fingerprints diverge, so reduced and full
-// compiles never share a cache entry). The returned cache state is "hit"
+// deadline cannot pin the serving slot. The returned cache state is "hit"
 // iff no package needed a compile.
-func (s *Server) compileScenario(ctx context.Context, req ScenarioRequest, reduced bool) (*scenario.Compiled, string, error) {
+func (s *Server) compileScenario(ctx context.Context, req ScenarioRequest) (*scenario.Compiled, string, error) {
 	if len(req.Spec) == 0 {
 		return nil, "", fmt.Errorf("missing spec")
 	}
@@ -165,9 +131,6 @@ func (s *Server) compileScenario(ctx context.Context, req ScenarioRequest, reduc
 	compiled, err := scenario.Compile(spec, scenario.Options{
 		Ctx: ctx,
 		Models: func(cfg hotspot.Config) (*hotspot.Model, error) {
-			if reduced {
-				cfg.Reduced.Enabled = true
-			}
 			cm, hit, err := s.cache.Get(cfg.Fingerprint(), func() (*hotspot.Model, error) {
 				return hotspot.New(cfg)
 			})
@@ -191,11 +154,6 @@ func decodeScenarioRequest(r *http.Request) (ScenarioRequest, error) {
 	var req ScenarioRequest
 	if err := decodeJSON(r, &req); err != nil {
 		return req, fmt.Errorf("decode request: %w", err)
-	}
-	switch req.Serving {
-	case "", "batch", "per-user", "auto":
-	default:
-		return req, fmt.Errorf("unknown serving mode %q (have per-user, batch, auto)", req.Serving)
 	}
 	return req, nil
 }
@@ -223,8 +181,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	defer dec.Release()
 
 	start := time.Now()
-	reduced, degraded := s.scenarioReduced(req.Serving, dec)
-	compiled, cacheState, err := s.compileScenario(ctx, req, reduced)
+	compiled, cacheState, err := s.compileScenario(ctx, req)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.metrics.deadlineExceeded.Add(1)
@@ -254,7 +211,6 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		Cache:     cacheState,
 		SolveMS:   solveMS,
 		Solver:    compiled.SolverBackends(),
-		Degraded:  degraded,
 	}
 	if tw != nil {
 		// Flush so the rows are in durable segments before the response
@@ -302,8 +258,7 @@ func (s *Server) handleScenarioStream(w http.ResponseWriter, r *http.Request) {
 	defer dec.Release()
 
 	start := time.Now()
-	reduced, degraded := s.scenarioReduced(req.Serving, dec)
-	compiled, cacheState, err := s.compileScenario(ctx, req, reduced)
+	compiled, cacheState, err := s.compileScenario(ctx, req)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.metrics.deadlineExceeded.Add(1)
@@ -331,7 +286,6 @@ func (s *Server) handleScenarioStream(w http.ResponseWriter, r *http.Request) {
 		IntervalS: compiled.Interval(),
 		Cache:     cacheState,
 		Solver:    compiled.SolverBackends(),
-		Degraded:  degraded,
 	})
 	timedOut := false
 	onCell := func(cr scenario.CellResult) {

@@ -40,11 +40,6 @@ type Config struct {
 	// Tenants maps tenant name (the X-Tenant request header) to its
 	// admission quota.
 	Tenants map[string]admission.Quota
-	// DegradeThreshold is the queue-pressure fraction (queued/QueueDepth,
-	// in (0, 1]) beyond which degrade-eligible solves (serving "auto")
-	// drop onto the reduced-order backend. 0 defaults to 0.5; a value > 1
-	// disables degradation.
-	DegradeThreshold float64
 	// DrainTimeout bounds graceful shutdown: after Serve's context is
 	// cancelled, in-flight solves get this long to finish while new
 	// requests shed with 503 (default 5 s).
@@ -68,9 +63,6 @@ func (c Config) defaulted() Config {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.DegradeThreshold == 0 {
-		c.DegradeThreshold = 0.5
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
@@ -187,21 +179,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ctx context.Conte
 		s.fail(w, http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded while queued: %v", err))
 	}
 	return nil, false
-}
-
-// maybeDegrade flips a degrade-eligible model spec (serving "auto") onto
-// the reduced-order backend when the admission decision carries queue
-// pressure at or above the configured threshold. Reduced-order compiles
-// are separate cache entries (Reduced is part of the fingerprint), so
-// degraded and full solves never share a model.
-func (s *Server) maybeDegrade(spec *ModelSpec, dec *admission.Decision) bool {
-	if spec.Serving != "auto" || spec.Reduced || dec.Pressure < s.cfg.DegradeThreshold {
-		return false
-	}
-	spec.Reduced = true
-	s.metrics.degradedSolves.Add(1)
-	s.admission.RecordDegraded(dec.Tenant)
-	return true
 }
 
 // BeginDrain puts the server into shutdown mode: queued waiters are evicted
@@ -345,7 +322,6 @@ func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
 	defer dec.Release()
 
 	start := time.Now()
-	degraded := s.maybeDegrade(&req.Model, dec)
 	cm, cacheState, err := s.model(req.Model)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("model: %w", err))
@@ -375,7 +351,6 @@ func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
 		SpreadC:      res.Spread(),
 		Cache:        cacheState,
 		SolveMS:      solveMS,
-		Degraded:     degraded,
 	})
 }
 
@@ -476,7 +451,6 @@ func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) {
 	defer dec.Release()
 
 	start := time.Now()
-	degraded := s.maybeDegrade(&req.Model, dec)
 	cm, cacheState, err := s.model(req.Model)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("model: %w", err))
@@ -556,7 +530,6 @@ func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) {
 	s.metrics.solveLatency.add(solveMS)
 
 	resp := transientResponse(cm.Model, pts, req.MaxPoints, cacheState, solveMS)
-	resp.Degraded = degraded
 	if persistPending {
 		resp.Persist, resp.PersistPending = req.Persist, true
 	}

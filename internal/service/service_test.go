@@ -638,70 +638,96 @@ func TestGridSpecBounds(t *testing.T) {
 	}
 }
 
-// A per-user serving spec must compile onto the reduced backend, step
-// transients through it, and surface the reduction in /v1/stats — while a
-// default spec of the same model keeps the full backend and a separate
-// cache entry.
-func TestPerUserServingSelectsReducedBackend(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	tr := testTrace(t)
-	req := TransientRequest{
-		Model: ModelSpec{Floorplan: "ev6", Package: "oil-silicon", Serving: "per-user"},
-		Trace: traceSpec(tr),
-	}
-	resp, raw := postJSON(t, ts.URL+"/v1/transient", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
-	}
-	var out TransientResponse
-	decodeInto(t, raw, &out)
-	if out.Steps == 0 {
-		t.Fatal("no transient steps")
-	}
-
-	st := srv.Stats()
-	if st.Solver.Backends["reduced"] != 1 {
-		t.Fatalf("backends = %v, want one reduced model", st.Solver.Backends)
-	}
-	r := st.Solver.Reduced
-	if r == nil {
-		t.Fatal("stats carry no solver.reduced block")
-	}
-	if r.Models != 1 || r.MaxOrder <= 0 {
-		t.Fatalf("reduced stats %+v", r)
-	}
-	if r.Steps == 0 {
-		t.Fatal("reduced stats count no steps")
-	}
-	if r.Fallbacks != 0 {
-		t.Fatalf("reduced fallbacks = %d on a healthy replay", r.Fallbacks)
-	}
-
-	// The same physical model without the serving hint is a distinct cache
-	// entry on a full backend: the reduction must key the fingerprint.
-	fullReq := req
-	fullReq.Model.Serving = ""
-	if resp, raw := postJSON(t, ts.URL+"/v1/transient", fullReq); resp.StatusCode != http.StatusOK {
-		t.Fatalf("full-model status %d: %s", resp.StatusCode, raw)
-	}
-	st = srv.Stats()
-	if st.Cache.Compiles != 2 {
-		t.Fatalf("compiles = %d, want 2 (reduced and full must not share a cache slot)", st.Cache.Compiles)
-	}
-	if st.Solver.Backends["reduced"] != 1 {
-		t.Fatalf("backends after full run = %v", st.Solver.Backends)
-	}
-}
-
 // An unknown serving mode is a client error, not a silent default.
 func TestUnknownServingModeRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := SteadyRequest{
-		Model: ModelSpec{Floorplan: "ev6", Serving: "sometimes"},
-		Power: map[string]float64{"IntReg": 2.0},
+	req := map[string]any{
+		"model": map[string]any{"floorplan": "ev6", "serving": "sometimes"},
+		"power": map[string]float64{"IntReg": 2.0},
 	}
 	resp, raw := postJSON(t, ts.URL+"/v1/steady", req)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+}
+
+// TestSteadyServingModesMatchFullOrRefuse: no model field may change the
+// physics behind a served steady state. Each serving or reduction field a
+// client may send must either be refused with 400 or answer block
+// temperatures within 0.1 K of the same request without it, on models
+// where a default-order Krylov basis is exact (ev6, grid:8x8) and on one
+// where it truncates (grid:16x16). Unknown serving values, and every
+// serving field on the scenario endpoint, must be refused outright. The
+// bodies are raw JSON maps, so the fields need not exist in ModelSpec or
+// ScenarioRequest.
+func TestSteadyServingModesMatchFullOrRefuse(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	grid := map[string]float64{"c0_0": 3, "c3_5": 2}
+	models := []struct {
+		floorplan string
+		power     map[string]float64
+	}{
+		{"ev6", map[string]float64{"IntReg": 3, "FPMul": 2}},
+		{"grid:8x8", grid},
+		{"grid:16x16", grid},
+	}
+	cases := []struct {
+		extra  map[string]any
+		refuse bool // an unknown value: matching the plain answer is not enough
+	}{
+		{extra: map[string]any{"serving": "per-user"}},
+		{extra: map[string]any{"serving": "auto"}},
+		{extra: map[string]any{"serving": "batch"}},
+		{extra: map[string]any{"reduced": true}},
+		{extra: map[string]any{"reduced": true, "reduced_order": 8}},
+		{extra: map[string]any{"serving": "sometimes"}, refuse: true},
+	}
+	steady := func(floorplan string, power map[string]float64, extra map[string]any) (*http.Response, []byte) {
+		model := map[string]any{"floorplan": floorplan, "package": "oil-silicon"}
+		for k, v := range extra {
+			model[k] = v
+		}
+		return postJSON(t, ts.URL+"/v1/steady", map[string]any{"model": model, "power": power})
+	}
+	for _, m := range models {
+		resp, raw := steady(m.floorplan, m.power, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s plain: status %d: %s", m.floorplan, resp.StatusCode, raw)
+		}
+		var plain SteadyResponse
+		decodeInto(t, raw, &plain)
+		for _, c := range cases {
+			name := fmt.Sprintf("%s %v", m.floorplan, c.extra)
+			resp, raw := steady(m.floorplan, m.power, c.extra)
+			if resp.StatusCode == http.StatusBadRequest {
+				t.Logf("%s: refused: %s", name, bytes.TrimSpace(raw))
+				continue
+			}
+			if c.refuse {
+				t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, raw)
+				continue
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d, want 400 or 200: %s", name, resp.StatusCode, raw)
+				continue
+			}
+			var got SteadyResponse
+			decodeInto(t, raw, &got)
+			for block, want := range plain.BlockC {
+				if d := math.Abs(got.BlockC[block] - want); !(d <= 0.1) {
+					t.Errorf("%s: block %s at %.2f °C, full model %.2f °C (|ΔT| %.3g K > 0.1 K)",
+						name, block, got.BlockC[block], want, d)
+					break
+				}
+			}
+		}
+	}
+	for _, serving := range []string{"per-user", "auto", "bogus"} {
+		resp, raw := postJSON(t, ts.URL+"/v1/scenario", map[string]any{
+			"spec": json.RawMessage(sweepSpecJSON), "serving": serving,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("scenario serving %q: status %d, want 400: %.200s", serving, resp.StatusCode, raw)
+		}
 	}
 }

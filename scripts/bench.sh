@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # bench.sh — the solver benchmark harness.
 #
-# Runs the solver-path micro-benchmarks (the root EV6 benchmarks including
-# the reduced-order step row, the rcnet backend matrix with the
-# N=16384/N=65536 reference-grid rows, the linalg kernel benchmarks: numeric
-# refactorization, solve-kernel widths, and the tstore telemetry-store
-# group: ingest rows/s — gated at ≥1M rows/s on one core — plus rollup and
-# raw query latency, and the fleet routing group: bounded-load ring
-# lookups, proxy wire overhead against no-op backends, and the failover
-# window p99 while the primary owner is dead, and the trace-decode row:
-# ns/row and allocs/op streaming a 30 000-row, 18-column ptrace built like
-# the persist-query workload's) and emits BENCH_solver.json
-# via cmd/benchreport:
+# Runs the solver-path micro-benchmarks (the root EV6 benchmarks, the rcnet
+# backend matrix with the N=16384/N=65536 reference-grid rows, the linalg
+# kernel benchmarks: numeric refactorization, solve-kernel widths, and the
+# tstore telemetry-store group: ingest rows/s — gated at ≥1M rows/s on one
+# core — plus rollup and raw query latency, and the fleet routing group:
+# bounded-load ring lookups, proxy wire overhead against no-op backends,
+# and the failover window p99 while the primary owner is dead, and the
+# trace-decode row: ns/row and allocs/op streaming a 30 000-row, 18-column
+# ptrace built like the persist-query workload's) and emits
+# BENCH_solver.json via cmd/benchreport:
 # ns/op, B/op, allocs/op, custom metrics, GOMAXPROCS and the commit hash.
 #
 # The suite runs once per GOMAXPROCS value in BENCH_PROCS (default "1 4"):
@@ -54,7 +53,7 @@ for procs in $BENCH_PROCS; do
   echo "=== GOMAXPROCS=$procs ==="
 
   echo "== root solver benchmarks (-benchtime $STEP_BENCHTIME)"
-  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkTransientStepBE$|BenchmarkSteadyStateSolve$|BenchmarkReducedStepBE$' \
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkTransientStepBE$|BenchmarkSteadyStateSolve$' \
     -benchmem -benchtime "$STEP_BENCHTIME" . | tee -a "$tmp"
 
   echo "== trace replay sweep (-benchtime $SWEEP_BENCHTIME)"

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -527,6 +528,51 @@ func TestRouteKey(t *testing.T) {
 		t.Errorf("listing key = %q", got)
 	}
 
+	fingerprint := func(spec service.ModelSpec) string {
+		t.Helper()
+		fp, err := spec.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	oil := fingerprint(spec)
+	air := fingerprint(service.ModelSpec{Floorplan: "grid:4x4", Package: "air-sink"})
+	flp := "a\t8e-3\t16e-3\t0\t0\nb\t8e-3\t16e-3\t8e-3\t0\n"
+	allParams := service.ModelSpec{Floorplan: "ev6", FLP: flp, Package: "oil-silicon", Direction: "l2r",
+		Rconv: 0.5, Secondary: true, AmbientC: 30}
+	inline, _ := json.Marshal(map[string]any{"model": spec, "trace": map[string]any{"names": []string{"c0_0"}}})
+	persisted, _ := json.Marshal(map[string]any{"model": spec, "persist": "run-1"})
+	multiSweep, _ := json.Marshal(map[string]any{"scenarios": []map[string]any{
+		{"model": service.ModelSpec{Floorplan: "grid:4x4", Package: "air-sink"}}, {"model": spec}}})
+	streamBody := []byte("0 1 2\n")
+	for _, tc := range []struct {
+		name, method, target, ctype string
+		body                        []byte
+		want                        string
+	}{
+		{"invert", "POST", "/v1/invert", "", steadyBody(t, spec), oil},
+		{"inline transient", "POST", "/v1/transient", "application/json", inline, oil},
+		{"inline persisting transient", "POST", "/v1/transient", "", persisted, oil},
+		{"charset JSON transient", "POST", "/v1/transient", "application/json; charset=utf-8", inline, oil},
+		{"multi-scenario sweep", "POST", "/v1/sweep", "", multiSweep, air},
+		{"streamed transient, every model parameter", "POST", "/v1/transient?floorplan=ev6&flp=" + url.QueryEscape(flp) +
+			"&package=oil-silicon&direction=l2r&rconv=0.5&secondary=true&ambient_c=30&persist=run-2&max_points=3",
+			"text/plain", streamBody, fingerprint(allParams)},
+		// The replica answers 400 to a malformed rconv; the key is the
+		// default model's fingerprint.
+		{"streamed transient, malformed rconv", "POST", "/v1/transient?rconv=x", "text/plain", streamBody,
+			fingerprint(service.ModelSpec{})},
+	} {
+		r := httptest.NewRequest(tc.method, tc.target, nil)
+		if tc.ctype != "" {
+			r.Header.Set("Content-Type", tc.ctype)
+		}
+		if got := rt.routeKey(r, tc.body); got != tc.want {
+			t.Errorf("%s: key = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+
 	// Uninterpretable bodies: stable digest, distinct per body.
 	junk := httptest.NewRequest("POST", "/v1/steady", nil)
 	k1 := rt.routeKey(junk, []byte("not json"))
@@ -578,8 +624,22 @@ func TestHedgeEligible(t *testing.T) {
 	add("persisting streamed transient", r, b, false)
 	r, b = mk("POST", "/v1/transient", "application/x-ndjson", []byte("0 1\n"))
 	add("pure streamed transient", r, b, true)
+	r, b = mk("POST", "/v1/transient", "application/json; charset=utf-8", pureBody)
+	add("charset JSON transient", r, b, true)
+	r, b = mk("POST", "/v1/transient", "application/json; charset=utf-8", persistBody)
+	add("charset JSON persisting transient", r, b, false)
+	r, b = mk("POST", "/v1/transient", "", []byte("not json"))
+	add("undecodable JSON transient", r, b, false)
+	r, b = mk("POST", "/v1/transient?floorplan=ev6&package=oil-silicon&direction=l2r&rconv=0.5&secondary=true&ambient_c=30",
+		"text/plain", []byte("0 1\n"))
+	add("streamed transient, every model parameter", r, b, true)
+	r, b = mk("POST", "/v1/transient?rconv=x", "text/plain", []byte("0 1\n"))
+	add("streamed transient, malformed rconv", r, b, true)
 	r, b = mk("POST", "/v1/sweep", "", nil)
 	add("sweep", r, b, false)
+	multiSweep, _ := json.Marshal(map[string]any{"scenarios": []map[string]any{{"model": spec}, {"model": spec}}})
+	r, b = mk("POST", "/v1/sweep", "", multiSweep)
+	add("multi-scenario sweep", r, b, false)
 	r, b = mk("POST", "/v1/scenario", "", nil)
 	add("scenario", r, b, false)
 	for _, tc := range cases {

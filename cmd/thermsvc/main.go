@@ -137,6 +137,10 @@ func main() {
 	log.Print("thermsvc: shut down")
 }
 
+// readHeaderTimeout bounds how long the fleet router waits for a request's
+// headers, as service.Server.Serve does for a replica.
+const readHeaderTimeout = 10 * time.Second
+
 // runFleet serves the routing front end: the full replica API proxied by
 // model affinity with retries, hedging and failover. Shutdown mirrors the
 // solver's graceful drain: stop accepting, give in-flight proxied requests
@@ -156,7 +160,7 @@ func runFleet(addr, replicaList string, hedge, probeEvery, drain time.Duration) 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: addr, Handler: rt.Handler()}
+	httpSrv := &http.Server{Addr: addr, Handler: rt.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("thermsvc: fleet router on %s over %d replicas (hedge %v, probe %v)",

@@ -105,7 +105,7 @@ func BenchmarkFleetFailoverWindow(b *testing.B) {
 	body := []byte(`{"model":{"floorplan":"grid:3x3"},"power":{"c0_0":10}}`)
 
 	// Kill the steady request's ring owner so every early request fails over.
-	key := rt.routeKey(httptest.NewRequest("POST", "/v1/steady", nil), body)
+	key, _ := route(httptest.NewRequest("POST", "/v1/steady", nil), body)
 	for i, addr := range h.Addrs() {
 		if addr == rt.Ring().Owner(key) {
 			h.Kill(i)

@@ -50,9 +50,6 @@ type Config struct {
 	// idempotent request is hedged to the next ring owner (default 200 ms;
 	// negative disables hedging).
 	HedgeDelay time.Duration
-	// MaxBodyBytes caps the buffered request body — bodies must be held in
-	// memory to be replayable across retries and hedges (default 64 MiB).
-	MaxBodyBytes int64
 	// Transport overrides the upstream round tripper (tests).
 	Transport http.RoundTripper
 }
@@ -72,9 +69,6 @@ func (c Config) defaulted() Config {
 	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 200 * time.Millisecond
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	c.Retry = c.Retry.defaulted()
 	return c

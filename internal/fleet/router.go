@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/service"
@@ -56,129 +56,53 @@ func (rt *Router) failJSON(w http.ResponseWriter, code int, retryAfter bool, err
 
 // --- route keys ---
 
-// jsonModel is the permissive shape of every solve request body the router
-// needs: just enough to recover the model spec for fingerprinting. Unknown
-// fields are ignored — full validation is the replica's job.
-type jsonModel struct {
-	Model     service.ModelSpec `json:"model"`
-	Scenarios []struct {
-		Model service.ModelSpec `json:"model"`
-	} `json:"scenarios"`
-}
-
-// routeKey derives the consistent-hash key for a request:
+// route derives a request's consistent-hash key, and whether it may be
+// hedged, from one read of where it carries its model
+// (service.RequestModel). The key is
 //
-//   - solve endpoints (steady/transient/sweep/invert): the resolved model's
-//     fingerprint — the same key the replica's compiled-model cache uses, so
-//     the request lands where the model is (sweeps key on their first
-//     scenario's model).
-//   - query endpoints: the series name (persisted runs stay readable from
-//     a stable replica).
-//   - scenario endpoints, and any body the router cannot interpret: a digest
-//     of the request (identical scenario specs reuse the same replica's
-//     cached models). The replica still validates everything; the router
-//     only needs a stable key.
-func (rt *Router) routeKey(r *http.Request, body []byte) string {
+//   - for solve endpoints (steady/transient/sweep/invert): the resolved
+//     model's fingerprint — the same key the replica's compiled-model cache
+//     uses, so the request lands where the model is (sweeps key on their
+//     first scenario's model).
+//   - for query endpoints: the series name (persisted runs stay readable
+//     from a stable replica).
+//   - for scenario endpoints, and any request whose model does not read: a
+//     digest of the request (identical scenario specs reuse the same
+//     replica's cached models). The replica still validates everything;
+//     the router only needs a stable key.
+//
+// Only idempotent pure solves and reads may be raced against a second
+// replica: steady, invert, queries, and transients without a persist run
+// name. A persisting transient writes telemetry rows — hedging it could
+// double-write, so it fails over serially instead.
+func route(r *http.Request, body []byte) (key string, hedge bool) {
 	path := r.URL.Path
-	switch {
-	case path == "/v1/steady", path == "/v1/invert", path == "/v1/sweep":
-		var jm jsonModel
-		if err := json.Unmarshal(body, &jm); err == nil {
-			spec := jm.Model
-			if path == "/v1/sweep" && len(jm.Scenarios) > 0 {
-				spec = jm.Scenarios[0].Model
-			}
-			if fp, err := spec.Fingerprint(); err == nil {
-				return fp
-			}
-		}
-	case path == "/v1/transient":
-		var spec service.ModelSpec
-		decoded := true
-		if isJSONContent(r) {
-			var jm jsonModel
-			if err := json.Unmarshal(body, &jm); err != nil {
-				decoded = false
-			}
-			spec = jm.Model
-		} else {
-			spec = specFromQuery(r)
-		}
-		if decoded {
-			if fp, err := spec.Fingerprint(); err == nil {
-				return fp
-			}
-		}
-	case path == "/v1/query" || path == "/v1/query/stream":
+	switch path {
+	case "/v1/query", "/v1/query/stream":
 		if s := r.URL.Query().Get("series"); s != "" {
-			return "series:" + s
+			return "series:" + s, r.Method == http.MethodGet
 		}
-	case path == "/v1/query/series":
+		return bodyDigest(r.Method, path, body), r.Method == http.MethodGet
+	case "/v1/query/series":
 		// One deterministic home so repeated listings agree while the
 		// membership is stable (a fleet-wide listing union is future work;
 		// DESIGN.md §13.6).
-		return "series-listing"
+		return "series-listing", r.Method == http.MethodGet
 	}
-	return bodyDigest(r.Method, path, body)
-}
-
-// specFromQuery mirrors the replica's streamed-transient query parameters
-// (service.transientQueryParams): the trace is the body, the model rides the
-// URL.
-func specFromQuery(r *http.Request) service.ModelSpec {
-	q := r.URL.Query()
-	spec := service.ModelSpec{
-		Floorplan: q.Get("floorplan"),
-		FLP:       q.Get("flp"),
-		Package:   q.Get("package"),
-		Direction: q.Get("direction"),
-		Secondary: q.Get("secondary") == "true",
+	spec, persist, ok := service.RequestModel(r, body)
+	hedge = path == "/v1/steady" || path == "/v1/invert" || path == "/v1/transient" && ok && persist == ""
+	if ok {
+		if fp, err := spec.Fingerprint(); err == nil {
+			return fp, hedge
+		}
 	}
-	spec.Rconv, _ = strconv.ParseFloat(q.Get("rconv"), 64)
-	spec.AmbientC, _ = strconv.ParseFloat(q.Get("ambient_c"), 64)
-	return spec
-}
-
-func isJSONContent(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if ct == "" {
-		return true
-	}
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == "application/json"
+	return bodyDigest(r.Method, path, body), hedge
 }
 
 func bodyDigest(method, path string, body []byte) string {
 	h := hashKey(method + " " + path)
 	bh := hashKey(string(body))
 	return "req:" + strconv.FormatUint(h^bh*1099511628211, 16)
-}
-
-// hedgeEligible reports whether a request may be raced against a second
-// replica: idempotent pure solves and reads only. A transient carrying a
-// persist run name writes telemetry rows — hedging it could double-write, so
-// it fails over serially instead.
-func hedgeEligible(r *http.Request, body []byte) bool {
-	switch r.URL.Path {
-	case "/v1/steady", "/v1/invert":
-		return true
-	case "/v1/query", "/v1/query/stream", "/v1/query/series":
-		return r.Method == http.MethodGet
-	case "/v1/transient":
-		if !isJSONContent(r) {
-			return r.URL.Query().Get("persist") == ""
-		}
-		var req struct {
-			Persist string `json:"persist"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			return false
-		}
-		return req.Persist == ""
-	}
-	return false
 }
 
 // --- the proxy path ---
@@ -202,20 +126,20 @@ var errNoReplica = fmt.Errorf("fleet: no replica available")
 // out.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	rt.counters.proxied.Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
+	body, err := readBody(w, r)
 	if err != nil {
 		rt.counters.routeErrors.Add(1)
-		rt.failJSON(w, http.StatusBadRequest, false, fmt.Errorf("fleet: read body: %w", err))
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			rt.failJSON(w, http.StatusRequestEntityTooLarge, false,
+				fmt.Errorf("fleet: body exceeds %d bytes (bodies buffer for retry/hedge)", service.MaxBodyBytes))
+		} else {
+			rt.failJSON(w, http.StatusBadRequest, false, fmt.Errorf("fleet: read body: %w", err))
+		}
 		return
 	}
-	if int64(len(body)) > rt.cfg.MaxBodyBytes {
-		rt.counters.routeErrors.Add(1)
-		rt.failJSON(w, http.StatusRequestEntityTooLarge, false,
-			fmt.Errorf("fleet: body exceeds %d bytes (bodies buffer for retry/hedge)", rt.cfg.MaxBodyBytes))
-		return
-	}
-	key := rt.routeKey(r, body)
-	res := rt.dispatch(r, key, body)
+	key, hedge := route(r, body)
+	res := rt.dispatch(r, body, key, hedge)
 	if res.err != nil {
 		if res.err == errNoReplica {
 			rt.counters.noReplica.Add(1)
@@ -233,13 +157,23 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	copyResponse(w, res.resp)
 }
 
-// dispatch runs the primary attempt chain and, for idempotent requests with
+// readBody buffers a request body so retries and hedges can replay it. A
+// body over service.MaxBodyBytes is refused, before any read when its
+// declared length already says so.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > service.MaxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: service.MaxBodyBytes}
+	}
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
+}
+
+// dispatch runs the primary attempt chain and, for hedgeable requests with
 // deadline headroom, a single hedge against the next ring owner once the
 // primary has run alone for HedgeDelay. The first settled chain with a
 // definitive response wins; the loser is cancelled and drained. Each chain
 // runs under its own context, so cancelling the loser never cuts off the
 // winner's body: the winner's context travels out in the result's release.
-func (rt *Router) dispatch(r *http.Request, key string, body []byte) upstreamResult {
+func (rt *Router) dispatch(r *http.Request, body []byte, key string, hedge bool) upstreamResult {
 	ctx := r.Context()
 	primary, _ := rt.ring.OwnerBounded(key, rt.cfg.BoundedLoadFactor, rt.available, rt.loadOf)
 	if primary == "" {
@@ -247,7 +181,7 @@ func (rt *Router) dispatch(r *http.Request, key string, body []byte) upstreamRes
 	}
 	order := rt.failoverOrder(key, primary)
 
-	if rt.cfg.HedgeDelay <= 0 || len(order) < 2 || !hedgeEligible(r, body) {
+	if rt.cfg.HedgeDelay <= 0 || len(order) < 2 || !hedge {
 		return rt.tryOwners(ctx, r, body, order, false)
 	}
 

@@ -467,12 +467,35 @@ func TestRouterStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRouterBodyLimit: bodies beyond MaxBodyBytes are rejected before any
-// upstream call (they could not be replayed on retry).
+// spaces reads as an endless run of spaces.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestRouterBodyLimit: a body one byte over service.MaxBodyBytes is
+// rejected before any upstream call (it could not be replayed on retry).
 func TestRouterBodyLimit(t *testing.T) {
-	_, rt, front := serviceFleet(t, 1, func(c *Config) { c.MaxBodyBytes = 128 })
-	big := bytes.Repeat([]byte("x"), 4096)
-	resp, data := postJSON(t, front.Client(), front.URL+"/v1/steady", big)
+	_, rt, front := serviceFleet(t, 1, nil)
+	req, err := http.NewRequest("POST", front.URL+"/v1/steady", io.LimitReader(spaces{}, service.MaxBodyBytes+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = service.MaxBodyBytes + 1
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := front.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d %s, want 413", resp.StatusCode, data)
 	}
@@ -485,11 +508,10 @@ func TestRouterBodyLimit(t *testing.T) {
 // (the replica cache key), queries on the series, everything else on a
 // stable body digest.
 func TestRouteKey(t *testing.T) {
-	rt, err := New(Config{Replicas: []string{"127.0.0.1:1"}, ProbeInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
+	routeKey := func(r *http.Request, body []byte) string {
+		key, _ := route(r, body)
+		return key
 	}
-	defer rt.Close()
 
 	spec := steadySpec("grid:3x3")
 	fp, err := spec.Fingerprint()
@@ -498,13 +520,13 @@ func TestRouteKey(t *testing.T) {
 	}
 
 	steady := httptest.NewRequest("POST", "/v1/steady", nil)
-	if got := rt.routeKey(steady, steadyBody(t, spec)); got != fp {
+	if got := routeKey(steady, steadyBody(t, spec)); got != fp {
 		t.Errorf("steady key = %q, want model fingerprint %q", got, fp)
 	}
 
 	sweepBody, _ := json.Marshal(map[string]any{"scenarios": []map[string]any{{"model": spec}}})
 	sweep := httptest.NewRequest("POST", "/v1/sweep", nil)
-	if got := rt.routeKey(sweep, sweepBody); got != fp {
+	if got := routeKey(sweep, sweepBody); got != fp {
 		t.Errorf("sweep key = %q, want first scenario's fingerprint %q", got, fp)
 	}
 
@@ -515,16 +537,16 @@ func TestRouteKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.routeKey(stream, []byte("0 1 2\n")); got != wantFP {
+	if got := routeKey(stream, []byte("0 1 2\n")); got != wantFP {
 		t.Errorf("streamed transient key = %q, want %q", got, wantFP)
 	}
 
 	q := httptest.NewRequest("GET", "/v1/query?series=run-1/c0_0", nil)
-	if got := rt.routeKey(q, nil); got != "series:run-1/c0_0" {
+	if got := routeKey(q, nil); got != "series:run-1/c0_0" {
 		t.Errorf("query key = %q", got)
 	}
 	listing := httptest.NewRequest("GET", "/v1/query/series", nil)
-	if got := rt.routeKey(listing, nil); got != "series-listing" {
+	if got := routeKey(listing, nil); got != "series-listing" {
 		t.Errorf("listing key = %q", got)
 	}
 
@@ -559,25 +581,25 @@ func TestRouteKey(t *testing.T) {
 		{"streamed transient, every model parameter", "POST", "/v1/transient?floorplan=ev6&flp=" + url.QueryEscape(flp) +
 			"&package=oil-silicon&direction=l2r&rconv=0.5&secondary=true&ambient_c=30&persist=run-2&max_points=3",
 			"text/plain", streamBody, fingerprint(allParams)},
-		// The replica answers 400 to a malformed rconv; the key is the
-		// default model's fingerprint.
+		// The replica answers 400 to a malformed rconv, so the model does
+		// not read and the request keys on its digest.
 		{"streamed transient, malformed rconv", "POST", "/v1/transient?rconv=x", "text/plain", streamBody,
-			fingerprint(service.ModelSpec{})},
+			bodyDigest("POST", "/v1/transient", streamBody)},
 	} {
 		r := httptest.NewRequest(tc.method, tc.target, nil)
 		if tc.ctype != "" {
 			r.Header.Set("Content-Type", tc.ctype)
 		}
-		if got := rt.routeKey(r, tc.body); got != tc.want {
+		if got := routeKey(r, tc.body); got != tc.want {
 			t.Errorf("%s: key = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 
 	// Uninterpretable bodies: stable digest, distinct per body.
 	junk := httptest.NewRequest("POST", "/v1/steady", nil)
-	k1 := rt.routeKey(junk, []byte("not json"))
-	k2 := rt.routeKey(junk, []byte("not json"))
-	k3 := rt.routeKey(junk, []byte("other"))
+	k1 := routeKey(junk, []byte("not json"))
+	k2 := routeKey(junk, []byte("not json"))
+	k3 := routeKey(junk, []byte("other"))
 	if k1 != k2 || k1 == k3 || !strings.HasPrefix(k1, "req:") {
 		t.Errorf("digest keys: %q %q %q", k1, k2, k3)
 	}
@@ -634,7 +656,7 @@ func TestHedgeEligible(t *testing.T) {
 		"text/plain", []byte("0 1\n"))
 	add("streamed transient, every model parameter", r, b, true)
 	r, b = mk("POST", "/v1/transient?rconv=x", "text/plain", []byte("0 1\n"))
-	add("streamed transient, malformed rconv", r, b, true)
+	add("streamed transient, malformed rconv", r, b, false)
 	r, b = mk("POST", "/v1/sweep", "", nil)
 	add("sweep", r, b, false)
 	multiSweep, _ := json.Marshal(map[string]any{"scenarios": []map[string]any{{"model": spec}, {"model": spec}}})
@@ -643,8 +665,8 @@ func TestHedgeEligible(t *testing.T) {
 	r, b = mk("POST", "/v1/scenario", "", nil)
 	add("scenario", r, b, false)
 	for _, tc := range cases {
-		if got := hedgeEligible(tc.req, tc.body); got != tc.want {
-			t.Errorf("%s: hedgeEligible = %v, want %v", tc.name, got, tc.want)
+		if _, got := route(tc.req, tc.body); got != tc.want {
+			t.Errorf("%s: hedge = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -30,7 +30,10 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -149,6 +152,67 @@ func (sp ModelSpec) Fingerprint() (string, error) {
 		return "", err
 	}
 	return cfg.Fingerprint(), nil
+}
+
+// modelFromQuery reads a streamed transient's model from its query
+// parameters: floorplan, flp, package, direction, rconv, secondary and
+// ambient_c.
+func modelFromQuery(q url.Values) (ModelSpec, error) {
+	spec := ModelSpec{
+		Floorplan: q.Get("floorplan"),
+		FLP:       q.Get("flp"),
+		Package:   q.Get("package"),
+		Direction: q.Get("direction"),
+		Secondary: q.Get("secondary") == "true",
+	}
+	var err error
+	if v := q.Get("rconv"); v != "" {
+		if spec.Rconv, err = strconv.ParseFloat(v, 64); err != nil {
+			return spec, fmt.Errorf("rconv: %v", err)
+		}
+	}
+	if v := q.Get("ambient_c"); v != "" {
+		if spec.AmbientC, err = strconv.ParseFloat(v, 64); err != nil {
+			return spec, fmt.Errorf("ambient_c: %v", err)
+		}
+	}
+	return spec, nil
+}
+
+// RequestModel reads where a request carries its model, without validating
+// the rest of it: the "model" of a steady, invert or JSON transient body,
+// the first scenario's for a sweep, or a streamed transient's query
+// parameters. persist is the request's run name. ok is false for endpoints
+// without a model and for a body or query that does not decode. The fleet
+// router keys and hedges requests on it, so router and replica read request
+// shapes through one definition. Power maps and trace rows are skipped, not
+// decoded.
+func RequestModel(r *http.Request, body []byte) (spec ModelSpec, persist string, ok bool) {
+	switch r.URL.Path {
+	case "/v1/steady", "/v1/invert", "/v1/sweep":
+	case "/v1/transient":
+		if !isJSONRequest(r) {
+			q := r.URL.Query()
+			spec, err := modelFromQuery(q)
+			return spec, q.Get("persist"), err == nil
+		}
+	default:
+		return spec, "", false
+	}
+	var shape struct {
+		Model     ModelSpec `json:"model"`
+		Persist   string    `json:"persist"`
+		Scenarios []struct {
+			Model ModelSpec `json:"model"`
+		} `json:"scenarios"`
+	}
+	if err := json.Unmarshal(body, &shape); err != nil {
+		return spec, "", false
+	}
+	if r.URL.Path == "/v1/sweep" && len(shape.Scenarios) > 0 {
+		return shape.Scenarios[0].Model, shape.Persist, true
+	}
+	return shape.Model, shape.Persist, true
 }
 
 // TraceSpec is an inline power trace.

@@ -367,7 +367,10 @@ func doSteadyRaw(url string, req SteadyRequest) outcomeHTTP {
 }
 
 // TestServeGracefulShutdown: cancelling Serve's context drains — the
-// in-flight solve completes and Serve returns nil.
+// in-flight request completes with its full result and Serve returns nil.
+// The request is a streamed transient whose body the test finishes only
+// once the drain has begun, so it is in flight across the shutdown by
+// construction.
 func TestServeGracefulShutdown(t *testing.T) {
 	srv := New(Config{MaxConcurrent: 2})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -389,11 +392,11 @@ func TestServeGracefulShutdown(t *testing.T) {
 		return resp.StatusCode == http.StatusOK
 	})
 
-	// A scenario grid in flight across the shutdown must run to completion.
+	body, finish := io.Pipe()
+	defer finish.Close()
 	inflight := make(chan outcomeHTTP, 1)
 	go func() {
-		raw, _ := json.Marshal(ScenarioRequest{Spec: json.RawMessage(sweepSpecJSON)})
-		resp, err := http.Post("http://"+addr+"/v1/scenario", "application/json", bytes.NewReader(raw))
+		resp, err := http.Post("http://"+addr+"/v1/transient?floorplan=ev6&package=air-sink", "text/plain", body)
 		if err != nil {
 			inflight <- outcomeHTTP{status: -1}
 			return
@@ -403,20 +406,30 @@ func TestServeGracefulShutdown(t *testing.T) {
 		resp.Body.Close()
 		inflight <- outcomeHTTP{status: resp.StatusCode, body: buf.Bytes()}
 	}()
-	waitCond(t, "scenario in flight", func() bool { return srv.admission.InFlight() >= 1 })
+	// The header and first row admit the replay, which then waits for the
+	// next row: the request holds its slot until the body finishes.
+	if _, err := io.WriteString(finish, "# interval 1e-3 s\nIntReg\n3\n"); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "transient in flight", func() bool { return srv.admission.InFlight() >= 1 })
 
 	cancel()
+	waitCond(t, "drain begun", srv.Draining)
+	if _, err := io.WriteString(finish, "3\n0\n0\n"); err != nil {
+		t.Fatal(err)
+	}
+	finish.Close()
 	if err := <-errc; err != nil {
 		t.Fatalf("Serve returned %v", err)
 	}
 	res := <-inflight
 	if res.status != http.StatusOK {
-		t.Fatalf("in-flight scenario: status %d: %s", res.status, res.body)
+		t.Fatalf("in-flight transient: status %d: %s", res.status, res.body)
 	}
-	var out ScenarioResponse
+	var out TransientResponse
 	decodeInto(t, res.body, &out)
-	if len(out.Cells) != 12 {
-		t.Fatalf("in-flight scenario finished with %d cells, want 12", len(out.Cells))
+	if out.Steps != 4 || len(out.Points) != 5 {
+		t.Fatalf("in-flight transient finished with %d steps and %d points, want 4 and 5", out.Steps, len(out.Points))
 	}
 	if !srv.Draining() {
 		t.Fatal("server not draining after shutdown")

@@ -1,7 +1,7 @@
 package service
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -85,44 +85,32 @@ func parseQueryParams(r *http.Request) (queryParams, error) {
 	return p, nil
 }
 
-// queryStore runs the admission-controlled store query shared by the
-// buffered and streaming endpoints. On error it has already written the
-// response.
-func (s *Server) queryStore(w http.ResponseWriter, r *http.Request) (tstore.Result, queryParams, bool) {
+// parseQuery is the first stage /v1/query and /v1/query/stream share. Its
+// run queries the store once admitted and hands the result to answer, whose
+// return value is the reply.
+func (s *Server) parseQuery(r *http.Request, answer func(tstore.Result, queryParams) any) (int, runFunc, error) {
 	if s.cfg.Store == nil {
-		s.failRetryAfter(w, http.StatusServiceUnavailable, 0, fmt.Errorf("no telemetry store configured (start the server with one to enable /v1/query)"))
-		return tstore.Result{}, queryParams{}, false
+		return 0, nil, errNoStore
 	}
 	p, err := parseQueryParams(r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return tstore.Result{}, p, false
+		return 0, nil, err
 	}
-	ctx, cancel := s.deadline(r, p.timeoutMS)
-	defer cancel()
-	dec, ok := s.admit(w, r, ctx)
-	if !ok {
-		return tstore.Result{}, p, false
-	}
-	defer dec.Release()
-	if ctx.Err() != nil {
-		s.metrics.deadlineExceeded.Add(1)
-		s.fail(w, http.StatusGatewayTimeout, ctx.Err())
-		return tstore.Result{}, p, false
-	}
-	res, err := s.cfg.Store.Query(p.series, p.from, p.to, p.downsample)
-	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, tstore.ErrUnknownSeries) {
-			code = http.StatusNotFound
+	return p.timeoutMS, func(ctx context.Context, _ solveClock) (any, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, withStatus(http.StatusGatewayTimeout, err)
 		}
-		if errors.Is(err, tstore.ErrCorrupt) {
-			code = http.StatusInternalServerError
+		res, err := s.cfg.Store.Query(p.series, p.from, p.to, p.downsample)
+		switch {
+		case errors.Is(err, tstore.ErrCorrupt):
+			return nil, withStatus(http.StatusInternalServerError, err)
+		case errors.Is(err, tstore.ErrUnknownSeries):
+			return nil, withStatus(http.StatusNotFound, err)
+		case err != nil:
+			return nil, err
 		}
-		s.fail(w, code, err)
-		return res, p, false
-	}
-	return res, p, true
+		return answer(res, p), nil
+	}, nil
 }
 
 // QueryResponse is the buffered /v1/query reply. Raw queries fill Rows;
@@ -157,82 +145,64 @@ func telemetryBucket(b tstore.Bucket) trace.TelemetryBucket {
 }
 
 // handleQuery answers a time-range query in one buffered JSON object.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.metrics.countRequest("query")
-	res, p, ok := s.queryStore(w, r)
-	if !ok {
-		return
-	}
-	resp := QueryResponse{
-		Series: res.Series, FromNs: res.From, ToNs: res.To, DownsampleNs: res.Downsample,
-		RollupBuckets: res.RollupBuckets, RawBuckets: res.RawBuckets,
-	}
-	rows, buckets := res.Rows, res.Buckets
-	if p.limit > 0 {
-		if len(rows) > p.limit {
-			rows, resp.Truncated = rows[:p.limit], true
+func (s *Server) handleQuery(_ http.ResponseWriter, r *http.Request) (int, runFunc, error) {
+	return s.parseQuery(r, func(res tstore.Result, p queryParams) any {
+		resp := QueryResponse{
+			Series: res.Series, FromNs: res.From, ToNs: res.To, DownsampleNs: res.Downsample,
+			RollupBuckets: res.RollupBuckets, RawBuckets: res.RawBuckets,
 		}
-		if len(buckets) > p.limit {
-			buckets, resp.Truncated = buckets[:p.limit], true
+		rows, buckets := res.Rows, res.Buckets
+		if p.limit > 0 {
+			if len(rows) > p.limit {
+				rows, resp.Truncated = rows[:p.limit], true
+			}
+			if len(buckets) > p.limit {
+				buckets, resp.Truncated = buckets[:p.limit], true
+			}
 		}
-	}
-	if res.Downsample > 0 {
-		resp.Buckets = make([]trace.TelemetryBucket, len(buckets))
-		for i, b := range buckets {
-			resp.Buckets[i] = telemetryBucket(b)
+		if res.Downsample > 0 {
+			resp.Buckets = make([]trace.TelemetryBucket, len(buckets))
+			for i, b := range buckets {
+				resp.Buckets[i] = telemetryBucket(b)
+			}
+		} else {
+			resp.Rows = telemetryRows(rows)
 		}
-	} else {
-		resp.Rows = telemetryRows(rows)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+		return resp
+	})
 }
 
 // handleQueryStream answers the same query as NDJSON: a
 // trace.TelemetryHeader line, one line per row or bucket, then a
 // trace.TelemetryTrailer whose presence marks a complete (untruncated)
 // stream. The wire format is the one trace.ReadTelemetry decodes.
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	s.metrics.countRequest("query_stream")
-	res, p, ok := s.queryStore(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	emit := func(v any) {
-		_ = enc.Encode(v) // Encode appends the newline NDJSON needs
-	}
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
+func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) (int, runFunc, error) {
+	return s.parseQuery(r, func(res tstore.Result, p queryParams) any {
+		emit := ndjson(w)
+		emit(trace.TelemetryHeader{
+			Series: res.Series, FromNs: res.From, ToNs: res.To, DownsampleNs: res.Downsample,
+		}, true)
+		n := int64(0)
+		if res.Downsample > 0 {
+			for _, b := range res.Buckets {
+				if p.limit > 0 && n >= int64(p.limit) {
+					break
+				}
+				emit(telemetryBucket(b), false)
+				n++
+			}
+		} else {
+			for _, row := range res.Rows {
+				if p.limit > 0 && n >= int64(p.limit) {
+					break
+				}
+				emit(trace.TelemetryRow{TNs: row.T, V: row.V}, false)
+				n++
+			}
 		}
-	}
-	emit(trace.TelemetryHeader{
-		Series: res.Series, FromNs: res.From, ToNs: res.To, DownsampleNs: res.Downsample,
+		emit(trace.TelemetryTrailer{Done: true, Rows: n}, true)
+		return nil
 	})
-	flush()
-	n := int64(0)
-	if res.Downsample > 0 {
-		for _, b := range res.Buckets {
-			if p.limit > 0 && n >= int64(p.limit) {
-				break
-			}
-			emit(telemetryBucket(b))
-			n++
-		}
-	} else {
-		for _, row := range res.Rows {
-			if p.limit > 0 && n >= int64(p.limit) {
-				break
-			}
-			emit(trace.TelemetryRow{TNs: row.T, V: row.V})
-			n++
-		}
-	}
-	emit(trace.TelemetryTrailer{Done: true, Rows: n})
-	flush()
 }
 
 // SeriesListResponse is the /v1/query/series reply.
@@ -246,7 +216,7 @@ type SeriesListResponse struct {
 func (s *Server) handleQuerySeries(w http.ResponseWriter, r *http.Request) {
 	s.metrics.countRequest("query_series")
 	if s.cfg.Store == nil {
-		s.failRetryAfter(w, http.StatusServiceUnavailable, 0, fmt.Errorf("no telemetry store configured (start the server with one to enable /v1/query)"))
+		s.fail(w, errNoStore)
 		return
 	}
 	prefix := r.URL.Query().Get("prefix")
@@ -275,4 +245,22 @@ func (s *Server) persistWriter(run string) (*tstore.Writer, error) {
 		return nil, err
 	}
 	return tstore.NewWriter(s.cfg.Store, run), nil
+}
+
+// flushPersist makes a persisted run's rows durable before the reply claims
+// them, and returns how many it flushed. A failed flush, or a staging error
+// stageErr the caller did not answer itself, degrades persistence (DESIGN.md
+// §12) instead of failing the solve: the rows stay staged in memory, the
+// background retrier keeps flushing them with backoff, and the reply says
+// persist_pending instead of claiming them durable.
+func (s *Server) flushPersist(tw *tstore.Writer, stageErr error) (rows int64, pending bool) {
+	if stageErr == nil {
+		stageErr = tw.Flush()
+	}
+	if stageErr != nil {
+		s.kickRetrier()
+		s.metrics.persistDeferred.Add(1)
+		return 0, true
+	}
+	return tw.Rows(), false
 }

@@ -6,10 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/hotspot"
 	"repro/internal/scenario"
+	"repro/internal/tstore"
 )
 
 // ScenarioRequest wraps a declarative closed-loop scenario spec
@@ -113,12 +113,12 @@ func cellJSON(r scenario.CellResult) ScenarioCellJSON {
 	return out
 }
 
-// compileScenario decodes and compiles a scenario request, resolving its
-// package models through the single-flight compiled-model cache (the same
-// fingerprint keying every other endpoint uses). ctx bounds the compile
-// itself (nominal prepass, model builds, initial steady solves) so a
-// deadline cannot pin the serving slot. The returned cache state is "hit"
-// iff no package needed a compile.
+// compileScenario compiles a scenario request, resolving its package models
+// through the single-flight compiled-model cache (the same fingerprint
+// keying every other endpoint uses). ctx bounds the compile itself (nominal
+// prepass, model builds, initial steady solves) so a deadline cannot pin the
+// serving slot; a compile the deadline cut short answers 504. The returned
+// cache state is "hit" iff no package needed a compile.
 func (s *Server) compileScenario(ctx context.Context, req ScenarioRequest) (*scenario.Compiled, string, error) {
 	if len(req.Spec) == 0 {
 		return nil, "", fmt.Errorf("missing spec")
@@ -147,89 +147,59 @@ func (s *Server) compileScenario(ctx context.Context, req ScenarioRequest) (*sce
 	if misses > 0 {
 		state = "miss"
 	}
-	return compiled, state, err
+	return compiled, state, deadlineErr(ctx, err)
 }
 
-func decodeScenarioRequest(r *http.Request) (ScenarioRequest, error) {
+// parseScenario decodes a scenario request and checks its persist run name,
+// the first stage both scenario endpoints share.
+func (s *Server) parseScenario(r *http.Request) (ScenarioRequest, *tstore.Writer, error) {
 	var req ScenarioRequest
 	if err := decodeJSON(r, &req); err != nil {
-		return req, fmt.Errorf("decode request: %w", err)
+		return req, nil, err
 	}
-	return req, nil
+	tw, err := s.persistWriter(req.Persist)
+	return req, tw, err
 }
 
 // handleScenario runs a closed-loop DTM scenario grid and replies with every
 // cell in one buffered JSON object (cells in deterministic grid order).
-func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
-	s.metrics.countRequest("scenario")
-	req, err := decodeScenarioRequest(r)
+func (s *Server) handleScenario(_ http.ResponseWriter, r *http.Request) (int, runFunc, error) {
+	req, tw, err := s.parseScenario(r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return 0, nil, err
 	}
-	tw, err := s.persistWriter(req.Persist)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := s.deadline(r, req.TimeoutMS)
-	defer cancel()
-	dec, ok := s.admit(w, r, ctx)
-	if !ok {
-		return
-	}
-	defer dec.Release()
-
-	start := time.Now()
-	compiled, cacheState, err := s.compileScenario(ctx, req)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.metrics.deadlineExceeded.Add(1)
-			s.fail(w, http.StatusGatewayTimeout, err)
-			return
+	return req.TimeoutMS, func(ctx context.Context, clock solveClock) (any, error) {
+		compiled, cacheState, err := s.compileScenario(ctx, req)
+		if err != nil {
+			return nil, err
 		}
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	var results []scenario.CellResult
-	if tw != nil {
-		results = compiled.RunGridTelemetry(ctx, req.Workers, nil, tw)
-	} else {
-		results = compiled.RunGrid(ctx, req.Workers, nil)
-	}
-	solveMS := float64(time.Since(start)) / float64(time.Millisecond)
-	s.metrics.solveLatency.add(solveMS)
-	if ctx.Err() != nil {
-		s.metrics.deadlineExceeded.Add(1)
-		s.fail(w, http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded mid-grid: %w", ctx.Err()))
-		return
-	}
-	resp := ScenarioResponse{
-		Name:      compiled.Name(),
-		Steps:     compiled.Steps(),
-		IntervalS: compiled.Interval(),
-		Cache:     cacheState,
-		SolveMS:   solveMS,
-		Solver:    compiled.SolverBackends(),
-	}
-	if tw != nil {
-		// Flush so the rows are in durable segments before the response
-		// reports them persisted. A flush failure degrades persistence
-		// (DESIGN.md §12) instead of failing the solve: the rows stay staged
-		// in memory, the background retrier keeps flushing with backoff, and
-		// the response says persist_pending rather than claiming durability.
-		if err := tw.Flush(); err != nil {
-			s.kickRetrier()
-			s.metrics.persistDeferred.Add(1)
-			resp.Persist, resp.PersistPending = req.Persist, true
+		var results []scenario.CellResult
+		if tw != nil {
+			results = compiled.RunGridTelemetry(ctx, req.Workers, nil, tw)
 		} else {
-			resp.Persist, resp.PersistedRows = req.Persist, tw.Rows()
+			results = compiled.RunGrid(ctx, req.Workers, nil)
 		}
-	}
-	for _, cr := range results {
-		resp.Cells = append(resp.Cells, cellJSON(cr))
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+		solveMS := clock.ms()
+		if ctx.Err() != nil {
+			return nil, withStatus(http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded mid-grid: %w", ctx.Err()))
+		}
+		resp := ScenarioResponse{
+			Name:      compiled.Name(),
+			Steps:     compiled.Steps(),
+			IntervalS: compiled.Interval(),
+			Cache:     cacheState,
+			SolveMS:   solveMS,
+			Solver:    compiled.SolverBackends(),
+		}
+		if tw != nil {
+			resp.Persist = req.Persist
+			resp.PersistedRows, resp.PersistPending = s.flushPersist(tw, nil)
+		}
+		for _, cr := range results {
+			resp.Cells = append(resp.Cells, cellJSON(cr))
+		}
+		return resp, nil
+	}, nil
 }
 
 // handleScenarioStream runs the same grid but streams NDJSON: one header
@@ -237,85 +207,48 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 // index identifies the grid position), then a trailer. The connection
 // returns 200 before any cell completes; a deadline hit mid-grid surfaces as
 // error rows on the remaining cells rather than a 504 status.
-func (s *Server) handleScenarioStream(w http.ResponseWriter, r *http.Request) {
-	s.metrics.countRequest("scenario_stream")
-	req, err := decodeScenarioRequest(r)
+func (s *Server) handleScenarioStream(w http.ResponseWriter, r *http.Request) (int, runFunc, error) {
+	req, tw, err := s.parseScenario(r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return 0, nil, err
 	}
-	tw, err := s.persistWriter(req.Persist)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := s.deadline(r, req.TimeoutMS)
-	defer cancel()
-	dec, ok := s.admit(w, r, ctx)
-	if !ok {
-		return
-	}
-	defer dec.Release()
-
-	start := time.Now()
-	compiled, cacheState, err := s.compileScenario(ctx, req)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.metrics.deadlineExceeded.Add(1)
-			s.fail(w, http.StatusGatewayTimeout, err)
-			return
+	return req.TimeoutMS, func(ctx context.Context, clock solveClock) (any, error) {
+		compiled, cacheState, err := s.compileScenario(ctx, req)
+		if err != nil {
+			return nil, err
 		}
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	emit := func(v any) {
-		_ = enc.Encode(v) // Encode appends the newline NDJSON needs
-		if flusher != nil {
-			flusher.Flush()
+		emit := ndjson(w)
+		emit(ScenarioHeaderJSON{
+			Name:      compiled.Name(),
+			Cells:     len(compiled.Cells()),
+			Steps:     compiled.Steps(),
+			IntervalS: compiled.Interval(),
+			Cache:     cacheState,
+			Solver:    compiled.SolverBackends(),
+		}, true)
+		timedOut := false
+		onCell := func(cr scenario.CellResult) {
+			if cr.Err != nil && ctx.Err() != nil {
+				timedOut = true
+			}
+			emit(cellJSON(cr), true)
 		}
-	}
-	emit(ScenarioHeaderJSON{
-		Name:      compiled.Name(),
-		Cells:     len(compiled.Cells()),
-		Steps:     compiled.Steps(),
-		IntervalS: compiled.Interval(),
-		Cache:     cacheState,
-		Solver:    compiled.SolverBackends(),
-	})
-	timedOut := false
-	onCell := func(cr scenario.CellResult) {
-		if cr.Err != nil && ctx.Err() != nil {
-			timedOut = true
-		}
-		emit(cellJSON(cr))
-	}
-	if tw != nil {
-		compiled.RunGridTelemetry(ctx, req.Workers, onCell, tw)
-	} else {
-		compiled.RunGrid(ctx, req.Workers, onCell)
-	}
-	solveMS := float64(time.Since(start)) / float64(time.Millisecond)
-	s.metrics.solveLatency.add(solveMS)
-	if timedOut {
-		s.metrics.deadlineExceeded.Add(1)
-	}
-	trailer := ScenarioTrailerJSON{Done: true, SolveMS: solveMS}
-	if tw != nil {
-		// The stream already committed to 200, so a flush failure surfaces in
-		// the trailer as degraded persistence: the rows stay staged, the
-		// background retrier keeps flushing, and persist_pending says so.
-		if err := tw.Flush(); err != nil {
-			s.kickRetrier()
-			s.metrics.persistDeferred.Add(1)
-			trailer.Persist, trailer.PersistPending = req.Persist, true
+		if tw != nil {
+			compiled.RunGridTelemetry(ctx, req.Workers, onCell, tw)
 		} else {
-			trailer.Persist, trailer.PersistedRows = req.Persist, tw.Rows()
+			compiled.RunGrid(ctx, req.Workers, onCell)
 		}
-	}
-	emit(trailer)
+		trailer := ScenarioTrailerJSON{Done: true, SolveMS: clock.ms()}
+		if timedOut {
+			// The stream already committed to 200: the deadline shows in the
+			// cells' error rows and in deadline_exceeded.
+			s.metrics.deadlineExceeded.Add(1)
+		}
+		if tw != nil {
+			trailer.Persist = req.Persist
+			trailer.PersistedRows, trailer.PersistPending = s.flushPersist(tw, nil)
+		}
+		emit(trailer, true)
+		return nil, nil
+	}, nil
 }

@@ -1,15 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/admission"
@@ -101,15 +97,15 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v1/steady", s.handleSteady)
-	s.mux.HandleFunc("POST /v1/transient", s.handleTransient)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/invert", s.handleInvert)
-	s.mux.HandleFunc("POST /v1/scenario", s.handleScenario)
-	s.mux.HandleFunc("POST /v1/scenario/stream", s.handleScenarioStream)
+	s.handle("POST /v1/steady", "steady", s.handleSteady)
+	s.handle("POST /v1/transient", "transient", s.handleTransient)
+	s.handle("POST /v1/sweep", "sweep", s.handleSweep)
+	s.handle("POST /v1/invert", "invert", s.handleInvert)
+	s.handle("POST /v1/scenario", "scenario", s.handleScenario)
+	s.handle("POST /v1/scenario/stream", "scenario_stream", s.handleScenarioStream)
 	// Telemetry read path (answers 503 until a store is configured).
-	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
-	s.mux.HandleFunc("GET /v1/query/stream", s.handleQueryStream)
+	s.handle("GET /v1/query", "query", s.handleQuery)
+	s.handle("GET /v1/query/stream", "query_stream", s.handleQueryStream)
 	s.mux.HandleFunc("GET /v1/query/series", s.handleQuerySeries)
 	return s
 }
@@ -137,50 +133,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// --- admission control ---
-
-// maxTenantName bounds the X-Tenant header: the admission controller keeps
-// per-tenant state forever, so unbounded client-chosen names would be an
-// unbounded-memory vector.
-const maxTenantName = 64
-
-// admit gates one request through the admission controller, resolving the
-// tenant from the X-Tenant header ("default" when absent). On rejection it
-// has already written the response — 429 (rate/queue shed) or 503
-// (draining), both with a Retry-After header, or 504 for a deadline
-// exceeded while queued — and returns ok == false. On success the caller
-// must defer dec.Release().
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, ctx context.Context) (*admission.Decision, bool) {
-	tenant := r.Header.Get("X-Tenant")
-	if len(tenant) > maxTenantName {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("X-Tenant longer than %d bytes", maxTenantName))
-		return nil, false
-	}
-	dec, err := s.admission.Admit(ctx, tenant)
-	if err == nil {
-		return dec, true
-	}
-	var shed *admission.ShedError
-	switch {
-	case errors.As(err, &shed):
-		switch shed.Reason {
-		case admission.ReasonDraining:
-			s.failRetryAfter(w, http.StatusServiceUnavailable, shed.RetryAfter,
-				fmt.Errorf("server draining for shutdown"))
-		case admission.ReasonRate:
-			s.metrics.rejectedRateLimited.Add(1)
-			s.failRetryAfter(w, http.StatusTooManyRequests, shed.RetryAfter, err)
-		default: // global or per-tenant queue bound
-			s.metrics.rejectedQueueFull.Add(1)
-			s.failRetryAfter(w, http.StatusTooManyRequests, shed.RetryAfter, err)
-		}
-	default: // context deadline or cancellation while queued
-		s.metrics.deadlineExceeded.Add(1)
-		s.fail(w, http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded while queued: %v", err))
-	}
-	return nil, false
-}
-
 // BeginDrain puts the server into shutdown mode: queued waiters are evicted
 // and every subsequent request is shed with 503 + Retry-After. In-flight
 // solves run to completion. Serve calls this when its context is cancelled;
@@ -194,15 +146,6 @@ func (s *Server) BeginDrain() {
 
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.admission.Draining() }
-
-// deadline derives the request context with the per-request timeout.
-func (s *Server) deadline(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	return context.WithTimeout(r.Context(), d)
-}
 
 // model resolves a spec through the compiled-model cache.
 func (s *Server) model(spec ModelSpec) (*CachedModel, string, error) {
@@ -218,61 +161,6 @@ func (s *Server) model(spec ModelSpec) (*CachedModel, string, error) {
 		state = "hit"
 	}
 	return cm, state, err
-}
-
-// --- response helpers ---
-
-// jsonBufs recycles response encode buffers.
-var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// writeJSON encodes v before committing the status, so a value encoding/json
-// rejects — an infinite temperature, say — answers 500 with the JSON error,
-// counted in solve_errors, instead of a 200 with an empty body.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	buf := jsonBufs.Get().(*bytes.Buffer)
-	defer jsonBufs.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes()) // the client is gone when this fails
-}
-
-func (s *Server) fail(w http.ResponseWriter, code int, err error) {
-	if code == http.StatusBadRequest {
-		s.metrics.badRequests.Add(1)
-	}
-	if code == http.StatusInternalServerError {
-		s.metrics.solveErrors.Add(1)
-	}
-	s.writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
-// failRetryAfter writes an error response carrying a Retry-After header.
-// Every 429 and 503 the server emits goes through here: shed clients always
-// learn when a retry could succeed (docs/api.md, Conventions).
-func (s *Server) failRetryAfter(w http.ResponseWriter, code int, retry time.Duration, err error) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retry)))
-	s.fail(w, code, err)
-}
-
-// retryAfterSeconds rounds a retry hint up to whole seconds (the header has
-// no sub-second form), floored at 1.
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 // --- endpoints ---
@@ -302,56 +190,41 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.Stats())
 }
 
-func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
-	s.metrics.countRequest("steady")
+// handleSteady solves the steady state of a power map.
+func (s *Server) handleSteady(_ http.ResponseWriter, r *http.Request) (int, runFunc, error) {
 	var req SteadyRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+		return 0, nil, err
 	}
 	if len(req.Power) == 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("empty power map"))
-		return
+		return 0, nil, errors.New("empty power map")
 	}
-	ctx, cancel := s.deadline(r, req.TimeoutMS)
-	defer cancel()
-	dec, ok := s.admit(w, r, ctx)
-	if !ok {
-		return
-	}
-	defer dec.Release()
-
-	start := time.Now()
-	cm, cacheState, err := s.model(req.Model)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("model: %w", err))
-		return
-	}
-	vec, err := cm.Model.PowerVector(req.Power)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if ctx.Err() != nil {
-		s.metrics.deadlineExceeded.Add(1)
-		s.fail(w, http.StatusGatewayTimeout, ctx.Err())
-		return
-	}
-	se := cm.Session()
-	res := se.SteadyState(vec)
-	cm.Release(se)
-	solveMS := float64(time.Since(start)) / float64(time.Millisecond)
-	s.metrics.solveLatency.add(solveMS)
-
-	hotName, hotC := res.Hottest()
-	s.writeJSON(w, http.StatusOK, SteadyResponse{
-		BlockC:       blockMap(cm.Model, res.BlocksC()),
-		HottestBlock: hotName,
-		HottestC:     hotC,
-		SpreadC:      res.Spread(),
-		Cache:        cacheState,
-		SolveMS:      solveMS,
-	})
+	return req.TimeoutMS, func(ctx context.Context, clock solveClock) (any, error) {
+		cm, cacheState, err := s.model(req.Model)
+		if err != nil {
+			return nil, fmt.Errorf("model: %w", err)
+		}
+		vec, err := cm.Model.PowerVector(req.Power)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, withStatus(http.StatusGatewayTimeout, err)
+		}
+		se := cm.Session()
+		res := se.SteadyState(vec)
+		cm.Release(se)
+		solveMS := clock.ms()
+		hotName, hotC := res.Hottest()
+		return SteadyResponse{
+			BlockC:       blockMap(cm.Model, res.BlocksC()),
+			HottestBlock: hotName,
+			HottestC:     hotC,
+			SpreadC:      res.Spread(),
+			Cache:        cacheState,
+			SolveMS:      solveMS,
+		}, nil
+	}, nil
 }
 
 // blockMap zips floorplan names with per-block values.
@@ -391,185 +264,98 @@ func (c *ctxRowReader) Next(dst []float64) error {
 //     as the header line arrives; memory stays O(one row).
 //
 // Streamed and inline replays of the same rows return bit-identical
-// temperatures.
-func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) {
-	s.metrics.countRequest("transient")
-	streaming := !isJSONRequest(r)
-
+// temperatures. A persist run name is checked before admission, so a bad
+// one never runs the replay.
+func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) (int, runFunc, error) {
 	var (
 		req    TransientRequest
 		rr     trace.RowReader
 		inline *trace.PowerTrace
 	)
-	if streaming {
-		var err error
-		var interval float64
-		req, interval, err = transientQueryParams(r)
+	if isJSONRequest(r) {
+		if err := decodeJSON(r, &req); err != nil {
+			return 0, nil, err
+		}
+		if req.Trace == nil {
+			return 0, nil, errors.New("missing trace")
+		}
+		tr, err := req.Trace.powerTrace()
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
+			return 0, nil, err
+		}
+		inline, rr = tr, tr.Reader()
+	} else {
+		var interval float64
+		var err error
+		if req, interval, err = transientQueryParams(r); err != nil {
+			return 0, nil, err
 		}
 		// The request deadline must also bound blocking reads of the body:
 		// without a read deadline a stalled client would hold its solve
 		// slot forever (the between-rows ctx check never runs while Next is
 		// blocked inside a Read).
-		d := s.cfg.DefaultTimeout
-		if req.TimeoutMS > 0 {
-			d = time.Duration(req.TimeoutMS) * time.Millisecond
+		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.timeout(req.TimeoutMS)))
+		if rr, err = trace.NewDecoder(r.Body, trace.DecoderOptions{DefaultInterval: interval}); err != nil {
+			return 0, nil, err
 		}
-		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(d))
-		dec, err := trace.NewDecoder(r.Body, trace.DecoderOptions{DefaultInterval: interval})
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		rr = dec
-	} else {
-		if err := decodeJSON(r, &req); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return
-		}
-		if req.Trace == nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("missing trace"))
-			return
-		}
-		tr, err := req.Trace.powerTrace()
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		inline = tr
-		rr = tr.Reader()
 	}
-
-	ctx, cancel := s.deadline(r, req.TimeoutMS)
-	defer cancel()
-	dec, ok := s.admit(w, r, ctx)
-	if !ok {
-		return
-	}
-	defer dec.Release()
-
-	start := time.Now()
-	cm, cacheState, err := s.model(req.Model)
+	tw, err := s.persistWriter(req.Persist)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("model: %w", err))
-		return
+		return 0, nil, err
 	}
-	if err := cm.Model.CheckTraceNames(rr.Names()); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-
-	se := cm.Session()
-	defer cm.Release(se)
-	temps := cm.Model.AmbientState()
-	if req.WarmStart {
-		// Warm start needs the trace average, which only exists for inline
-		// traces (a stream's average is unknown until EOF).
-		if inline == nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("warm_start requires an inline trace"))
-			return
-		}
-		avg, err := warmStartPower(cm.Model, inline)
+	return req.TimeoutMS, func(ctx context.Context, clock solveClock) (any, error) {
+		cm, cacheState, err := s.model(req.Model)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
+			return nil, fmt.Errorf("model: %w", err)
 		}
-		temps = se.SteadyState(avg).Temps
-	}
-	pts, err := se.ReplayRows(temps, &ctxRowReader{ctx: ctx, rr: rr})
-	if err != nil {
-		code := http.StatusBadRequest
-		if ctx.Err() != nil {
-			code = http.StatusGatewayTimeout
-			s.metrics.deadlineExceeded.Add(1)
+		if err := cm.Model.CheckTraceNames(rr.Names()); err != nil {
+			return nil, err
 		}
-		s.fail(w, code, err)
-		return
-	}
-	var persistedRows int64
-	persistPending := false
-	if tw, err := s.persistWriter(req.Persist); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	} else if tw != nil {
-		// The full sampled series persists (MaxPoints only strides the JSON
-		// reply), then flushes so the rows are in durable segments before the
-		// response claims them persisted.
-		err := hotspot.EmitTracePoints(tw, "", cm.Model.Floorplan().Names(), pts)
-		switch {
-		case errors.Is(err, tstore.ErrStagedFull):
-			// The staging cap only binds while flushes are failing: rows were
-			// dropped, so the honest answer is "retry later", and the retrier
-			// works on draining the backlog meanwhile.
-			s.kickRetrier()
-			s.failRetryAfter(w, http.StatusServiceUnavailable, 0,
-				fmt.Errorf("persist %q: %w", req.Persist, err))
-			return
-		case errors.Is(err, tstore.ErrOutOfOrder):
-			// The run name already holds newer rows — client data error.
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("persist %q: %w", req.Persist, err))
-			return
-		case err == nil:
-			err = tw.Flush()
+		se := cm.Session()
+		defer cm.Release(se)
+		temps := cm.Model.AmbientState()
+		if req.WarmStart { // only an inline trace can ask: a stream's average is unknown until EOF
+			if temps, err = warmStart(se, inline); err != nil {
+				return nil, err
+			}
 		}
+		pts, err := se.ReplayRows(temps, &ctxRowReader{ctx: ctx, rr: rr})
 		if err != nil {
-			// Degraded persistence (DESIGN.md §12): the rows are staged in
-			// memory and the background retrier keeps flushing with backoff,
-			// so a disk fault costs durability-on-ack, not the solve. The
-			// response says so instead of claiming the rows durable.
-			s.kickRetrier()
-			s.metrics.persistDeferred.Add(1)
-			persistPending = true
-		} else {
-			persistedRows = tw.Rows()
+			return nil, deadlineErr(ctx, err)
 		}
-	}
-	solveMS := float64(time.Since(start)) / float64(time.Millisecond)
-	s.metrics.solveLatency.add(solveMS)
-
-	resp := transientResponse(cm.Model, pts, req.MaxPoints, cacheState, solveMS)
-	if persistPending {
-		resp.Persist, resp.PersistPending = req.Persist, true
-	}
-	if persistedRows > 0 {
-		resp.Persist, resp.PersistedRows = req.Persist, persistedRows
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func isJSONRequest(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if ct == "" {
-		return true
-	}
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == "application/json"
+		var persisted int64
+		pending := false
+		if tw != nil {
+			// The full sampled series persists (MaxPoints only strides the
+			// JSON reply).
+			err := hotspot.EmitTracePoints(tw, "", cm.Model.Floorplan().Names(), pts)
+			switch {
+			case errors.Is(err, tstore.ErrStagedFull):
+				// The staging cap only binds while flushes are failing: rows
+				// were dropped, so the honest answer is "retry later", and the
+				// retrier works on draining the backlog meanwhile.
+				s.kickRetrier()
+				return nil, withStatus(http.StatusServiceUnavailable, fmt.Errorf("persist %q: %w", req.Persist, err))
+			case errors.Is(err, tstore.ErrOutOfOrder):
+				// The run name already holds newer rows — client data error.
+				return nil, fmt.Errorf("persist %q: %w", req.Persist, err)
+			}
+			persisted, pending = s.flushPersist(tw, err)
+		}
+		resp := transientResponse(cm.Model, pts, req.MaxPoints, cacheState, clock.ms())
+		if tw != nil {
+			resp.Persist, resp.PersistedRows, resp.PersistPending = req.Persist, persisted, pending
+		}
+		return resp, nil
+	}, nil
 }
 
 // transientQueryParams parses the streamed-transient parameters; interval
 // is the trace's default row interval (0 when unset).
 func transientQueryParams(r *http.Request) (req TransientRequest, interval float64, err error) {
 	q := r.URL.Query()
-	req.Model = ModelSpec{
-		Floorplan: q.Get("floorplan"),
-		FLP:       q.Get("flp"),
-		Package:   q.Get("package"),
-		Direction: q.Get("direction"),
-		Secondary: q.Get("secondary") == "true",
-	}
-	if v := q.Get("rconv"); v != "" {
-		if req.Model.Rconv, err = strconv.ParseFloat(v, 64); err != nil {
-			return req, 0, fmt.Errorf("rconv: %v", err)
-		}
-	}
-	if v := q.Get("ambient_c"); v != "" {
-		if req.Model.AmbientC, err = strconv.ParseFloat(v, 64); err != nil {
-			return req, 0, fmt.Errorf("ambient_c: %v", err)
-		}
+	if req.Model, err = modelFromQuery(q); err != nil {
+		return req, 0, err
 	}
 	if v := q.Get("interval"); v != "" {
 		if interval, err = strconv.ParseFloat(v, 64); err != nil {
@@ -590,32 +376,40 @@ func transientQueryParams(r *http.Request) (req TransientRequest, interval float
 	return req, interval, nil
 }
 
-// warmStartPower is the node-power vector of the trace's average.
-func warmStartPower(m *hotspot.Model, tr *trace.PowerTrace) ([]float64, error) {
+// warmStart is the steady state of the trace's average power: the paper's
+// warm operating point, where a warm-started replay begins instead of
+// ambient.
+func warmStart(se *hotspot.Session, tr *trace.PowerTrace) ([]float64, error) {
 	avg := tr.Average()
 	pm := make(map[string]float64, len(tr.Names))
 	for i, n := range tr.Names {
 		pm[n] = avg[i]
 	}
-	return m.PowerVector(pm)
+	vec, err := se.Model().PowerVector(pm)
+	if err != nil {
+		return nil, err
+	}
+	return se.SteadyState(vec).Temps, nil
 }
 
-// transientResponse assembles the reply: subsampled series plus final/peak
-// maps.
-func transientResponse(m *hotspot.Model, pts []hotspot.TracePoint, maxPoints int, cacheState string, solveMS float64) TransientResponse {
-	names := m.Floorplan().Names()
-	peak := make([]float64, len(names))
-	final := pts[len(pts)-1].BlockC
-	for i := range peak {
-		peak[i] = pts[0].BlockC[i]
-	}
-	for _, p := range pts {
+// finalAndPeak returns a replay's last block temperatures and each block's
+// peak over the series.
+func finalAndPeak(pts []hotspot.TracePoint) (final, peak []float64) {
+	peak = append([]float64(nil), pts[0].BlockC...)
+	for _, p := range pts[1:] {
 		for i, v := range p.BlockC {
 			if v > peak[i] {
 				peak[i] = v
 			}
 		}
 	}
+	return pts[len(pts)-1].BlockC, peak
+}
+
+// transientResponse assembles the reply: subsampled series plus final/peak
+// maps.
+func transientResponse(m *hotspot.Model, pts []hotspot.TracePoint, maxPoints int, cacheState string, solveMS float64) TransientResponse {
+	final, peak := finalAndPeak(pts)
 	keep := pts
 	if maxPoints == 1 {
 		keep = pts[len(pts)-1:]
@@ -628,7 +422,7 @@ func transientResponse(m *hotspot.Model, pts []hotspot.TracePoint, maxPoints int
 		keep[maxPoints-1] = pts[len(pts)-1]
 	}
 	out := TransientResponse{
-		Blocks:  names,
+		Blocks:  m.Floorplan().Names(),
 		Points:  make([]PointJSON, len(keep)),
 		FinalC:  blockMap(m, final),
 		PeakC:   blockMap(m, peak),
@@ -646,31 +440,26 @@ func transientResponse(m *hotspot.Model, pts []hotspot.TracePoint, maxPoints int
 // request's worker budget, trace scenarios fan out through
 // hotspot.ReplayBatchResults (the same lockstep core the experiment sweeps
 // use).
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.metrics.countRequest("sweep")
+func (s *Server) handleSweep(_ http.ResponseWriter, r *http.Request) (int, runFunc, error) {
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+		return 0, nil, err
 	}
 	if len(req.Scenarios) == 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("no scenarios"))
-		return
+		return 0, nil, errors.New("no scenarios")
 	}
 	const maxScenarios = 256
 	if len(req.Scenarios) > maxScenarios {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("%d scenarios, limit %d", len(req.Scenarios), maxScenarios))
-		return
+		return 0, nil, fmt.Errorf("%d scenarios, limit %d", len(req.Scenarios), maxScenarios)
 	}
-	ctx, cancel := s.deadline(r, req.TimeoutMS)
-	defer cancel()
-	dec, ok := s.admit(w, r, ctx)
-	if !ok {
-		return
-	}
-	defer dec.Release()
+	return req.TimeoutMS, func(ctx context.Context, clock solveClock) (any, error) {
+		return SweepResponse{Results: s.sweep(ctx, req), SolveMS: clock.ms()}, nil
+	}, nil
+}
 
-	start := time.Now()
+// sweep solves every scenario of a sweep, each failure reported in its own
+// result.
+func (s *Server) sweep(ctx context.Context, req SweepRequest) []SweepResult {
 	results := make([]SweepResult, len(req.Scenarios))
 
 	// Resolve every scenario's model first (cache + single-flight dedupes
@@ -701,15 +490,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 			temps := cm.Model.AmbientState()
 			if sc.WarmStart {
-				avg, err := warmStartPower(cm.Model, tr)
+				se := cm.Session()
+				temps, err = warmStart(se, tr)
+				cm.Release(se)
 				if err != nil {
 					results[i].Error = err.Error()
 					models[i] = nil
 					continue
 				}
-				se := cm.Session()
-				temps = se.SteadyState(avg).Temps
-				cm.Release(se)
 			}
 			replayJobs = append(replayJobs, hotspot.ReplayJob{
 				Model: cm.Model,
@@ -764,93 +552,64 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				results[i].Error = "replay produced no points"
 				continue
 			}
-			cm := models[i]
-			final := pts[len(pts)-1].BlockC
-			peak := append([]float64(nil), pts[0].BlockC...)
-			for _, p := range pts {
-				for b, v := range p.BlockC {
-					if v > peak[b] {
-						peak[b] = v
-					}
-				}
-			}
-			results[i].BlockC = blockMap(cm.Model, final)
-			results[i].PeakC = blockMap(cm.Model, peak)
+			final, peak := finalAndPeak(pts)
+			results[i].BlockC = blockMap(models[i].Model, final)
+			results[i].PeakC = blockMap(models[i].Model, peak)
 		}
 	}
-	solveMS := float64(time.Since(start)) / float64(time.Millisecond)
-	s.metrics.solveLatency.add(solveMS)
-	s.writeJSON(w, http.StatusOK, SweepResponse{Results: results, SolveMS: solveMS})
+	return results
 }
 
 // handleInvert recovers per-block power from observed temperatures through
 // the model's influence matrix (the paper's §5.4 reverse engineering).
-func (s *Server) handleInvert(w http.ResponseWriter, r *http.Request) {
-	s.metrics.countRequest("invert")
+func (s *Server) handleInvert(_ http.ResponseWriter, r *http.Request) (int, runFunc, error) {
 	var req InvertRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+		return 0, nil, err
 	}
 	if len(req.ObservedC) == 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("empty observed_c map"))
-		return
+		return 0, nil, errors.New("empty observed_c map")
 	}
-	ctx, cancel := s.deadline(r, req.TimeoutMS)
-	defer cancel()
-	dec, ok := s.admit(w, r, ctx)
-	if !ok {
-		return
-	}
-	defer dec.Release()
-
-	start := time.Now()
-	cm, cacheState, err := s.model(req.Model)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("model: %w", err))
-		return
-	}
-	fp := cm.Model.Floorplan()
-	observed := make([]float64, fp.N())
-	for name, v := range req.ObservedC {
-		bi := fp.Index(name)
-		if bi < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("observed temperature for unknown block %q", name))
-			return
+	return req.TimeoutMS, func(ctx context.Context, clock solveClock) (any, error) {
+		cm, cacheState, err := s.model(req.Model)
+		if err != nil {
+			return nil, fmt.Errorf("model: %w", err)
 		}
-		observed[bi] = v
-	}
-	if len(req.ObservedC) != fp.N() {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("observed_c has %d blocks, floorplan has %d", len(req.ObservedC), fp.N()))
-		return
-	}
-	lambda := req.Lambda
-	if lambda == 0 {
-		lambda = 1e-6
-	}
-	if ctx.Err() != nil {
-		s.metrics.deadlineExceeded.Add(1)
-		s.fail(w, http.StatusGatewayTimeout, ctx.Err())
-		return
-	}
-	p, err := ircam.InvertPower(cm.Model, observed, lambda)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	solveMS := float64(time.Since(start)) / float64(time.Millisecond)
-	s.metrics.solveLatency.add(solveMS)
-	var total float64
-	for _, v := range p {
-		total += v
-	}
-	s.writeJSON(w, http.StatusOK, InvertResponse{
-		PowerW:  blockMap(cm.Model, p),
-		TotalW:  total,
-		Cache:   cacheState,
-		SolveMS: solveMS,
-	})
+		fp := cm.Model.Floorplan()
+		observed := make([]float64, fp.N())
+		for name, v := range req.ObservedC {
+			bi := fp.Index(name)
+			if bi < 0 {
+				return nil, fmt.Errorf("observed temperature for unknown block %q", name)
+			}
+			observed[bi] = v
+		}
+		if len(req.ObservedC) != fp.N() {
+			return nil, fmt.Errorf("observed_c has %d blocks, floorplan has %d", len(req.ObservedC), fp.N())
+		}
+		lambda := req.Lambda
+		if lambda == 0 {
+			lambda = 1e-6
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, withStatus(http.StatusGatewayTimeout, err)
+		}
+		p, err := ircam.InvertPower(cm.Model, observed, lambda)
+		if err != nil {
+			return nil, withStatus(http.StatusInternalServerError, err)
+		}
+		solveMS := clock.ms()
+		var total float64
+		for _, v := range p {
+			total += v
+		}
+		return InvertResponse{
+			PowerW:  blockMap(cm.Model, p),
+			TotalW:  total,
+			Cache:   cacheState,
+			SolveMS: solveMS,
+		}, nil
+	}, nil
 }
 
 // kickRetrier wakes the background flush retrier (no-op without a store).
@@ -866,7 +625,7 @@ func (s *Server) kickRetrier() {
 // flush retrier stops after a final flush attempt. Closing the store (the
 // caller owns it) performs the final durable flush after Serve returns.
 func (s *Server) Serve(ctx context.Context, addr string) error {
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
+	hs := &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

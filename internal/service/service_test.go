@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -15,6 +17,7 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/trace"
+	"repro/internal/tstore"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -342,6 +345,103 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s %s: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+	}
+}
+
+// spaces reads as an endless run of spaces.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestSteadyBodyOverLimit: a JSON body one byte over MaxBodyBytes answers
+// 413 before it is read or admitted. A body of undeclared length answers
+// 413 once decoding reads past the cap.
+func TestSteadyBodyOverLimit(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	req, err := http.NewRequest("POST", ts.URL+"/v1/steady", io.LimitReader(spaces{}, MaxBodyBytes+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = MaxBodyBytes + 1
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d: %s, want 413", resp.StatusCode, raw)
+	}
+	var e errorResponse
+	decodeInto(t, raw, &e)
+	if want := fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes); e.Error != want {
+		t.Fatalf("error %q, want %q", e.Error, want)
+	}
+	if st := srv.Stats(); st.Admission.Tenants["default"].Admitted != 0 || st.BadRequests != 0 {
+		t.Fatalf("an oversized body was admitted or counted as a 400: %+v", st)
+	}
+
+	r := httptest.NewRequest("POST", "/v1/steady", strings.NewReader(`{"model":{"floorplan":"ev6"}}`))
+	r.Body = http.MaxBytesReader(nil, r.Body, 8)
+	if err := decodeJSON(r, new(SteadyRequest)); !errors.Is(err, errTooLarge) {
+		t.Fatalf("decode past the cap: %v, want %v", err, errTooLarge)
+	}
+}
+
+// TestTransientPersistRejectedBeforeAdmission: a transient whose persist
+// run name cannot be written answers 400 before admission, so it compiles
+// no model and steps no replay — streamed to a server without a store, or
+// inline with an invalid run name.
+func TestTransientPersistRejectedBeforeAdmission(t *testing.T) {
+	tr, err := trace.PulseTrain(floorplan.EV6().Names(), "IntReg", 3.0, 25e-3, 25e-3, 1e-4, 10) // 5000 rows
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := tr.Write(&stream); err != nil {
+		t.Fatal(err)
+	}
+	bare, bareTS := newTestServer(t, Config{})
+	resp, err := http.Post(bareTS.URL+"/v1/transient?floorplan=ev6&package=air-sink&persist=run1", "text/plain", &stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("streamed persist without a store: status %d: %s, want 400", resp.StatusCode, raw)
+	}
+
+	st, err := tstore.Open(t.TempDir(), tstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	stored, storedTS := newTestServer(t, Config{Store: st})
+	resp, raw = postJSON(t, storedTS.URL+"/v1/transient", TransientRequest{
+		Model:   ModelSpec{Floorplan: "ev6", Package: "air-sink"},
+		Trace:   traceSpec(tr),
+		Persist: "has space",
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("invalid run name: status %d: %s, want 400", resp.StatusCode, raw)
+	}
+
+	for name, srv := range map[string]*Server{"no store": bare, "invalid run name": stored} {
+		s := srv.Stats()
+		if s.Cache.Misses != 0 || s.Solver.DirectSteps != 0 {
+			t.Errorf("%s: rejected persist compiled %d models and stepped %d rows, want 0 and 0",
+				name, s.Cache.Misses, s.Solver.DirectSteps)
 		}
 	}
 }

@@ -85,7 +85,8 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // Allow reports whether a call may proceed, performing the open → half-open
 // transition once the open timeout has elapsed. In the half-open state it
 // admits at most HalfOpenProbes concurrent calls; every admitted call MUST
-// be answered with OnSuccess or OnFailure to release its probe slot.
+// be answered with OnSuccess, OnFailure or OnAbandon to release its probe
+// slot.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -138,6 +139,18 @@ func (b *Breaker) OnFailure() {
 		b.trip()
 	case BreakerOpen:
 		// A straggler from before the trip; the breaker is already open.
+	}
+}
+
+// OnAbandon records an admitted call that ended without a verdict on the
+// replica: its own caller cancelled it (the loser of a won hedge, or a
+// client that went away). The state and the failure streak stay as they
+// are; in the half-open state the call's probe slot is freed.
+func (b *Breaker) OnAbandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == BreakerHalfOpen && b.probes > 0 {
+		b.probes--
 	}
 }
 

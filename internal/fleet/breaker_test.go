@@ -8,14 +8,15 @@ import (
 // breakerStep is one scripted move in the transition table: an event applied
 // to the breaker plus the expectations that must hold right after it.
 type breakerStep struct {
-	op        string // "fail" | "ok" | "allow" | "deny" | "advance"
+	op        string // "fail" | "ok" | "abandon" | "allow" | "deny" | "advance"
 	d         time.Duration
 	wantState BreakerState
 }
 
 // TestBreakerTransitions is the table test for the closed/open/half-open
 // state machine, on an injected clock: trip threshold, open timeout, the
-// half-open probe limit, and both half-open exits.
+// half-open probe limit, both half-open exits, and the verdict-free
+// release of an abandoned call.
 func TestBreakerTransitions(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -87,6 +88,30 @@ func TestBreakerTransitions(t *testing.T) {
 			},
 		},
 		{
+			name: "abandoned half-open probe frees its slot without a verdict",
+			cfg:  BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Second, HalfOpenProbes: 1},
+			steps: []breakerStep{
+				{op: "fail", wantState: BreakerOpen},
+				{op: "advance", d: time.Second, wantState: BreakerOpen},
+				{op: "allow", wantState: BreakerHalfOpen},
+				{op: "deny", wantState: BreakerHalfOpen},
+				{op: "abandon", wantState: BreakerHalfOpen}, // neither closes nor reopens
+				{op: "allow", wantState: BreakerHalfOpen},   // the slot is free again
+				{op: "deny", wantState: BreakerHalfOpen},
+			},
+		},
+		{
+			name: "abandoned call neither counts nor resets the failure streak",
+			cfg:  BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Second},
+			steps: []breakerStep{
+				{op: "abandon", wantState: BreakerClosed},
+				{op: "abandon", wantState: BreakerClosed},
+				{op: "fail", wantState: BreakerClosed},
+				{op: "abandon", wantState: BreakerClosed},
+				{op: "fail", wantState: BreakerOpen},
+			},
+		},
+		{
 			name: "straggler failure while already open is absorbed",
 			cfg:  BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Second},
 			steps: []breakerStep{
@@ -110,6 +135,8 @@ func TestBreakerTransitions(t *testing.T) {
 					b.OnFailure()
 				case "ok":
 					b.OnSuccess()
+				case "abandon":
+					b.OnAbandon()
 				case "allow":
 					if !b.Allow() {
 						t.Fatalf("step %d: Allow() = false, want true", i)

@@ -442,7 +442,11 @@ func classify(res upstreamResult) outcome {
 
 // call issues one upstream request and feeds the replica's breaker: a
 // transport error or 502/503 is a breaker failure (the replica cannot serve
-// work), any other response proves liveness and serviceability.
+// work), any other response proves liveness and serviceability. A call
+// whose own context ended first — the cancelled loser of a won hedge, or a
+// client that went away — says nothing about the replica: it gives the
+// breaker no verdict and is not counted in failures (attempts still counts
+// it).
 func (rt *Router) call(ctx context.Context, rep *replica, r *http.Request, body []byte, hedge bool) upstreamResult {
 	req, err := http.NewRequestWithContext(ctx, r.Method, rep.baseURL+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
@@ -455,12 +459,13 @@ func (rt *Router) call(ctx context.Context, rep *replica, r *http.Request, body 
 	rep.attempts.Add(1)
 	resp, err := rt.client.Do(req)
 	rep.inFlight.Add(-1)
-	failure := err != nil ||
-		resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable
-	if failure {
+	switch {
+	case err != nil && ctx.Err() != nil:
+		rep.breaker.OnAbandon()
+	case err != nil || resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable:
 		rep.failures.Add(1)
 		rep.breaker.OnFailure()
-	} else {
+	default:
 		rep.breaker.OnSuccess()
 	}
 	rt.noteAvailability(rep)

@@ -261,8 +261,9 @@ func TestRouterRetryOn429(t *testing.T) {
 }
 
 // TestRouterHedge: a slow primary is raced by one hedge to the next ring
-// owner after HedgeDelay, the fast answer wins, and a persisting transient
-// is never hedged.
+// owner after HedgeDelay, the fast answer wins, the cancelled loser costs
+// the primary no breaker failure, and a persisting transient is never
+// hedged.
 func TestRouterHedge(t *testing.T) {
 	var slowIdx atomic.Int64
 	slowIdx.Store(-1)
@@ -281,10 +282,7 @@ func TestRouterHedge(t *testing.T) {
 	}
 	h, rt, front := customFleet(t, 2, handler, func(c *Config) {
 		c.HedgeDelay = 30 * time.Millisecond
-		// A won hedge cancels the slow primary, which its breaker counts as a
-		// failure; keep the threshold out of reach so the primary stays in
-		// rotation for the persist-transient half of the test.
-		c.Breaker = BreakerConfig{FailureThreshold: 100, OpenTimeout: 500 * time.Millisecond}
+		c.Breaker = BreakerConfig{} // production defaults
 	})
 
 	spec := steadySpec("grid:3x3")
@@ -299,15 +297,41 @@ func TestRouterHedge(t *testing.T) {
 			slowIdx.Store(int64(i))
 		}
 	}
-
-	resp, data := postJSON(t, front.Client(), front.URL+"/v1/steady", body)
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), "fast") {
-		t.Fatalf("hedged request: %d %s, want the fast hedge to win", resp.StatusCode, data)
+	primaryStats := func() ReplicaStats {
+		for _, r := range rt.Stats().Replicas {
+			if r.Addr == primary {
+				return r
+			}
+		}
+		t.Fatalf("primary %s missing from stats", primary)
+		return ReplicaStats{}
 	}
-	waitCond(t, time.Second, "loser drained", func() bool {
-		s := rt.Stats()
-		return s.HedgesLaunched == 1 && s.HedgesWon == 1
-	})
+
+	// Each won hedge cancels the slow primary's call. The cancelled loser
+	// is no verdict on the primary: after three of them (the default trip
+	// threshold) it must still be closed, in rotation and failure-free.
+	const hedged = 3
+	for i := 1; i <= hedged; i++ {
+		resp, data := postJSON(t, front.Client(), front.URL+"/v1/steady", body)
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), "fast") {
+			t.Fatalf("hedged request %d: %d %s, want the fast hedge to win", i, resp.StatusCode, data)
+		}
+		waitCond(t, time.Second, "hedge won and loser drained", func() bool {
+			s := rt.Stats()
+			return s.HedgesLaunched == int64(i) && s.HedgesWon == int64(i) && primaryStats().InFlight == 0
+		})
+	}
+	if ps := primaryStats(); ps.Failures != 0 || ps.Breaker != "closed" || !ps.Available || ps.BreakerTrips != 0 || ps.Attempts != hedged {
+		t.Fatalf("primary after %d lost hedges: %+v, want 0 failures, closed, available, 0 trips, %d attempts", hedged, ps, hedged)
+	}
+	s := rt.Stats()
+	attempts := int64(0)
+	for _, r := range s.Replicas {
+		attempts += r.Attempts
+	}
+	if want := s.Routed + s.Retries + s.Failovers + s.HedgesLaunched; attempts != want {
+		t.Fatalf("attempts %d != routed+retries+failovers+hedges %d: %+v", attempts, want, s)
+	}
 
 	// A transient carrying persist must fail over serially, never hedge.
 	tb, _ := json.Marshal(map[string]any{
@@ -323,8 +347,8 @@ func TestRouterHedge(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 300*time.Millisecond && strings.Contains(string(data2), "slow") {
 		t.Fatalf("persist transient finished in %v with the slow primary — did it hedge?", elapsed)
 	}
-	if s := rt.Stats(); s.HedgesLaunched != 1 {
-		t.Errorf("hedges_launched = %d after persist transient, want still 1", s.HedgesLaunched)
+	if s := rt.Stats(); s.HedgesLaunched != hedged {
+		t.Errorf("hedges_launched = %d after persist transient, want still %d", s.HedgesLaunched, hedged)
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 )
 
 // Session is a per-goroutine simulation context over one compiled Model:
-// its own solve workspace and steady-state warm-start vector. Any number of
-// Sessions may run concurrently against the same Model; one Session must
-// not be shared between goroutines. Long-lived services pool Sessions per
-// cached model so repeated steady solves warm-start from the previous
-// solution (replays share the model's per-interval factor cache either
-// way).
+// its own solve workspace and a memo of the last steady power map it
+// solved. Any number of Sessions may run concurrently against the same
+// Model; one Session must not be shared between goroutines. Long-lived
+// services pool Sessions per cached model so repeated steady solves reuse
+// the grown workspace (replays share the model's per-interval factor cache
+// either way).
 type Session struct {
 	m  *Model
 	rs *rcnet.Session
@@ -32,8 +32,8 @@ func (m *Model) NewSession() *Session {
 func (s *Session) Model() *Model { return s.m }
 
 // SteadyState solves the equilibrium temperatures for a node-power vector
-// (from PowerVector/BlockPowerVector), warm-starting from the session's
-// previous steady solution. Results match Model.SteadyState.
+// (from PowerVector/BlockPowerVector); a repeat of the session's previous
+// power map is answered from its memo. Results match Model.SteadyState.
 func (s *Session) SteadyState(power []float64) *Result {
 	return s.m.NewResult(s.rs.SteadyState(power))
 }

@@ -113,7 +113,7 @@ func TestReplayMatchesRunTrace(t *testing.T) {
 	}
 }
 
-// TestSessionSteadyMatchesSolver: the warm-started session steady solve
+// TestSessionSteadyMatchesSolver: the session steady solve, memo included,
 // returns the same answer as the stateless one, on repeated and varied
 // power maps.
 func TestSessionSteadyMatchesSolver(t *testing.T) {

@@ -433,13 +433,9 @@ func (r *recorder) record(t float64, temp []float64) {
 // in seconds (the long-term warmup constant of §4.1.1).
 func (m *Model) DominantTimeConstant() float64 { return m.solver.DominantTimeConstant() }
 
-// SolverBackend names the linear-solver backend the model compiled onto
-// ("dense", "cholesky" or "sparse").
-func (m *Model) SolverBackend() string { return m.solver.Backend() }
-
-// SolverStats snapshots the model's per-path solver counters
-// (factorizations, factor reuses, direct vs CG steps, cumulative step-solve
-// time) aggregated over every session of the model.
+// SolverStats snapshots the model's solver counters (factorizations,
+// factor reuses, steps, cumulative step-solve time) aggregated over every
+// session of the model.
 func (m *Model) SolverStats() rcnet.SolverStats { return m.solver.Stats() }
 
 // SecondaryHeatFraction returns the fraction of total dissipated power that

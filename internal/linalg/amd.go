@@ -30,7 +30,7 @@ package linalg
 
 // amdOrder returns an approximate-minimum-degree permutation of the matrix
 // graph: perm[k] is the original index of the k-th pivot. The diagonal is
-// ignored; the matrix must be structurally symmetric (the Cholesky backend
+// ignored; the matrix must be structurally symmetric (NewCholeskyOperator
 // verifies that before ordering).
 func amdOrder(m *CSR) []int {
 	n := m.N

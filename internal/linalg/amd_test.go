@@ -8,8 +8,8 @@ import (
 
 // Ordering tests on pathological graphs: every ordering must be a valid
 // permutation whatever the shape, the fill cap must keep behaving through
-// the AMD path, and AMD must not lose to RCM on the workloads the direct
-// backend exists for.
+// the AMD path, and AMD must not lose to RCM on the workloads the factor
+// exists for.
 
 // pathEntries builds a path graph (tridiagonal SPD matrix): zero fill under
 // any reasonable ordering.
@@ -122,26 +122,14 @@ func TestOrderingsOnPathologicalGraphs(t *testing.T) {
 			m := NewCSR(tc.n, tc.entries)
 			checkPermutation(t, "amd", tc.n, amdOrder(m))
 			checkPermutation(t, "rcm", tc.n, rcmOrder(m))
-			chol, err := (CholeskyBackend{}).Assemble(tc.n, tc.entries)
-			if err != nil {
-				t.Fatalf("cholesky: %v", err)
-			}
-			dense, err := (DenseBackend{}).Assemble(tc.n, tc.entries)
-			if err != nil {
-				t.Fatalf("dense: %v", err)
-			}
+			chol := cholOf(t, tc.n, tc.entries)
+			dense := luOracle(t, tc.n, tc.entries)
 			b := make([]float64, tc.n)
 			for i := range b {
 				b[i] = rng.NormFloat64()
 			}
-			xd, err := dense.Solve(b, nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			xc, err := chol.Solve(b, nil, nil, &Workspace{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			xd := dense.Solve(b)
+			xc := chol.Solve(b, nil, &Workspace{})
 			if e := relErr(xd, xc); e > 1e-9 {
 				t.Fatalf("cholesky diverges from dense by %g", e)
 			}
@@ -221,11 +209,11 @@ func TestAMDBeatsRCMOnReferenceGrids(t *testing.T) {
 // TestFillCapStillAborts: the fill cap must keep aborting before numeric
 // work on the AMD path.
 func TestFillCapStillAborts(t *testing.T) {
-	n, entries := gridEntries(14, 14)
-	if _, err := (CholeskyBackend{MaxFillRatio: 1.0001}).Assemble(n, entries); err == nil {
+	m := NewCSR(gridEntries(14, 14))
+	if _, err := NewCholeskyOperator(m, 1.0001); err == nil {
 		t.Fatal("tight fill cap accepted a filling grid")
 	}
-	if _, err := (CholeskyBackend{MaxFillRatio: 1e6}).Assemble(n, entries); err != nil {
+	if _, err := NewCholeskyOperator(m, 1e6); err != nil {
 		t.Fatalf("loose fill cap: %v", err)
 	}
 }
@@ -236,19 +224,13 @@ func TestFillCapStillAborts(t *testing.T) {
 func TestAMDLargeGridUncapped(t *testing.T) {
 	const nx = 110 // 12100 unknowns, ~3x past the old mdMaxN cap
 	n, entries := gridEntries(nx, nx)
-	op, err := (CholeskyBackend{}).Assemble(n, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	op := cholOf(t, n, entries)
 	rng := rand.New(rand.NewSource(4))
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, err := op.Solve(b, nil, nil, &Workspace{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := op.Solve(b, nil, &Workspace{})
 	r := make([]float64, n)
 	op.Apply(x, r)
 	for i := range r {

@@ -10,13 +10,13 @@ import (
 	"repro/internal/pool"
 )
 
-// This file implements the sparse direct solver backend: an approximate-
+// This file implements the sparse direct solver: an approximate-
 // minimum-degree fill-reducing ordering (amd.go), symbolic analysis
 // (elimination tree, exact column counts, supernode partition), a supernodal
 // blocked LDLᵀ factorization with dense panel kernels, and blocked
 // triangular solves for one or many right-hand sides. See DESIGN.md §7–§8.
 //
-// Two design decisions carry the backend:
+// Two design decisions carry the solver:
 //
 //   - The split between symbolic and numeric phases: the symbolic analysis
 //     depends only on the off-diagonal sparsity pattern, so a backward-Euler
@@ -32,51 +32,25 @@ import (
 
 // ErrNotSPD is returned (wrapped) when an LDLᵀ factorization meets a
 // non-positive pivot: the matrix is not positive definite, or is numerically
-// singular. Callers that auto-select a backend fall back to an iterative or
-// dense path on this error.
+// singular.
 var ErrNotSPD = errors.New("linalg: matrix is not symmetric positive definite")
 
-// ErrCholeskyFill is returned (wrapped) by CholeskyBackend.Assemble when the
-// predicted factor fill exceeds the configured cap. The assembly aborts
-// before any numeric work, so an auto-selecting caller can fall back to the
-// iterative backend at the cost of the symbolic analysis only.
+// ErrCholeskyFill is returned (wrapped) by NewCholeskyOperator when the
+// predicted factor fill exceeds the caller's cap. The construction aborts
+// after the symbolic analysis, before any numeric work.
 var ErrCholeskyFill = errors.New("linalg: Cholesky factor fill exceeds cap")
 
-// ErrNotSymmetric is returned (wrapped) when the Cholesky backend is handed
-// a structurally or numerically asymmetric matrix.
+// ErrNotSymmetric is returned (wrapped) when NewCholeskyOperator is handed a
+// structurally or numerically asymmetric matrix.
 var ErrNotSymmetric = errors.New("linalg: matrix is not symmetric")
 
-// CholeskyBackend assembles sparse direct LDLᵀ-factored operators with an
-// approximate-minimum-degree fill-reducing ordering and a supernodal blocked
-// factorization. Factorization happens eagerly, so non-SPD and singular
-// systems are reported at Assemble. The zero value applies no fill cap.
-type CholeskyBackend struct {
-	// MaxFillRatio, when positive, aborts Assemble with ErrCholeskyFill if
-	// nnz(L+D+Lᵀ) exceeds MaxFillRatio × nnz(A). Auto-selecting callers use
-	// it to bound the memory and per-solve cost before committing.
-	MaxFillRatio float64
-}
-
-// Name implements Backend.
-func (cb CholeskyBackend) Name() string { return "cholesky" }
-
-// Assemble implements Backend.
-func (cb CholeskyBackend) Assemble(n int, entries []Coord) (Operator, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("linalg: cholesky assemble with n=%d", n)
-	}
-	for _, e := range entries {
-		if e.I < 0 || e.I >= n || e.J < 0 || e.J >= n {
-			return nil, fmt.Errorf("linalg: entry (%d,%d) out of range for n=%d", e.I, e.J, n)
-		}
-	}
-	return NewCholeskyOperator(NewCSR(n, entries), cb.MaxFillRatio)
-}
-
 // NewCholeskyOperator orders, analyzes and factors an existing CSR matrix
-// (which must be symmetric and must not be mutated afterwards).
-// maxFillRatio follows the CholeskyBackend.MaxFillRatio contract; pass 0
-// for no cap.
+// (which must be symmetric and must not be mutated afterwards) with an
+// approximate-minimum-degree ordering and a supernodal blocked LDLᵀ
+// factorization. Factorization happens eagerly, so non-SPD and singular
+// systems are reported here. A positive maxFillRatio refuses, with
+// ErrCholeskyFill, any matrix whose predicted nnz(L+D+Lᵀ) exceeds that
+// multiple of nnz(A); pass 0 for no cap.
 func NewCholeskyOperator(m *CSR, maxFillRatio float64) (*CholeskyOperator, error) {
 	if err := checkSymmetric(m); err != nil {
 		return nil, err
@@ -821,9 +795,9 @@ func lowerBound32(a []int32, x int32) int {
 	return lo
 }
 
-// CholeskyOperator is a sparse direct supernodal LDLᵀ-factored Operator.
-// Immutable after construction and safe for concurrent solves
-// (per-goroutine scratch comes from the Workspace).
+// CholeskyOperator is a sparse direct supernodal LDLᵀ-factored symmetric
+// positive-definite matrix. Immutable after construction and safe for
+// concurrent solves (per-goroutine scratch comes from the Workspace).
 type CholeskyOperator struct {
 	m   *CSR
 	sym *cholSymbolic
@@ -846,10 +820,7 @@ func (c *CholeskyOperator) Supernodes() int { return c.sym.Supernodes() }
 // below-diagonal rows) — the working-set headline of the factor.
 func (c *CholeskyOperator) MaxPanelRows() int { return c.sym.maxNR }
 
-// Dim implements Operator.
-func (c *CholeskyOperator) Dim() int { return c.m.N }
-
-// Apply implements Operator.
+// Apply computes dst = A·x. dst must have length n and may not alias x.
 func (c *CholeskyOperator) Apply(x, dst []float64) {
 	if len(dst) != c.m.N {
 		panic("linalg: cholesky Apply dimension mismatch")
@@ -857,11 +828,12 @@ func (c *CholeskyOperator) Apply(x, dst []float64) {
 	c.m.MulVec(x, dst)
 }
 
-// Solve implements Operator: permute, forward-substitute through L in row-
+// Solve solves A·x = b: permute, forward-substitute through L in row-
 // gather form, scale by D⁻¹, back-substitute through Lᵀ, permute back (the
-// sweepSolve kernel). Exact (direct), so the warm start is ignored.
-// Allocation-free when both dst and ws are provided; dst may alias b.
-func (c *CholeskyOperator) Solve(b, _, dst []float64, ws *Workspace) ([]float64, error) {
+// sweepSolve kernel). dst, when non-nil, receives the solution and may
+// alias b; ws is optional per-goroutine scratch (nil allocates).
+// Allocation-free when both dst and ws are provided.
+func (c *CholeskyOperator) Solve(b, dst []float64, ws *Workspace) []float64 {
 	n := c.m.N
 	if len(b) != n {
 		panic("linalg: cholesky Solve dimension mismatch")
@@ -872,27 +844,26 @@ func (c *CholeskyOperator) Solve(b, _, dst []float64, ws *Workspace) ([]float64,
 	if dst == nil {
 		dst = make([]float64, n)
 	}
-	ws.LastIterations = 0
 	y := ws.direct(n)
 	sweepSolve(c.f.c, c.sym.perm, c.f.invD, y, b, dst)
 	ws.KernelSolves[0]++
-	return dst, nil
+	return dst
 }
 
-// SolveBatch implements Operator: right-hand sides run through the widest
-// applicable interleaved sweep kernels — greedily 16, then 8, then 4 per
-// factor traversal, the remainder through the single-column path — so a
-// K-wide lockstep batch pays ⌈K/16⌉-ish traversals instead of K. Each
+// SolveBatch solves A·X = B for K = len(b) right-hand sides through the
+// widest applicable interleaved sweep kernels — greedily 16, then 8, then 4
+// per factor traversal, the remainder through the single-column path — so
+// a K-wide lockstep batch pays ⌈K/16⌉-ish traversals instead of K. Each
 // column's arithmetic — entry order, fused permutes, fused D⁻¹ — is
 // exactly the single Solve kernel's, so batched and
 // sequential results are bit-identical; batching changes memory traffic,
-// never arithmetic. Allocation-free when dst and ws are provided; dst[k]
-// may alias b[k].
-func (c *CholeskyOperator) SolveBatch(b, _, dst [][]float64, ws *Workspace) ([][]float64, error) {
+// never arithmetic. dst (or any of its columns) may be nil; dst[k] may
+// alias b[k]. Allocation-free when dst and ws are provided.
+func (c *CholeskyOperator) SolveBatch(b, dst [][]float64, ws *Workspace) [][]float64 {
 	n := c.m.N
 	kk := len(b)
 	if kk == 0 {
-		return dst, nil
+		return dst
 	}
 	for _, bk := range b {
 		if len(bk) != n {
@@ -910,7 +881,6 @@ func (c *CholeskyOperator) SolveBatch(b, _, dst [][]float64, ws *Workspace) ([][
 			dst[k] = make([]float64, n)
 		}
 	}
-	ws.LastIterations = 0
 	k := 0
 	for ; kk-k >= 16; k += 16 {
 		c.solveChunk(b[k:k+16], dst[k:k+16], ws)
@@ -924,11 +894,9 @@ func (c *CholeskyOperator) SolveBatch(b, _, dst [][]float64, ws *Workspace) ([][
 		k += 4
 	}
 	for ; k < kk; k++ {
-		if _, err := c.Solve(b[k], nil, dst[k], ws); err != nil {
-			return dst, err
-		}
+		c.Solve(b[k], dst[k], ws)
 	}
-	return dst, nil
+	return dst
 }
 
 // solveChunk solves len(bs) ∈ {4, 8, 16} right-hand sides through one
@@ -940,12 +908,14 @@ func (c *CholeskyOperator) solveChunk(bs, xs [][]float64, ws *Workspace) {
 	ws.KernelSolves[kernelWidthIndex(kw)]++
 }
 
-// Shift implements Operator. The shift touches only the diagonal, so the
+// Shift returns the factored A + diag(d), sharing no mutable state with the
+// receiver. This is how backward-Euler operators (C/dt + A) are derived from
+// a conductance operator. The shift touches only the diagonal, so the
 // returned operator reuses the receiver's symbolic analysis (ordering,
 // elimination tree, supernode partition, update schedule) and pays for a
 // numeric refactorization only. This is the factor-cache contract
 // backward-Euler stepping relies on.
-func (c *CholeskyOperator) Shift(diag []float64) (Operator, error) {
+func (c *CholeskyOperator) Shift(diag []float64) (*CholeskyOperator, error) {
 	if len(diag) != c.m.N {
 		return nil, fmt.Errorf("linalg: Shift dimension mismatch %d vs %d", c.m.N, len(diag))
 	}
@@ -956,12 +926,6 @@ func (c *CholeskyOperator) Shift(diag []float64) (Operator, error) {
 	}
 	return &CholeskyOperator{m: m2, sym: c.sym, f: f}, nil
 }
-
-// Diag implements Operator.
-func (c *CholeskyOperator) Diag() []float64 { return c.m.Diagonal() }
-
-// Iterative implements Operator: the solve is direct.
-func (c *CholeskyOperator) Iterative() bool { return false }
 
 // --- scalar reference kernel ---
 

@@ -18,30 +18,23 @@ func relErr(a, b []float64) float64 {
 	return m
 }
 
+// newChol factors coordinate entries with no fill cap, returning the error.
+func newChol(n int, entries []Coord) (*CholeskyOperator, error) {
+	return NewCholeskyOperator(NewCSR(n, entries), 0)
+}
+
 func TestCholeskyMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 3, 8, 33, 120, 400} {
 		entries := spdEntries(rng, n)
-		dense, err := (DenseBackend{}).Assemble(n, entries)
-		if err != nil {
-			t.Fatalf("n=%d dense: %v", n, err)
-		}
-		chol, err := (CholeskyBackend{}).Assemble(n, entries)
-		if err != nil {
-			t.Fatalf("n=%d cholesky: %v", n, err)
-		}
+		dense := luOracle(t, n, entries)
+		chol := cholOf(t, n, entries)
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		xd, err := dense.Solve(b, nil, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xc, err := chol.Solve(b, nil, nil, &Workspace{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		xd := dense.Solve(b)
+		xc := chol.Solve(b, nil, &Workspace{})
 		if e := relErr(xd, xc); e > 1e-9 {
 			t.Fatalf("n=%d: cholesky diverges from dense LU by %g", n, e)
 		}
@@ -67,14 +60,7 @@ func TestCholeskyBitStable(t *testing.T) {
 	}
 	var ref []float64
 	for run := 0; run < 3; run++ {
-		op, err := (CholeskyBackend{}).Assemble(n, entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := op.Solve(b, nil, nil, &Workspace{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := cholOf(t, n, entries).Solve(b, nil, &Workspace{})
 		if ref == nil {
 			ref = append([]float64(nil), x...)
 			continue
@@ -91,10 +77,7 @@ func TestCholeskyShiftReusesSymbolic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 80
 	entries := spdEntries(rng, n)
-	base, err := (CholeskyBackend{}).Assemble(n, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := cholOf(t, n, entries)
 	d := make([]float64, n)
 	for i := range d {
 		d[i] = 1 + rng.Float64()
@@ -103,28 +86,23 @@ func TestCholeskyShiftReusesSymbolic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, so := base.(*CholeskyOperator), shifted.(*CholeskyOperator)
-	if co.sym != so.sym {
+	if base.sym != shifted.sym {
 		t.Fatal("Shift did not share the symbolic analysis")
 	}
-	// Parity with a dense shift of the same system.
-	dense, err := (DenseBackend{}).Assemble(n, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dshift, err := dense.Shift(d)
-	if err != nil {
-		t.Fatal(err)
+	// Parity with a dense LU of the same shifted system.
+	dshift := denseOf(n, entries)
+	for i, v := range d {
+		dshift.Add(i, i, v)
 	}
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	xd, _ := dshift.Solve(b, nil, nil, nil)
-	xc, err := shifted.Solve(b, nil, nil, &Workspace{})
+	xd, err := SolveDense(dshift, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	xc := shifted.Solve(b, nil, &Workspace{})
 	if e := relErr(xd, xc); e > 1e-9 {
 		t.Fatalf("shifted cholesky diverges from shifted dense by %g", e)
 	}
@@ -132,33 +110,33 @@ func TestCholeskyShiftReusesSymbolic(t *testing.T) {
 
 func TestCholeskyRejectsNonSPD(t *testing.T) {
 	// Symmetric indefinite: [[1 2][2 1]] has a negative eigenvalue.
-	_, err := (CholeskyBackend{}).Assemble(2, []Coord{
+	_, err := newChol(2, []Coord{
 		{0, 0, 1}, {1, 1, 1}, {0, 1, 2}, {1, 0, 2},
 	})
 	if !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("indefinite matrix: got %v, want ErrNotSPD", err)
 	}
 	// Singular: [[1 1][1 1]].
-	_, err = (CholeskyBackend{}).Assemble(2, []Coord{
+	_, err = newChol(2, []Coord{
 		{0, 0, 1}, {1, 1, 1}, {0, 1, 1}, {1, 0, 1},
 	})
 	if !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("singular matrix: got %v, want ErrNotSPD", err)
 	}
 	// Structurally singular: empty row/column 1.
-	_, err = (CholeskyBackend{}).Assemble(2, []Coord{{0, 0, 1}})
+	_, err = newChol(2, []Coord{{0, 0, 1}})
 	if !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("structurally singular matrix: got %v, want ErrNotSPD", err)
 	}
 	// Asymmetric values.
-	_, err = (CholeskyBackend{}).Assemble(2, []Coord{
+	_, err = newChol(2, []Coord{
 		{0, 0, 2}, {1, 1, 2}, {0, 1, 1}, {1, 0, 0.5},
 	})
 	if !errors.Is(err, ErrNotSymmetric) {
 		t.Fatalf("asymmetric matrix: got %v, want ErrNotSymmetric", err)
 	}
 	// Asymmetric structure.
-	_, err = (CholeskyBackend{}).Assemble(2, []Coord{
+	_, err = newChol(2, []Coord{
 		{0, 0, 2}, {1, 1, 2}, {0, 1, 1},
 	})
 	if !errors.Is(err, ErrNotSymmetric) {
@@ -170,10 +148,11 @@ func TestCholeskyFillCap(t *testing.T) {
 	// A 2D grid Laplacian genuinely fills in (a random tree would factor
 	// with zero fill and never trip the cap).
 	n, entries := gridEntries(14, 14)
-	if _, err := (CholeskyBackend{MaxFillRatio: 1.0001}).Assemble(n, entries); !errors.Is(err, ErrCholeskyFill) {
+	m := NewCSR(n, entries)
+	if _, err := NewCholeskyOperator(m, 1.0001); !errors.Is(err, ErrCholeskyFill) {
 		t.Fatalf("tight fill cap: got %v, want ErrCholeskyFill", err)
 	}
-	if _, err := (CholeskyBackend{MaxFillRatio: 1e6}).Assemble(n, entries); err != nil {
+	if _, err := NewCholeskyOperator(m, 1e6); err != nil {
 		t.Fatalf("loose fill cap: %v", err)
 	}
 }
@@ -208,24 +187,15 @@ func gridEntries(nx, ny int) (int, []Coord) {
 func TestCholeskySolveAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n = 300
-	op, err := (CholeskyBackend{}).Assemble(n, spdEntries(rng, n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	op := cholOf(t, n, spdEntries(rng, n))
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
 	dst := make([]float64, n)
 	ws := &Workspace{}
-	if _, err := op.Solve(b, nil, dst, ws); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := op.Solve(b, nil, dst, ws); err != nil {
-			t.Fatal(err)
-		}
-	})
+	op.Solve(b, dst, ws)
+	allocs := testing.AllocsPerRun(50, func() { op.Solve(b, dst, ws) })
 	if allocs != 0 {
 		t.Fatalf("cholesky solve allocates %v times per run, want 0", allocs)
 	}
@@ -273,36 +243,25 @@ func TestMinDegreeBeatsRCMOnHub(t *testing.T) {
 }
 
 // TestCholeskyGridBandwidth sanity-checks the ordering on the workload the
-// backend exists for: a 2D grid Laplacian must factor with far less fill
+// factor exists for: a 2D grid Laplacian must factor with far less fill
 // than natural order would give, and solve to oracle accuracy.
 func TestCholeskyGridBandwidth(t *testing.T) {
 	const nx = 20
 	n, entries := gridEntries(nx, nx)
-	op, err := (CholeskyBackend{}).Assemble(n, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := op.(*CholeskyOperator)
+	co := cholOf(t, n, entries)
 	// RCM on an nx×ny grid keeps the profile within ~bandwidth·n; natural
 	// order would too, but a generous cap still catches an ordering bug
 	// (identity or random order fills far more).
 	if maxL := n * (nx + 2); co.NNZL() > maxL {
 		t.Fatalf("grid fill nnz(L)=%d exceeds bandwidth bound %d", co.NNZL(), maxL)
 	}
-	dense, err := (DenseBackend{}).Assemble(n, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := make([]float64, n)
 	rng := rand.New(rand.NewSource(2))
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	xd, _ := dense.Solve(b, nil, nil, nil)
-	xc, err := op.Solve(b, nil, nil, &Workspace{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	xd := luOracle(t, n, entries).Solve(b)
+	xc := co.Solve(b, nil, &Workspace{})
 	if e := relErr(xd, xc); e > 1e-9 {
 		t.Fatalf("grid: cholesky diverges from dense by %g", e)
 	}

@@ -1,9 +1,9 @@
 // Package linalg provides the linear-algebra kernels used by the thermal
-// solvers: dense LU and Cholesky factorizations, a CSR conjugate-gradient
-// solver, and small vector utilities — unified behind the Operator/Backend
-// interface in backend.go, which every thermal solver (compact RC and
-// finite-volume reference alike) targets instead of a concrete matrix
-// representation. See DESIGN.md §1.3 for the architecture.
+// solvers, three concrete tools with one job each (DESIGN.md §1.3): the
+// supernodal sparse LDLᵀ factor (CholeskyOperator) behind every compact RC
+// model, Jacobi-preconditioned conjugate gradients (SparseOperator) for the
+// reference solver's 3-D grids, and dense LU/Cholesky for least squares
+// and as the test oracle — plus small vector utilities.
 //
 // The package is deliberately dependency-free (stdlib only) and sized for the
 // problems in this repository: compact thermal models have O(10-10^3)
@@ -43,15 +43,6 @@ func NewMatrixFrom(rows [][]float64) *Matrix {
 			panic("linalg: ragged matrix literal")
 		}
 		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
 	}
 	return m
 }
@@ -125,31 +116,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// Symmetrize replaces m with (m + mᵀ)/2. It panics unless m is square.
-func (m *Matrix) Symmetrize() {
-	if m.Rows != m.Cols {
-		panic("linalg: Symmetrize on non-square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			v := 0.5 * (m.At(i, j) + m.At(j, i))
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-}
-
-// MaxAbs returns the largest absolute entry of m.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -168,9 +134,8 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
 // LU holds an LU factorization with partial pivoting (PA = LU).
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // FactorLU computes the LU factorization of a square matrix with partial
@@ -185,7 +150,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot.
 		p := k
@@ -204,7 +168,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -219,7 +182,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve returns x such that A·x = b for the factored A.
@@ -259,35 +222,6 @@ func (f *LU) SolveInto(x, b []float64) []float64 {
 	return x
 }
 
-// SolveMatrix solves A·X = B column by column.
-func (f *LU) SolveMatrix(b *Matrix) *Matrix {
-	n := f.lu.Rows
-	if b.Rows != n {
-		panic("linalg: LU.SolveMatrix dimension mismatch")
-	}
-	out := NewMatrix(n, b.Cols)
-	col := make([]float64, n)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
-		}
-		x := f.Solve(col)
-		for i := 0; i < n; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveDense is a convenience wrapper: factor A and solve A·x = b once.
 func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)
@@ -295,15 +229,6 @@ func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b), nil
-}
-
-// Inverse returns A⁻¹ via LU factorization.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMatrix(Identity(a.Rows)), nil
 }
 
 // Cholesky holds the lower-triangular Cholesky factor of an SPD matrix.

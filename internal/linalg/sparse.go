@@ -12,9 +12,10 @@ type Coord struct {
 	V    float64
 }
 
-// CSR is a compressed-sparse-row matrix. It is the storage used by the
-// finite-volume reference solver, whose conduction matrices are symmetric
-// positive definite but far too large for dense factorization.
+// CSR is a compressed-sparse-row matrix: the storage behind both sparse
+// solvers, the compact model's Cholesky factor and the reference solver's
+// CG, whose conduction matrices are symmetric positive definite but far too
+// large for dense factorization.
 type CSR struct {
 	N      int // square dimension
 	RowPtr []int
@@ -102,22 +103,11 @@ type CGOptions struct {
 	MaxIter int     // default 10·N
 }
 
-// CGResult reports convergence information from SolveCG.
+// CGResult reports convergence information from one CG solve.
 type CGResult struct {
 	Iterations int
 	Residual   float64 // final relative residual
 	Converged  bool
-}
-
-// SolveCG solves A·x = b for symmetric positive-definite A using a
-// Jacobi-preconditioned conjugate gradient iteration. x0 may be nil for a
-// zero initial guess. This is a convenience wrapper over the workspace-based
-// implementation shared with SparseOperator.
-func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, CGResult) {
-	x := make([]float64, a.N)
-	var ws Workspace
-	res := solveCGWS(a, b, x0, x, opt, &ws)
-	return x, res
 }
 
 // Dot returns the inner product of two equal-length vectors.
@@ -134,17 +124,6 @@ func Dot(a, b []float64) float64 {
 
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// NormInf returns the max-abs norm of v.
-func NormInf(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
 
 // AXPY computes y ← y + alpha·x in place.
 func AXPY(alpha float64, x, y []float64) {
@@ -170,64 +149,176 @@ func Fill(v []float64, x float64) {
 	}
 }
 
-// MaxIdx returns the index and value of the largest element of v.
-// It panics on an empty slice.
-func MaxIdx(v []float64) (int, float64) {
-	if len(v) == 0 {
-		panic("linalg: MaxIdx on empty slice")
-	}
-	bi, bv := 0, v[0]
-	for i, x := range v {
-		if x > bv {
-			bi, bv = i, x
-		}
-	}
-	return bi, bv
+// SparseOperator is a CSR matrix solved with Jacobi-preconditioned
+// conjugate gradients: O(nnz) per iteration, warm-startable, and the solver
+// for the reference solver's 3-D grids, whose factors would fill in.
+// Immutable after construction and safe for concurrent solves
+// (per-goroutine scratch comes from the Workspace).
+type SparseOperator struct {
+	m   *CSR
+	opt CGOptions
 }
 
-// MinIdx returns the index and value of the smallest element of v.
-// It panics on an empty slice.
-func MinIdx(v []float64) (int, float64) {
-	if len(v) == 0 {
-		panic("linalg: MinIdx on empty slice")
+// NewSparseOperator builds a CG operator over an existing CSR matrix. The
+// matrix must not be mutated afterwards. Zero CGOptions fields default to
+// tolerance 1e-10 and a 50·n iteration cap.
+func NewSparseOperator(m *CSR, opt CGOptions) *SparseOperator {
+	if opt.Tol == 0 {
+		opt.Tol = 1e-10
 	}
-	bi, bv := 0, v[0]
-	for i, x := range v {
-		if x < bv {
-			bi, bv = i, x
-		}
+	if opt.MaxIter == 0 {
+		opt.MaxIter = 50 * m.N
 	}
-	return bi, bv
+	return &SparseOperator{m: m, opt: opt}
 }
 
-// Tridiagonal solves a tridiagonal system with the Thomas algorithm.
-// a is the sub-diagonal (a[0] unused), b the diagonal, c the super-diagonal
-// (c[n-1] unused), d the right-hand side. All slices must have length n.
-// The inputs are not modified.
-func Tridiagonal(a, b, c, d []float64) ([]float64, error) {
-	n := len(b)
-	if len(a) != n || len(c) != n || len(d) != n {
-		return nil, fmt.Errorf("linalg: Tridiagonal needs equal-length slices")
+// Matrix exposes the underlying CSR (read-only).
+func (s *SparseOperator) Matrix() *CSR { return s.m }
+
+// Solve solves A·x = b by CG, starting from x0 (nil = zero guess). ws is
+// optional per-goroutine scratch (nil allocates); dst, when non-nil, is the
+// result buffer. A solve that misses the tolerance within the iteration cap
+// returns an error.
+func (s *SparseOperator) Solve(b, x0, dst []float64, ws *Workspace) ([]float64, error) {
+	if ws == nil {
+		ws = &Workspace{}
 	}
-	cp := make([]float64, n)
-	dp := make([]float64, n)
-	if b[0] == 0 {
-		return nil, ErrSingular
+	if dst == nil {
+		dst = make([]float64, s.m.N)
 	}
-	cp[0] = c[0] / b[0]
-	dp[0] = d[0] / b[0]
-	for i := 1; i < n; i++ {
-		den := b[i] - a[i]*cp[i-1]
-		if den == 0 {
-			return nil, ErrSingular
+	res := solveCGWS(s.m, b, x0, dst, s.opt, ws)
+	if !res.Converged {
+		return nil, fmt.Errorf("linalg: CG stalled at relative residual %g after %d iterations", res.Residual, res.Iterations)
+	}
+	return dst, nil
+}
+
+// Shifted returns a new CSR equal to m + diag(d). Rows that lack a structural
+// diagonal entry gain one.
+func (m *CSR) Shifted(d []float64) *CSR {
+	if len(d) != m.N {
+		panic("linalg: Shifted dimension mismatch")
+	}
+	out := &CSR{
+		N:      m.N,
+		RowPtr: make([]int, 0, m.N+1),
+		ColIdx: make([]int, 0, m.NNZ()+m.N),
+		Values: make([]float64, 0, m.NNZ()+m.N),
+	}
+	out.RowPtr = append(out.RowPtr, 0)
+	for i := 0; i < m.N; i++ {
+		placed := false
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			j, v := m.ColIdx[k], m.Values[k]
+			if j == i {
+				v += d[i]
+				placed = true
+			} else if j > i && !placed {
+				// Columns are sorted within a row (NewCSR guarantees it), so
+				// insert the new diagonal before the first column past it.
+				out.ColIdx = append(out.ColIdx, i)
+				out.Values = append(out.Values, d[i])
+				placed = true
+			}
+			out.ColIdx = append(out.ColIdx, j)
+			out.Values = append(out.Values, v)
 		}
-		cp[i] = c[i] / den
-		dp[i] = (d[i] - a[i]*dp[i-1]) / den
+		if !placed {
+			out.ColIdx = append(out.ColIdx, i)
+			out.Values = append(out.Values, d[i])
+		}
+		out.RowPtr = append(out.RowPtr, len(out.ColIdx))
 	}
-	x := make([]float64, n)
-	x[n-1] = dp[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = dp[i] - cp[i]*x[i+1]
+	return out
+}
+
+// solveCGWS runs Jacobi-preconditioned CG from x0 (nil = zero guess) into x
+// with caller-provided scratch: the building block behind
+// SparseOperator.Solve, kept allocation-free so a transient can run one
+// Workspace per goroutine.
+func solveCGWS(a *CSR, b, x0, x []float64, opt CGOptions, ws *Workspace) CGResult {
+	n := a.N
+	if len(b) != n || len(x) != n {
+		panic("linalg: solveCGWS dimension mismatch")
 	}
-	return x, nil
+	if opt.Tol == 0 {
+		opt.Tol = 1e-9
+	}
+	if opt.MaxIter == 0 {
+		opt.MaxIter = 10 * n
+	}
+	if x0 != nil {
+		copy(x, x0)
+	} else {
+		Fill(x, 0)
+	}
+	r, z, p, ap, inv := ws.vectors(n)
+	// Jacobi preconditioner from the diagonal.
+	a.diagonalInto(inv)
+	for i, v := range inv {
+		if v == 0 {
+			inv[i] = 1
+		} else {
+			inv[i] = 1 / v
+		}
+	}
+	a.MulVec(x, r)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	bnorm := Norm2(b)
+	if bnorm == 0 {
+		bnorm = 1
+	}
+	if rn := Norm2(r) / bnorm; rn < opt.Tol {
+		return CGResult{Iterations: 0, Residual: rn, Converged: true}
+	}
+	for i := range z {
+		z[i] = inv[i] * r[i]
+	}
+	copy(p, z)
+	rz := Dot(r, z)
+	var res CGResult
+	for it := 0; it < opt.MaxIter; it++ {
+		a.MulVec(p, ap)
+		pap := Dot(p, ap)
+		if pap == 0 {
+			break
+		}
+		alpha := rz / pap
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+		}
+		rn := Norm2(r) / bnorm
+		res.Iterations = it + 1
+		res.Residual = rn
+		if rn < opt.Tol {
+			res.Converged = true
+			return res
+		}
+		for i := range z {
+			z[i] = inv[i] * r[i]
+		}
+		rzNew := Dot(r, z)
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	return res
+}
+
+// diagonalInto extracts the diagonal into dst (zeros where absent).
+func (m *CSR) diagonalInto(dst []float64) {
+	for i := 0; i < m.N; i++ {
+		dst[i] = 0
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			if m.ColIdx[k] == i {
+				dst[i] = m.Values[k]
+				break
+			}
+		}
+	}
 }

@@ -43,10 +43,7 @@ func TestSupernodalMatchesScalarKernel(t *testing.T) {
 				b[i] = rng.NormFloat64()
 			}
 			xs := sf.solveScalar(op.sym, b)
-			xp, err := op.Solve(b, nil, nil, &Workspace{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			xp := op.Solve(b, nil, &Workspace{})
 			if e := relErr(xs, xp); e > 1e-12 {
 				t.Fatalf("panel solve diverges from scalar kernel by %g", e)
 			}
@@ -103,54 +100,37 @@ func TestSupernodePartitionInvariants(t *testing.T) {
 }
 
 // TestSolveBatchMatchesSequential: SolveBatch must agree with K successive
-// Solve calls to the last bit, for every backend, every K in 1..17 — which
-// exercises the 16-, 8-
-// and 4-wide kernels and every ragged tail — plus widths past the lockstep
-// group cap, warm starts included (CG).
+// Solve calls to the last bit for every K in 1..17 — which exercises the
+// 16-, 8- and 4-wide kernels and every ragged tail — plus widths past the
+// lockstep group cap.
 func TestSolveBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const n = 160
-	entries := spdEntries(rng, n)
+	op := cholOf(t, n, spdEntries(rng, n))
 	widths := make([]int, 0, 19)
 	for kk := 1; kk <= 17; kk++ {
 		widths = append(widths, kk)
 	}
 	widths = append(widths, 40, 70)
-	for _, bk := range []Backend{DenseBackend{}, CholeskyBackend{}, SparseBackend{}} {
-		op, err := bk.Assemble(n, entries)
-		if err != nil {
-			t.Fatal(err)
+	for _, kk := range widths {
+		b := make([][]float64, kk)
+		for k := range b {
+			b[k] = make([]float64, n)
+			for i := range b[k] {
+				b[k][i] = rng.NormFloat64()
+			}
 		}
-		for _, kk := range widths {
-			b := make([][]float64, kk)
-			x0 := make([][]float64, kk)
-			for k := range b {
-				b[k] = make([]float64, n)
-				x0[k] = make([]float64, n)
-				for i := range b[k] {
-					b[k][i] = rng.NormFloat64()
-					x0[k][i] = rng.NormFloat64() * 0.1
-				}
-			}
-			seq := make([][]float64, kk)
-			ws := &Workspace{}
-			for k := range b {
-				x, err := op.Solve(b[k], x0[k], nil, ws)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seq[k] = x
-			}
-			got, err := op.SolveBatch(b, x0, nil, &Workspace{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := range seq {
-				for i := range seq[k] {
-					if got[k][i] != seq[k][i] {
-						t.Fatalf("%s K=%d: column %d row %d: batch %v vs sequential %v",
-							bk.Name(), kk, k, i, got[k][i], seq[k][i])
-					}
+		seq := make([][]float64, kk)
+		ws := &Workspace{}
+		for k := range b {
+			seq[k] = op.Solve(b[k], nil, ws)
+		}
+		got := op.SolveBatch(b, nil, &Workspace{})
+		for k := range seq {
+			for i := range seq[k] {
+				if got[k][i] != seq[k][i] {
+					t.Fatalf("K=%d: column %d row %d: batch %v vs sequential %v",
+						kk, k, i, got[k][i], seq[k][i])
 				}
 			}
 		}
@@ -163,11 +143,7 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 func TestSolveBatchAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n = 300
-	entries := spdEntries(rng, n)
-	op, err := (CholeskyBackend{}).Assemble(n, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	op := cholOf(t, n, spdEntries(rng, n))
 	for _, kk := range []int{4, 8, 16, 23} {
 		b := make([][]float64, kk)
 		dst := make([][]float64, kk)
@@ -179,14 +155,8 @@ func TestSolveBatchAllocationFree(t *testing.T) {
 			}
 		}
 		ws := &Workspace{}
-		if _, err := op.SolveBatch(b, nil, dst, ws); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := op.SolveBatch(b, nil, dst, ws); err != nil {
-				t.Fatal(err)
-			}
-		})
+		op.SolveBatch(b, dst, ws)
+		allocs := testing.AllocsPerRun(50, func() { op.SolveBatch(b, dst, ws) })
 		if allocs != 0 {
 			t.Fatalf("K=%d: batched solve allocates %v times per run, want 0", kk, allocs)
 		}

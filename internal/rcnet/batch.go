@@ -12,8 +12,8 @@ import (
 
 // This file holds the stepping core. batchSession.StepBE is the only
 // backward-Euler step in the package: it advances K independent temperature
-// states with a single factor traversal (linalg.Operator.SolveBatch), and a
-// single state is the width-1 case (Solver.StepBE). Replay is the only
+// states with a single factor traversal (linalg.CholeskyOperator.SolveBatch),
+// and a single state is the width-1 case (Solver.StepBE). Replay is the only
 // replay loop: it drives same-window jobs through shared steps, so sweeps,
 // streamed replays and closed-loop co-simulations stop paying the factor's
 // full memory traffic once per job per step. A closed loop is a job whose
@@ -28,7 +28,7 @@ import (
 const MaxBatchWidth = 64
 
 // batchSession is a K-wide backward-Euler stepping context over one
-// compiled Solver: one solve workspace, one cached (C/dt + A) operator, and
+// compiled Solver: one solve workspace, one cached (C/dt + A) factor, and
 // K right-hand-side slots stepped together. A batchSession must not be used
 // from more than one goroutine at a time; any number of them may run
 // concurrently against the same Solver.
@@ -36,19 +36,16 @@ type batchSession struct {
 	s      *Solver
 	ws     linalg.Workspace
 	rhs    [][]float64 // per-slot right-hand sides
-	sol    [][]float64 // per-slot iterative-solve scratch
 	bview  [][]float64 // compacted active-slot views (reused)
 	xview  [][]float64
 	capDt  []float64
 	step   float64
-	op     linalg.Operator
-	iter   bool
+	op     *linalg.CholeskyOperator
 	nsteps uint64 // batched solves taken; drives the 1-in-8 latency sampling
 
 	// one* are the width-1 argument slots step1 reuses, so single-state
 	// stepping allocates nothing.
 	oneT, oneP [1][]float64
-	oneErr     [1]error
 }
 
 // newBatchSession creates a K-wide stepping context. Safe to call
@@ -61,39 +58,33 @@ func (s *Solver) newBatchSession(width int) *batchSession {
 	bs := &batchSession{
 		s:     s,
 		rhs:   make([][]float64, width),
-		sol:   make([][]float64, width),
 		bview: make([][]float64, 0, width),
 		xview: make([][]float64, 0, width),
 		capDt: make([]float64, n),
 	}
 	for k := range bs.rhs {
 		bs.rhs[k] = make([]float64, n)
-		bs.sol[k] = make([]float64, n)
 	}
 	return bs
 }
 
-// step1 is StepBE for one state: a slot-0 step whose per-slot error is
-// returned. On error, temp is left unchanged.
+// step1 is StepBE for one state in slot 0. On error, temp is left
+// unchanged.
 func (bs *batchSession) step1(temp, power []float64, dt float64) error {
-	bs.oneT[0], bs.oneP[0], bs.oneErr[0] = temp, power, nil
-	err := bs.StepBE(bs.oneT[:], bs.oneP[:], dt, bs.oneErr[:])
-	if err == nil {
-		err = bs.oneErr[0]
-	}
-	bs.oneT[0], bs.oneP[0], bs.oneErr[0] = nil, nil, nil
+	bs.oneT[0], bs.oneP[0] = temp, power
+	err := bs.StepBE(bs.oneT[:], bs.oneP[:], dt)
+	bs.oneT[0], bs.oneP[0] = nil, nil
 	return err
 }
 
 // StepBE advances up to width temperature states (in place) by one
 // backward-Euler step of size dt under per-slot constant power. Slots with a
 // nil temperature vector are skipped — that is how lockstep callers drop
-// jobs that already failed or finished. Per-slot solve failures (possible
-// only on the iterative backend) land in errs; the returned error reports
-// batch-level failures (bad dt, slot shape, operator factorization) that
-// apply to every slot. Per-slot results are bit-identical at any width:
-// the batched solve never changes per-column arithmetic.
-func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64, errs []error) error {
+// jobs that already failed or finished. The returned error reports a
+// failure (bad dt, slot shape, factorization) that applies to every slot;
+// a factor solve cannot fail. Per-slot results are bit-identical at any
+// width: the batched solve never changes per-column arithmetic.
+func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64) error {
 	if !(dt > 0) || math.IsInf(dt, 0) {
 		// NaN must be rejected here, not just nonsense-tolerated: it would
 		// both poison the solver's (dt → factor) cache (NaN map keys never
@@ -101,9 +92,9 @@ func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64, errs []err
 		return fmt.Errorf("rcnet: invalid step %g", dt)
 	}
 	kk := len(temps)
-	if len(powers) != kk || len(errs) != kk || kk > len(bs.rhs) {
-		return fmt.Errorf("rcnet: batch step shape: %d temps, %d powers, %d errs, width %d",
-			kk, len(powers), len(errs), len(bs.rhs))
+	if len(powers) != kk || kk > len(bs.rhs) {
+		return fmt.Errorf("rcnet: batch step shape: %d temps, %d powers, width %d",
+			kk, len(powers), len(bs.rhs))
 	}
 	s := bs.s
 	n := s.net.N()
@@ -121,13 +112,13 @@ func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64, errs []err
 		if err != nil {
 			return err
 		}
-		bs.op, bs.step, bs.iter = op, dt, op.Iterative()
+		bs.op, bs.step = op, dt
 		for i, c := range s.net.cap {
 			bs.capDt[i] = c / dt
 		}
 	}
 	ambRHS, capDt := s.ambRHS, bs.capDt
-	width := 0
+	bs.bview, bs.xview = bs.bview[:0], bs.xview[:0]
 	for k := 0; k < kk; k++ {
 		if temps[k] == nil {
 			continue
@@ -137,8 +128,10 @@ func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64, errs []err
 		for i := range rhs {
 			rhs[i] = power[i] + ambRHS[i] + capDt[i]*temp[i]
 		}
-		width++
+		bs.bview = append(bs.bview, rhs)
+		bs.xview = append(bs.xview, temp)
 	}
+	width := len(bs.bview)
 	if width == 0 {
 		return nil
 	}
@@ -152,42 +145,10 @@ func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64, errs []err
 	if sample {
 		start = time.Now()
 	}
-	if bs.iter {
-		// Iterative solves run per column (each has its own Krylov
-		// sequence), land in slot scratch and update the state only on
-		// success, so a stalled column fails its own slot.
-		for k := 0; k < kk; k++ {
-			if temps[k] == nil {
-				continue
-			}
-			if _, err := bs.op.Solve(bs.rhs[k], temps[k], bs.sol[k], &bs.ws); err != nil {
-				errs[k] = fmt.Errorf("rcnet: backward Euler solve: %w", err)
-				continue
-			}
-			st.cgSteps.Add(1)
-			st.cgIterations.Add(int64(bs.ws.LastIterations))
-			copy(temps[k], bs.sol[k])
-		}
-		if sample {
-			st.stepSolveNanos.Add(8 * int64(time.Since(start)))
-		}
-		return nil
-	}
-	// Direct path: one factor traversal for every active slot. Direct
-	// solves cannot fail after factorization and write the state only in
-	// their final scatter, so they target the temperature vectors in place.
-	bs.bview = bs.bview[:0]
-	bs.xview = bs.xview[:0]
-	for k := 0; k < kk; k++ {
-		if temps[k] == nil {
-			continue
-		}
-		bs.bview = append(bs.bview, bs.rhs[k])
-		bs.xview = append(bs.xview, temps[k])
-	}
-	if _, err := bs.op.SolveBatch(bs.bview, nil, bs.xview, &bs.ws); err != nil {
-		return fmt.Errorf("rcnet: backward Euler batch solve: %w", err)
-	}
+	// One factor traversal for every active slot. The solve writes each
+	// state only in its final scatter, so it targets the temperature
+	// vectors in place.
+	bs.op.SolveBatch(bs.bview, bs.xview, &bs.ws)
 	if sample {
 		st.stepSolveNanos.Add(8 * int64(time.Since(start)))
 	}
@@ -222,8 +183,8 @@ type Job struct {
 // each step fills every live job's power, then solves all their right-hand
 // sides in one factor traversal (groups wider than MaxBatchWidth split).
 // Errors are indexed like jobs. Malformed jobs are rejected before any
-// stepping; a job whose callback fails or panics, or whose solve stalls,
-// drops out while the rest keep stepping. Per-job results are bit-identical
+// stepping; a job whose callback fails or panics drops out while the rest
+// keep stepping. Per-job results are bit-identical
 // to replaying each job alone.
 func (s *Solver) Replay(w Window, jobs []Job) []error {
 	errs := make([]error, len(jobs))
@@ -260,7 +221,6 @@ func (s *Solver) lockstep(w Window, jobs []Job, idx []int, errs []error) {
 	bs := s.newBatchSession(kk)
 	temps := make([][]float64, kk)
 	powers := make([][]float64, kk)
-	serrs := make([]error, kk)
 	for k, j := range idx {
 		temps[k] = jobs[j].Temp
 		powers[k] = make([]float64, s.net.N())
@@ -315,9 +275,9 @@ func (s *Solver) lockstep(w Window, jobs []Job, idx []int, errs []error) {
 		if dt > w.Duration-t {
 			dt = w.Duration - t
 		}
-		if err := bs.StepBE(temps, powers, dt, serrs); err != nil {
-			// Batch-level failure (operator factorization): every live job
-			// fails the same way a lone step would have.
+		if err := bs.StepBE(temps, powers, dt); err != nil {
+			// Batch-level failure (factorization): every live job fails the
+			// same way a lone step would have.
 			for k := range temps {
 				if temps[k] != nil {
 					fail(k, err)
@@ -326,11 +286,5 @@ func (s *Solver) lockstep(w Window, jobs []Job, idx []int, errs []error) {
 			return
 		}
 		t += dt
-		for k, err := range serrs {
-			if err != nil {
-				fail(k, err)
-				serrs[k] = nil
-			}
-		}
 	}
 }

@@ -8,57 +8,51 @@ import (
 )
 
 // Tests for the stepping core: bit-identical parity between width-k and
-// width-1 steps on every backend, lockstep replay parity and isolation, the
+// width-1 steps, lockstep replay parity and isolation, the
 // batch-width statistics, and the zero-allocation gate on the batched hot
 // path.
 
 // TestBatchSessionMatchesSessions: K states stepped through one batch
 // session must be bit-identical to the same K states stepped one at a time
-// through Solver.StepBE (width 1), on the dense, supernodal-Cholesky and CG
-// backends, through a dt switch.
+// through Solver.StepBE (width 1), through a dt switch, on the supernodal
+// Cholesky solver.
 func TestBatchSessionMatchesSessions(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	net := gridNetwork(rng, 6, 6)
 	const kk = 5
-	for _, tb := range []testBackend{denseTB, choleskyTB, cgTB} {
-		t.Run(tb.name, func(t *testing.T) {
-			s, err := tb.compile(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			powers := make([][]float64, kk)
-			seqTemps := make([][]float64, kk)
-			batTemps := make([][]float64, kk)
+	t.Run("cholesky", func(t *testing.T) {
+		s, err := net.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		powers := make([][]float64, kk)
+		seqTemps := make([][]float64, kk)
+		batTemps := make([][]float64, kk)
+		for k := 0; k < kk; k++ {
+			powers[k] = randomPower(rng, net.N())
+			seqTemps[k] = s.AmbientVector()
+			batTemps[k] = s.AmbientVector()
+		}
+		bs := s.newBatchSession(kk)
+		for step, dt := range []float64{1e-3, 1e-3, 2e-3, 1e-3} {
 			for k := 0; k < kk; k++ {
-				powers[k] = randomPower(rng, net.N())
-				seqTemps[k] = s.AmbientVector()
-				batTemps[k] = s.AmbientVector()
-			}
-			bs := s.newBatchSession(kk)
-			errs := make([]error, kk)
-			for step, dt := range []float64{1e-3, 1e-3, 2e-3, 1e-3} {
-				for k := 0; k < kk; k++ {
-					if err := s.StepBE(seqTemps[k], powers[k], dt); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := bs.StepBE(batTemps, powers, dt, errs); err != nil {
+				if err := s.StepBE(seqTemps[k], powers[k], dt); err != nil {
 					t.Fatal(err)
 				}
-				for k := 0; k < kk; k++ {
-					if errs[k] != nil {
-						t.Fatalf("step %d slot %d: %v", step, k, errs[k])
-					}
-					for i := range batTemps[k] {
-						if batTemps[k][i] != seqTemps[k][i] {
-							t.Fatalf("step %d slot %d node %d: batch %v vs sequential %v",
-								step, k, i, batTemps[k][i], seqTemps[k][i])
-						}
+			}
+			if err := bs.StepBE(batTemps, powers, dt); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < kk; k++ {
+				for i := range batTemps[k] {
+					if batTemps[k][i] != seqTemps[k][i] {
+						t.Fatalf("step %d slot %d node %d: batch %v vs sequential %v",
+							step, k, i, batTemps[k][i], seqTemps[k][i])
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestBatchSessionSkipsNilSlots: nil temperature slots are skipped and the
@@ -79,8 +73,7 @@ func TestBatchSessionSkipsNilSlots(t *testing.T) {
 	live := s.AmbientVector()
 	temps := [][]float64{nil, live, nil}
 	powers := [][]float64{nil, p, nil}
-	errs := make([]error, 3)
-	if err := bs.StepBE(temps, powers, 1e-3, errs); err != nil {
+	if err := bs.StepBE(temps, powers, 1e-3); err != nil {
 		t.Fatal(err)
 	}
 	for i := range live {
@@ -289,42 +282,34 @@ func TestBatchWidthHistogram(t *testing.T) {
 }
 
 // TestBatchStepAllocationFree gates the batched stepping hot path at zero
-// allocations per step on the direct backends (the satellite extension of
-// TestStepBEAllocationFree).
+// allocations per step on the supernodal Cholesky solver (the batched
+// extension of TestStepBEAllocationFree).
 func TestBatchStepAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	net := gridNetwork(rng, 6, 6)
-	for _, tb := range []testBackend{denseTB, choleskyTB} {
-		t.Run(tb.name, func(t *testing.T) {
-			s, err := tb.compile(net)
-			if err != nil {
+	t.Run("cholesky", func(t *testing.T) {
+		s, err := net.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const kk = 4
+		temps := make([][]float64, kk)
+		powers := make([][]float64, kk)
+		for k := 0; k < kk; k++ {
+			temps[k] = s.AmbientVector()
+			powers[k] = randomPower(rng, net.N())
+		}
+		bs := s.newBatchSession(kk)
+		step := func() {
+			if err := bs.StepBE(temps, powers, 1e-3); err != nil {
 				t.Fatal(err)
 			}
-			const kk = 4
-			temps := make([][]float64, kk)
-			powers := make([][]float64, kk)
-			for k := 0; k < kk; k++ {
-				temps[k] = s.AmbientVector()
-				powers[k] = randomPower(rng, net.N())
-			}
-			bs := s.newBatchSession(kk)
-			errs := make([]error, kk)
-			step := func() {
-				if err := bs.StepBE(temps, powers, 1e-3, errs); err != nil {
-					t.Fatal(err)
-				}
-				for k, e := range errs {
-					if e != nil {
-						t.Fatalf("slot %d: %v", k, e)
-					}
-				}
-			}
-			step() // warm: factor + scratch growth
-			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-				t.Fatalf("%s batched StepBE allocates %v times per step, want 0", tb.name, allocs)
-			}
-		})
-	}
+		}
+		step() // warm: factor + scratch growth
+		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+			t.Fatalf("batched StepBE allocates %v times per step, want 0", allocs)
+		}
+	})
 }
 
 // TestReplayLockstepWindowMismatch: Replay rejects a job it cannot step

@@ -41,24 +41,6 @@ func gridNetwork(rng *rand.Rand, nx, ny int) *Network {
 	return n
 }
 
-// testBackend names one way to compile a network, for tests that run on
-// several backends; name is the subtest name.
-type testBackend struct {
-	name    string
-	compile func(*Network) (*Solver, error)
-}
-
-func withBackend(b linalg.Backend) func(*Network) (*Solver, error) {
-	return func(n *Network) (*Solver, error) { return n.CompileWith(b) }
-}
-
-var (
-	autoTB     = testBackend{"auto", (*Network).Compile}
-	denseTB    = testBackend{"dense", withBackend(linalg.DenseBackend{})}
-	choleskyTB = testBackend{"cholesky", withBackend(linalg.CholeskyBackend{})}
-	cgTB       = testBackend{"cg", withBackend(linalg.SparseBackend{})}
-)
-
 func randomPower(rng *rand.Rand, n int) []float64 {
 	p := make([]float64, n)
 	for i := range p {
@@ -69,75 +51,214 @@ func randomPower(rng *rand.Rand, n int) []float64 {
 	return p
 }
 
-// compileBoth compiles one network onto both backends.
-func compileBoth(t *testing.T, n *Network) (dense, sparse *Solver) {
-	t.Helper()
-	d, err := n.CompileWith(linalg.DenseBackend{})
-	if err != nil {
-		t.Fatalf("dense compile: %v", err)
+// ladderNetwork builds a small random network of n nodes: each node ties to
+// a random earlier one, node 0 and a random subset reach ambient, and
+// capacitances span four decades so the backward-Euler system is stiff.
+// These sizes (n ≤ 8) are the ones whose arithmetic moved from dense LU to
+// the sparse LDLᵀ factor.
+func ladderNetwork(rng *rand.Rand, n int) *Network {
+	net := New(300 + 20*rng.Float64())
+	for i := 0; i < n; i++ {
+		net.AddNode(fmt.Sprintf("n%d", i), math.Pow(10, -3+4*rng.Float64()))
 	}
-	s, err := n.CompileWith(linalg.SparseBackend{})
-	if err != nil {
-		t.Fatalf("sparse compile: %v", err)
+	for i := 1; i < n; i++ {
+		net.Connect(i, rng.Intn(i), 0.05+2*rng.Float64())
 	}
-	return d, s
+	net.ConnectAmbient(0, 0.1+rng.Float64())
+	for i := 1; i < n; i++ {
+		if rng.Float64() < 0.3 {
+			net.ConnectAmbient(i, 0.1+rng.Float64())
+		}
+	}
+	return net
 }
 
-// TestBackendParitySteadyState: dense LU and sparse CG must agree on the
-// steady state of random floorplan-shaped networks to tight tolerance. This
-// is the refactor's safety net: the dense path is the oracle.
+// luOracle is the dense reference for a network: partial-pivot LU of the
+// assembled conductance matrix and of each backward-Euler matrix, fed the
+// right-hand sides the Solver builds.
+type luOracle struct {
+	net  *Network
+	a    *linalg.Matrix
+	lu   *linalg.LU
+	beDt float64
+	be   *linalg.LU
+}
+
+func newLUOracle(t *testing.T, net *Network) *luOracle {
+	t.Helper()
+	sz := net.N()
+	a := linalg.NewMatrix(sz, sz)
+	for _, e := range net.assemble() {
+		a.Add(e.I, e.J, e.V)
+	}
+	lu, err := linalg.FactorLU(a)
+	if err != nil {
+		t.Fatalf("dense LU: %v", err)
+	}
+	return &luOracle{net: net, a: a, lu: lu}
+}
+
+// rhs builds P + G_amb·T_amb.
+func (o *luOracle) rhs(power []float64) []float64 {
+	b := make([]float64, len(power))
+	for i := range b {
+		b[i] = power[i] + o.net.ambG[i]*o.net.ambient
+	}
+	return b
+}
+
+func (o *luOracle) SteadyState(power []float64) []float64 { return o.lu.Solve(o.rhs(power)) }
+
+func (o *luOracle) AmbientVector() []float64 {
+	t := make([]float64, o.net.N())
+	linalg.Fill(t, o.net.ambient)
+	return t
+}
+
+// StepBE advances temp by one backward-Euler step: (C/dt + A)·T⁺ =
+// P + G_amb·T_amb + C/dt·T.
+func (o *luOracle) StepBE(temp, power []float64, dt float64) {
+	if o.be == nil || o.beDt != dt {
+		m := o.a.Clone()
+		for i, c := range o.net.cap {
+			m.Add(i, i, c/dt)
+		}
+		be, err := linalg.FactorLU(m)
+		if err != nil {
+			panic(err)
+		}
+		o.be, o.beDt = be, dt
+	}
+	b := o.rhs(power)
+	for i, c := range o.net.cap {
+		b[i] += c / dt * temp[i]
+	}
+	o.be.SolveInto(temp, b)
+}
+
+// TransientBE mirrors Solver.TransientBE's step sequence.
+func (o *luOracle) TransientBE(temp, power []float64, duration, dt float64) {
+	for t := 0.0; t < duration-1e-15*duration; {
+		step := min(dt, duration-t)
+		o.StepBE(temp, power, step)
+		t += step
+	}
+}
+
+// replay mirrors Solver.Replay's step sequence for one job: record at t = 0
+// and after every step, power filled at each step's start.
+func (o *luOracle) replay(temp []float64, schedule func(t float64, power []float64), duration, step float64) []sample {
+	power := make([]float64, len(temp))
+	end := duration - 1e-12*duration
+	var out []sample
+	for t := 0.0; ; {
+		out = append(out, sample{Time: t, Temp: append([]float64(nil), temp...)})
+		if !(t < end) {
+			return out
+		}
+		schedule(t, power)
+		dt := min(step, duration-t)
+		o.StepBE(temp, power, dt)
+		t += dt
+	}
+}
+
+// compileWithOracle compiles a network and builds its dense LU oracle.
+func compileWithOracle(t *testing.T, n *Network) (*Solver, *luOracle) {
+	t.Helper()
+	s, err := n.Compile()
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return s, newLUOracle(t, n)
+}
+
+// riseTol scales a tolerance by the temperature rise above ambient (at
+// least 1 K); relTol makes it relative to the oracle's temperature.
+func riseTol(tol, want, ambient float64) float64 {
+	return tol * math.Max(1, math.Abs(want-ambient))
+}
+
+func relTol(tol, want, _ float64) float64 { return tol * math.Abs(want) }
+
+// TestBackendParitySteadyState: the factor's steady state must match the
+// dense LU oracle on random floorplan-shaped networks to 1e-9 of the
+// temperature rise, and on the n ≤ 8 networks to relative 1e-12.
 func TestBackendParitySteadyState(t *testing.T) {
+	check := func(name string, net *Network, p []float64, tol float64, scale func(tol, want, ambient float64) float64) {
+		t.Helper()
+		s, oracle := compileWithOracle(t, net)
+		td := oracle.SteadyState(p)
+		ts := s.SteadyState(p)
+		for i := range td {
+			if d := math.Abs(td[i] - ts[i]); d > scale(tol, td[i], net.Ambient()) {
+				t.Fatalf("%s: steady node %d dense %.15g vs factor %.15g (Δ=%g)", name, i, td[i], ts[i], d)
+			}
+		}
+	}
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nx, ny := 3+rng.Intn(6), 3+rng.Intn(6)
 		net := gridNetwork(rng, nx, ny)
-		dense, sparse := compileBoth(t, net)
-		p := randomPower(rng, net.N())
-		td := dense.SteadyState(p)
-		ts := sparse.SteadyState(p)
-		for i := range td {
-			rise := math.Max(1, td[i]-net.Ambient())
-			if d := math.Abs(td[i] - ts[i]); d > 1e-7*rise {
-				t.Fatalf("seed %d (%dx%d): steady node %d dense %.12g vs sparse %.12g (Δ=%g)",
-					seed, nx, ny, i, td[i], ts[i], d)
-			}
+		check(fmt.Sprintf("seed %d (%dx%d)", seed, nx, ny), net, randomPower(rng, net.N()), 1e-9, riseTol)
+	}
+	for _, n := range []int{1, 2, 5, 8} {
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(500 + seed))
+			net := ladderNetwork(rng, n)
+			p := randomPower(rng, n)
+			p[rng.Intn(n)] += 1 + 10*rng.Float64()
+			check(fmt.Sprintf("n=%d seed %d", n, seed), net, p, 1e-12, relTol)
 		}
 	}
 }
 
 // TestBackendParityTransientBE: fixed-step backward-Euler transients must
-// track between backends, including a step-size change mid-run (exercising
-// the cached shifted operator on both).
+// track the dense oracle, including a step-size change mid-run (exercising
+// the cached shifted factor): to 1e-9 of the rise on grid networks, and to
+// relative 1e-12 over 100 steps on the n ≤ 8 networks.
 func TestBackendParityTransientBE(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		net := gridNetwork(rng, 4, 4)
-		dense, sparse := compileBoth(t, net)
-		p := randomPower(rng, net.N())
-		td := dense.AmbientVector()
-		ts := sparse.AmbientVector()
-		for _, leg := range []struct{ dur, dt float64 }{{0.5, 0.01}, {0.2, 0.004}} {
-			if err := dense.TransientBE(td, p, leg.dur, leg.dt); err != nil {
-				t.Fatal(err)
-			}
-			if err := sparse.TransientBE(ts, p, leg.dur, leg.dt); err != nil {
+	check := func(name string, net *Network, p []float64, legs []struct{ dur, dt float64 }, tol float64, scale func(tol, want, ambient float64) float64) {
+		t.Helper()
+		s, oracle := compileWithOracle(t, net)
+		td := oracle.AmbientVector()
+		ts := s.AmbientVector()
+		for _, leg := range legs {
+			oracle.TransientBE(td, p, leg.dur, leg.dt)
+			if err := s.TransientBE(ts, p, leg.dur, leg.dt); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := range td {
-			if d := math.Abs(td[i] - ts[i]); d > 1e-5 {
-				t.Fatalf("seed %d: BE node %d dense %.12g vs sparse %.12g (Δ=%g)", seed, i, td[i], ts[i], d)
+			if d := math.Abs(td[i] - ts[i]); d > scale(tol, td[i], net.Ambient()) {
+				t.Fatalf("%s: BE node %d dense %.15g vs factor %.15g (Δ=%g)", name, i, td[i], ts[i], d)
 			}
+		}
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		net := gridNetwork(rng, 4, 4)
+		legs := []struct{ dur, dt float64 }{{0.5, 0.01}, {0.2, 0.004}}
+		check(fmt.Sprintf("seed %d", seed), net, randomPower(rng, net.N()), legs, 1e-9, riseTol)
+	}
+	for _, n := range []int{1, 2, 5, 8} {
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(600 + seed))
+			net := ladderNetwork(rng, n)
+			p := randomPower(rng, n)
+			p[rng.Intn(n)] += 1 + 10*rng.Float64()
+			legs := []struct{ dur, dt float64 }{{0.5, 0.01}, {0.5, 0.01}} // 100 steps
+			check(fmt.Sprintf("n=%d seed %d", n, seed), net, p, legs, 1e-12, relTol)
 		}
 	}
 }
 
-// TestBackendParityTrace: trace-driven replay (time-varying power) agrees
-// between backends.
+// TestBackendParityTrace: trace-driven replay (time-varying power) through
+// Solver.Replay agrees with the dense oracle.
 func TestBackendParityTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	net := gridNetwork(rng, 5, 4)
-	dense, sparse := compileBoth(t, net)
+	s, oracle := compileWithOracle(t, net)
 	p1 := randomPower(rng, net.N())
 	p2 := randomPower(rng, net.N())
 	schedule := func(tm float64, p []float64) {
@@ -147,13 +268,8 @@ func TestBackendParityTrace(t *testing.T) {
 		}
 		copy(p, src)
 	}
-	td := dense.AmbientVector()
-	ts := sparse.AmbientVector()
-	sd, err := replayTrace(dense, td, schedule, 0.5, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := replayTrace(sparse, ts, schedule, 0.5, 0.05)
+	sd := oracle.replay(oracle.AmbientVector(), schedule, 0.5, 0.05)
+	ss, err := replayTrace(s, s.AmbientVector(), schedule, 0.5, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,143 +277,72 @@ func TestBackendParityTrace(t *testing.T) {
 		t.Fatalf("sample counts differ: %d vs %d", len(sd), len(ss))
 	}
 	for k := range sd {
+		if sd[k].Time != ss[k].Time {
+			t.Fatalf("sample %d: time %v vs %v", k, sd[k].Time, ss[k].Time)
+		}
 		for i := range sd[k].Temp {
-			if d := math.Abs(sd[k].Temp[i] - ss[k].Temp[i]); d > 1e-5 {
-				t.Fatalf("sample %d node %d: dense %.12g vs sparse %.12g", k, i, sd[k].Temp[i], ss[k].Temp[i])
+			if d := math.Abs(sd[k].Temp[i] - ss[k].Temp[i]); d > 1e-9 {
+				t.Fatalf("sample %d node %d: dense %.15g vs factor %.15g", k, i, sd[k].Temp[i], ss[k].Temp[i])
 			}
-		}
-	}
-}
-
-// TestCompileSelectsBackendBySize: the automatic selection must route tiny
-// networks to dense LU and everything floorplan-shaped (modest fill) to the
-// sparse direct Cholesky path, with CompileWith forcing any backend.
-func TestCompileSelectsBackendBySize(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	tiny := New(300)
-	a := tiny.AddNode("a", 1)
-	bn := tiny.AddNode("b", 1)
-	tiny.Connect(a, bn, 2)
-	tiny.ConnectAmbient(a, 1)
-	s1, err := tiny.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Backend() != "dense" {
-		t.Fatalf("tiny network compiled onto %q, want dense", s1.Backend())
-	}
-	small := gridNetwork(rng, 3, 3) // 18 nodes: already past DenseCutoff
-	sSmall, err := small.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sSmall.Backend() != "cholesky" {
-		t.Fatalf("small network compiled onto %q, want cholesky", sSmall.Backend())
-	}
-	big := gridNetwork(rng, 10, 10) // 200 nodes
-	s2, err := big.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Backend() != "cholesky" {
-		t.Fatalf("big network compiled onto %q, want cholesky", s2.Backend())
-	}
-	for _, c := range []struct {
-		tb   testBackend
-		want string
-	}{{denseTB, "dense"}, {choleskyTB, "cholesky"}, {cgTB, "sparse"}} {
-		s, err := c.tb.compile(big)
-		if err != nil {
-			t.Fatalf("backend %s: %v", c.tb.name, err)
-		}
-		if s.Backend() != c.want {
-			t.Fatalf("backend %s compiled onto %q, want %q", c.tb.name, s.Backend(), c.want)
-		}
-	}
-}
-
-// TestFloatingIslandRejectedBothBackends: the structural ground check must
-// fire for both backends (the iterative backend cannot rely on a
-// factorization failure).
-func TestFloatingIslandRejectedBothBackends(t *testing.T) {
-	for _, backend := range []linalg.Backend{linalg.DenseBackend{}, linalg.SparseBackend{}} {
-		n := New(300)
-		n.AddNode("a", 1)
-		b := n.AddNode("b", 1)
-		n.ConnectAmbientR(b, 1)
-		if _, err := n.CompileWith(backend); err == nil {
-			t.Fatalf("%s: expected floating-island error", backend.Name())
 		}
 	}
 }
 
 // TestTransientBatchMatchesSerial: a lockstep group must record bit-for-bit
-// the same samples as each job replayed alone, on both the auto-selected
-// (Cholesky) path and the CG path.
+// the same samples as each job replayed alone, on the solver Compile picks.
 func TestTransientBatchMatchesSerial(t *testing.T) {
-	for _, tb := range []testBackend{autoTB, cgTB} {
-		t.Run(tb.name, func(t *testing.T) { testTransientBatchMatchesSerial(t, tb) })
-	}
-}
-
-func testTransientBatchMatchesSerial(t *testing.T, tb testBackend) {
 	rng := rand.New(rand.NewSource(9))
 	net := gridNetwork(rng, 6, 6)
-	s, err := tb.compile(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want72 := "cholesky"
-	if tb.name == cgTB.name {
-		want72 = "sparse"
-	}
-	if s.Backend() != want72 {
-		t.Fatalf("backend %s: compiled onto %q, want %q", tb.name, s.Backend(), want72)
-	}
-	const jobs = 6
-	powers := make([][]float64, jobs)
-	for j := range powers {
-		powers[j] = randomPower(rng, net.N())
-	}
-	mkJobs := func() []traceJob {
-		out := make([]traceJob, jobs)
-		for j := range out {
-			p := powers[j]
-			out[j] = traceJob{
-				Temp:        s.AmbientVector(),
-				Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-				Duration:    0.3,
-				SampleEvery: 0.03,
-			}
-		}
-		return out
-	}
-	serial := mkJobs()
-	want := make([][]sample, jobs)
-	for j := range serial {
-		w, err := replayTrace(s, serial[j].Temp, serial[j].Schedule, serial[j].Duration, serial[j].SampleEvery)
+	t.Run("auto", func(t *testing.T) {
+		s, err := net.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[j] = w
-	}
-	got, errs := replayTraces(s, mkJobs())
-	for j := range want {
-		if errs[j] != nil {
-			t.Fatalf("job %d: %v", j, errs[j])
+		const jobs = 6
+		powers := make([][]float64, jobs)
+		for j := range powers {
+			powers[j] = randomPower(rng, net.N())
 		}
-		if len(got[j]) != len(want[j]) {
-			t.Fatalf("job %d: %d samples vs %d", j, len(got[j]), len(want[j]))
+		mkJobs := func() []traceJob {
+			out := make([]traceJob, jobs)
+			for j := range out {
+				p := powers[j]
+				out[j] = traceJob{
+					Temp:        s.AmbientVector(),
+					Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
+					Duration:    0.3,
+					SampleEvery: 0.03,
+				}
+			}
+			return out
 		}
-		for k := range want[j] {
-			for i := range want[j][k].Temp {
-				if got[j][k].Temp[i] != want[j][k].Temp[i] {
-					t.Fatalf("job %d sample %d node %d: batch %.17g vs serial %.17g",
-						j, k, i, got[j][k].Temp[i], want[j][k].Temp[i])
+		serial := mkJobs()
+		want := make([][]sample, jobs)
+		for j := range serial {
+			w, err := replayTrace(s, serial[j].Temp, serial[j].Schedule, serial[j].Duration, serial[j].SampleEvery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[j] = w
+		}
+		got, errs := replayTraces(s, mkJobs())
+		for j := range want {
+			if errs[j] != nil {
+				t.Fatalf("job %d: %v", j, errs[j])
+			}
+			if len(got[j]) != len(want[j]) {
+				t.Fatalf("job %d: %d samples vs %d", j, len(got[j]), len(want[j]))
+			}
+			for k := range want[j] {
+				for i := range want[j][k].Temp {
+					if got[j][k].Temp[i] != want[j][k].Temp[i] {
+						t.Fatalf("job %d sample %d node %d: batch %.17g vs serial %.17g",
+							j, k, i, got[j][k].Temp[i], want[j][k].Temp[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestTransientBatchReportsJobError: a bad job must surface its own error
@@ -305,7 +350,7 @@ func testTransientBatchMatchesSerial(t *testing.T, tb testBackend) {
 func TestTransientBatchReportsJobError(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	net := gridNetwork(rng, 3, 3)
-	s, err := net.CompileWith(linalg.SparseBackend{})
+	s, err := net.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}

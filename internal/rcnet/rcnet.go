@@ -11,7 +11,6 @@
 package rcnet
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -137,28 +136,18 @@ func (n *Network) checkIndex(i int) {
 	}
 }
 
-// DenseCutoff is the node count at or below which Compile picks the dense
-// LU backend. Above it Compile assembles CSR and factors with supernodal
-// sparse LDLᵀ (falling back to Jacobi-preconditioned conjugate gradients
-// when the predicted factor fill exceeds CholeskyMaxFill). PR 5 dropped the
-// cutoff from 64 to 8: an air-sink EV6 network (~40 nodes) solves ~5×
-// faster through the compressed sparse factor than through O(n²) dense
-// back-substitution, and the sparse path batches. The dense backend remains
-// the parity oracle via CompileWith(linalg.DenseBackend{}).
-const DenseCutoff = 8
-
-// CholeskyMaxFill caps the sparse direct path: Compile falls back to the CG
-// backend when the symbolic analysis predicts nnz(L+D+Lᵀ) beyond this
-// multiple of nnz(A). Floorplan-shaped networks order to ~10-25× under RCM
-// (measured in DESIGN.md §7.2); genuinely 3D grids — the reference solver's
-// territory — blow far past this.
+// CholeskyMaxFill caps the factor Compile accepts: a network whose
+// symbolic analysis predicts nnz(L+D+Lᵀ) beyond this multiple of nnz(A) is
+// refused with an error wrapping linalg.ErrCholeskyFill. Every served model
+// class orders to at most 10.8× under AMD (measured in DESIGN.md §7.2);
+// genuinely 3-D grids — the reference solver's territory — blow far past
+// this.
 const CholeskyMaxFill = 40
 
 // Solver is an assembled network ready for simulation. It holds the
-// conductance system behind a linalg.Operator (dense LU, sparse direct
-// LDLᵀ, or sparse CG, chosen at Compile) plus a shared cache of
-// backward-Euler operators, one factorization per step size. Create with
-// Compile; a Solver must not outlive subsequent mutations of its Network.
+// conductance system as a supernodal LDLᵀ factor plus a shared cache of
+// backward-Euler factors, one per step size. Create with Compile; a Solver
+// must not outlive subsequent mutations of its Network.
 //
 // SteadyState, DominantTimeConstant and HeatFlowToAmbient are safe to call
 // from any number of goroutines (per-call scratch comes from an internal
@@ -167,11 +156,11 @@ const CholeskyMaxFill = 40
 // concurrent stepping goes through the lockstep replay loop (Replay), which
 // keeps all mutable state per call.
 type Solver struct {
-	net     *Network
-	backend linalg.Backend
-	// op is the conductance (Laplacian + ambient) operator: diag holds the
-	// sum of all conductances incident to i, off-diagonal (i,j) = -g(i,j).
-	op     linalg.Operator
+	net *Network
+	// op is the factored conductance (Laplacian + ambient) matrix: diag
+	// holds the sum of all conductances incident to i, off-diagonal (i,j) =
+	// -g(i,j).
+	op     *linalg.CholeskyOperator
 	invCap []float64
 	// ambRHS is the constant G_amb·T_amb right-hand-side term, precomputed
 	// so the stepping hot path performs no per-node multiply for it.
@@ -182,24 +171,19 @@ type Solver struct {
 	// and TransientBE; concurrent replays create their own sessions instead.
 	serial *batchSession
 
-	// beOps caches backward-Euler operators (C/dt + A) per step size,
-	// shared by every session on this solver: the first session to step at
-	// a given dt factors (single-flight), later sessions — e.g. a service's
-	// whole session pool replaying same-interval traces — reuse the factor
-	// and run solve-only steps. Bounded at beCacheCap distinct step sizes;
-	// beyond that operators are built uncached (sessions still hold the
-	// operator for their current dt, so repeated same-dt stepping never
+	// beOps caches backward-Euler factors (C/dt + A) per step size, shared
+	// by every session on this solver: the first session to step at a given
+	// dt factors (single-flight), later sessions — e.g. a service's whole
+	// session pool replaying same-interval traces — reuse the factor and
+	// run solve-only steps. Bounded at beCacheCap distinct step sizes;
+	// beyond that factors are built uncached (sessions still hold the
+	// factor for their current dt, so repeated same-dt stepping never
 	// refactors either way).
 	beMu  sync.Mutex
 	beOps map[float64]*beEntry
 
-	// stats aggregates per-path solver counters across all sessions.
+	// stats aggregates solver counters across all sessions.
 	stats solverStats
-
-	// rescue is the lazily-built dense fallback for steady solves the
-	// iterative backend stalls on (see rescueSolve).
-	rescueOnce sync.Once
-	rescue     linalg.Operator
 }
 
 // beCacheCap bounds the per-solver (dt → operator) cache.
@@ -207,7 +191,7 @@ const beCacheCap = 16
 
 type beEntry struct {
 	once sync.Once
-	op   linalg.Operator
+	op   *linalg.CholeskyOperator
 	err  error
 }
 
@@ -237,7 +221,7 @@ func batchBucket(w int) int {
 	}
 }
 
-// kernelWidthLabels names the solve-kernel widths the direct backend
+// kernelWidthLabels names the solve-kernel widths the factor
 // dispatches over (linalg.Workspace.KernelSolves slot order).
 var kernelWidthLabels = [...]string{"1", "4", "8", "16"}
 
@@ -247,8 +231,6 @@ type solverStats struct {
 	factorizations atomic.Int64
 	factorReuses   atomic.Int64
 	directSteps    atomic.Int64
-	cgSteps        atomic.Int64
-	cgIterations   atomic.Int64
 	stepSolveNanos atomic.Int64
 	batchHist      [len(batchWidthBuckets)]atomic.Int64
 	kernelSolves   [len(kernelWidthLabels)]atomic.Int64
@@ -270,30 +252,28 @@ func (st *solverStats) absorbKernels(ws *linalg.Workspace) {
 	}
 }
 
-// SolverStats is a snapshot of a solver's per-path counters. All counters
+// SolverStats is a snapshot of a solver's counters. All counters
 // aggregate over every session of the solver since Compile.
 type SolverStats struct {
 	// Factorizations counts numeric matrix factorizations: the eager
-	// factorization at Compile (direct backends) plus one per distinct
-	// backward-Euler step size. CG assemblies don't factor and don't count.
+	// factorization at Compile plus one per distinct backward-Euler step
+	// size.
 	Factorizations int64 `json:"factorizations"`
-	// FactorReuses counts backward-Euler operator requests served from the
-	// per-solver (dt → operator) cache instead of factoring.
+	// FactorReuses counts backward-Euler factor requests served from the
+	// per-solver (dt → factor) cache instead of factoring.
 	FactorReuses int64 `json:"factor_reuses"`
-	// DirectSteps and CGSteps split backward-Euler steps by solve path:
-	// triangular/back-substitution solves vs conjugate-gradient iteration.
+	// DirectSteps counts backward-Euler steps (one per state per step).
 	DirectSteps int64 `json:"direct_steps"`
-	CGSteps     int64 `json:"cg_steps"`
-	// CGIterations totals CG iterations across CGSteps.
-	CGIterations int64 `json:"cg_iterations"`
+	// CGSteps is always 0: every step is a factor solve. It stays for
+	// readers that still sum it with DirectSteps.
+	CGSteps int64 `json:"-"`
 	// StepSolveNanos estimates cumulative wall time inside backward-Euler
 	// step solves (sampled one solve in eight and scaled, so the clock reads
 	// don't tax the hot path; a batched solve's time covers all its columns);
-	// divide by (DirectSteps+CGSteps) for the mean per-state solve latency.
+	// divide by DirectSteps for the mean per-state solve latency.
 	StepSolveNanos int64 `json:"step_solve_nanos"`
-	// Supernodes and MaxPanelRows describe the supernodal factor of the
-	// direct backend (0 on the dense and CG paths): the number of dense
-	// panels and the tallest panel's row count.
+	// Supernodes and MaxPanelRows describe the supernodal factor: the
+	// number of dense panels and the tallest panel's row count.
 	Supernodes   int `json:"supernodes,omitempty"`
 	MaxPanelRows int `json:"max_panel_rows,omitempty"`
 	// BatchWidths histograms the backward-Euler solves by how many
@@ -308,19 +288,15 @@ type SolverStats struct {
 	KernelSolves map[string]int64 `json:"kernel_solves,omitempty"`
 }
 
-// Stats snapshots the solver's per-path counters.
+// Stats snapshots the solver's counters.
 func (s *Solver) Stats() SolverStats {
 	out := SolverStats{
 		Factorizations: s.stats.factorizations.Load(),
 		FactorReuses:   s.stats.factorReuses.Load(),
 		DirectSteps:    s.stats.directSteps.Load(),
-		CGSteps:        s.stats.cgSteps.Load(),
-		CGIterations:   s.stats.cgIterations.Load(),
 		StepSolveNanos: s.stats.stepSolveNanos.Load(),
-	}
-	if c, ok := s.op.(*linalg.CholeskyOperator); ok {
-		out.Supernodes = c.Supernodes()
-		out.MaxPanelRows = c.MaxPanelRows()
+		Supernodes:     s.op.Supernodes(),
+		MaxPanelRows:   s.op.MaxPanelRows(),
 	}
 	for i := range s.stats.batchHist {
 		if v := s.stats.batchHist[i].Load(); v > 0 {
@@ -354,30 +330,12 @@ func (s *Solver) putWS(ws *linalg.Workspace) {
 	s.wsPool.Put(ws)
 }
 
-// Compile assembles the network into a solver, auto-selecting the backend:
-// dense LU for networks of at most DenseCutoff nodes, sparse direct LDLᵀ
-// (RCM-ordered Cholesky) above it when the predicted factor fill stays under
-// CholeskyMaxFill, and Jacobi-CG otherwise. It verifies every node has a
-// path to ambient (otherwise the conductance matrix is singular and the
-// steady state unbounded), so the direct backends never see a structurally
-// singular system. Use CompileWith to force a specific backend.
+// Compile assembles the network into a solver: it verifies every node has
+// a path to ambient (otherwise the conductance matrix is singular and the
+// steady state unbounded), then factors the conductance matrix with the
+// supernodal LDLᵀ. A network whose predicted factor fill exceeds
+// CholeskyMaxFill is refused with an error wrapping linalg.ErrCholeskyFill.
 func (n *Network) Compile() (*Solver, error) {
-	if n.N() <= DenseCutoff {
-		return n.CompileWith(linalg.DenseBackend{})
-	}
-	s, err := n.CompileWith(linalg.CholeskyBackend{MaxFillRatio: CholeskyMaxFill})
-	if errors.Is(err, linalg.ErrCholeskyFill) || errors.Is(err, linalg.ErrNotSPD) || errors.Is(err, linalg.ErrNotSymmetric) {
-		// Too much fill, or a system the direct path cannot factor: the
-		// iterative backend handles both.
-		return n.CompileWith(linalg.SparseBackend{})
-	}
-	return s, err
-}
-
-// CompileWith assembles the network onto an explicit solver backend. Use it
-// to force the dense oracle or a specially-configured sparse backend; most
-// callers want Compile.
-func (n *Network) CompileWith(backend linalg.Backend) (*Solver, error) {
 	sz := n.N()
 	if sz == 0 {
 		return nil, fmt.Errorf("rcnet: empty network")
@@ -385,9 +343,9 @@ func (n *Network) CompileWith(backend linalg.Backend) (*Solver, error) {
 	if err := n.checkGrounded(); err != nil {
 		return nil, err
 	}
-	op, err := backend.Assemble(sz, n.assemble())
+	op, err := linalg.NewCholeskyOperator(linalg.NewCSR(sz, n.assemble()), CholeskyMaxFill)
 	if err != nil {
-		return nil, fmt.Errorf("rcnet: %s assembly: %w", backend.Name(), err)
+		return nil, fmt.Errorf("rcnet: factor conductance matrix: %w", err)
 	}
 	inv := make([]float64, sz)
 	for i, c := range n.cap {
@@ -397,17 +355,15 @@ func (n *Network) CompileWith(backend linalg.Backend) (*Solver, error) {
 	for i, g := range n.ambG {
 		amb[i] = g * n.ambient
 	}
-	s := &Solver{net: n, backend: backend, op: op, invCap: inv, ambRHS: amb, beOps: make(map[float64]*beEntry)}
-	if !op.Iterative() {
-		s.stats.factorizations.Add(1) // direct backends factor eagerly in Assemble
-	}
+	s := &Solver{net: n, op: op, invCap: inv, ambRHS: amb, beOps: make(map[float64]*beEntry)}
+	s.stats.factorizations.Add(1) // the factorization is eager
 	return s, nil
 }
 
 // assemble emits the conductance system in coordinate form. Pairs are
 // visited in sorted order and the diagonal is accumulated in that same
 // order, so floating-point accumulation (and therefore every downstream
-// result) is deterministic across runs and identical for both backends.
+// result) is deterministic across runs.
 func (n *Network) assemble() []linalg.Coord {
 	sz := n.N()
 	keys := make([][2]int, 0, len(n.pairs))
@@ -441,10 +397,9 @@ func (n *Network) assemble() []linalg.Coord {
 }
 
 // checkGrounded verifies every node reaches a node with an ambient
-// conductance through the pair graph. The dense backend would also catch the
-// resulting singularity during factorization, but the iterative sparse
-// backend cannot, so the structural check keeps both backends' Compile
-// behavior identical.
+// conductance through the pair graph. The factorization would also catch
+// the resulting singularity, but only as a zero pivot; the structural check
+// names the floating node.
 func (n *Network) checkGrounded() error {
 	sz := n.N()
 	parent := make([]int, sz)
@@ -482,83 +437,19 @@ func (n *Network) checkGrounded() error {
 // Net returns the underlying network.
 func (s *Solver) Net() *Network { return s.net }
 
-// FactorInfo reports the sparse direct factor's size (strictly-lower
-// entries) and fill ratio nnz(L+D+Lᵀ)/nnz(A) when the solver compiled onto
-// the Cholesky backend; ok is false on the dense and CG paths.
-func (s *Solver) FactorInfo() (nnzL int, fillRatio float64, ok bool) {
-	if c, isChol := s.op.(*linalg.CholeskyOperator); isChol {
-		return c.NNZL(), c.FillRatio(), true
-	}
-	return 0, 0, false
+// FactorInfo reports the conductance factor's size (strictly-lower
+// entries) and fill ratio nnz(L+D+Lᵀ)/nnz(A).
+func (s *Solver) FactorInfo() (nnzL int, fillRatio float64) {
+	return s.op.NNZL(), s.op.FillRatio()
 }
 
-// Backend returns the name of the linear-algebra backend in use ("dense",
-// "cholesky" or "sparse").
-func (s *Solver) Backend() string { return s.backend.Name() }
-
 // SteadyState returns the equilibrium temperatures (Kelvin) for constant
-// per-node power injection (W). power must have length N. If the iterative
-// backend fails to converge (catastrophically ill-conditioned conductances),
-// the solve falls back to an exact dense LU, so a grounded network always
-// gets an answer. Safe for concurrent use.
+// per-node power injection (W). power must have length N. Safe for
+// concurrent use.
 func (s *Solver) SteadyState(power []float64) []float64 {
 	ws := s.getWS()
 	defer s.putWS(ws)
-	var warm []float64
-	if s.op.Iterative() {
-		warm = s.AmbientVector() // direct solves ignore warm starts: skip the vector
-	}
-	return s.solveRefined(s.rhs(power), warm, ws)
-}
-
-// solveRefined solves A·x = b to near-direct accuracy: one backend solve
-// plus, when the residual shows the backend stopped at an iterative
-// tolerance, a step of iterative refinement. This keeps steady-state
-// answers from the sparse backend within oracle distance of the dense LU
-// (network invariants like reciprocity hold to ~1e-12 instead of the CG
-// tolerance), at the cost of at most one extra solve. If the iterative
-// backend stalls outright (catastrophically ill-conditioned conductances),
-// the solve falls back to a lazily-built dense LU rather than failing.
-func (s *Solver) solveRefined(b, warm []float64, ws *linalg.Workspace) []float64 {
-	x, err := s.op.Solve(b, warm, nil, ws)
-	if err != nil {
-		return s.rescueSolve(b)
-	}
-	if !s.op.Iterative() {
-		return x // direct solve: refinement would buy nothing
-	}
-	r := make([]float64, len(b))
-	s.op.Apply(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	if linalg.Norm2(r) > 1e-14*linalg.Norm2(b) {
-		if d, err := s.op.Solve(r, nil, nil, ws); err == nil {
-			linalg.AXPY(1, d, x)
-		}
-	}
-	return x
-}
-
-// rescueSolve is the last-resort path for systems the iterative backend
-// cannot converge on: reassemble once onto the dense LU oracle and solve
-// directly. O(n³) on first use, but it turns a would-be crash on a
-// pathological network into a slow, exact answer. It panics only if the
-// dense factorization itself fails, which checkGrounded rules out for any
-// network Compile accepted.
-func (s *Solver) rescueSolve(b []float64) []float64 {
-	s.rescueOnce.Do(func() {
-		op, err := linalg.DenseBackend{}.Assemble(s.net.N(), s.net.assemble())
-		if err != nil {
-			panic(fmt.Sprintf("rcnet: dense rescue assembly failed: %v", err))
-		}
-		s.rescue = op
-	})
-	x, err := s.rescue.Solve(b, nil, nil, nil)
-	if err != nil {
-		panic(fmt.Sprintf("rcnet: dense rescue solve failed: %v", err))
-	}
-	return x
+	return s.op.Solve(s.rhs(power), nil, ws)
 }
 
 // rhs builds P + G_amb·T_amb.
@@ -581,9 +472,8 @@ func (s *Solver) AmbientVector() []float64 {
 	return t
 }
 
-// derivs computes dT/dt = C⁻¹ (P + G_amb·T_amb − A·T). The A·T product goes
-// through the operator, so it costs O(nnz) on the sparse backend instead of
-// the dense O(n²) row sweep.
+// derivs computes dT/dt = C⁻¹ (P + G_amb·T_amb − A·T). The A·T product is a
+// sparse mat-vec, O(nnz).
 func (s *Solver) derivs(power []float64) ode.Derivs {
 	at := make([]float64, s.net.N())
 	return func(_ float64, temp, dst []float64) {
@@ -615,11 +505,10 @@ func (s *Solver) Transient(temp, power []float64, duration float64, opt Transien
 	return ode.AdaptiveRK4(s.derivs(power), 0, temp, duration, aOpt)
 }
 
-// beOperator derives the backward-Euler operator (C/dt + A) from the
-// conductance operator. On the direct backends the shift reuses the
-// conductance operator's symbolic analysis and performs a numeric
-// refactorization only.
-func (s *Solver) beOperator(dt float64) (linalg.Operator, error) {
+// beOperator factors the backward-Euler matrix (C/dt + A) from the
+// conductance factor: the shift reuses its symbolic analysis and performs a
+// numeric refactorization only.
+func (s *Solver) beOperator(dt float64) (*linalg.CholeskyOperator, error) {
 	shift := make([]float64, s.net.N())
 	for i, c := range s.net.cap {
 		shift[i] = c / dt
@@ -628,17 +517,15 @@ func (s *Solver) beOperator(dt float64) (linalg.Operator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rcnet: backward Euler operator: %w", err)
 	}
-	if !op.Iterative() {
-		s.stats.factorizations.Add(1)
-	}
+	s.stats.factorizations.Add(1)
 	return op, nil
 }
 
-// beOperatorCached returns the backward-Euler operator for dt through the
+// beOperatorCached returns the backward-Euler factor for dt through the
 // per-solver cache: one factorization per (solver, dt), single-flight, any
 // number of concurrent sessions. Past beCacheCap distinct step sizes new
-// operators are built uncached.
-func (s *Solver) beOperatorCached(dt float64) (linalg.Operator, error) {
+// factors are built uncached.
+func (s *Solver) beOperatorCached(dt float64) (*linalg.CholeskyOperator, error) {
 	s.beMu.Lock()
 	e, ok := s.beOps[dt]
 	if !ok {
@@ -661,9 +548,8 @@ func (s *Solver) beOperatorCached(dt float64) (linalg.Operator, error) {
 // under constant power. Backward Euler is unconditionally stable, which
 // makes it the right integrator for the stiff networks that mix the tiny
 // oil-boundary-layer capacitance with the large heatsink capacitance. The
-// (C/dt + A) operator is cached across calls with the same dt; the solve is
-// warm-started from the current temperatures on the iterative backend. On
-// error, temp is left unchanged.
+// (C/dt + A) factor is cached across calls with the same dt. On error, temp
+// is left unchanged.
 func (s *Solver) StepBE(temp, power []float64, dt float64) error {
 	if s.serial == nil {
 		s.serial = s.newBatchSession(1)
@@ -700,23 +586,16 @@ func (s *Solver) DominantTimeConstant() float64 {
 	linalg.Fill(v, 1)
 	ws := s.getWS()
 	defer s.putWS(ws)
-	solve := func(b, warm []float64) []float64 {
-		x, err := s.op.Solve(b, warm, nil, ws)
-		if err != nil {
-			return s.rescueSolve(b)
-		}
-		return x
-	}
 	var lambda float64
 	for it := 0; it < 200; it++ {
-		// w = A⁻¹ C v, warm-started from the previous iterate.
-		w := solve(scaleCopy(s.net.cap, v), v)
+		// w = A⁻¹ C v.
+		w := s.op.Solve(scaleCopy(s.net.cap, v), nil, ws)
 		norm := linalg.Norm2(w)
 		if norm == 0 {
 			return 0
 		}
 		linalg.Scale(1/norm, w)
-		newLambda := linalg.Dot(w, solve(scaleCopy(s.net.cap, w), w))
+		newLambda := linalg.Dot(w, s.op.Solve(scaleCopy(s.net.cap, w), nil, ws))
 		if math.Abs(newLambda-lambda) < 1e-12*math.Abs(newLambda) {
 			return newLambda
 		}

@@ -3,6 +3,7 @@ package rcnet
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -109,9 +110,10 @@ func TestFloatingIslandRejected(t *testing.T) {
 	n.AddNode("a", 1)
 	b := n.AddNode("b", 1)
 	n.ConnectAmbientR(b, 1)
-	// "a" has no connection at all → singular conductance matrix.
-	if _, err := n.Compile(); err == nil {
-		t.Fatal("expected floating-island error")
+	// "a" has no connection at all → singular conductance matrix. The
+	// ground check refuses it before the factorization and names the node.
+	if _, err := n.Compile(); err == nil || !strings.Contains(err.Error(), `floating island at node "a"`) {
+		t.Fatalf("got %v, want the floating-island error naming node a", err)
 	}
 }
 

@@ -37,10 +37,10 @@ type Config struct {
 	LocalH bool
 }
 
-// Solver is an assembled finite-volume model. The conduction system lives
-// behind the shared sparse solver backend (linalg.SparseOperator): steady
-// states are one preconditioned CG solve, transients one warm-started solve
-// per backward-Euler step against a cached shifted operator.
+// Solver is an assembled finite-volume model. The conduction system is
+// solved by conjugate gradients (linalg.SparseOperator): steady states are
+// one preconditioned CG solve, transients one warm-started solve per
+// backward-Euler step against a cached shifted operator.
 type Solver struct {
 	cfg        Config
 	nx, ny, nz int
@@ -54,7 +54,7 @@ type Solver struct {
 
 	// beOp caches the (C/dt + G) operator for the current step size.
 	beStep float64
-	beOp   linalg.Operator
+	beOp   *linalg.SparseOperator
 }
 
 // New assembles the solver.

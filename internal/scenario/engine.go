@@ -164,18 +164,6 @@ type Compiled struct {
 // Name returns the scenario's label.
 func (c *Compiled) Name() string { return c.spec.Name }
 
-// SolverBackends maps each package label to the linear-solver backend its
-// model compiled onto ("dense", "cholesky" or "sparse"). Grid cells inherit
-// the backend's per-step cost directly — every control step is one
-// backward-Euler solve — so the mapping is part of a run's provenance.
-func (c *Compiled) SolverBackends() map[string]string {
-	out := make(map[string]string, len(c.pkgs))
-	for _, p := range c.pkgs {
-		out[p.label] = p.model.SolverBackend()
-	}
-	return out
-}
-
 // Floorplan returns the resolved floorplan.
 func (c *Compiled) Floorplan() *floorplan.Floorplan { return c.fp }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // benchSteadyBody is a steady request against a 32×32-block synthetic die
-// under oil (2048 RC nodes, sparse backend) — large enough that model
+// under oil (2048 RC nodes) — large enough that model
 // construction and compilation dominate a cold request.
 func benchSteadyBody(b testing.TB) []byte {
 	raw, err := json.Marshal(SteadyRequest{
@@ -56,7 +56,7 @@ func BenchmarkSteadyColdCache(b *testing.B) {
 }
 
 // BenchmarkSteadyWarmCache measures the same request against a warm cache:
-// fingerprint hash + cache hit + warm-started solve.
+// fingerprint hash + cache hit + solve.
 func BenchmarkSteadyWarmCache(b *testing.B) {
 	body := benchSteadyBody(b)
 	s := New(Config{})

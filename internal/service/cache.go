@@ -8,10 +8,11 @@ import (
 )
 
 // CachedModel is a compiled thermal model held by the cache, together with
-// a pool of per-goroutine simulation sessions. Sessions carry the solve
-// workspace, backward-Euler operator cache and steady-state warm-start
-// vector, so a request served from a warm cache entry skips both the model
-// compile and most of the iterative solve work.
+// a pool of per-goroutine simulation sessions. Sessions carry a grown solve
+// workspace and a memo of their last steady power map, so a request served
+// from a warm cache entry skips the model compile, and a repeated steady
+// request skips the solve. The backward-Euler factors live on the model's
+// solver and are shared by every session.
 type CachedModel struct {
 	Model       *hotspot.Model
 	Fingerprint string
@@ -19,7 +20,7 @@ type CachedModel struct {
 }
 
 // Session borrows a simulation session for this model; return it with
-// Release so later requests inherit its warm state.
+// Release so later requests reuse its workspace and memo.
 func (cm *CachedModel) Session() *hotspot.Session {
 	if v := cm.sessions.Get(); v != nil {
 		return v.(*hotspot.Session)

@@ -89,32 +89,23 @@ type LatencyStats struct {
 	P99MS  float64 `json:"p99_ms"`
 }
 
-// SolverPathStats aggregates the per-path linear-solver counters over every
-// resident cached model: which backends the models compiled onto, how
-// backward-Euler steps split between direct factor-solves and the CG
-// fallback, how often factorizations were reused, and the mean triangular /
-// CG solve latency per step.
+// SolverPathStats aggregates the linear-solver counters over every resident
+// cached model: backward-Euler steps, how often factorizations were reused,
+// and the mean triangular-solve latency per step.
 type SolverPathStats struct {
-	// Backends counts resident models per solver backend name
-	// ("dense", "cholesky", "sparse").
-	Backends map[string]int `json:"backends"`
 	// Factorizations counts numeric factorizations (compile-time plus one
 	// per distinct backward-Euler step size per model).
 	Factorizations int64 `json:"factorizations"`
 	// FactorReuses counts backward-Euler operator requests served from a
 	// model's (dt → factor) cache instead of factoring.
 	FactorReuses int64 `json:"factor_reuses"`
-	// DirectSteps and CGSteps split transient steps by solve path.
+	// DirectSteps counts transient steps (one per state per step).
 	DirectSteps int64 `json:"direct_steps"`
-	CGSteps     int64 `json:"cg_steps"`
-	// CGIterations totals conjugate-gradient iterations across CGSteps.
-	CGIterations int64 `json:"cg_iterations"`
-	// MeanStepSolveUS is the mean per-step solve latency in microseconds
-	// (triangular solves on the direct paths, CG iteration on the
-	// fallback), over all steps of all resident models.
+	// MeanStepSolveUS is the mean per-step triangular-solve latency in
+	// microseconds, over all steps of all resident models.
 	MeanStepSolveUS float64 `json:"mean_step_solve_us"`
 	// Supernodes totals the supernodal panels across every resident
-	// direct-backend factor; MaxPanelRows is the tallest panel among them
+	// model's factor; MaxPanelRows is the tallest panel among them
 	// (the factor's working-set headline).
 	Supernodes   int64 `json:"supernodes"`
 	MaxPanelRows int   `json:"max_panel_rows"`
@@ -178,15 +169,12 @@ func (m *metrics) snapshot(cache *ModelCache) Stats {
 	if total := cs.Hits + cs.Misses; total > 0 {
 		hitRate = float64(cs.Hits) / float64(total)
 	}
-	solver := SolverPathStats{Backends: make(map[string]int)}
+	var solver SolverPathStats
 	for _, cm := range cache.Models() {
-		solver.Backends[cm.Model.SolverBackend()]++
 		st := cm.Model.SolverStats()
 		solver.Factorizations += st.Factorizations
 		solver.FactorReuses += st.FactorReuses
 		solver.DirectSteps += st.DirectSteps
-		solver.CGSteps += st.CGSteps
-		solver.CGIterations += st.CGIterations
 		solver.Supernodes += int64(st.Supernodes)
 		if st.MaxPanelRows > solver.MaxPanelRows {
 			solver.MaxPanelRows = st.MaxPanelRows
@@ -203,12 +191,10 @@ func (m *metrics) snapshot(cache *ModelCache) Stats {
 			}
 			solver.KernelSolves[width] += count
 		}
-		if steps := st.DirectSteps + st.CGSteps; steps > 0 {
-			solver.MeanStepSolveUS += float64(st.StepSolveNanos) / 1e3
-		}
+		solver.MeanStepSolveUS += float64(st.StepSolveNanos) / 1e3
 	}
-	if steps := solver.DirectSteps + solver.CGSteps; steps > 0 {
-		solver.MeanStepSolveUS /= float64(steps)
+	if solver.DirectSteps > 0 {
+		solver.MeanStepSolveUS /= float64(solver.DirectSteps)
 	}
 	return Stats{
 		Requests:            m.requestCounts(),

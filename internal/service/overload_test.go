@@ -545,7 +545,7 @@ func TestPersistPendingLongRunOnFullDisk(t *testing.T) {
 
 // TestScenarioServingValidation: the scenario endpoints refuse a serving
 // hint. The field no longer exists, so any value is an unknown field and
-// answers 400 instead of silently running the default backend.
+// answers 400 instead of silently running the full model.
 func TestScenarioServingValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, raw := postJSON(t, ts.URL+"/v1/scenario", map[string]any{

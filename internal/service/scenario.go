@@ -56,9 +56,6 @@ type ScenarioHeaderJSON struct {
 	Steps     int     `json:"steps"`
 	IntervalS float64 `json:"interval_s"`
 	Cache     string  `json:"cache"`
-	// Solver maps each package label to the linear-solver backend its model
-	// compiled onto ("dense", "cholesky", "sparse").
-	Solver map[string]string `json:"solver,omitempty"`
 }
 
 // ScenarioResponse is the buffered /v1/scenario reply.
@@ -69,9 +66,6 @@ type ScenarioResponse struct {
 	IntervalS float64            `json:"interval_s"`
 	Cache     string             `json:"cache"` // "hit" iff every package model came from cache
 	SolveMS   float64            `json:"solve_ms"`
-	// Solver maps each package label to the linear-solver backend its model
-	// compiled onto ("dense", "cholesky", "sparse").
-	Solver map[string]string `json:"solver,omitempty"`
 	// Persist echoes the request's run name when telemetry was written to
 	// the store; PersistedRows counts the rows written. PersistPending
 	// reports degraded persistence: the flush failed, the rows are buffered
@@ -189,7 +183,6 @@ func (s *Server) handleScenario(_ http.ResponseWriter, r *http.Request) (int, ru
 			IntervalS: compiled.Interval(),
 			Cache:     cacheState,
 			SolveMS:   solveMS,
-			Solver:    compiled.SolverBackends(),
 		}
 		if tw != nil {
 			resp.Persist = req.Persist
@@ -224,7 +217,6 @@ func (s *Server) handleScenarioStream(w http.ResponseWriter, r *http.Request) (i
 			Steps:     compiled.Steps(),
 			IntervalS: compiled.Interval(),
 			Cache:     cacheState,
-			Solver:    compiled.SolverBackends(),
 		}, true)
 		timedOut := false
 		onCell := func(cr scenario.CellResult) {

@@ -81,7 +81,7 @@ func TestSteadyEndpointAndCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || warm.Cache != "hit" {
 		t.Fatalf("second request: status %d cache %q", resp.StatusCode, warm.Cache)
 	}
-	// Warm-started solve must agree with the cold one.
+	// The cache-hit solve must agree with the cold one.
 	for name, v := range out.BlockC {
 		if d := math.Abs(v - warm.BlockC[name]); d > 1e-9 {
 			t.Fatalf("block %s: cold %.12g vs warm %.12g", name, v, warm.BlockC[name])
@@ -539,10 +539,10 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 }
 
-// TestStatsSolverPath: after a transient request the stats must attribute
-// the steps to a solver path — the EV6 model auto-selects the sparse direct
-// Cholesky backend, so every step is a factor-solve: one factorization, no
-// CG fallback, a positive mean solve latency.
+// TestStatsSolverPath: after a transient request the stats must count the
+// steps — every step is a factor-solve: one factorization at compile plus
+// one for the replay's dt, a positive mean solve latency, and the
+// supernodal factor's shape.
 func TestStatsSolverPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	tr := testTrace(t)
@@ -566,14 +566,8 @@ func TestStatsSolverPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	sv := st.Solver
-	if sv.Backends["cholesky"] != 1 {
-		t.Fatalf("solver backends: %+v, want one cholesky model", sv.Backends)
-	}
 	if sv.DirectSteps != int64(tresp.Steps) {
 		t.Fatalf("direct steps %d, want %d (every replay step is a factor-solve)", sv.DirectSteps, tresp.Steps)
-	}
-	if sv.CGSteps != 0 {
-		t.Fatalf("cg steps %d, want 0", sv.CGSteps)
 	}
 	// One eager factorization at compile plus one for the replay's dt.
 	if sv.Factorizations != 2 {

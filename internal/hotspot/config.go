@@ -13,6 +13,7 @@ package hotspot
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/floorplan"
 	"repro/internal/materials"
@@ -234,16 +235,18 @@ func (cfg Config) Defaulted() Config {
 	return cfg
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Quantities that must be positive
+// must also be finite: a NaN or infinite one would build a model whose
+// every temperature is NaN, or trip the network's own checks.
 func (cfg Config) Validate() error {
 	if cfg.Floorplan == nil || cfg.Floorplan.N() == 0 {
 		return fmt.Errorf("hotspot: config needs a floorplan")
 	}
-	if cfg.DieThickness <= 0 {
-		return fmt.Errorf("hotspot: non-positive die thickness %g", cfg.DieThickness)
+	if !positiveFinite(cfg.DieThickness) {
+		return fmt.Errorf("hotspot: die thickness %g is not positive and finite", cfg.DieThickness)
 	}
-	if cfg.AmbientK <= 0 {
-		return fmt.Errorf("hotspot: non-positive ambient %g K", cfg.AmbientK)
+	if !positiveFinite(cfg.AmbientK) {
+		return fmt.Errorf("hotspot: ambient %g K is not positive and finite", cfg.AmbientK)
 	}
 	if cfg.LateralConstriction < 0 {
 		return fmt.Errorf("hotspot: negative lateral constriction")
@@ -256,19 +259,19 @@ func (cfg Config) Validate() error {
 		if cfg.Air.SinkSide < cfg.Air.SpreaderSide {
 			return fmt.Errorf("hotspot: sink (%g m) smaller than spreader (%g m)", cfg.Air.SinkSide, cfg.Air.SpreaderSide)
 		}
-		if cfg.Air.RConvec <= 0 {
-			return fmt.Errorf("hotspot: non-positive R_convec")
+		if !positiveFinite(cfg.Air.RConvec) {
+			return fmt.Errorf("hotspot: R_convec %g is not positive and finite", cfg.Air.RConvec)
 		}
 	case OilSilicon:
-		if cfg.Oil.Velocity <= 0 {
-			return fmt.Errorf("hotspot: non-positive oil velocity")
+		if !positiveFinite(cfg.Oil.Velocity) {
+			return fmt.Errorf("hotspot: oil velocity %g is not positive and finite", cfg.Oil.Velocity)
 		}
 		if cfg.Oil.TargetRconv < 0 {
 			return fmt.Errorf("hotspot: negative target R_conv")
 		}
 	case Microchannel:
 		mc := cfg.Micro.defaulted()
-		if mc.ChannelWidth <= 0 || mc.ChannelDepth <= 0 || mc.WallWidth <= 0 {
+		if !positiveFinite(mc.ChannelWidth) || !positiveFinite(mc.ChannelDepth) || !positiveFinite(mc.WallWidth) {
 			return fmt.Errorf("hotspot: invalid microchannel geometry")
 		}
 	default:
@@ -276,3 +279,6 @@ func (cfg Config) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether v > 0 and v is finite (false for NaN).
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }

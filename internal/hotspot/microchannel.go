@@ -100,6 +100,9 @@ func (m *Model) buildMicrochannel() error {
 		rc := 1 / (h * b.Area())
 		coolantVol := b.Area() * mc.ChannelDepth * fillFactor
 		cap := mc.Coolant.Density * mc.Coolant.SpecificHeat * coolantVol
+		if !ambientROK(rc / 2) {
+			return fmt.Errorf("hotspot: block %q: channel resistance %g K/W is out of range", b.Name, rc/2)
+		}
 		node := m.net.AddNode("chan:"+b.Name, math.Max(cap, 1e-9))
 		m.net.ConnectR(m.blockNode[i], node,
 			materials.VerticalResistance(materials.Silicon, tSi/2, b.Area())+rc/2)

@@ -197,6 +197,9 @@ func (m *Model) buildAirSink() error {
 	}
 
 	// Convection: sink to ambient.
+	if !ambientROK(a.RConvec) {
+		return fmt.Errorf("hotspot: sink convection resistance %g K/W is out of range", a.RConvec)
+	}
 	m.net.ConnectAmbientR(sink, a.RConvec)
 	m.rconvEff = a.RConvec
 	return nil
@@ -254,6 +257,9 @@ func (m *Model) buildOilSilicon() error {
 		} else {
 			oilCap = o.Fluid.Density * o.Fluid.SpecificHeat * b.Area() * delta
 		}
+		if !ambientROK(rc / 2) {
+			return fmt.Errorf("hotspot: block %q: oil boundary resistance %g K/W is out of range", b.Name, rc/2)
+		}
 		oil := m.net.AddNode("oil:"+b.Name, oilCap)
 		// Silicon center → boundary layer: half the die conduction plus
 		// half the convection resistance; boundary layer → free stream:
@@ -264,6 +270,13 @@ func (m *Model) buildOilSilicon() error {
 	}
 	return nil
 }
+
+// ambientROK reports whether the network can take r as a resistance to
+// ambient: positive, and it and its reciprocal finite. rcnet panics on a
+// zero or non-finite conductance, so the builders check each derived
+// resistance first and fail with an error: an rconv near 0 or ∞ derives
+// one out of range.
+func ambientROK(r float64) bool { return positiveFinite(r) && !math.IsInf(1/r, 0) }
 
 // plateLength returns the die extent along the flow direction.
 func (m *Model) plateLength(d FlowDirection) float64 {
@@ -359,6 +372,9 @@ func (m *Model) buildSecondaryPath() error {
 			materials.VerticalResistance(materials.SolderBalls, s.SolderThickness/2, subArea)+
 				materials.VerticalResistance(materials.PCB, s.PCBThickness/2, subArea)+rSpread)
 		rc := 1 / (hPCB * effArea)
+		if !ambientROK(rc / 2) {
+			return fmt.Errorf("hotspot: back-side oil resistance %g K/W is out of range", rc/2)
+		}
 		oil := m.net.AddNode("oil:pcb", flow.ConvectionCapacitance(effArea))
 		m.net.ConnectR(pcb, oil, rc/2)
 		m.net.ConnectAmbientR(oil, rc/2)
@@ -371,6 +387,9 @@ func (m *Model) buildSecondaryPath() error {
 		m.net.ConnectR(solder, pcb,
 			materials.VerticalResistance(materials.SolderBalls, s.SolderThickness/2, subArea)+
 				materials.VerticalResistance(materials.PCB, s.PCBThickness/2, subArea))
+		if !ambientROK(s.BacksideRAir) {
+			return fmt.Errorf("hotspot: back-side air resistance %g K/W is out of range", s.BacksideRAir)
+		}
 		m.net.ConnectAmbientR(pcb, s.BacksideRAir)
 	}
 	_ = dieArea

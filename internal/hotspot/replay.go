@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/materials"
 	"repro/internal/rcnet"
 	"repro/internal/trace"
 )
@@ -75,7 +76,7 @@ func (m *Model) CheckTraceNames(names []string) error {
 // temps (length = node count) is advanced in place. An empty trace (no
 // rows) is an error.
 func (s *Session) ReplayRows(temps []float64, rows trace.RowReader) ([]TracePoint, error) {
-	pts, errs := replay([]replayJob{rowJob(s.m, temps, rows)}, 1)
+	pts, errs := replayPoints([]replayJob{rowJob(s.m, temps, rows)}, 1)
 	return pts[0], errs[0]
 }
 
@@ -106,11 +107,74 @@ type ReplayJob struct {
 // in this repository) satisfy that trivially; slices of one sequential
 // stream would not, and must be replayed one job per batch.
 func ReplayBatchResults(jobs []ReplayJob, workers int) ([][]TracePoint, []error) {
+	return replayPoints(rowJobs(jobs), workers)
+}
+
+// ReplayFinalPeak replays row-streamed jobs exactly as ReplayBatchResults
+// does but keeps, per job, only what a sweep answers with: the block
+// temperatures (°C, floorplan order) after the last row, and each block's
+// maximum over the replay from t = 0. Results and errors are indexed like
+// jobs; a failed job has nil vectors and the error ReplayBatchResults
+// reports for it. final and peak equal the last point and the per-block
+// maximum of ReplayBatchResults' points bit for bit, without holding a
+// vector per step.
+func ReplayFinalPeak(jobs []ReplayJob, workers int) (final, peak [][]float64, errs []error) {
+	rj := rowJobs(jobs)
+	recs := make([]peakRecorder, len(rj))
+	for j := range rj {
+		recs[j].m = rj[j].m
+		rj[j].record = recs[j].record
+	}
+	errs = replay(rj, workers)
+	final = make([][]float64, len(jobs))
+	peak = make([][]float64, len(jobs))
+	for j, err := range errs {
+		if err != nil {
+			continue
+		}
+		// The state is advanced in place, so it ends as the last step left
+		// it: the last point's temperatures.
+		m := rj[j].m
+		final[j] = make([]float64, len(m.blockNode))
+		m.BlocksCInto(rj[j].temps, final[j])
+		peak[j] = recs[j].peak
+		for i, k := range peak[j] {
+			peak[j][i] = materials.KToC(k)
+		}
+	}
+	return final, peak, errs
+}
+
+// peakRecorder keeps a replay's running per-block maximum in Kelvin, in one
+// buffer. The °C conversion is monotonic, so converting the maximum once
+// gives the maximum of the converted temperatures bit for bit.
+type peakRecorder struct {
+	m    *Model
+	peak []float64
+}
+
+func (r *peakRecorder) record(_ float64, temp []float64) {
+	if r.peak == nil {
+		r.peak = make([]float64, len(r.m.blockNode))
+		for i, node := range r.m.blockNode {
+			r.peak[i] = temp[node]
+		}
+		return
+	}
+	for i, node := range r.m.blockNode {
+		if v := temp[node]; v > r.peak[i] {
+			r.peak[i] = v
+		}
+	}
+}
+
+// rowJobs adapts ReplayJobs to the stepping core.
+func rowJobs(jobs []ReplayJob) []replayJob {
 	rj := make([]replayJob, len(jobs))
 	for j, job := range jobs {
 		rj[j] = rowJob(job.Model, job.Temps, job.Rows)
 	}
-	return replay(rj, workers)
+	return rj
 }
 
 // errEmptyTrace fails a streamed replay whose reader has no rows.

@@ -193,7 +193,7 @@ type TracePoint struct {
 // traces may run concurrently on one Model (each with its own temps and
 // schedule).
 func (m *Model) RunTrace(temps []float64, schedule func(t float64, blockPower []float64), duration, sampleEvery float64) ([]TracePoint, error) {
-	pts, errs := replay([]replayJob{m.scheduleJob(TraceJob{temps, schedule, duration, sampleEvery})}, 1)
+	pts, errs := replayPoints([]replayJob{m.scheduleJob(TraceJob{temps, schedule, duration, sampleEvery})}, 1)
 	return pts[0], errs[0]
 }
 
@@ -261,7 +261,7 @@ func RunSweep(jobs []SweepJob, workers int) ([][]TracePoint, error) {
 		}
 		rj[j] = job.Model.scheduleJob(job.TraceJob)
 	}
-	results, errs := replay(rj, workers)
+	results, errs := replayPoints(rj, workers)
 	for j, err := range errs {
 		if err != nil {
 			return results, fmt.Errorf("hotspot: sweep job %d: %w", j, err)
@@ -300,20 +300,19 @@ func RunLoops(jobs []LoopJob, workers int) []error {
 	for j, job := range jobs {
 		rj[j] = loopJob(job)
 	}
-	_, errs := replay(rj, workers)
-	return errs
+	return replay(rj, workers)
 }
 
 // loopJob adapts a closed loop to the stepping core: an open window of the
-// job's step, so no step is ever shortened, a block-power fill validated
-// and expanded onto block nodes through a buffer the job owns, and no
-// recorder.
+// job's step, so no step is ever shortened, and a block-power fill
+// validated and expanded onto block nodes through a buffer the job owns.
+// It records nothing: a closed loop reads its own state.
 func loopJob(job LoopJob) replayJob {
 	m := job.Model
 	if m == nil {
 		return replayJob{err: errors.New("nil model")}
 	}
-	rj := replayJob{m: m, w: rcnet.Window{Duration: math.Inf(1), Step: job.Step}, temps: job.Temps, noRecord: true}
+	rj := replayJob{m: m, w: rcnet.Window{Duration: math.Inf(1), Step: job.Step}, temps: job.Temps}
 	if job.Power != nil {
 		blockPower := make([]float64, m.cfg.Floorplan.N())
 		rj.fill = func(_ float64, power []float64) error {
@@ -335,29 +334,29 @@ func loopJob(job LoopJob) replayJob {
 
 // replayJob is one replay on the stepping core, built by an adapter
 // (rowJob, scheduleJob, loopJob): the model and window it groups under, its
-// initial state, and its power fill. err fails the job before grouping;
-// wrap, when set, adds the adapter's context (the row it reached) to a
-// failure; noRecord skips the recorder (closed loops read their own
-// state).
+// initial state, and its power fill. record, when set, observes the state
+// at t = 0 and after every step: point recording (replayPoints), the
+// final/peak reduction (ReplayFinalPeak), or nil for closed loops. err
+// fails the job before grouping; wrap, when set, adds the adapter's
+// context (the row it reached) to a failure.
 type replayJob struct {
-	m        *Model
-	w        rcnet.Window
-	temps    []float64
-	fill     func(t float64, power []float64) error
-	wrap     func(error) error
-	err      error
-	noRecord bool
+	m      *Model
+	w      rcnet.Window
+	temps  []float64
+	fill   func(t float64, power []float64) error
+	record func(t float64, temp []float64)
+	wrap   func(error) error
+	err    error
 }
 
-// replay runs jobs on the stepping core and returns per-job points and
-// errors, indexed like jobs. Jobs are dealt round-robin across workers
-// (workers ≤ 0 = GOMAXPROCS; 1 runs on the calling goroutine); each worker
-// groups its chunk by (model, window) — first-seen order, jobs in index
-// order — and hands every group to its model's Solver.Replay. The deal
-// and grouping are deterministic, and batching never changes per-column
-// arithmetic, so results do not depend on the worker count.
-func replay(jobs []replayJob, workers int) ([][]TracePoint, []error) {
-	pts := make([][]TracePoint, len(jobs))
+// replay runs jobs on the stepping core and returns per-job errors, indexed
+// like jobs. Jobs are dealt round-robin across workers (workers ≤ 0 =
+// GOMAXPROCS; 1 runs on the calling goroutine); each worker groups its
+// chunk by (model, window) — first-seen order, jobs in index order — and
+// hands every group to its model's Solver.Replay. The deal and grouping
+// are deterministic, and batching never changes per-column arithmetic, so
+// results do not depend on the worker count.
+func replay(jobs []replayJob, workers int) []error {
 	errs := make([]error, len(jobs))
 	idx := make([]int, 0, len(jobs))
 	for j := range jobs {
@@ -365,20 +364,20 @@ func replay(jobs []replayJob, workers int) ([][]TracePoint, []error) {
 			idx = append(idx, j)
 		}
 	}
-	chunk := func(c []int) { runGroups(jobs, c, pts, errs) }
+	chunk := func(c []int) { runGroups(jobs, c, errs) }
 	if workers == 1 {
 		chunk(idx)
 	} else {
 		pool.RunChunked(idx, workers, chunk)
 	}
-	return pts, errs
+	return errs
 }
 
 // runGroups groups one worker's jobs and runs each group. Groups are
 // found by linear search rather than a map so that a NaN window, which
 // never equals itself, forms its own group and is rejected by Replay
 // instead of vanishing.
-func runGroups(jobs []replayJob, idx []int, pts [][]TracePoint, errs []error) {
+func runGroups(jobs []replayJob, idx []int, errs []error) {
 	type group struct {
 		m   *Model
 		w   rcnet.Window
@@ -394,27 +393,37 @@ func runGroups(jobs []replayJob, idx []int, pts [][]TracePoint, errs []error) {
 		groups[g].idx = append(groups[g].idx, j)
 	}
 	for _, g := range groups {
-		recs := make([]recorder, len(g.idx))
 		rjobs := make([]rcnet.Job, len(g.idx))
 		for i, j := range g.idx {
-			rjobs[i] = rcnet.Job{Temp: jobs[j].temps, Power: jobs[j].fill}
-			if !jobs[j].noRecord {
-				recs[i].m = g.m
-				rjobs[i].Record = recs[i].record
-			}
+			rjobs[i] = rcnet.Job{Temp: jobs[j].temps, Power: jobs[j].fill, Record: jobs[j].record}
 		}
 		for i, err := range g.m.solver.Replay(g.w, rjobs) {
 			j := g.idx[i]
-			if err == nil {
-				pts[j] = recs[i].pts
-				continue
-			}
-			if jobs[j].wrap != nil {
+			if err != nil && jobs[j].wrap != nil {
 				err = jobs[j].wrap(err)
 			}
 			errs[j] = err
 		}
 	}
+}
+
+// replayPoints runs jobs with a point recorder each and returns every
+// successful job's sampled block temperatures (°C) beside the per-job
+// errors; a failed job's points are nil.
+func replayPoints(jobs []replayJob, workers int) ([][]TracePoint, []error) {
+	recs := make([]recorder, len(jobs))
+	for j := range jobs {
+		recs[j].m = jobs[j].m
+		jobs[j].record = recs[j].record
+	}
+	errs := replay(jobs, workers)
+	pts := make([][]TracePoint, len(jobs))
+	for j, err := range errs {
+		if err == nil {
+			pts[j] = recs[j].pts
+		}
+	}
+	return pts, errs
 }
 
 // recorder collects a replay's block temperatures (°C) as TracePoints.

@@ -32,6 +32,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -142,16 +143,60 @@ func (sp ModelSpec) config() (hotspot.Config, error) {
 	})
 }
 
+// fingerprints memoizes ModelSpec.Fingerprint: hashing a large grid's
+// geometry costs more than its solve, and every scenario, replica and
+// router hop asks again for the same few specs. Specs are client input, so
+// the memo is capped like namedFloorplans and only stores specs whose key
+// stays small; others are hashed per request. Only successful results are
+// stored.
+var fingerprints = struct {
+	sync.Mutex
+	m map[ModelSpec]string
+}{m: make(map[ModelSpec]string)}
+
+const (
+	maxFingerprints = 64
+	// maxMemoNames bounds the name fields of a memoized spec.
+	maxMemoNames = 64
+)
+
+// memoizable reports whether a spec may key the fingerprint memo: no inline
+// flp and short names, so 64 keys stay small, and no NaN, which never
+// equals itself and so could never be found again. −0 and +0 compare equal
+// and share a key; the spec treats both as unset.
+func (sp ModelSpec) memoizable() bool {
+	return sp.FLP == "" && len(sp.Floorplan)+len(sp.Package)+len(sp.Direction) <= maxMemoNames &&
+		!math.IsNaN(sp.Rconv) && !math.IsNaN(sp.AmbientC)
+}
+
 // Fingerprint resolves the spec and returns its model-cache key — the same
 // hotspot.Config.Fingerprint the compiled-model cache and the fleet router's
 // consistent-hash ring use, so a router placing a request and the replica
-// caching its model agree on the key byte for byte.
+// caching its model agree on the key byte for byte. It is memoized, so a
+// spec is hashed once per process.
 func (sp ModelSpec) Fingerprint() (string, error) {
+	memo := sp.memoizable()
+	if memo {
+		fingerprints.Lock()
+		fp, ok := fingerprints.m[sp]
+		fingerprints.Unlock()
+		if ok {
+			return fp, nil
+		}
+	}
 	cfg, err := sp.config()
 	if err != nil {
 		return "", err
 	}
-	return cfg.Fingerprint(), nil
+	fp := cfg.Fingerprint()
+	if memo {
+		fingerprints.Lock()
+		if len(fingerprints.m) < maxFingerprints {
+			fingerprints.m[sp] = fp
+		}
+		fingerprints.Unlock()
+	}
+	return fp, nil
 }
 
 // modelFromQuery reads a streamed transient's model from its query

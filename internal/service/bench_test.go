@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -111,5 +113,86 @@ func TestWarmCacheSpeedup(t *testing.T) {
 	if coldDur < 5*warmDur {
 		t.Fatalf("warm cache speedup only %.1f× (cold %v, warm %v), want ≥5×",
 			float64(coldDur)/float64(warmDur), coldDur, warmDur)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps the status and drops the
+// body, so a handler benchmark does not count a recorder's buffer growth.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// serveWarm primes h with body at path, then returns a function that serves
+// the request once more and fails the benchmark on a non-200.
+func serveWarm(b *testing.B, h http.Handler, path string, body []byte) func() {
+	serve := func() {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+	serve()
+	return serve
+}
+
+// BenchmarkSweepGrid64Handler serves a warm, in-process sweep of 8 inline
+// 100-row traces, 8 powered blocks each, on a 64×64 oil-cooled grid at 2
+// workers: the replay-grid64 workload's request without the network.
+func BenchmarkSweepGrid64Handler(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	spec := ModelSpec{Floorplan: "grid:64x64", Package: "oil-silicon"}
+	req := SweepRequest{Workers: 2}
+	for s := 0; s < 8; s++ {
+		ts := &TraceSpec{Interval: 1e-4}
+		for _, j := range rng.Perm(64 * 64)[:8] {
+			ts.Names = append(ts.Names, fmt.Sprintf("c%d_%d", j/64, j%64))
+		}
+		for k := 0; k < 100; k++ {
+			row := make([]float64, len(ts.Names))
+			for c := range row {
+				row[c] = 0.5 + 2.5*rng.Float64()
+			}
+			ts.Rows = append(ts.Rows, row)
+		}
+		req.Scenarios = append(req.Scenarios, SweepScenario{Model: spec, Trace: ts})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := serveWarm(b, New(Config{}).Handler(), "/v1/sweep", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
+
+// BenchmarkSteadyGrid32Handler serves a warm, in-process steady request with
+// 64 powered blocks on a 32×32 oil-cooled grid: a repeat of the session's
+// last power map, so the handler's decode, fingerprint and encode dominate.
+func BenchmarkSteadyGrid32Handler(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	req := SteadyRequest{Model: ModelSpec{Floorplan: "grid:32x32", Package: "oil-silicon"}, Power: map[string]float64{}}
+	for _, j := range rng.Perm(32 * 32)[:64] {
+		req.Power[fmt.Sprintf("c%d_%d", j/32, j%32)] = 0.5 + 2.5*rng.Float64()
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := serveWarm(b, New(Config{}).Handler(), "/v1/steady", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }

@@ -2,21 +2,25 @@ package service
 
 import (
 	"container/list"
+	"fmt"
+	"net/http"
 	"sync"
 
 	"repro/internal/hotspot"
 )
 
 // CachedModel is a compiled thermal model held by the cache, together with
-// a pool of per-goroutine simulation sessions. Sessions carry a grown solve
-// workspace and a memo of their last steady power map, so a request served
-// from a warm cache entry skips the model compile, and a repeated steady
-// request skips the solve. The backward-Euler factors live on the model's
-// solver and are shared by every session.
+// a pool of per-goroutine simulation sessions and the block index its
+// replies encode with. Sessions carry a grown solve workspace and a memo of
+// their last steady power map, so a request served from a warm cache entry
+// skips the model compile, and a repeated steady request skips the solve.
+// The backward-Euler factors live on the model's solver and are shared by
+// every session. The block index lives and dies with the entry.
 type CachedModel struct {
 	Model       *hotspot.Model
 	Fingerprint string
 	sessions    sync.Pool
+	blocks      *blockIndex
 }
 
 // Session borrows a simulation session for this model; return it with
@@ -53,7 +57,8 @@ type CacheStats struct {
 // keyed by config fingerprint, with single-flight compilation: any number
 // of concurrent requests for the same fingerprint share one hotspot.New.
 // Failed builds are not cached (the error is returned to every waiter and
-// the key becomes buildable again).
+// the key becomes buildable again). A build that panics fails the same
+// way, with an error answered 500.
 type ModelCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -103,7 +108,7 @@ func (c *ModelCache) Get(key string, build func() (*hotspot.Model, error)) (*Cac
 	c.stats.Misses++
 	c.mu.Unlock()
 
-	m, err := build()
+	cm, err := compile(key, build)
 
 	c.mu.Lock()
 	if err != nil {
@@ -112,7 +117,7 @@ func (c *ModelCache) Get(key string, build func() (*hotspot.Model, error)) (*Cac
 		delete(c.entries, key) // failures are not cached
 	} else {
 		c.stats.Compiles++
-		e.cm = &CachedModel{Model: m, Fingerprint: key}
+		e.cm = cm
 		e.elem = c.ll.PushFront(e)
 		for c.ll.Len() > c.cap {
 			oldest := c.ll.Back()
@@ -125,6 +130,22 @@ func (c *ModelCache) Get(key string, build func() (*hotspot.Model, error)) (*Cac
 	c.mu.Unlock()
 	close(e.ready)
 	return e.cm, false, e.err
+}
+
+// compile runs a build outside the cache lock and indexes the model's
+// blocks. A panicking build becomes a 500 error: the waiters on its entry
+// must be released and the key left buildable, not wedged in flight.
+func compile(key string, build func() (*hotspot.Model, error)) (cm *CachedModel, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			cm, err = nil, withStatus(http.StatusInternalServerError, fmt.Errorf("model build panicked: %v", r))
+		}
+	}()
+	m, err := build()
+	if err != nil {
+		return nil, err
+	}
+	return &CachedModel{Model: m, Fingerprint: key, blocks: newBlockIndex(m.Floorplan())}, nil
 }
 
 // Stats returns a snapshot of the cache counters.

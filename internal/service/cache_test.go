@@ -1,11 +1,15 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
@@ -160,5 +164,42 @@ func TestModelCacheBuildErrorNotCached(t *testing.T) {
 	st := c.Stats()
 	if st.CompileErrors != 2 || st.Size != 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestModelCacheBuildPanic: a build that panics releases its entry — Get
+// returns a 500 error instead of leaving waiters blocked on an entry that
+// never becomes ready — counts a compile error, and the next Get rebuilds.
+func TestModelCacheBuildPanic(t *testing.T) {
+	c := NewModelCache(4)
+	_, _, err := c.Get("k", func() (*hotspot.Model, error) { panic("invalid ambient resistance 0") })
+	var se *statusError
+	if !errors.As(err, &se) || se.code != http.StatusInternalServerError || !strings.Contains(err.Error(), "invalid ambient resistance 0") {
+		t.Fatalf("panicking build: error %v, want a 500 naming the panic", err)
+	}
+	var calls atomic.Int64
+	key, build := buildFor(0.8, &calls)
+	if _, _, err := c.Get(key, build); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, hit, err := c.Get("k", build)
+		if err == nil && hit {
+			err = errors.New("rebuild reported a hit")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("rebuild after a panic: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Get after a panicking build hangs on its entry")
+	}
+	st := c.Stats()
+	if st.CompileErrors != 1 || st.Compiles != 2 || st.Size != 2 {
+		t.Fatalf("stats %+v, want 1 compile error, 2 compiles, 2 resident", st)
 	}
 }

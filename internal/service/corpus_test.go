@@ -125,6 +125,7 @@ func corpusRows() []corpusRow {
 		// 400: decode
 		{name: "steady/400-decode", method: "POST", path: "/v1/steady", body: `not json`},
 		{name: "steady/400-unknown-field", method: "POST", path: "/v1/steady", body: `{"unknown_field":1}`},
+		{name: "sweep/400-trailing-data", method: "POST", path: "/v1/sweep", body: `{"scenarios":[]}00`},
 		{name: "transient/400-decode", method: "POST", path: "/v1/transient", body: `not json`},
 		{name: "sweep/400-decode", method: "POST", path: "/v1/sweep", body: `{"scenarios":`},
 		{name: "invert/400-decode", method: "POST", path: "/v1/invert", body: `not json`},
@@ -170,6 +171,19 @@ func corpusRows() []corpusRow {
 		{name: "invert/400-model", method: "POST", path: "/v1/invert", body: `{"model":{"floorplan":"nope"},"observed_c":{"a":1}}`},
 		{name: "scenario/400-model", method: "POST", path: "/v1/scenario",
 			body: `{"spec":` + strings.Replace(corpusSpec, `"air-sink"`, `"bogus"`, 1) + `}`},
+		// Convection and ambient inputs that derive a zero or non-finite
+		// conductance, or a NaN ambient, are refused before the network
+		// is assembled.
+		{name: "steady/400-model-rconv-underflow", method: "POST", path: "/v1/steady",
+			body: `{"model":{"floorplan":"ev6","package":"oil-silicon","rconv":1e-320},"power":{"IntReg":1}}`},
+		{name: "transient/400-streamed-rconv-inf", method: "POST", path: "/v1/transient?floorplan=ev6&package=oil-silicon&rconv=Inf",
+			ctype: "text/plain", body: corpusStream},
+		{name: "transient/400-streamed-rconv-underflow", method: "POST", path: "/v1/transient?floorplan=ev6&rconv=1e-320",
+			ctype: "text/plain", body: corpusStream},
+		{name: "transient/400-streamed-ambient-nan", method: "POST", path: "/v1/transient?floorplan=ev6&ambient_c=NaN",
+			ctype: "text/plain", body: corpusStream},
+		{name: "scenario/400-rconv-underflow", method: "POST", path: "/v1/scenario",
+			body: `{"spec":` + strings.Replace(corpusSpec, `"rconv":1.0`, `"rconv":1e-320`, 1) + `}`},
 
 		// 404
 		{name: "query/404", store: true, method: "GET", path: "/v1/query?series=nope"},

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -206,13 +207,31 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer jsonBufs.Put(buf)
 	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := encodeJSON(buf, v); err != nil {
 		s.fail(w, withStatus(http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err)))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(buf.Bytes()) // the client is gone when this fails
+}
+
+// encodeJSON writes v into the empty buf as encoding/json's Encoder does. A
+// reply encodes itself, into buf's spare capacity; one holding a value it
+// refuses (NaN, ±Inf) is encoded as its exported type by encoding/json,
+// which fails on it as ever.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	if r, ok := v.(reply); ok {
+		jw := jsonWriter{b: buf.AvailableBuffer()}
+		if r.appendJSON(&jw); !jw.bad {
+			// buf takes over the grown slice: a reply larger than the
+			// pooled buffer is not copied, and the pool keeps its size.
+			*buf = *bytes.NewBuffer(jw.b)
+			return nil
+		}
+		v = r.exported()
+	}
+	return json.NewEncoder(buf).Encode(v)
 }
 
 // ndjson commits a 200 NDJSON stream and returns its writer: emit writes v
@@ -231,12 +250,21 @@ func ndjson(w http.ResponseWriter) (emit func(v any, flush bool)) {
 }
 
 // decodeJSON strictly decodes a JSON request body: unknown fields are
-// errors, and a body past MaxBodyBytes answers 413.
+// errors, so is anything but whitespace after the one JSON value, and a
+// body past MaxBodyBytes answers 413.
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	var tooLarge *http.MaxBytesError
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if !errors.As(err, &tooLarge) {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
 	switch {
 	case errors.As(err, &tooLarge):
 		return errTooLarge

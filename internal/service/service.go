@@ -147,13 +147,18 @@ func (s *Server) BeginDrain() {
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.admission.Draining() }
 
-// model resolves a spec through the compiled-model cache.
+// model resolves a spec through the compiled-model cache, keyed by its
+// memoized fingerprint; only a miss resolves the spec's full config.
 func (s *Server) model(spec ModelSpec) (*CachedModel, string, error) {
-	cfg, err := spec.config()
+	key, err := spec.Fingerprint()
 	if err != nil {
 		return nil, "", err
 	}
-	cm, hit, err := s.cache.Get(cfg.Fingerprint(), func() (*hotspot.Model, error) {
+	cm, hit, err := s.cache.Get(key, func() (*hotspot.Model, error) {
+		cfg, err := spec.config()
+		if err != nil {
+			return nil, err
+		}
 		return hotspot.New(cfg)
 	})
 	state := "miss"
@@ -216,25 +221,16 @@ func (s *Server) handleSteady(_ http.ResponseWriter, r *http.Request) (int, runF
 		cm.Release(se)
 		solveMS := clock.ms()
 		hotName, hotC := res.Hottest()
-		return SteadyResponse{
-			BlockC:       blockMap(cm.Model, res.BlocksC()),
-			HottestBlock: hotName,
-			HottestC:     hotC,
-			SpreadC:      res.Spread(),
-			Cache:        cacheState,
-			SolveMS:      solveMS,
+		return &steadyReply{
+			ix:       cm.blocks,
+			blockC:   res.BlocksC(),
+			hottest:  cm.Model.Floorplan().Index(hotName),
+			hottestC: hotC,
+			spreadC:  res.Spread(),
+			cache:    cacheState,
+			solveMS:  solveMS,
 		}, nil
 	}, nil
-}
-
-// blockMap zips floorplan names with per-block values.
-func blockMap(m *hotspot.Model, vals []float64) map[string]float64 {
-	names := m.Floorplan().Names()
-	out := make(map[string]float64, len(names))
-	for i, n := range names {
-		out[n] = vals[i]
-	}
-	return out
 }
 
 // ctxRowReader aborts a streamed replay between rows once the request
@@ -342,9 +338,9 @@ func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) (int, r
 			}
 			persisted, pending = s.flushPersist(tw, err)
 		}
-		resp := transientResponse(cm.Model, pts, req.MaxPoints, cacheState, clock.ms())
+		resp := transientResponse(cm, pts, req.MaxPoints, cacheState, clock.ms())
 		if tw != nil {
-			resp.Persist, resp.PersistedRows, resp.PersistPending = req.Persist, persisted, pending
+			resp.persist, resp.persistedRows, resp.persistPending = req.Persist, persisted, pending
 		}
 		return resp, nil
 	}, nil
@@ -408,7 +404,7 @@ func finalAndPeak(pts []hotspot.TracePoint) (final, peak []float64) {
 
 // transientResponse assembles the reply: subsampled series plus final/peak
 // maps.
-func transientResponse(m *hotspot.Model, pts []hotspot.TracePoint, maxPoints int, cacheState string, solveMS float64) TransientResponse {
+func transientResponse(cm *CachedModel, pts []hotspot.TracePoint, maxPoints int, cacheState string, solveMS float64) *transientReply {
 	final, peak := finalAndPeak(pts)
 	keep := pts
 	if maxPoints == 1 {
@@ -421,24 +417,20 @@ func transientResponse(m *hotspot.Model, pts []hotspot.TracePoint, maxPoints int
 		}
 		keep[maxPoints-1] = pts[len(pts)-1]
 	}
-	out := TransientResponse{
-		Blocks:  m.Floorplan().Names(),
-		Points:  make([]PointJSON, len(keep)),
-		FinalC:  blockMap(m, final),
-		PeakC:   blockMap(m, peak),
-		Steps:   len(pts) - 1,
-		Cache:   cacheState,
-		SolveMS: solveMS,
+	return &transientReply{
+		ix:      cm.blocks,
+		points:  keep,
+		final:   final,
+		peak:    peak,
+		steps:   len(pts) - 1,
+		cache:   cacheState,
+		solveMS: solveMS,
 	}
-	for i, p := range keep {
-		out.Points[i] = PointJSON{TimeS: p.Time, BlockC: p.BlockC}
-	}
-	return out
 }
 
 // handleSweep runs batched scenarios: steady power maps solve across the
 // request's worker budget, trace scenarios fan out through
-// hotspot.ReplayBatchResults (the same lockstep core the experiment sweeps
+// hotspot.ReplayFinalPeak (the same lockstep core the experiment sweeps
 // use).
 func (s *Server) handleSweep(_ http.ResponseWriter, r *http.Request) (int, runFunc, error) {
 	var req SweepRequest
@@ -453,14 +445,14 @@ func (s *Server) handleSweep(_ http.ResponseWriter, r *http.Request) (int, runFu
 		return 0, nil, fmt.Errorf("%d scenarios, limit %d", len(req.Scenarios), maxScenarios)
 	}
 	return req.TimeoutMS, func(ctx context.Context, clock solveClock) (any, error) {
-		return SweepResponse{Results: s.sweep(ctx, req), SolveMS: clock.ms()}, nil
+		return &sweepReply{results: s.sweep(ctx, req), solveMS: clock.ms()}, nil
 	}, nil
 }
 
 // sweep solves every scenario of a sweep, each failure reported in its own
 // result.
-func (s *Server) sweep(ctx context.Context, req SweepRequest) []SweepResult {
-	results := make([]SweepResult, len(req.Scenarios))
+func (s *Server) sweep(ctx context.Context, req SweepRequest) []sweepResult {
+	results := make([]sweepResult, len(req.Scenarios))
 
 	// Resolve every scenario's model first (cache + single-flight dedupes
 	// repeats), then split steady and replay work.
@@ -470,21 +462,21 @@ func (s *Server) sweep(ctx context.Context, req SweepRequest) []SweepResult {
 	for i, sc := range req.Scenarios {
 		cm, cacheState, err := s.model(sc.Model)
 		if err != nil {
-			results[i].Error = err.Error()
+			results[i].err = err.Error()
 			continue
 		}
 		models[i] = cm
-		results[i].Cache = cacheState
+		results[i].cache = cacheState
 		switch {
 		case sc.Trace != nil:
 			tr, err := sc.Trace.powerTrace()
 			if err != nil {
-				results[i].Error = err.Error()
+				results[i].err = err.Error()
 				models[i] = nil
 				continue
 			}
 			if err := cm.Model.CheckTraceNames(tr.Names); err != nil {
-				results[i].Error = err.Error()
+				results[i].err = err.Error()
 				models[i] = nil
 				continue
 			}
@@ -494,7 +486,7 @@ func (s *Server) sweep(ctx context.Context, req SweepRequest) []SweepResult {
 				temps, err = warmStart(se, tr)
 				cm.Release(se)
 				if err != nil {
-					results[i].Error = err.Error()
+					results[i].err = err.Error()
 					models[i] = nil
 					continue
 				}
@@ -508,7 +500,7 @@ func (s *Server) sweep(ctx context.Context, req SweepRequest) []SweepResult {
 		case len(sc.Power) > 0:
 			// handled below
 		default:
-			results[i].Error = "scenario needs a power map or a trace"
+			results[i].err = "scenario needs a power map or a trace"
 			models[i] = nil
 		}
 	}
@@ -527,34 +519,28 @@ func (s *Server) sweep(ctx context.Context, req SweepRequest) []SweepResult {
 				cm := models[i]
 				vec, err := cm.Model.PowerVector(req.Scenarios[i].Power)
 				if err != nil {
-					results[i].Error = err.Error()
+					results[i].err = err.Error()
 					return
 				}
 				se := cm.Session()
 				res := se.SteadyState(vec)
 				cm.Release(se)
-				results[i].BlockC = blockMap(cm.Model, res.BlocksC())
+				results[i].ix, results[i].blockC = cm.blocks, res.BlocksC()
 			}
 		})
 	}
 
 	// Trace scenarios through the batched replay path, with per-job error
-	// attribution.
+	// attribution. A sweep answers with final and peak only, so only those
+	// are kept.
 	if len(replayJobs) > 0 {
-		batch, batchErrs := hotspot.ReplayBatchResults(replayJobs, req.Workers)
+		final, peak, errs := hotspot.ReplayFinalPeak(replayJobs, req.Workers)
 		for k, i := range replayIdx {
-			pts := batch[k]
-			if batchErrs[k] != nil {
-				results[i].Error = batchErrs[k].Error()
+			if errs[k] != nil {
+				results[i].err = errs[k].Error()
 				continue
 			}
-			if pts == nil {
-				results[i].Error = "replay produced no points"
-				continue
-			}
-			final, peak := finalAndPeak(pts)
-			results[i].BlockC = blockMap(models[i].Model, final)
-			results[i].PeakC = blockMap(models[i].Model, peak)
+			results[i].ix, results[i].blockC, results[i].peakC = models[i].blocks, final[k], peak[k]
 		}
 	}
 	return results
@@ -603,11 +589,12 @@ func (s *Server) handleInvert(_ http.ResponseWriter, r *http.Request) (int, runF
 		for _, v := range p {
 			total += v
 		}
-		return InvertResponse{
-			PowerW:  blockMap(cm.Model, p),
-			TotalW:  total,
-			Cache:   cacheState,
-			SolveMS: solveMS,
+		return &invertReply{
+			ix:      cm.blocks,
+			powerW:  p,
+			totalW:  total,
+			cache:   cacheState,
+			solveMS: solveMS,
 		}, nil
 	}, nil
 }

@@ -641,6 +641,53 @@ func TestStreamedTransientBadModelParams(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeModelInputsAnswer400: convection and ambient inputs that
+// derive a zero or non-finite conductance (rconv 1e-320 or ∞) or a NaN or
+// infinite ambient answer 400 on every endpoint, twice in a row: the first
+// must not panic the model build and the second must not wait on a
+// wedged cache entry. No request keeps its solve slot afterwards.
+func TestOutOfRangeModelInputsAnswer400(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	client := &http.Client{Timeout: 10 * time.Second}
+	oil := `{"floorplan":"ev6","package":"oil-silicon","rconv":1e-320}`
+	stream := "# interval 1e-3 s\nIntReg\n1\n"
+	reqs := []struct{ path, ctype, body string }{
+		{"/v1/steady", "application/json", `{"model":` + oil + `,"power":{"IntReg":1}}`},
+		{"/v1/invert", "application/json", strings.Replace(corpusInvert("60"), corpusModel, oil, 1)},
+		{"/v1/transient", "application/json", `{"model":{"floorplan":"ev6","rconv":1e-320},"trace":` + corpusTrace + `}`},
+		{"/v1/transient?floorplan=ev6&package=oil-silicon&rconv=Inf", "text/plain", stream},
+		{"/v1/transient?floorplan=ev6&rconv=Inf", "text/plain", stream},
+		{"/v1/transient?floorplan=ev6&rconv=1e-320", "text/plain", stream},
+		{"/v1/transient?floorplan=ev6&ambient_c=NaN", "text/plain", stream},
+		{"/v1/transient?floorplan=ev6&ambient_c=-Inf", "text/plain", stream},
+		{"/v1/scenario", "application/json", `{"spec":` + strings.Replace(corpusSpec, `"rconv":1.0`, `"rconv":1e-320`, 1) + `}`},
+	}
+	for _, rq := range reqs {
+		for attempt := 1; attempt <= 2; attempt++ {
+			resp, err := client.Post(ts.URL+rq.path, rq.ctype, strings.NewReader(rq.body))
+			if err != nil {
+				t.Fatalf("%s attempt %d: %v", rq.path, attempt, err)
+			}
+			var buf bytes.Buffer
+			_, _ = buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), "model: hotspot:") {
+				t.Fatalf("%s attempt %d: status %d %s, want a 400 model error", rq.path, attempt, resp.StatusCode, buf.Bytes())
+			}
+		}
+	}
+	// A sweep reports the same refusal in its scenario's result.
+	resp, raw := postJSON(t, ts.URL+"/v1/sweep", json.RawMessage(`{"scenarios":[{"model":`+oil+`,"power":{"IntReg":1}}]}`))
+	var sw SweepResponse
+	decodeInto(t, raw, &sw)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(sw.Results[0].Error, "out of range") {
+		t.Fatalf("sweep: status %d %s", resp.StatusCode, raw)
+	}
+	if st := srv.Stats(); st.InFlight != 0 || st.Cache.CompileErrors != int64(2*len(reqs)+1) {
+		t.Fatalf("in_flight %d, compile_errors %d; want 0 and %d", st.InFlight, st.Cache.CompileErrors, 2*len(reqs)+1)
+	}
+}
+
 func TestGridFloorplanSpec(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, raw := postJSON(t, ts.URL+"/v1/steady", SteadyRequest{

@@ -7,9 +7,11 @@
 # tstore telemetry-store group: ingest rows/s — gated at ≥1M rows/s on one
 # core — plus rollup and raw query latency, and the fleet routing group:
 # bounded-load ring lookups, proxy wire overhead against no-op backends,
-# and the failover window p99 while the primary owner is dead, and the
+# and the failover window p99 while the primary owner is dead, the
 # trace-decode row: ns/row and allocs/op streaming a 30 000-row, 18-column
-# ptrace built like the persist-query workload's) and emits
+# ptrace built like the persist-query workload's, and the warm in-process
+# service handler rows: an 8-trace grid:64x64 sweep and a 64-block
+# grid:32x32 steady request, with B/op and allocs/op) and emits
 # BENCH_solver.json via cmd/benchreport:
 # ns/op, B/op, allocs/op, custom metrics, GOMAXPROCS and the commit hash.
 #
@@ -41,6 +43,7 @@ KERNEL_BENCHTIME="${BENCHTIME:-20x}"
 TSTORE_BENCHTIME="${BENCHTIME:-200x}"
 FLEET_BENCHTIME="${BENCHTIME:-200x}"
 TRACE_BENCHTIME="${BENCHTIME:-20x}"
+HANDLER_BENCHTIME="${BENCHTIME:-20x}"
 OUT="${OUT:-BENCH_solver.json}"
 BENCH_PROCS="${BENCH_PROCS:-1 4}"
 
@@ -79,6 +82,10 @@ for procs in $BENCH_PROCS; do
   echo "== trace decode benchmark (-benchtime $TRACE_BENCHTIME)"
   GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkTraceDecode$' \
     -benchmem -benchtime "$TRACE_BENCHTIME" ./internal/trace | tee -a "$tmp"
+
+  echo "== service handler benchmarks (-benchtime $HANDLER_BENCHTIME)"
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkSweepGrid64Handler$|BenchmarkSteadyGrid32Handler$' \
+    -benchmem -benchtime "$HANDLER_BENCHTIME" ./internal/service | tee -a "$tmp"
 
   prev_args=()
   if [ -f "$OUT" ]; then

@@ -20,7 +20,7 @@ import (
 	"repro/internal/tstore"
 )
 
-var updateCorpus = flag.Bool("update", false, "rewrite testdata/endpoint_corpus.golden")
+var updateCorpus = flag.Bool("update", false, "rewrite the testdata goldens")
 
 // corpusRow is one request of TestEndpointCorpus, sent to a fresh server.
 type corpusRow struct {

@@ -4,8 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -244,5 +249,66 @@ func TestScenarioSpecRoundTrip(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/v1/scenario", ScenarioRequest{Spec: raw})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("round-tripped spec rejected: %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestScenarioStreamGolden pins the /v1/scenario/stream bodies of the
+// checked-in pulse sweep and of the benchmark's live-CPU spec byte for
+// byte, with only solve_ms masked: floats are not rounded, so any changed
+// bit of a cell's metrics shows. Each spec runs twice on a fresh server at
+// workers 1 (completion order is then the grid order): the first request
+// compiles the models, the repeat hits the cache and must stream the same
+// cells.
+func TestScenarioStreamGolden(t *testing.T) {
+	var out strings.Builder
+	for _, path := range []string{
+		filepath.Join("..", "..", "examples", "specs", "dtm-sweep.json"),
+		filepath.Join("..", "scenario", "testdata", "live-cpu.json"),
+	} {
+		spec, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(ScenarioRequest{Spec: spec, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Config{})
+		for _, run := range []string{"first", "repeat"} {
+			resp, err := http.Post(ts.URL+"/v1/scenario/stream", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", path, run, resp.StatusCode, raw)
+			}
+			fmt.Fprintf(&out, "=== %s %s\n%s", filepath.Base(path), run,
+				solveMSField.ReplaceAllString(string(raw), `"solve_ms":"*"`))
+		}
+	}
+	golden := filepath.Join("testdata", "scenario_stream.golden")
+	if *updateCorpus {
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(out.String(), "\n")
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if wl[i] != gl[i] {
+			t.Fatalf("line %d:\n  golden %s\n  got    %s", i+1, wl[i], gl[i])
+		}
+	}
+	if len(wl) != len(gl) {
+		t.Fatalf("golden has %d lines, got %d", len(wl), len(gl))
 	}
 }

@@ -261,8 +261,8 @@ func Compile(spec *Spec, opts Options) (*Compiled, error) {
 		return nil, specErrf("duration", "scenario is %d control steps per cell, limit %d", c.steps, maxCellSteps)
 	}
 	if c.pm != nil {
-		// Schedule arithmetic only — no producer, whose phase entries
-		// construct CPU/stream state.
+		// Schedule arithmetic only — no producer, whose workload phase
+		// entries take and reset a CPU.
 		var cycles float64
 		phase, inPhase := 0, 0
 		for k := 0; k < c.steps; k++ {
@@ -474,33 +474,48 @@ func (c *Compiled) compilePhase(i int, p Phase) (compiledPhase, error) {
 }
 
 // producer walks the phase schedule step by step and fills per-step block
-// power. Workload phases own a live CPU whose progress is throttled by the
+// power. Workload phases step a live CPU whose progress is throttled by the
 // controller's engagement — the closed loop; trace and pulse phases scale
 // their rows by the policy's power multiplier.
 type producer struct {
 	c       *Compiled
 	phase   int
 	inPhase int
+	entered int // phases entered so far
 
-	// workload phase state
-	cpu          *uarch.CPU
+	// workload phase state: the CPU, taken from livePool at the first
+	// workload phase and reset at each entry, and the cycles it owes
 	targetCycles float64
-	baseCycle    uint64
+	live         *liveCPU
 }
 
-func (c *Compiled) newProducer() *producer {
-	p := &producer{c: c}
-	p.enterPhase()
-	return p
+// liveCPU is a workload phase's CPU with the stream it executes.
+type liveCPU struct {
+	cpu    *uarch.CPU
+	stream *uarch.Stream
 }
 
+// livePool holds the CPUs of finished producers. Every producer builds
+// uarch.DefaultCPU(), so any pooled CPU serves any phase once reset.
+var livePool sync.Pool
+
+// enterPhase starts the current phase. A workload phase resets the
+// producer's CPU and stream to exactly what a fresh CPU over a fresh,
+// identically seeded stream would be: cold caches, an untrained predictor,
+// phase i's seed. Every grid cell therefore sees the same nominal
+// instruction sequence and diverges only through closed-loop throttling,
+// whichever pooled CPU it runs on.
 func (p *producer) enterPhase() {
+	p.entered++
 	ph := &p.c.phases[p.phase]
-	p.cpu = nil
-	if ph.kind == phaseWorkload {
-		// A fresh, identically-seeded stream per phase entry: every grid
-		// cell sees the same nominal instruction sequence and diverges only
-		// through closed-loop throttling.
+	if ph.kind != phaseWorkload {
+		return
+	}
+	p.targetCycles = 0
+	if p.live == nil {
+		p.live, _ = livePool.Get().(*liveCPU)
+	}
+	if p.live == nil {
 		stream, err := uarch.NewStream(ph.workload, ph.seed)
 		if err != nil {
 			panic(fmt.Sprintf("scenario: compiled workload rejected: %v", err))
@@ -509,9 +524,23 @@ func (p *producer) enterPhase() {
 		if err != nil {
 			panic(fmt.Sprintf("scenario: compiled CPU rejected: %v", err))
 		}
-		p.cpu = cpu
-		p.targetCycles = 0
-		p.baseCycle = 0
+		p.live = &liveCPU{cpu: cpu, stream: stream}
+		return
+	}
+	if err := p.live.stream.Reset(ph.workload, ph.seed); err != nil {
+		panic(fmt.Sprintf("scenario: compiled workload rejected: %v", err))
+	}
+	if err := p.live.cpu.Reset(p.live.stream); err != nil {
+		panic(fmt.Sprintf("scenario: compiled CPU rejected: %v", err))
+	}
+}
+
+// release returns the producer's CPU, if it took one, to livePool. The
+// producer must not step again.
+func (p *producer) release() {
+	if p.live != nil {
+		livePool.Put(p.live)
+		p.live = nil
 	}
 }
 
@@ -520,7 +549,6 @@ func (p *producer) advance() {
 	if p.inPhase >= p.c.phases[p.phase].steps {
 		p.inPhase = 0
 		p.phase = (p.phase + 1) % len(p.c.phases)
-		p.enterPhase()
 	}
 }
 
@@ -532,14 +560,17 @@ func (p *producer) advance() {
 // the reference.
 func (p *producer) next(blockPower []float64, progress, vScale, sScale, rowScale float64, leakTempsC []float64) (committed uint64, err error) {
 	c := p.c
+	if p.inPhase == 0 {
+		p.enterPhase()
+	}
 	ph := &c.phases[p.phase]
 	switch ph.kind {
 	case phaseWorkload:
 		p.targetCycles += ph.cyclesPerStep * progress
 		var agg uarch.ActivitySample
-		executed := p.cpu.Cycle() - p.baseCycle
-		if want := p.targetCycles - float64(executed); want >= 1 {
-			samples, err := p.cpu.Run(uint64(want), uint64(want))
+		cpu := p.live.cpu
+		if want := p.targetCycles - float64(cpu.Cycle()); want >= 1 {
+			samples, err := cpu.Run(uint64(want), uint64(want))
 			if err != nil {
 				return 0, fmt.Errorf("scenario: workload step: %w", err)
 			}
@@ -613,7 +644,8 @@ func (c *Compiled) refTemps() []float64 {
 func (c *Compiled) nominalPrepass(ctx context.Context) error {
 	sums := make([]float64, c.fp.N())
 	blockPower := make([]float64, c.fp.N())
-	pr := c.newProducer()
+	pr := &producer{c: c}
+	defer pr.release()
 	for k := 0; k < c.steps; k++ {
 		// Per-step: one workload step can co-simulate millions of CPU
 		// cycles, and ctx.Err is noise next to any step's real work.
@@ -702,6 +734,9 @@ func (c *Compiled) runGrid(ctx context.Context, workers int, onCell func(CellRes
 	var mu sync.Mutex
 	done := func(r *cellRun, err error) {
 		r.finished = true
+		if r.pr != nil {
+			r.pr.release()
+		}
 		results[r.cell.Index] = CellResult{Cell: r.cell, Metrics: r.m, Err: err}
 		if onCell != nil {
 			mu.Lock()
@@ -775,7 +810,6 @@ func (r *cellRun) step(blockPower []float64) error {
 	c := r.c
 	if r.k == c.steps {
 		c.finishCell(r)
-		r.pr = nil // the CPU state is dead weight until the grid returns
 		return io.EOF
 	}
 	if r.ctx != nil {
@@ -790,7 +824,7 @@ func (r *cellRun) step(blockPower []float64) error {
 		}
 		r.ctrl = ctrl
 		r.blocksC = make([]float64, c.fp.N())
-		r.pr = c.newProducer()
+		r.pr = &producer{c: c}
 	}
 	step := r.k
 	r.model.BlocksCInto(r.temps, r.blocksC)

@@ -20,13 +20,14 @@
 package uarch
 
 // Cache is a set-associative cache with LRU replacement. Addresses are byte
-// addresses; only tags are stored.
+// addresses; only tags are stored, in one flat set-major array beside the
+// ways' last-use stamps: set s occupies [s·ways, (s+1)·ways) of both.
 type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
-	tags      [][]uint64
-	lru       [][]uint64 // per-way last-use stamps
+	tags      []uint64 // ^0 marks an invalid way
+	lru       []uint64
 	stamp     uint64
 
 	Accesses uint64
@@ -34,9 +35,9 @@ type Cache struct {
 }
 
 // NewCache builds a cache of the given total size in bytes, associativity
-// and line size (both powers of two).
+// and line size (a power of two).
 func NewCache(sizeBytes, ways, lineBytes int) *Cache {
-	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
+	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
 		panic("uarch: invalid cache geometry")
 	}
 	lines := sizeBytes / lineBytes
@@ -48,17 +49,20 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 	for 1<<shift < lineBytes {
 		shift++
 	}
-	c := &Cache{sets: sets, ways: ways, lineShift: shift}
-	c.tags = make([][]uint64, sets)
-	c.lru = make([][]uint64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.lru[i] = make([]uint64, ways)
-		for w := range c.tags[i] {
-			c.tags[i][w] = ^uint64(0) // invalid
-		}
-	}
+	c := &Cache{sets: sets, ways: ways, lineShift: shift,
+		tags: make([]uint64, sets*ways), lru: make([]uint64, sets*ways)}
+	c.Reset()
 	return c
+}
+
+// Reset empties the cache to the state NewCache builds: every way invalid,
+// stamps and counters zero.
+func (c *Cache) Reset() {
+	for i := range c.tags {
+		c.tags[i] = ^uint64(0)
+	}
+	clear(c.lru)
+	c.stamp, c.Accesses, c.Misses = 0, 0, 0
 }
 
 // Access looks up addr, filling the line on a miss. It returns true on hit.
@@ -68,23 +72,25 @@ func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line % uint64(c.sets))
 	tag := line / uint64(c.sets)
-	tags := c.tags[set]
+	base := set * c.ways
+	tags := c.tags[base : base+c.ways]
+	lru := c.lru[base : base+c.ways]
 	for w, t := range tags {
 		if t == tag {
-			c.lru[set][w] = c.stamp
+			lru[w] = c.stamp
 			return true
 		}
 	}
 	c.Misses++
 	// Evict LRU way.
-	victim, oldest := 0, c.lru[set][0]
-	for w := 1; w < c.ways; w++ {
-		if c.lru[set][w] < oldest {
-			victim, oldest = w, c.lru[set][w]
+	victim, oldest := 0, lru[0]
+	for w := 1; w < len(lru); w++ {
+		if lru[w] < oldest {
+			victim, oldest = w, lru[w]
 		}
 	}
 	tags[victim] = tag
-	c.lru[set][victim] = c.stamp
+	lru[victim] = c.stamp
 	return false
 }
 
@@ -119,14 +125,20 @@ func NewBPred(bits uint) *BPred {
 	if bits == 0 || bits > 24 {
 		panic("uarch: bad predictor size")
 	}
-	mk := func(init uint8) []uint8 {
-		t := make([]uint8, 1<<bits)
+	b := &BPred{bits: bits, bimodal: make([]uint8, 1<<bits), gshare: make([]uint8, 1<<bits), chooser: make([]uint8, 1<<bits)}
+	b.Reset()
+	return b
+}
+
+// Reset forgets everything learned, to the state NewBPred builds: every
+// counter weakly not-taken (1), no history, zero counters.
+func (b *BPred) Reset() {
+	for _, t := range [...][]uint8{b.bimodal, b.gshare, b.chooser} {
 		for i := range t {
-			t[i] = init
+			t[i] = 1
 		}
-		return t
 	}
-	return &BPred{bits: bits, bimodal: mk(1), gshare: mk(1), chooser: mk(1)}
+	b.history, b.Lookups, b.Mispredicts = 0, 0, 0
 }
 
 func bump(t []uint8, i uint64, up bool) {

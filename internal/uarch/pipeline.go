@@ -112,10 +112,9 @@ type CPU struct {
 	fetchReady uint64
 	fetchSlot  int // instructions fetched in the current cycle
 
-	seq        uint64 // instructions dispatched
-	complete   []uint64
-	effCommit  []uint64
-	lastCommit uint64
+	seq       uint64 // instructions dispatched
+	complete  []uint64
+	effCommit []uint64
 
 	fu [5][]uint64 // next-free time per functional unit, indexed by fuKind
 
@@ -133,31 +132,85 @@ const (
 	fuMem
 )
 
-// NewCPU assembles a CPU over a synthetic instruction stream.
+// NewCPU assembles a CPU over a synthetic instruction stream. It rejects a
+// config the timing model cannot run: a width or ROB it cannot fill, a
+// missing functional unit, a negative latency, a cache of no bytes or ways,
+// a line that is not a power of two of at least one instruction (4 bytes),
+// or predictor tables outside 2^1..2^24 counters.
 func NewCPU(cfg CPUConfig, stream *Stream) (*CPU, error) {
-	if cfg.Width <= 0 || cfg.ROBSize <= cfg.Width {
-		return nil, fmt.Errorf("uarch: invalid width/ROB: %d/%d", cfg.Width, cfg.ROBSize)
-	}
-	if stream == nil {
-		return nil, fmt.Errorf("uarch: nil stream")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	c := &CPU{
-		cfg:    cfg,
-		l1i:    NewCache(cfg.L1ISize, cfg.L1IWays, cfg.LineBytes),
-		l1d:    NewCache(cfg.L1DSize, cfg.L1DWays, cfg.LineBytes),
-		l2:     NewCache(cfg.L2Size, cfg.L2Ways, cfg.LineBytes),
-		bp:     NewBPred(cfg.PredictorBits),
-		stream: stream,
+		cfg:       cfg,
+		l1i:       NewCache(cfg.L1ISize, cfg.L1IWays, cfg.LineBytes),
+		l1d:       NewCache(cfg.L1DSize, cfg.L1DWays, cfg.LineBytes),
+		l2:        NewCache(cfg.L2Size, cfg.L2Ways, cfg.LineBytes),
+		bp:        NewBPred(cfg.PredictorBits),
+		complete:  make([]uint64, cfg.ROBSize),
+		effCommit: make([]uint64, cfg.ROBSize),
 	}
-	ring := cfg.ROBSize
-	c.complete = make([]uint64, ring)
-	c.effCommit = make([]uint64, ring)
 	c.fu[fuIntALU] = make([]uint64, cfg.NIntALU)
 	c.fu[fuIntMul] = make([]uint64, cfg.NIntMul)
 	c.fu[fuFPAdd] = make([]uint64, cfg.NFPAdd)
 	c.fu[fuFPMul] = make([]uint64, cfg.NFPMul)
 	c.fu[fuMem] = make([]uint64, cfg.NMemPort)
+	if err := c.Reset(stream); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+func (cfg *CPUConfig) validate() error {
+	if cfg.Width <= 0 || cfg.ROBSize <= cfg.Width {
+		return fmt.Errorf("uarch: invalid width/ROB: %d/%d", cfg.Width, cfg.ROBSize)
+	}
+	for _, f := range [...]struct {
+		name     string
+		n, least int
+	}{
+		{"NIntALU", cfg.NIntALU, 1}, {"NIntMul", cfg.NIntMul, 1}, {"NFPAdd", cfg.NFPAdd, 1},
+		{"NFPMul", cfg.NFPMul, 1}, {"NMemPort", cfg.NMemPort, 1},
+		{"L1ISize", cfg.L1ISize, 1}, {"L1IWays", cfg.L1IWays, 1},
+		{"L1DSize", cfg.L1DSize, 1}, {"L1DWays", cfg.L1DWays, 1},
+		{"L2Size", cfg.L2Size, 1}, {"L2Ways", cfg.L2Ways, 1},
+		{"LatIntALU", cfg.LatIntALU, 0}, {"LatIntMul", cfg.LatIntMul, 0},
+		{"LatFPAdd", cfg.LatFPAdd, 0}, {"LatFPMul", cfg.LatFPMul, 0},
+		{"LatL1Hit", cfg.LatL1Hit, 0}, {"LatL2Hit", cfg.LatL2Hit, 0}, {"LatMem", cfg.LatMem, 0},
+		{"MispredictPenalty", cfg.MispredictPenalty, 0}, {"DispatchLatency", cfg.DispatchLatency, 0},
+	} {
+		if f.n < f.least {
+			return fmt.Errorf("uarch: %s must be at least %d, got %d", f.name, f.least, f.n)
+		}
+	}
+	if cfg.LineBytes < 4 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		return fmt.Errorf("uarch: LineBytes must be a power of two of at least 4, got %d", cfg.LineBytes)
+	}
+	if cfg.PredictorBits < 1 || cfg.PredictorBits > 24 {
+		return fmt.Errorf("uarch: PredictorBits must be in 1..24, got %d", cfg.PredictorBits)
+	}
+	return nil
+}
+
+// Reset returns the CPU to the state NewCPU builds over stream: cold
+// caches, an untrained predictor, empty rings, idle functional units, cycle
+// zero and no counts. Only the allocations are kept.
+func (c *CPU) Reset(stream *Stream) error {
+	if stream == nil {
+		return fmt.Errorf("uarch: nil stream")
+	}
+	*c = CPU{cfg: c.cfg, l1i: c.l1i, l1d: c.l1d, l2: c.l2, bp: c.bp, stream: stream,
+		complete: c.complete, effCommit: c.effCommit, fu: c.fu}
+	c.l1i.Reset()
+	c.l1d.Reset()
+	c.l2.Reset()
+	c.bp.Reset()
+	clear(c.complete)
+	clear(c.effCommit)
+	for _, units := range c.fu {
+		clear(units)
+	}
+	return nil
 }
 
 // Cycle returns the current simulated cycle.

@@ -3,6 +3,7 @@ package uarch
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // InstrClass classifies synthetic instructions by the functional unit they
@@ -142,9 +143,8 @@ type Stream struct {
 	// the stream loops within and jumps between with a skew toward a hot
 	// few — this gives the instruction stream realistic loop/call structure
 	// so the I-cache and branch predictor see reuse.
-	funcSize uint64
-	curFunc  uint64
-	funcOff  uint64
+	curFunc uint64
+	funcOff uint64
 
 	branchBias map[uint64]float64
 }
@@ -154,11 +154,33 @@ const funcBytes = 4096
 
 // NewStream creates a deterministic synthetic stream for the workload.
 func NewStream(w Workload, seed int64) (*Stream, error) {
-	if err := w.Validate(); err != nil {
+	s := &Stream{}
+	if err := s.Reset(w, seed); err != nil {
 		return nil, err
 	}
-	s := &Stream{w: w, rng: rand.New(rand.NewSource(seed)), branchBias: make(map[uint64]float64)}
-	s.cum = make([][7]float64, len(w.Phases))
+	return s, nil
+}
+
+// Reset rewinds the stream to the state NewStream(w, seed) builds, reusing
+// its random source, mix table and branch-bias map: the instruction
+// sequence that follows is the fresh stream's.
+func (s *Stream) Reset(w Workload, seed int64) error {
+	if err := w.Validate(); err != nil {
+		return err
+	}
+	rng, bias := s.rng, s.branchBias
+	if rng == nil {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng.Seed(seed)
+	}
+	if bias == nil {
+		bias = make(map[uint64]float64)
+	} else {
+		clear(bias)
+	}
+	*s = Stream{w: w, rng: rng, branchBias: bias,
+		cum: slices.Grow(s.cum[:0], len(w.Phases))[:len(w.Phases)]}
 	for i, ph := range w.Phases {
 		var total float64
 		for _, m := range ph.Mix {
@@ -171,7 +193,7 @@ func NewStream(w Workload, seed int64) (*Stream, error) {
 		}
 	}
 	s.enterPhase(0)
-	return s, nil
+	return nil
 }
 
 func (s *Stream) enterPhase(i int) {

@@ -1,7 +1,9 @@
 package uarch
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -294,10 +296,40 @@ func TestCountsConsistency(t *testing.T) {
 
 func TestCPUConfigValidation(t *testing.T) {
 	s, _ := NewStream(GCC(), 1)
-	bad := DefaultCPU()
-	bad.Width = 0
-	if _, err := NewCPU(bad, s); err == nil {
-		t.Fatal("zero width should fail")
+	for name, mutate := range map[string]func(*CPUConfig){
+		"zero width":            func(c *CPUConfig) { c.Width = 0 },
+		"ROB not wider":         func(c *CPUConfig) { c.ROBSize = c.Width },
+		"no int ALU":            func(c *CPUConfig) { c.NIntALU = 0 },
+		"no int multiplier":     func(c *CPUConfig) { c.NIntMul = 0 },
+		"no FP adder":           func(c *CPUConfig) { c.NFPAdd = 0 },
+		"no FP multiplier":      func(c *CPUConfig) { c.NFPMul = 0 },
+		"no memory port":        func(c *CPUConfig) { c.NMemPort = -1 },
+		"empty L1I":             func(c *CPUConfig) { c.L1ISize = 0 },
+		"no L1I ways":           func(c *CPUConfig) { c.L1IWays = 0 },
+		"empty L1D":             func(c *CPUConfig) { c.L1DSize = -64 },
+		"no L1D ways":           func(c *CPUConfig) { c.L1DWays = 0 },
+		"empty L2":              func(c *CPUConfig) { c.L2Size = 0 },
+		"no L2 ways":            func(c *CPUConfig) { c.L2Ways = -8 },
+		"zero line":             func(c *CPUConfig) { c.LineBytes = 0 },
+		"line not a power of 2": func(c *CPUConfig) { c.LineBytes = 48 },
+		"line under one instr":  func(c *CPUConfig) { c.LineBytes = 2 },
+		"no predictor":          func(c *CPUConfig) { c.PredictorBits = 0 },
+		"predictor too large":   func(c *CPUConfig) { c.PredictorBits = 25 },
+		"negative latency":      func(c *CPUConfig) { c.LatMem = -1 },
+		"negative penalty":      func(c *CPUConfig) { c.MispredictPenalty = -12 },
+	} {
+		cfg := DefaultCPU()
+		mutate(&cfg)
+		if _, err := NewCPU(cfg, s); err == nil {
+			t.Errorf("%s: NewCPU accepted %+v", name, cfg)
+		}
+	}
+	for _, bits := range []uint{1, 16} {
+		cfg := DefaultCPU()
+		cfg.PredictorBits = bits
+		if _, err := NewCPU(cfg, s); err != nil {
+			t.Errorf("PredictorBits %d: %v", bits, err)
+		}
 	}
 	if _, err := NewCPU(DefaultCPU(), nil); err == nil {
 		t.Fatal("nil stream should fail")
@@ -305,6 +337,80 @@ func TestCPUConfigValidation(t *testing.T) {
 	c, _ := NewCPU(DefaultCPU(), s)
 	if _, err := c.Run(10, 100); err == nil {
 		t.Fatal("total < interval should fail")
+	}
+	if err := c.Reset(nil); err == nil {
+		t.Fatal("Reset onto a nil stream should fail")
+	}
+}
+
+// TestResetMatchesNew: a Cache, BPred, Stream and CPU that ran, once reset,
+// equal freshly built ones field for field, and a reset CPU then simulates
+// exactly what a new one does. The dirty CPU ran another workload first, so
+// the stream's reset also swaps its phase tables.
+func TestResetMatchesNew(t *testing.T) {
+	dirty := func(t *testing.T, w Workload, seed int64) *CPU {
+		t.Helper()
+		c := newCPU(t, w, seed)
+		if _, err := c.Run(1_000_000, 250_000); err != nil {
+			t.Fatal(err)
+		}
+		if c.l2.Accesses == 0 || c.bp.Lookups == 0 {
+			t.Fatal("dirty run touched no L2 or predictor")
+		}
+		return c
+	}
+	t.Run("cache and predictor", func(t *testing.T) {
+		c := dirty(t, MCF(), 99)
+		for _, pair := range [][2]*Cache{
+			{c.l1i, NewCache(DefaultCPU().L1ISize, DefaultCPU().L1IWays, DefaultCPU().LineBytes)},
+			{c.l1d, NewCache(DefaultCPU().L1DSize, DefaultCPU().L1DWays, DefaultCPU().LineBytes)},
+			{c.l2, NewCache(DefaultCPU().L2Size, DefaultCPU().L2Ways, DefaultCPU().LineBytes)},
+		} {
+			pair[0].Reset()
+			if !reflect.DeepEqual(pair[0], pair[1]) {
+				t.Fatal("reset cache differs from a new one")
+			}
+		}
+		c.bp.Reset()
+		if !reflect.DeepEqual(c.bp, NewBPred(DefaultCPU().PredictorBits)) {
+			t.Fatal("reset predictor differs from a new one")
+		}
+	})
+	others := map[string]Workload{"gcc": MCF(), "mcf": ART(), "art": GCC()}
+	for name, w := range Workloads() {
+		for _, seed := range []int64{2009, 7} {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				fresh := newCPU(t, w, seed)
+				reused := dirty(t, others[name], seed+1)
+				if err := reused.stream.Reset(w, seed); err != nil {
+					t.Fatal(err)
+				}
+				freshStream, _ := NewStream(w, seed)
+				if !reflect.DeepEqual(reused.stream, freshStream) {
+					t.Fatal("reset stream differs from a new one")
+				}
+				if err := reused.Reset(reused.stream); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(reused, fresh) {
+					t.Fatal("reset CPU differs from a new one")
+				}
+				want, err := fresh.Run(1_000_000, 100_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := reused.Run(1_000_000, 100_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatal("reset CPU simulates differently from a new one")
+				}
+				if !reflect.DeepEqual(reused, fresh) {
+					t.Fatal("reset and new CPUs end in different states")
+				}
+			})
+		}
 	}
 }
 

@@ -11,7 +11,9 @@
 # trace-decode row: ns/row and allocs/op streaming a 30 000-row, 18-column
 # ptrace built like the persist-query workload's, and the warm in-process
 # service handler rows: an 8-trace grid:64x64 sweep and a 64-block
-# grid:32x32 steady request, with B/op and allocs/op) and emits
+# grid:32x32 steady request, with B/op and allocs/op, and the live-CPU
+# rows: uarch cycles/s on gcc and one warm live-CPU scenario request of the
+# dtm-grid workload's spec, with B/op and allocs/op) and emits
 # BENCH_solver.json via cmd/benchreport:
 # ns/op, B/op, allocs/op, custom metrics, GOMAXPROCS and the commit hash.
 #
@@ -34,8 +36,9 @@ cd "$(dirname "$0")/.."
 # Per-group iteration counts: the EV6 step/solve benchmarks are ~1 µs/op and
 # need many iterations for a stable number, the sweep is ~0.7 ms/op, the
 # rcnet backend matrix spans ~20 µs to ~330 ms rows (dense N=2048 transient),
-# and the linalg kernel rows sit at ~5-25 ms. Setting BENCHTIME overrides
-# all of them (CI smoke passes BENCHTIME=1x).
+# the linalg kernel rows sit at ~5-25 ms, and the live-CPU rows at ~100 ms
+# (1M uarch cycles) and ~20 ms (one live request). Setting BENCHTIME
+# overrides all of them (CI smoke passes BENCHTIME=1x).
 STEP_BENCHTIME="${BENCHTIME:-50000x}"
 SWEEP_BENCHTIME="${BENCHTIME:-1000x}"
 RCNET_BENCHTIME="${BENCHTIME:-20x}"
@@ -44,6 +47,7 @@ TSTORE_BENCHTIME="${BENCHTIME:-200x}"
 FLEET_BENCHTIME="${BENCHTIME:-200x}"
 TRACE_BENCHTIME="${BENCHTIME:-20x}"
 HANDLER_BENCHTIME="${BENCHTIME:-20x}"
+LIVE_BENCHTIME="${BENCHTIME:-10x}"
 OUT="${OUT:-BENCH_solver.json}"
 BENCH_PROCS="${BENCH_PROCS:-1 4}"
 
@@ -86,6 +90,12 @@ for procs in $BENCH_PROCS; do
   echo "== service handler benchmarks (-benchtime $HANDLER_BENCHTIME)"
   GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkSweepGrid64Handler$|BenchmarkSteadyGrid32Handler$' \
     -benchmem -benchtime "$HANDLER_BENCHTIME" ./internal/service | tee -a "$tmp"
+
+  echo "== live-CPU benchmarks (-benchtime $LIVE_BENCHTIME)"
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkUarchThroughput$' \
+    -benchmem -benchtime "$LIVE_BENCHTIME" . | tee -a "$tmp"
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkScenarioLiveGrid$' \
+    -benchmem -benchtime "$LIVE_BENCHTIME" ./internal/scenario | tee -a "$tmp"
 
   prev_args=()
   if [ -f "$OUT" ]; then

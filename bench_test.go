@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/experiments"
@@ -364,23 +365,18 @@ func BenchmarkTraceReplaySweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	models = append(models, air)
-	var jobs []hotspot.SweepJob
-	for _, m := range models {
-		for _, tr := range traces {
-			tr := tr
-			jobs = append(jobs, hotspot.SweepJob{Model: m, TraceJob: hotspot.TraceJob{
-				Schedule:    func(t float64, p []float64) { copy(p, tr.At(t)) },
-				Duration:    tr.Duration(),
-				SampleEvery: tr.Interval,
-			}})
-		}
-	}
+	jobs := make([]hotspot.ReplayJob, 0, len(models)*len(traces))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range jobs {
-			jobs[j].Temps = jobs[j].Model.AmbientState()
+		// Each job starts from ambient (nil Temps) on a fresh cursor.
+		jobs = jobs[:0]
+		for _, m := range models {
+			for _, tr := range traces {
+				jobs = append(jobs, hotspot.ReplayJob{Model: m, Rows: tr.Reader()})
+			}
 		}
-		if _, err := hotspot.RunSweep(jobs, 0); err != nil {
+		_, errs := hotspot.ReplayBatchResults(jobs, 0)
+		if err := errors.Join(errs...); err != nil {
 			b.Fatal(err)
 		}
 	}

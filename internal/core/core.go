@@ -213,17 +213,15 @@ func (s *Scenario) SteadyState() (*hotspot.Result, error) {
 	return s.Model.SteadyState(vec), nil
 }
 
-// RunTransient plays the power trace through the thermal model from the
-// average-power steady state and returns the sampled block temperatures.
+// RunTransient plays the power trace through the thermal model, one
+// backward-Euler step per row, from the average-power steady state and
+// returns the block temperatures before the first row and after each.
 func (s *Scenario) RunTransient() ([]hotspot.TracePoint, error) {
 	ss, err := s.SteadyState()
 	if err != nil {
 		return nil, err
 	}
-	state := append([]float64(nil), ss.Temps...)
-	return s.Model.RunTrace(state, func(t float64, p []float64) {
-		copy(p, s.Trace.At(t))
-	}, s.Trace.Duration(), s.Trace.Interval)
+	return s.Model.NewSession().ReplayRows(ss.Temps, s.Trace.Reader())
 }
 
 // ReconcileResult is the output of ReconcileAirFromOil: the paper's §6

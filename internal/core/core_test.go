@@ -123,6 +123,43 @@ func TestScenarioEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunTransientMatchesRowReplay: a scenario transient is one
+// backward-Euler step per trace row, bit for bit a Session.ReplayRows of
+// the scenario's trace from its average-power steady state.
+func TestRunTransientMatchesRowReplay(t *testing.T) {
+	spec := quickWL
+	spec.Name = "gcc"
+	s, err := NewScenario(spec, PackageSpec{Kind: "oil-silicon", Rconv: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.RunTransient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := s.SteadyState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Model.NewSession().ReplayRows(ss.Temps, s.Trace.Reader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) != len(s.Trace.Rows)+1 {
+		t.Fatalf("%d points, replay %d, trace %d rows", len(got), len(want), len(s.Trace.Rows))
+	}
+	for i := range want {
+		if got[i].Time != want[i].Time {
+			t.Fatalf("point %d: time %.17g vs %.17g", i, got[i].Time, want[i].Time)
+		}
+		for b := range want[i].BlockC {
+			if got[i].BlockC[b] != want[i].BlockC[b] {
+				t.Fatalf("point %d block %d: %.17g vs replay %.17g", i, b, got[i].BlockC[b], want[i].BlockC[b])
+			}
+		}
+	}
+}
+
 func TestReconcileAirFromOil(t *testing.T) {
 	// The §6 future-work chain: simulate an oil measurement with known
 	// powers, reconcile, and check the air-sink prediction against the

@@ -139,6 +139,9 @@ func Run(cfg Config, probeBlock string) (Metrics, []hotspot.TracePoint, error) {
 	if cfg.Model == nil || cfg.Trace == nil {
 		return Metrics{}, nil, fmt.Errorf("dtm: need model and trace")
 	}
+	if len(cfg.Trace.Rows) == 0 {
+		return Metrics{}, nil, fmt.Errorf("dtm: empty trace")
+	}
 	if cfg.EmergencyC <= 0 {
 		return Metrics{}, nil, fmt.Errorf("dtm: non-positive emergency threshold")
 	}
@@ -255,7 +258,7 @@ func Run(cfg Config, probeBlock string) (Metrics, []hotspot.TracePoint, error) {
 
 		// Apply power (throttled while engaged).
 		engaged := ctrl.Engaged(step)
-		row := cfg.Trace.At(math.Mod(t, cfg.Trace.Duration()))
+		row := cfg.Trace.Rows[step%len(cfg.Trace.Rows)]
 		for bi := range blockPower {
 			p := row[cols[bi]]
 			if engaged {

@@ -220,4 +220,9 @@ func TestRunValidation(t *testing.T) {
 	if _, _, err := Run(Config{Model: m, Trace: short, Policy: basePolicy(), EmergencyC: 85}, ""); err == nil {
 		t.Fatal("incomplete trace should fail")
 	}
+	// A trace with no rows is refused up front, not by a recovered panic.
+	empty, _ := trace.New(m.Floorplan().Names(), 1e-3)
+	if _, _, err := Run(Config{Model: m, Trace: empty, Policy: basePolicy(), EmergencyC: 85, Duration: 0.01}, ""); err == nil || err.Error() != "dtm: empty trace" {
+		t.Fatalf("empty trace: got %v, want dtm: empty trace", err)
+	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -182,17 +183,12 @@ func Fig12TempTraces(opt Options) (*Fig12Result, error) {
 	// Both packages replay the same trace; warm-start each from its own
 	// average-power steady state and fan the two replays across the batched
 	// transient API.
-	prep := func(m *hotspot.Model) (hotspot.SweepJob, error) {
+	prep := func(m *hotspot.Model) (hotspot.ReplayJob, error) {
 		pAvg, err := m.PowerVector(avgPowerMap(tr))
 		if err != nil {
-			return hotspot.SweepJob{}, err
+			return hotspot.ReplayJob{}, err
 		}
-		return hotspot.SweepJob{Model: m, TraceJob: hotspot.TraceJob{
-			Temps:       m.SteadyState(pAvg).Temps,
-			Schedule:    func(t float64, p []float64) { copy(p, tr.At(t)) },
-			Duration:    tr.Duration(),
-			SampleEvery: tr.Interval,
-		}}, nil
+		return hotspot.ReplayJob{Model: m, Temps: m.SteadyState(pAvg).Temps, Rows: tr.Reader()}, nil
 	}
 	oilJob, err := prep(oil)
 	if err != nil {
@@ -202,8 +198,8 @@ func Fig12TempTraces(opt Options) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts, err := hotspot.RunSweep([]hotspot.SweepJob{oilJob, airJob}, 0)
-	if err != nil {
+	pts, errs := hotspot.ReplayBatchResults([]hotspot.ReplayJob{oilJob, airJob}, 0)
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	oilPts, airPts := pts[0], pts[1]

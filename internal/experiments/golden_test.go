@@ -225,3 +225,53 @@ func TestGoldenFig12(t *testing.T) {
 	}
 	checkGolden(t, "fig12.golden.json", fx)
 }
+
+// TestFig12MatchesRowReplay: Fig. 12 applies each trace row for exactly
+// one step. Both packages' plotted series and the time stamps equal a
+// Session.ReplayRows of the same gcc trace from the same average-power
+// steady state, bit for bit.
+func TestFig12MatchesRowReplay(t *testing.T) {
+	r, err := Fig12TempTraces(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := gccPowerTrace(20_000_000, 3_000_000) // Fig12TempTraces' quick run
+	if err != nil {
+		t.Fatal(err)
+	}
+	oil, err := evOil(hotspot.Uniform, 0.3, false, fig12AmbientK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	air, err := evAir(0.3, false, fig12AmbientK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := oil.Floorplan()
+	for _, pkg := range []struct {
+		m      *hotspot.Model
+		series map[string][]float64
+	}{{oil, r.OilC}, {air, r.AirC}} {
+		pAvg, err := pkg.m.PowerVector(avgPowerMap(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := pkg.m.NewSession().ReplayRows(pkg.m.SteadyState(pAvg).Temps, tr.Reader())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != len(r.TimesUS) {
+			t.Fatalf("%v: %d points, Fig. 12 has %d", pkg.m.Config().Package, len(pts), len(r.TimesUS))
+		}
+		for i, p := range pts {
+			if p.Time*1e6 != r.TimesUS[i] {
+				t.Fatalf("point %d: time %.17g µs vs replay %.17g", i, r.TimesUS[i], p.Time*1e6)
+			}
+			for _, b := range r.Blocks {
+				if got, want := pkg.series[b][i], p.BlockC[fp.Index(b)]; got != want {
+					t.Fatalf("%v %s point %d: %.17g vs replay %.17g", pkg.m.Config().Package, b, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -212,17 +213,12 @@ func Fig8ShortTransient(opt Options) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prep := func(m *hotspot.Model) (hotspot.SweepJob, error) {
+	prep := func(m *hotspot.Model) (hotspot.ReplayJob, error) {
 		pAvg, err := m.PowerVector(avgPowerMap(tr))
 		if err != nil {
-			return hotspot.SweepJob{}, err
+			return hotspot.ReplayJob{}, err
 		}
-		return hotspot.SweepJob{Model: m, TraceJob: hotspot.TraceJob{
-			Temps:       m.SteadyState(pAvg).Temps,
-			Schedule:    func(t float64, p []float64) { copy(p, tr.At(t)) },
-			Duration:    0.1,
-			SampleEvery: 1e-3,
-		}}, nil
+		return hotspot.ReplayJob{Model: m, Temps: m.SteadyState(pAvg).Temps, Rows: tr.Reader()}, nil
 	}
 	// The rise above the period minimum of the pulsed block.
 	series := func(pts []hotspot.TracePoint) (times, temps []float64) {
@@ -257,8 +253,8 @@ func Fig8ShortTransient(opt Options) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts, err := hotspot.RunSweep([]hotspot.SweepJob{oilJob, airJob}, 0)
-	if err != nil {
+	pts, errs := hotspot.ReplayBatchResults([]hotspot.ReplayJob{oilJob, airJob}, 0)
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	times, oilSeries := series(pts[0])
@@ -333,9 +329,7 @@ func Fig9HotSpotMigration(opt Options) (*Fig9Result, error) {
 		iIR, iFP := fp.Index("IntReg"), fp.Index("FPMap")
 		t0IR := m.NewResult(state).BlockC("IntReg")
 		t0FP := m.NewResult(state).BlockC("FPMap")
-		pts, err := m.RunTrace(state, func(t float64, p []float64) {
-			copy(p, tr.At(t))
-		}, 15e-3, 0.5e-3)
+		pts, err := m.NewSession().ReplayRows(state, tr.Reader())
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -5,49 +5,42 @@ import (
 	"testing"
 
 	"repro/internal/floorplan"
+	"repro/internal/trace"
 )
 
-// pulseSchedule returns a schedule putting watts on one block for the first
-// onFor seconds.
-func pulseSchedule(fp *floorplan.Floorplan, block string, watts, onFor float64) func(t float64, p []float64) {
-	idx := fp.Index(block)
-	return func(t float64, p []float64) {
-		for i := range p {
-			p[i] = 0
-		}
-		if t < onFor {
-			p[idx] = watts
-		}
+// pulseRows returns a one-period pulse trace at 1 ms rows: watts on one
+// block for onFor seconds, then nothing for offFor.
+func pulseRows(t *testing.T, fp *floorplan.Floorplan, block string, watts, onFor, offFor float64) *trace.PowerTrace {
+	t.Helper()
+	tr, err := trace.PulseTrain(fp.Names(), block, watts, onFor, offFor, 1e-3, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return tr
 }
 
 // TestRunTraceBatchMatchesRunTrace: a same-model sweep, which runs as one
-// lockstep group, must reproduce the serial RunTrace replays exactly.
+// lockstep group, must reproduce the serial row replays exactly.
 func TestRunTraceBatchMatchesRunTrace(t *testing.T) {
 	fp := floorplan.EV6()
 	m := oilModel(t, fp, Uniform, 1.0, true)
 	blocks := []string{"IntReg", "Dcache", "L2", "FPMap"}
-	var jobs []SweepJob
+	var jobs []ReplayJob
 	var want [][]TracePoint
 	for _, b := range blocks {
-		sched := pulseSchedule(fp, b, 3, 5e-3)
-		pts, err := m.RunTrace(m.AmbientState(), sched, 10e-3, 1e-3)
+		tr := pulseRows(t, fp, b, 3, 5e-3, 5e-3)
+		pts, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, pts)
-		jobs = append(jobs, SweepJob{Model: m, TraceJob: TraceJob{
-			Temps:       m.AmbientState(),
-			Schedule:    sched,
-			Duration:    10e-3,
-			SampleEvery: 1e-3,
-		}})
+		jobs = append(jobs, ReplayJob{Model: m, Rows: tr.Reader()})
 	}
-	got, err := RunSweep(jobs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, errs := ReplayBatchResults(jobs, 0)
 	for j := range want {
+		if errs[j] != nil {
+			t.Fatalf("job %d: %v", j, errs[j])
+		}
 		if len(got[j]) != len(want[j]) {
 			t.Fatalf("job %d: %d points vs %d", j, len(got[j]), len(want[j]))
 		}
@@ -69,18 +62,16 @@ func TestRunSweepAcrossModels(t *testing.T) {
 	fp := floorplan.EV6()
 	oil := oilModel(t, fp, Uniform, 1.0, false)
 	air := airModel(t, fp, 1.0, false)
-	sched := pulseSchedule(fp, "IntReg", 2, 4e-3)
-	job := func(m *Model) SweepJob {
-		return SweepJob{Model: m, TraceJob: TraceJob{
-			Temps:       m.AmbientState(),
-			Schedule:    sched,
-			Duration:    8e-3,
-			SampleEvery: 1e-3,
-		}}
+	tr := pulseRows(t, fp, "IntReg", 2, 4e-3, 4e-3)
+	var jobs []ReplayJob
+	for _, m := range []*Model{oil, air, oil} {
+		jobs = append(jobs, ReplayJob{Model: m, Rows: tr.Reader()})
 	}
-	pts, err := RunSweep([]SweepJob{job(oil), job(air), job(oil)}, 0)
-	if err != nil {
-		t.Fatal(err)
+	pts, errs := ReplayBatchResults(jobs, 0)
+	for j, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", j, err)
+		}
 	}
 	// The two oil replays are identical jobs: identical results.
 	for k := range pts[0] {

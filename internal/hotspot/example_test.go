@@ -47,8 +47,9 @@ func ExampleNew() {
 	// AIR-SINK: hottest block Dcache, R_conv 1.00 K/W
 }
 
-// ExampleModel_RunTrace drives a model with a time-varying power schedule.
-func ExampleModel_RunTrace() {
+// ExampleSession_ReplayRows_pulse drives a model with a four-row power
+// trace: 100 W for the first half second, then nothing.
+func ExampleSession_ReplayRows_pulse() {
 	fp := floorplan.UniformDie("die", 0.02, 0.02)
 	m, err := hotspot.New(hotspot.Config{
 		Floorplan: fp,
@@ -58,14 +59,11 @@ func ExampleModel_RunTrace() {
 	if err != nil {
 		panic(err)
 	}
-	state := m.AmbientState()
-	pts, err := m.RunTrace(state, func(t float64, p []float64) {
-		if t < 0.5 {
-			p[0] = 100 // watts for the first half second
-		} else {
-			p[0] = 0
-		}
-	}, 1.0, 0.25)
+	tr, err := trace.PulseTrain(fp.Names(), "die", 100, 0.5, 0.5, 0.25, 1)
+	if err != nil {
+		panic(err)
+	}
+	pts, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
 	if err != nil {
 		panic(err)
 	}

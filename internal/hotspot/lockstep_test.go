@@ -9,9 +9,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Parity tests for the lockstep batch paths at the hotspot layer: RunSweep
-// and ReplayBatchResults must reproduce their sequential counterparts bit
-// for bit at any worker count, and closed loops stepped K wide through
+// Parity tests for the lockstep batch paths at the hotspot layer:
+// ReplayBatchResults must reproduce sequential Session.ReplayRows bit for
+// bit at any worker count, and closed loops stepped K wide through
 // RunLoops must match each loop run alone.
 
 func lockstepModels(t *testing.T) (*Model, *Model) {
@@ -43,41 +43,38 @@ func pulse(t *testing.T, block string) *trace.PowerTrace {
 }
 
 // TestRunSweepLockstepParity: sweeps mixing two models and several
-// same-model scenarios must match per-job sequential RunTrace bitwise at
-// every worker count (same-model jobs lockstep; chunking varies with
-// workers).
+// same-model traces must match per-job sequential Session.ReplayRows
+// bitwise at every worker count (same-model jobs lockstep; chunking
+// varies with workers).
 func TestRunSweepLockstepParity(t *testing.T) {
 	oil, air := lockstepModels(t)
 	traces := []*trace.PowerTrace{pulse(t, "IntReg"), pulse(t, "FPMap"), pulse(t, "Dcache")}
-	mkJobs := func() []SweepJob {
-		var jobs []SweepJob
-		for _, m := range []*Model{oil, air} {
-			for _, tr := range traces {
-				tr := tr
-				jobs = append(jobs, SweepJob{Model: m, TraceJob: TraceJob{
-					Temps:       m.AmbientState(),
-					Schedule:    func(tm float64, p []float64) { copy(p, tr.At(tm)) },
-					Duration:    tr.Duration(),
-					SampleEvery: tr.Interval,
-				}})
-			}
+	var models []*Model
+	var srcs []*trace.PowerTrace
+	for _, m := range []*Model{oil, air} {
+		for _, tr := range traces {
+			models = append(models, m)
+			srcs = append(srcs, tr)
 		}
-		return jobs
 	}
-	ref := make([][]TracePoint, 0)
-	for _, job := range mkJobs() {
-		pts, err := job.Model.RunTrace(job.Temps, job.Schedule, job.Duration, job.SampleEvery)
+	ref := make([][]TracePoint, len(models))
+	for j, m := range models {
+		pts, err := m.NewSession().ReplayRows(m.AmbientState(), srcs[j].Reader())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref = append(ref, pts)
+		ref[j] = pts
 	}
 	for _, workers := range []int{1, 2, 5} {
-		got, err := RunSweep(mkJobs(), workers)
-		if err != nil {
-			t.Fatal(err)
+		jobs := make([]ReplayJob, len(models))
+		for j, m := range models {
+			jobs[j] = ReplayJob{Model: m, Rows: srcs[j].Reader()}
 		}
+		got, errs := ReplayBatchResults(jobs, workers)
 		for j := range ref {
+			if errs[j] != nil {
+				t.Fatalf("workers=%d job %d: %v", workers, j, errs[j])
+			}
 			if len(got[j]) != len(ref[j]) {
 				t.Fatalf("workers=%d job %d: %d points vs %d", workers, j, len(got[j]), len(ref[j]))
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/materials"
+	"repro/internal/trace"
 )
 
 // paperDie is the validation die of §3.2: 20×20×0.5 mm.
@@ -327,16 +328,12 @@ func TestResultAccessors(t *testing.T) {
 func TestRunTracePulse(t *testing.T) {
 	fp := floorplan.EV6()
 	m := oilModel(t, fp, Uniform, 1.0, false)
-	state := m.AmbientState()
 	irIdx := fp.Index("IntReg")
-	pts, err := m.RunTrace(state, func(tm float64, p []float64) {
-		for i := range p {
-			p[i] = 0
-		}
-		if tm < 0.05 {
-			p[irIdx] = 2
-		}
-	}, 0.1, 0.005)
+	tr, err := trace.PulseTrain(fp.Names(), "IntReg", 2, 0.05, 0.05, 0.005, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/materials"
 	"repro/internal/rcnet"
@@ -180,8 +179,8 @@ func rowJobs(jobs []ReplayJob) []replayJob {
 // errEmptyTrace fails a streamed replay whose reader has no rows.
 var errEmptyTrace = errors.New("hotspot: empty trace: no power rows")
 
-// rowJob adapts a streamed trace to the stepping core: an open window of
-// the reader's interval, and a power fill that pulls one row per step.
+// rowJob adapts a streamed trace to the stepping core: the reader's
+// interval as the step, and a power fill that pulls one row per step.
 func rowJob(m *Model, temps []float64, rows trace.RowReader) replayJob {
 	switch {
 	case m == nil:
@@ -195,7 +194,7 @@ func rowJob(m *Model, temps []float64, rows trace.RowReader) replayJob {
 	src := &rowSource{m: m, rows: rows}
 	return replayJob{
 		m:     m,
-		w:     rcnet.Window{Duration: math.Inf(1), Step: rows.Interval()},
+		step:  rows.Interval(),
 		temps: temps,
 		fill:  src.fill,
 		wrap:  src.wrap,
@@ -211,7 +210,7 @@ type rowSource struct {
 	n    int // 1-based index of the row last requested
 }
 
-func (r *rowSource) fill(_ float64, power []float64) error {
+func (r *rowSource) fill(power []float64) error {
 	if r.cols == nil {
 		r.cols = r.m.TraceColumns(r.rows.Names())
 		r.row = make([]float64, len(r.cols))

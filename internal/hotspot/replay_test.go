@@ -78,41 +78,6 @@ func TestReplayStreamedMatchesLoaded(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesRunTrace: the streaming replay and the schedule-driven
-// trace API integrate the same physics.
-func TestReplayMatchesRunTrace(t *testing.T) {
-	m := testModel(t)
-	tr := pulseTrace(t, m.Floorplan())
-	cols := m.TraceColumns(tr.Names)
-
-	viaSchedule, err := m.RunTrace(m.AmbientState(), func(tm float64, p []float64) {
-		row := tr.At(tm)
-		for c, bi := range cols {
-			if bi >= 0 {
-				p[bi] = row[c]
-			}
-		}
-	}, tr.Duration(), tr.Interval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaReplay, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viaSchedule) != len(viaReplay) {
-		t.Fatalf("point count: %d vs %d", len(viaSchedule), len(viaReplay))
-	}
-	for i := range viaSchedule {
-		for b := range viaSchedule[i].BlockC {
-			if d := math.Abs(viaSchedule[i].BlockC[b] - viaReplay[i].BlockC[b]); d > 1e-9 {
-				t.Fatalf("point %d block %d: |%g - %g| = %g", i, b,
-					viaSchedule[i].BlockC[b], viaReplay[i].BlockC[b], d)
-			}
-		}
-	}
-}
-
 // TestSessionSteadyMatchesSolver: the session steady solve, memo included,
 // returns the same answer as the stateless one, on repeated and varied
 // power maps.
@@ -169,32 +134,12 @@ func TestRunReplayBatchSharedModel(t *testing.T) {
 }
 
 // TestEmptyTraceErrors: a zero-length trace must yield a descriptive error
-// from every batch entry point, never a panic. (Regression: these paths
-// assumed fully-materialized traces and reached an index panic via
-// PowerTrace.At on an empty trace.)
+// from every replay entry point, never a panic.
 func TestEmptyTraceErrors(t *testing.T) {
 	m := testModel(t)
 	empty, err := trace.New(m.Floorplan().Names(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// Schedule replay of an empty trace: Duration() == 0.
-	_, err = m.RunTrace(m.AmbientState(), func(tm float64, p []float64) { copy(p, empty.At(tm)) },
-		empty.Duration(), empty.Interval)
-	if err == nil || !strings.Contains(err.Error(), "duration") {
-		t.Fatalf("RunTrace empty trace: got %v", err)
-	}
-
-	// Sweep with an empty trace.
-	_, err = RunSweep([]SweepJob{{Model: m, TraceJob: TraceJob{
-		Temps:       m.AmbientState(),
-		Schedule:    func(tm float64, p []float64) { copy(p, empty.At(tm)) },
-		Duration:    empty.Duration(),
-		SampleEvery: empty.Interval,
-	}}}, 0)
-	if err == nil || !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), "duration") {
-		t.Fatalf("RunSweep empty trace: got %v", err)
 	}
 
 	// Streaming replay of an empty trace, alone and in a batch.
@@ -208,40 +153,40 @@ func TestEmptyTraceErrors(t *testing.T) {
 	}
 }
 
-// TestSweepPanicBecomesError: a schedule that panics mid-replay (the old
-// empty-trace failure mode) fails its own job without crashing the process,
-// and well-formed sibling jobs still complete.
+// panicRows is a row source whose rows blow up after the first few.
+type panicRows struct {
+	trace.RowReader
+	n int
+}
+
+func (r *panicRows) Next(dst []float64) error {
+	if r.n++; r.n > 3 {
+		panic("row source exploded")
+	}
+	return r.RowReader.Next(dst)
+}
+
+// TestSweepPanicBecomesError: a row source that panics mid-replay fails its
+// own job without crashing the process, and a well-formed sibling job in
+// the same lockstep group still completes.
 func TestSweepPanicBecomesError(t *testing.T) {
 	m := testModel(t)
 	tr := pulseTrace(t, m.Floorplan())
-	cols := m.TraceColumns(tr.Names)
-	good := SweepJob{Model: m, TraceJob: TraceJob{
-		Temps: m.AmbientState(),
-		Schedule: func(tm float64, p []float64) {
-			row := tr.At(tm)
-			for c, bi := range cols {
-				if bi >= 0 {
-					p[bi] = row[c]
-				}
-			}
-		},
-		Duration:    tr.Duration(),
-		SampleEvery: tr.Interval,
-	}}
-	bad := good
-	bad.Temps = m.AmbientState() // the jobs may run concurrently: no shared state
-	bad.Schedule = func(tm float64, p []float64) { panic("schedule exploded") }
-	results, err := RunSweep([]SweepJob{bad, good}, 2)
-	if err == nil || !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("want job-0 panic error, got %v", err)
+	jobs := []ReplayJob{
+		{Model: m, Rows: &panicRows{RowReader: tr.Reader()}},
+		{Model: m, Rows: tr.Reader()},
 	}
-	if results[1] == nil {
-		t.Fatal("good job should still have completed")
+	results, errs := ReplayBatchResults(jobs, 2)
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "row 4") || !strings.Contains(errs[0].Error(), "panicked") {
+		t.Fatalf("want a row-4 panic error, got %v", errs[0])
+	}
+	if errs[1] != nil || len(results[1]) != len(tr.Rows)+1 {
+		t.Fatalf("good job should still have completed: %d points, err %v", len(results[1]), errs[1])
 	}
 }
 
-// TestShortTraceStillRuns: a trace shorter than one sample interval is not
-// an error — it runs one shortened step.
+// TestShortTraceStillRuns: a one-row trace is not an error — it runs one
+// step.
 func TestShortTraceStillRuns(t *testing.T) {
 	m := testModel(t)
 	tr, err := trace.Step(m.Floorplan().Names(), map[string]float64{"IntReg": 2}, 1e-3, 1e-3)

@@ -186,90 +186,6 @@ type TracePoint struct {
 	BlockC []float64 // block temperatures in floorplan order, °C
 }
 
-// RunTrace drives the model with a power schedule: schedule fills the
-// per-block power slice (floorplan order, W) for the interval starting at
-// time t. The state is sampled every sampleEvery seconds. The replay runs
-// on the calling goroutine with all mutable state per call, so several
-// traces may run concurrently on one Model (each with its own temps and
-// schedule).
-func (m *Model) RunTrace(temps []float64, schedule func(t float64, blockPower []float64), duration, sampleEvery float64) ([]TracePoint, error) {
-	pts, errs := replayPoints([]replayJob{m.scheduleJob(TraceJob{temps, schedule, duration, sampleEvery})}, 1)
-	return pts[0], errs[0]
-}
-
-// TraceJob describes one independent trace replay: an initial temperature
-// state (advanced in place), a per-block power schedule, and the replay
-// window.
-type TraceJob struct {
-	Temps       []float64
-	Schedule    func(t float64, blockPower []float64)
-	Duration    float64
-	SampleEvery float64
-}
-
-// scheduleJob adapts a per-block schedule to the stepping core: a closed
-// window, and a power fill that expands the schedule's block powers onto
-// block nodes through a buffer the job owns.
-func (m *Model) scheduleJob(tj TraceJob) replayJob {
-	job := replayJob{m: m, w: rcnet.Window{Duration: tj.Duration, Step: tj.SampleEvery}, temps: tj.Temps}
-	if math.IsInf(tj.Duration, 1) {
-		// An infinite window is open-ended, and a schedule never ends it.
-		job.err = errors.New("hotspot: unbounded trace duration")
-	}
-	if tj.Schedule != nil {
-		blockPower := make([]float64, m.cfg.Floorplan.N())
-		job.fill = func(t float64, power []float64) error {
-			tj.Schedule(t, blockPower)
-			clear(power)
-			for bi, w := range blockPower {
-				power[m.blockNode[bi]] = w
-			}
-			return nil
-		}
-	}
-	return job
-}
-
-// SweepJob pairs a model with one trace replay, for sweeps that span several
-// model configurations (packages, flow directions, ablations).
-type SweepJob struct {
-	Model *Model
-	TraceJob
-}
-
-// RunSweep replays scenario jobs across a worker pool, where each job may
-// target a different Model (workers ≤ 0 uses GOMAXPROCS). Same-model
-// same-window scenarios solve up to rcnet.MaxBatchWidth right-hand sides per
-// factor traversal; per-job results are bit-identical at any worker count
-// (batching never changes per-column arithmetic). Results are indexed like
-// jobs; the first error (by job order) is returned after all jobs finish.
-//
-// Jobs are validated before any stepping happens: a job built from an empty
-// or truncated power trace (non-positive duration or sample interval, nil
-// schedule, wrong state length) fails with a descriptive error instead of
-// panicking inside a worker, and a schedule that panics mid-replay fails
-// only its own job.
-func RunSweep(jobs []SweepJob, workers int) ([][]TracePoint, error) {
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	rj := make([]replayJob, len(jobs))
-	for j, job := range jobs {
-		if job.Model == nil {
-			rj[j] = replayJob{err: errors.New("nil model")}
-			continue
-		}
-		rj[j] = job.Model.scheduleJob(job.TraceJob)
-	}
-	results, errs := replayPoints(rj, workers)
-	for j, err := range errs {
-		if err != nil {
-			return results, fmt.Errorf("hotspot: sweep job %d: %w", j, err)
-		}
-	}
-	return results, nil
-}
-
 // LoopJob is one closed-loop co-simulation for RunLoops: a temperature
 // state stepped at a fixed interval under block powers that Power computes,
 // before every step, from that live state.
@@ -288,10 +204,10 @@ type LoopJob struct {
 
 // RunLoops runs closed-loop jobs across a worker pool (workers ≤ 0 =
 // GOMAXPROCS) and returns per-job errors indexed like jobs. It is the
-// stepping core behind RunSweep and ReplayBatchResults with a third power
-// source: jobs are dealt round-robin across workers, and each step fills
-// every live same-model same-step job's power, then solves them all in one
-// batched step. A job whose Power fails or panics, whose block power is
+// stepping core behind ReplayBatchResults with a second power source: jobs
+// are dealt round-robin across workers, and each step fills every live
+// same-model same-step job's power, then solves them all in one batched
+// step. A job whose Power fails or panics, whose block power is
 // negative or non-finite, or whose solve stalls fails alone and keeps the
 // state of its last good step. Per-job results are bit-identical at any
 // worker count.
@@ -303,19 +219,19 @@ func RunLoops(jobs []LoopJob, workers int) []error {
 	return replay(rj, workers)
 }
 
-// loopJob adapts a closed loop to the stepping core: an open window of the
-// job's step, so no step is ever shortened, and a block-power fill
-// validated and expanded onto block nodes through a buffer the job owns.
-// It records nothing: a closed loop reads its own state.
+// loopJob adapts a closed loop to the stepping core: the job's step, and
+// a block-power fill validated and expanded onto block nodes through a
+// buffer the job owns. It records nothing: a closed loop reads its own
+// state.
 func loopJob(job LoopJob) replayJob {
 	m := job.Model
 	if m == nil {
 		return replayJob{err: errors.New("nil model")}
 	}
-	rj := replayJob{m: m, w: rcnet.Window{Duration: math.Inf(1), Step: job.Step}, temps: job.Temps}
+	rj := replayJob{m: m, step: job.Step, temps: job.Temps}
 	if job.Power != nil {
 		blockPower := make([]float64, m.cfg.Floorplan.N())
-		rj.fill = func(_ float64, power []float64) error {
+		rj.fill = func(power []float64) error {
 			if err := job.Power(blockPower); err != nil {
 				return err
 			}
@@ -333,17 +249,17 @@ func loopJob(job LoopJob) replayJob {
 }
 
 // replayJob is one replay on the stepping core, built by an adapter
-// (rowJob, scheduleJob, loopJob): the model and window it groups under, its
-// initial state, and its power fill. record, when set, observes the state
-// at t = 0 and after every step: point recording (replayPoints), the
-// final/peak reduction (ReplayFinalPeak), or nil for closed loops. err
-// fails the job before grouping; wrap, when set, adds the adapter's
-// context (the row it reached) to a failure.
+// (rowJob, loopJob): the model and step it groups under, its initial
+// state, and its power fill, which ends the job with io.EOF. record, when
+// set, observes the state at t = 0 and after every step: point recording
+// (replayPoints), the final/peak reduction (ReplayFinalPeak), or nil for
+// closed loops. err fails the job before grouping; wrap, when set, adds
+// the adapter's context (the row it reached) to a failure.
 type replayJob struct {
 	m      *Model
-	w      rcnet.Window
+	step   float64
 	temps  []float64
-	fill   func(t float64, power []float64) error
+	fill   func(power []float64) error
 	record func(t float64, temp []float64)
 	wrap   func(error) error
 	err    error
@@ -352,7 +268,7 @@ type replayJob struct {
 // replay runs jobs on the stepping core and returns per-job errors, indexed
 // like jobs. Jobs are dealt round-robin across workers (workers ≤ 0 =
 // GOMAXPROCS; 1 runs on the calling goroutine); each worker groups its
-// chunk by (model, window) — first-seen order, jobs in index order — and
+// chunk by (model, step) — first-seen order, jobs in index order — and
 // hands every group to its model's Solver.Replay. The deal and grouping
 // are deterministic, and batching never changes per-column arithmetic, so
 // results do not depend on the worker count.
@@ -374,21 +290,21 @@ func replay(jobs []replayJob, workers int) []error {
 }
 
 // runGroups groups one worker's jobs and runs each group. Groups are
-// found by linear search rather than a map so that a NaN window, which
+// found by linear search rather than a map so that a NaN step, which
 // never equals itself, forms its own group and is rejected by Replay
 // instead of vanishing.
 func runGroups(jobs []replayJob, idx []int, errs []error) {
 	type group struct {
-		m   *Model
-		w   rcnet.Window
-		idx []int
+		m    *Model
+		step float64
+		idx  []int
 	}
 	var groups []group
 	for _, j := range idx {
-		g := slices.IndexFunc(groups, func(g group) bool { return g.m == jobs[j].m && g.w == jobs[j].w })
+		g := slices.IndexFunc(groups, func(g group) bool { return g.m == jobs[j].m && g.step == jobs[j].step })
 		if g < 0 {
 			g = len(groups)
-			groups = append(groups, group{m: jobs[j].m, w: jobs[j].w})
+			groups = append(groups, group{m: jobs[j].m, step: jobs[j].step})
 		}
 		groups[g].idx = append(groups[g].idx, j)
 	}
@@ -397,7 +313,7 @@ func runGroups(jobs []replayJob, idx []int, errs []error) {
 		for i, j := range g.idx {
 			rjobs[i] = rcnet.Job{Temp: jobs[j].temps, Power: jobs[j].fill, Record: jobs[j].record}
 		}
-		for i, err := range g.m.solver.Replay(g.w, rjobs) {
+		for i, err := range g.m.solver.Replay(g.step, rjobs) {
 			j := g.idx[i]
 			if err != nil && jobs[j].wrap != nil {
 				err = jobs[j].wrap(err)

@@ -16,8 +16,8 @@ type TelemetrySink interface {
 // EmitTracePoints streams a replay's sampled block temperatures into sink,
 // one AppendSeries call per block, named "<prefix>/<block>" (or just the
 // block name when prefix is empty). Points must all carry len(names)
-// temperatures — the shape RunTrace, RunSweep and ReplayRows produce
-// against the model the names came from; every point is checked before the
+// temperatures — the shape Session.ReplayRows and ReplayBatchResults
+// produce against the model the names came from; every point is checked before the
 // first append, so a malformed point appends nothing. The first sink error
 // aborts the emit and is returned with the offending series attached.
 func EmitTracePoints(sink TelemetrySink, prefix string, names []string, pts []TracePoint) error {

@@ -131,18 +131,17 @@ func BenchmarkTransientBatch(b *testing.B) {
 			p := powers[j]
 			out[j] = Job{
 				Temp:  s.AmbientVector(),
-				Power: func(_ float64, dst []float64) error { copy(dst, p); return nil },
+				Power: fill(func(_ int, dst []float64) { copy(dst, p) }, 100),
 			}
 		}
 		return out
 	}
-	w := Window{Duration: 0.1, Step: 1e-3}
 	for _, width := range []int{1, jobs} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				all := mkJobs()
 				for off := 0; off < jobs; off += width {
-					for _, err := range s.Replay(w, all[off:off+width]) {
+					for _, err := range s.Replay(1e-3, all[off:off+width]) {
 						if err != nil {
 							b.Fatal(err)
 						}

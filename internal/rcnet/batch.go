@@ -14,7 +14,7 @@ import (
 // backward-Euler step in the package: it advances K independent temperature
 // states with a single factor traversal (linalg.CholeskyOperator.SolveBatch),
 // and a single state is the width-1 case (Solver.StepBE). Replay is the only
-// replay loop: it drives same-window jobs through shared steps, so sweeps,
+// replay loop: it drives same-step jobs through shared steps, so sweeps,
 // streamed replays and closed-loop co-simulations stop paying the factor's
 // full memory traffic once per job per step. A closed loop is a job whose
 // power fill reads its own live state.
@@ -157,49 +157,33 @@ func (bs *batchSession) StepBE(temps, powers [][]float64, dt float64) error {
 	return nil
 }
 
-// Window is the step sequence a lockstep group shares: steps of Step
-// seconds from t = 0, the last one shortened to land on Duration. An
-// infinite Duration leaves the sequence open; it then runs until every
-// job's power fill reports io.EOF (how streamed rows end).
-type Window struct {
-	Duration float64
-	Step     float64
-}
-
 // Job is one state replayed by Replay.
 type Job struct {
 	// Temp is the initial state, advanced in place.
 	Temp []float64
-	// Power fills the node power for the step that starts at time t.
-	// io.EOF ends the job with everything recorded so far standing; any
-	// other error fails it.
-	Power func(t float64, power []float64) error
-	// Record, when set, observes the state at t = 0 and after every step.
-	// temp is the live state vector: copy what must outlive the call.
+	// Power fills the node power for the next step. io.EOF ends the job
+	// with everything recorded so far standing; any other error fails it.
+	Power func(power []float64) error
+	// Record, when set, observes the state at t = 0 and after every step,
+	// t being the running sum of the steps taken. temp is the live state
+	// vector: copy what must outlive the call.
 	Record func(t float64, temp []float64)
 }
 
-// Replay advances same-window jobs in lockstep on the calling goroutine:
-// each step fills every live job's power, then solves all their right-hand
-// sides in one factor traversal (groups wider than MaxBatchWidth split).
-// Errors are indexed like jobs. Malformed jobs are rejected before any
-// stepping; a job whose callback fails or panics drops out while the rest
-// keep stepping. Per-job results are bit-identical
-// to replaying each job alone.
-func (s *Solver) Replay(w Window, jobs []Job) []error {
+// Replay advances jobs in lockstep on the calling goroutine, in steps of
+// step seconds until each job's power fill reports io.EOF: each step
+// fills every live job's power, then solves all their right-hand sides in
+// one factor traversal (groups wider than MaxBatchWidth split). Errors
+// are indexed like jobs. Malformed jobs are rejected before any stepping;
+// a job whose callback fails or panics drops out while the rest keep
+// stepping. Per-job results are bit-identical to replaying each job alone.
+func (s *Solver) Replay(step float64, jobs []Job) []error {
 	errs := make([]error, len(jobs))
-	var werr error
-	switch {
-	case !(w.Step > 0) || math.IsInf(w.Step, 0):
-		werr = fmt.Errorf("rcnet: replay window: invalid step %g", w.Step)
-	case !(w.Duration > 0):
-		werr = fmt.Errorf("rcnet: empty replay window: non-positive duration %g", w.Duration)
-	}
 	live := make([]int, 0, len(jobs))
 	for j, job := range jobs {
 		switch {
-		case werr != nil:
-			errs[j] = werr
+		case !(step > 0) || math.IsInf(step, 0):
+			errs[j] = fmt.Errorf("rcnet: replay: invalid step %g", step)
 		case job.Power == nil:
 			errs[j] = errors.New("rcnet: replay job has no power fill")
 		case len(job.Temp) != s.net.N():
@@ -209,14 +193,14 @@ func (s *Solver) Replay(w Window, jobs []Job) []error {
 		}
 	}
 	for off := 0; off < len(live); off += MaxBatchWidth {
-		s.lockstep(w, jobs, live[off:min(off+MaxBatchWidth, len(live))], errs)
+		s.lockstep(step, jobs, live[off:min(off+MaxBatchWidth, len(live))], errs)
 	}
 	return errs
 }
 
-// lockstep advances one ≤MaxBatchWidth group of validated jobs through the
-// window.
-func (s *Solver) lockstep(w Window, jobs []Job, idx []int, errs []error) {
+// lockstep advances one ≤MaxBatchWidth group of validated jobs until every
+// one has ended.
+func (s *Solver) lockstep(step float64, jobs []Job, idx []int, errs []error) {
 	kk := len(idx)
 	bs := s.newBatchSession(kk)
 	temps := make([][]float64, kk)
@@ -229,10 +213,10 @@ func (s *Solver) lockstep(w Window, jobs []Job, idx []int, errs []error) {
 		errs[idx[k]] = err
 		temps[k] = nil
 	}
-	// advance records job k's state at t and, unless the window is over,
-	// fills its power for the step from t. A callback that fails or panics
-	// fails its own job only; io.EOF finishes the job.
-	advance := func(k int, t float64, last bool) {
+	// advance records job k's state at t and fills its power for the next
+	// step. A callback that fails or panics fails its own job only; io.EOF
+	// finishes the job.
+	advance := func(k int, t float64) {
 		defer func() {
 			if r := recover(); r != nil {
 				fail(k, fmt.Errorf("job panicked: %v", r))
@@ -242,40 +226,27 @@ func (s *Solver) lockstep(w Window, jobs []Job, idx []int, errs []error) {
 		if job.Record != nil {
 			job.Record(t, temps[k])
 		}
-		if last {
-			return
-		}
-		if err := job.Power(t, powers[k]); err == io.EOF {
+		if err := job.Power(powers[k]); err == io.EOF {
 			temps[k] = nil
 		} else if err != nil {
 			fail(k, err)
 		}
 	}
-	end := w.Duration
-	if !math.IsInf(end, 1) {
-		end -= 1e-12 * end
-	}
-	t := 0.0
-	for {
-		last := !(t < end)
+	for t := 0.0; ; t += step {
 		live := 0
 		for k := range temps {
 			if temps[k] == nil {
 				continue
 			}
-			advance(k, t, last)
+			advance(k, t)
 			if temps[k] != nil {
 				live++
 			}
 		}
-		if last || live == 0 {
+		if live == 0 {
 			return
 		}
-		dt := w.Step
-		if dt > w.Duration-t {
-			dt = w.Duration - t
-		}
-		if err := bs.StepBE(temps, powers, dt); err != nil {
+		if err := bs.StepBE(temps, powers, step); err != nil {
 			// Batch-level failure (factorization): every live job fails the
 			// same way a lone step would have.
 			for k := range temps {
@@ -285,6 +256,5 @@ func (s *Solver) lockstep(w Window, jobs []Job, idx []int, errs []error) {
 			}
 			return
 		}
-		t += dt
 	}
 }

@@ -1,6 +1,7 @@
 package rcnet
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -89,47 +90,60 @@ type sample struct {
 	Temp []float64
 }
 
-// traceJob is a schedule-driven replay for these tests: an initial state, a
-// power schedule and the replay window.
+// traceJob is a scheduled replay for these tests: an initial state, a
+// power schedule indexed by step, and the number and size of its steps.
 type traceJob struct {
-	Temp        []float64
-	Schedule    func(t float64, power []float64)
-	Duration    float64
-	SampleEvery float64
+	Temp     []float64
+	Schedule func(k int, power []float64)
+	Steps    int
+	Step     float64
 }
 
-// replayTraces runs jobs through Replay, one call per window in first-seen
-// order, and returns every job's recorded states (nil where it failed).
+// fill adapts a schedule to a Job's power fill: steps calls of schedule,
+// then io.EOF.
+func fill(schedule func(k int, power []float64), steps int) func([]float64) error {
+	if schedule == nil {
+		return nil
+	}
+	k := 0
+	return func(p []float64) error {
+		if k == steps {
+			return io.EOF
+		}
+		schedule(k, p)
+		k++
+		return nil
+	}
+}
+
+// replayTraces runs jobs through Replay, one call per step size in
+// first-seen order, and returns every job's recorded states (nil where it
+// failed).
 func replayTraces(s *Solver, jobs []traceJob) ([][]sample, []error) {
 	out := make([][]sample, len(jobs))
 	errs := make([]error, len(jobs))
-	var order []Window
-	groups := make(map[Window][]int)
+	var order []float64
+	groups := make(map[float64][]int)
 	for j, job := range jobs {
-		w := Window{Duration: job.Duration, Step: job.SampleEvery}
-		if _, ok := groups[w]; !ok {
-			order = append(order, w)
+		if _, ok := groups[job.Step]; !ok {
+			order = append(order, job.Step)
 		}
-		groups[w] = append(groups[w], j)
+		groups[job.Step] = append(groups[job.Step], j)
 	}
-	for _, w := range order {
-		g := groups[w]
+	for _, step := range order {
+		g := groups[step]
 		rjobs := make([]Job, len(g))
 		for i, j := range g {
 			j := j
-			var power func(float64, []float64) error
-			if sched := jobs[j].Schedule; sched != nil {
-				power = func(t float64, p []float64) error { sched(t, p); return nil }
-			}
 			rjobs[i] = Job{
 				Temp:  jobs[j].Temp,
-				Power: power,
+				Power: fill(jobs[j].Schedule, jobs[j].Steps),
 				Record: func(t float64, temp []float64) {
 					out[j] = append(out[j], sample{Time: t, Temp: append([]float64(nil), temp...)})
 				},
 			}
 		}
-		for i, err := range s.Replay(w, rjobs) {
+		for i, err := range s.Replay(step, rjobs) {
 			if errs[g[i]] = err; err != nil {
 				out[g[i]] = nil
 			}
@@ -139,14 +153,14 @@ func replayTraces(s *Solver, jobs []traceJob) ([][]sample, []error) {
 }
 
 // replayTrace replays one schedule and returns its recorded states.
-func replayTrace(s *Solver, temp []float64, schedule func(t float64, power []float64), duration, sampleEvery float64) ([]sample, error) {
-	out, errs := replayTraces(s, []traceJob{{temp, schedule, duration, sampleEvery}})
+func replayTrace(s *Solver, temp []float64, schedule func(k int, power []float64), steps int, step float64) ([]sample, error) {
+	out, errs := replayTraces(s, []traceJob{{temp, schedule, steps, step}})
 	return out[0], errs[0]
 }
 
 // TestTransientBatchLockstepParity: jobs replayed in lockstep groups must
 // record bit-identical samples to each job replayed alone (a width-1
-// group), with mixed replay windows in one batch.
+// group), with mixed step sizes in one batch.
 func TestTransientBatchLockstepParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := gridNetwork(rng, 6, 5)
@@ -159,24 +173,23 @@ func TestTransientBatchLockstepParity(t *testing.T) {
 	for j := range powers {
 		powers[j] = randomPower(rng, net.N())
 	}
-	windows := []struct{ dur, se float64 }{{0.02, 1e-3}, {0.01, 5e-4}}
+	stepSizes := []float64{1e-3, 5e-4}
 	mk := func() []traceJob {
 		out := make([]traceJob, jobs)
 		for j := range out {
-			w := windows[j%len(windows)]
 			p := powers[j]
 			out[j] = traceJob{
-				Temp:        s.AmbientVector(),
-				Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-				Duration:    w.dur,
-				SampleEvery: w.se,
+				Temp:     s.AmbientVector(),
+				Schedule: func(_ int, dst []float64) { copy(dst, p) },
+				Steps:    20,
+				Step:     stepSizes[j%len(stepSizes)],
 			}
 		}
 		return out
 	}
 	ref := make([][]sample, jobs)
 	for j, job := range mk() {
-		samples, err := replayTrace(s, job.Temp, job.Schedule, job.Duration, job.SampleEvery)
+		samples, err := replayTrace(s, job.Temp, job.Schedule, job.Steps, job.Step)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,14 +228,14 @@ func TestTransientBatchPanicIsolation(t *testing.T) {
 	}
 	p := randomPower(rng, net.N())
 	jobs := []traceJob{
-		{Temp: s.AmbientVector(), Schedule: func(_ float64, dst []float64) { copy(dst, p) }, Duration: 0.01, SampleEvery: 1e-3},
-		{Temp: s.AmbientVector(), Schedule: func(tm float64, dst []float64) {
-			if tm > 4e-3 {
+		{Temp: s.AmbientVector(), Schedule: func(_ int, dst []float64) { copy(dst, p) }, Steps: 10, Step: 1e-3},
+		{Temp: s.AmbientVector(), Schedule: func(k int, dst []float64) {
+			if k > 4 {
 				panic("boom")
 			}
 			copy(dst, p)
-		}, Duration: 0.01, SampleEvery: 1e-3},
-		{Temp: s.AmbientVector(), Schedule: func(_ float64, dst []float64) { copy(dst, p) }, Duration: 0.01, SampleEvery: 1e-3},
+		}, Steps: 10, Step: 1e-3},
+		{Temp: s.AmbientVector(), Schedule: func(_ int, dst []float64) { copy(dst, p) }, Steps: 10, Step: 1e-3},
 	}
 	results, errs := replayTraces(s, jobs)
 	if errs[1] == nil || !strings.Contains(errs[1].Error(), "panicked") {
@@ -252,10 +265,10 @@ func TestBatchWidthHistogram(t *testing.T) {
 	for j := range tj {
 		p := randomPower(rng, net.N())
 		tj[j] = traceJob{
-			Temp:        s.AmbientVector(),
-			Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-			Duration:    float64(steps) * 1e-3,
-			SampleEvery: 1e-3,
+			Temp:     s.AmbientVector(),
+			Schedule: func(_ int, dst []float64) { copy(dst, p) },
+			Steps:    steps,
+			Step:     1e-3,
 		}
 	}
 	_, errs := replayTraces(s, tj)
@@ -314,7 +327,7 @@ func TestBatchStepAllocationFree(t *testing.T) {
 
 // TestReplayLockstepWindowMismatch: Replay rejects a job it cannot step
 // (wrong state length, no power fill) on its own while the rest of the
-// group runs, and an invalid window rejects every job.
+// group runs, and an invalid step rejects every job.
 func TestReplayLockstepWindowMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := gridNetwork(rng, 4, 4)
@@ -323,14 +336,14 @@ func TestReplayLockstepWindowMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := randomPower(rng, net.N())
-	fill := func(_ float64, dst []float64) error { copy(dst, p); return nil }
+	schedule := func(_ int, dst []float64) { copy(dst, p) }
 	steps := 0
 	jobs := []Job{
-		{Temp: s.AmbientVector(), Power: fill, Record: func(float64, []float64) { steps++ }},
-		{Temp: make([]float64, 1), Power: fill},
+		{Temp: s.AmbientVector(), Power: fill(schedule, 10), Record: func(float64, []float64) { steps++ }},
+		{Temp: make([]float64, 1), Power: fill(schedule, 10)},
 		{Temp: s.AmbientVector()},
 	}
-	errs := s.Replay(Window{Duration: 0.01, Step: 1e-3}, jobs)
+	errs := s.Replay(1e-3, jobs)
 	if errs[0] != nil || steps != 11 {
 		t.Fatalf("anchor job: %d records, err %v", steps, errs[0])
 	}
@@ -340,10 +353,10 @@ func TestReplayLockstepWindowMismatch(t *testing.T) {
 	if errs[2] == nil || !strings.Contains(errs[2].Error(), "no power fill") {
 		t.Fatalf("fill-less job error: %v", errs[2])
 	}
-	for _, w := range []Window{{Duration: 0, Step: 1e-3}, {Duration: 0.01, Step: 0}, {Duration: 0.01, Step: math.NaN()}} {
-		for j, err := range s.Replay(w, jobs[:1]) {
+	for _, step := range []float64{0, -1e-3, math.Inf(1), math.NaN()} {
+		for j, err := range s.Replay(step, jobs[:1]) {
 			if err == nil {
-				t.Fatalf("window %+v: job %d accepted", w, j)
+				t.Fatalf("step %g: job %d accepted", step, j)
 			}
 		}
 	}

@@ -147,19 +147,18 @@ func (o *luOracle) TransientBE(temp, power []float64, duration, dt float64) {
 
 // replay mirrors Solver.Replay's step sequence for one job: record at t = 0
 // and after every step, power filled at each step's start.
-func (o *luOracle) replay(temp []float64, schedule func(t float64, power []float64), duration, step float64) []sample {
+func (o *luOracle) replay(temp []float64, schedule func(k int, power []float64), steps int, step float64) []sample {
 	power := make([]float64, len(temp))
-	end := duration - 1e-12*duration
 	var out []sample
-	for t := 0.0; ; {
+	t := 0.0
+	for k := 0; ; k++ {
 		out = append(out, sample{Time: t, Temp: append([]float64(nil), temp...)})
-		if !(t < end) {
+		if k == steps {
 			return out
 		}
-		schedule(t, power)
-		dt := min(step, duration-t)
-		o.StepBE(temp, power, dt)
-		t += dt
+		schedule(k, power)
+		o.StepBE(temp, power, step)
+		t += step
 	}
 }
 
@@ -261,15 +260,15 @@ func TestBackendParityTrace(t *testing.T) {
 	s, oracle := compileWithOracle(t, net)
 	p1 := randomPower(rng, net.N())
 	p2 := randomPower(rng, net.N())
-	schedule := func(tm float64, p []float64) {
+	schedule := func(k int, p []float64) {
 		src := p1
-		if tm >= 0.25 {
+		if k >= 5 {
 			src = p2
 		}
 		copy(p, src)
 	}
-	sd := oracle.replay(oracle.AmbientVector(), schedule, 0.5, 0.05)
-	ss, err := replayTrace(s, s.AmbientVector(), schedule, 0.5, 0.05)
+	sd := oracle.replay(oracle.AmbientVector(), schedule, 10, 0.05)
+	ss, err := replayTrace(s, s.AmbientVector(), schedule, 10, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +307,10 @@ func TestTransientBatchMatchesSerial(t *testing.T) {
 			for j := range out {
 				p := powers[j]
 				out[j] = traceJob{
-					Temp:        s.AmbientVector(),
-					Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-					Duration:    0.3,
-					SampleEvery: 0.03,
+					Temp:     s.AmbientVector(),
+					Schedule: func(_ int, dst []float64) { copy(dst, p) },
+					Steps:    10,
+					Step:     0.03,
 				}
 			}
 			return out
@@ -319,7 +318,7 @@ func TestTransientBatchMatchesSerial(t *testing.T) {
 		serial := mkJobs()
 		want := make([][]sample, jobs)
 		for j := range serial {
-			w, err := replayTrace(s, serial[j].Temp, serial[j].Schedule, serial[j].Duration, serial[j].SampleEvery)
+			w, err := replayTrace(s, serial[j].Temp, serial[j].Schedule, serial[j].Steps, serial[j].Step)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,10 +355,10 @@ func TestTransientBatchReportsJobError(t *testing.T) {
 	}
 	p := randomPower(rng, net.N())
 	good := traceJob{
-		Temp:        s.AmbientVector(),
-		Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-		Duration:    0.1,
-		SampleEvery: 0.02,
+		Temp:     s.AmbientVector(),
+		Schedule: func(_ int, dst []float64) { copy(dst, p) },
+		Steps:    5,
+		Step:     0.02,
 	}
 	bad := good
 	bad.Temp = make([]float64, 1) // wrong length

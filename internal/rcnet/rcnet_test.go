@@ -179,13 +179,13 @@ func TestTransientTraceRecordsSamples(t *testing.T) {
 	s, _ := n.Compile()
 	temp := s.AmbientVector()
 	// Pulse train: on for the first half, off after.
-	samples, err := replayTrace(s, temp, func(tm float64, p []float64) {
-		if tm < 0.5 {
+	samples, err := replayTrace(s, temp, func(k int, p []float64) {
+		if k < 10 {
 			p[i] = 4
 		} else {
 			p[i] = 0
 		}
-	}, 1.0, 0.05)
+	}, 20, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,22 +73,6 @@ func (p *PowerTrace) Append(row []float64) error {
 // Duration returns the total trace duration in seconds.
 func (p *PowerTrace) Duration() float64 { return float64(len(p.Rows)) * p.Interval }
 
-// At returns the power vector in effect at time t (clamped to the trace
-// bounds). The returned slice is shared; do not modify.
-func (p *PowerTrace) At(t float64) []float64 {
-	if len(p.Rows) == 0 {
-		panic("trace: empty trace")
-	}
-	i := int(t / p.Interval)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(p.Rows) {
-		i = len(p.Rows) - 1
-	}
-	return p.Rows[i]
-}
-
 // Average returns the time-average power per block — the paper uses the
 // pulse-train average to warm the die to a steady operating point before
 // short-term transient experiments (§4.1.2).

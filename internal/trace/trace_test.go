@@ -43,11 +43,8 @@ func TestAppendAndAt(t *testing.T) {
 	if tr.Duration() != 1.0 {
 		t.Fatalf("duration %g", tr.Duration())
 	}
-	if tr.At(0)[0] != 1 || tr.At(0.7)[0] != 4 || tr.At(99)[0] != 4 {
-		t.Fatal("At indexing wrong")
-	}
-	if tr.At(-1)[0] != 1 {
-		t.Fatal("At should clamp below")
+	if len(tr.Rows) != 2 || tr.Rows[0][0] != 1 || tr.Rows[1][0] != 4 {
+		t.Fatalf("rows %v", tr.Rows)
 	}
 }
 

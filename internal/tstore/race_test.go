@@ -11,10 +11,11 @@ import (
 )
 
 // TestConcurrentSweepWritersAndReaders is the race/stress battery: several
-// goroutines run real hotspot.RunSweep replays and stream the results into
-// one store through one shared telemetry Writer, while readers hammer raw
-// and downsampled queries, listings and stats, and a flusher forces segment
-// churn, alternating store-wide and writer-scoped flushes. Run under -race
+// goroutines run real hotspot.ReplayBatchResults replays and stream the
+// results into one store through one shared telemetry Writer, while
+// readers hammer raw and downsampled queries, listings and stats, and a
+// flusher forces segment churn, alternating store-wide and writer-scoped
+// flushes. Run under -race
 // this exercises the store-level series map, the writer's series map, the
 // per-series locks and the ReadAt-based query path against concurrent
 // appends. A final pass verifies every writer's data survived verbatim.
@@ -31,14 +32,6 @@ func TestConcurrentSweepWritersAndReaders(t *testing.T) {
 	tr, err := trace.PulseTrain(fp.Names(), "IntReg", 4, 2e-3, 3e-3, 0.5e-3, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	job := func() hotspot.SweepJob {
-		return hotspot.SweepJob{Model: model, TraceJob: hotspot.TraceJob{
-			Temps:       model.AmbientState(),
-			Schedule:    func(tm float64, p []float64) { copy(p, tr.At(tm)) },
-			Duration:    tr.Duration(),
-			SampleEvery: tr.Interval,
-		}}
 	}
 
 	st := mustOpen(t, t.TempDir(), Options{FlushRows: 128, Granularities: []int64{1_000_000}})
@@ -57,9 +50,9 @@ func TestConcurrentSweepWritersAndReaders(t *testing.T) {
 		go func() {
 			defer writeWG.Done()
 			for it := 0; it < iters; it++ {
-				pts, err := hotspot.RunSweep([]hotspot.SweepJob{job()}, 1)
-				if err != nil {
-					errs <- err
+				pts, rerrs := hotspot.ReplayBatchResults([]hotspot.ReplayJob{{Model: model, Rows: tr.Reader()}}, 1)
+				if rerrs[0] != nil {
+					errs <- rerrs[0]
 					return
 				}
 				refs[w][it] = pts[0]

@@ -210,6 +210,9 @@ func Run(cfg Config, probeBlock string) (Metrics, []hotspot.TracePoint, error) {
 	scale := cfg.Policy.PowerScale()
 	blocksC := make([]float64, fp.N())
 	var points []hotspot.TracePoint
+	// Time metrics are counted in steps and multiplied by dt once at the
+	// end: summing dt per step would drift.
+	var engagedSteps, violationSteps int
 
 	// The loop is one closed-loop job on the hotspot stepping core: its
 	// power fill reads the live state before every step of dt.
@@ -232,7 +235,7 @@ func Run(cfg Config, probeBlock string) (Metrics, []hotspot.TracePoint, error) {
 			m.PeakC = hot
 		}
 		if hot > cfg.EmergencyC {
-			m.ViolationTime += dt
+			violationSteps++
 		}
 		if probe >= 0 {
 			points = append(points, hotspot.TracePoint{Time: t, BlockC: append([]float64(nil), blocksC...)})
@@ -267,8 +270,7 @@ func Run(cfg Config, probeBlock string) (Metrics, []hotspot.TracePoint, error) {
 			blockPower[bi] = p
 		}
 		if engaged {
-			m.EngagedTime += dt
-			m.PerfPenalty += dt * (1 - cfg.Policy.PerfFactor)
+			engagedSteps++
 		}
 		step++
 		return nil
@@ -277,6 +279,8 @@ func Run(cfg Config, probeBlock string) (Metrics, []hotspot.TracePoint, error) {
 		return Metrics{}, nil, err
 	}
 	m.Engagements = ctrl.Engagements()
-	m.PerfPenalty /= duration
+	m.EngagedTime = float64(engagedSteps) * dt
+	m.ViolationTime = float64(violationSteps) * dt
+	m.PerfPenalty = m.EngagedTime * (1 - cfg.Policy.PerfFactor) / duration
 	return m, points, nil
 }

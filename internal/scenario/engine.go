@@ -782,20 +782,24 @@ func (c *Compiled) runGrid(ctx context.Context, workers int, onCell func(CellRes
 // on the stepping core, which calls it once per control step with the
 // cell's temperatures advanced in place in between.
 type cellRun struct {
-	c          *Compiled
-	ctx        context.Context
-	sink       TelemetrySink
-	cell       Cell
-	model      *hotspot.Model
-	temps      []float64 // live thermal state
-	k          int       // control steps taken
-	ctrl       *dtm.Controller
-	pr         *producer
-	blocksC    []float64
-	m          Metrics
-	nonWorkPen float64  // engaged non-workload penalty accumulator
-	tel        []string // telemetry series names, nil unless a sink is attached
-	finished   bool     // result recorded
+	c        *Compiled
+	ctx      context.Context
+	sink     TelemetrySink
+	cell     Cell
+	model    *hotspot.Model
+	temps    []float64 // live thermal state
+	k        int       // control steps taken
+	ctrl     *dtm.Controller
+	pr       *producer
+	blocksC  []float64
+	m        Metrics
+	tel      []string // telemetry series names, nil unless a sink is attached
+	finished bool     // result recorded
+
+	// Step counts behind the time metrics, which finishCell multiplies by
+	// the step once: summing dt per step would drift (20 engaged 0.1 ms
+	// steps summed to 0.0020000000000000005 s).
+	engaged, violated, covered, engagedNonWork int
 }
 
 // step runs the cell's phase for control step r.k, in the serial engine's
@@ -879,9 +883,9 @@ func (r *cellRun) step(blockPower []float64) error {
 
 	// Violation accounting against the true state.
 	if hot > c.spec.EmergencyC {
-		r.m.ViolationS += c.dt
+		r.violated++
 		if engaged {
-			r.m.CoveredViolationS += c.dt
+			r.covered++
 		}
 	}
 
@@ -908,9 +912,9 @@ func (r *cellRun) step(blockPower []float64) error {
 	}
 	r.m.Committed += committed
 	if engaged {
-		r.m.EngagedS += c.dt
+		r.engaged++
 		if !isWorkload {
-			r.nonWorkPen += c.dt * (1 - pol.PerfFactor)
+			r.engagedNonWork++
 		}
 	}
 	r.k++
@@ -934,6 +938,9 @@ func (c *Compiled) finishCell(r *cellRun) {
 	if r.m.FinalHotC > r.m.PeakC {
 		r.m.PeakC = r.m.FinalHotC
 	}
+	r.m.EngagedS = float64(r.engaged) * c.dt
+	r.m.ViolationS = float64(r.violated) * c.dt
+	r.m.CoveredViolationS = float64(r.covered) * c.dt
 	r.m.DutyCycle = r.m.EngagedS / r.m.DurationS
 
 	// Performance penalty: instruction-measured over workload time,
@@ -946,7 +953,8 @@ func (c *Compiled) finishCell(r *cellRun) {
 		}
 	}
 	workloadTime := float64(c.workloadSteps) * c.dt
-	r.m.PerfPenalty = (instrLoss*workloadTime + r.nonWorkPen) / r.m.DurationS
+	nonWorkPen := float64(r.engagedNonWork) * c.dt * (1 - r.cell.Policy.PerfFactor)
+	r.m.PerfPenalty = (instrLoss*workloadTime + nonWorkPen) / r.m.DurationS
 
 	if r.m.ViolationS > 0 {
 		r.m.ViolationCoverage = r.m.CoveredViolationS / r.m.ViolationS

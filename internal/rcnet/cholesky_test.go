@@ -118,6 +118,33 @@ func TestFactorCacheContract(t *testing.T) {
 	if st2.FactorReuses != st.FactorReuses+1 {
 		t.Fatalf("second session did not hit the factor cache")
 	}
+
+	// TransientBE factors one BE matrix when dt divides the duration, even
+	// where the summed steps fall a few ulps short of it, and a second
+	// only for a real remainder.
+	for _, c := range []struct {
+		duration, dt  float64
+		steps, factor int64
+	}{
+		{0.2, 1e-3, 200, 1}, {1, 1e-3, 1000, 1}, {0.5, 1e-3, 500, 1},
+		{0.1, 1e-4, 1000, 1}, {1.5e-3, 1e-3, 2, 2},
+	} {
+		fresh, err := net.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fresh.Stats()
+		if err := fresh.TransientBE(fresh.AmbientVector(), p, c.duration, c.dt); err != nil {
+			t.Fatal(err)
+		}
+		after := fresh.Stats()
+		if got := after.Factorizations - before.Factorizations; got != c.factor {
+			t.Errorf("TransientBE(%g, %g): %d BE factorizations, want %d", c.duration, c.dt, got, c.factor)
+		}
+		if got := after.DirectSteps - before.DirectSteps; got != c.steps {
+			t.Errorf("TransientBE(%g, %g): %d steps, want %d", c.duration, c.dt, got, c.steps)
+		}
+	}
 }
 
 // TestStepBEAllocationFree gates the stepping hot path at zero allocations

@@ -139,7 +139,10 @@ func (o *luOracle) StepBE(temp, power []float64, dt float64) {
 // TransientBE mirrors Solver.TransientBE's step sequence.
 func (o *luOracle) TransientBE(temp, power []float64, duration, dt float64) {
 	for t := 0.0; t < duration-1e-15*duration; {
-		step := min(dt, duration-t)
+		step := dt
+		if rem := duration - t; rem < dt-1e-9*dt {
+			step = rem
+		}
 		o.StepBE(temp, power, step)
 		t += step
 	}

@@ -558,7 +558,9 @@ func (s *Solver) StepBE(temp, power []float64, dt float64) error {
 }
 
 // TransientBE advances temp by duration using fixed backward-Euler steps of
-// size dt (the final step is shortened to land on the end time).
+// size dt. A real remainder is one shorter last step; a remainder within
+// 1e-9·dt of dt is the rounding of summed steps and takes a full step, so
+// it does not factor a second BE matrix.
 func (s *Solver) TransientBE(temp, power []float64, duration, dt float64) error {
 	if duration <= 0 {
 		return fmt.Errorf("rcnet: non-positive duration %g", duration)
@@ -566,8 +568,8 @@ func (s *Solver) TransientBE(temp, power []float64, duration, dt float64) error 
 	t := 0.0
 	for t < duration-1e-15*duration {
 		step := dt
-		if step > duration-t {
-			step = duration - t
+		if rem := duration - t; rem < dt-1e-9*dt {
+			step = rem
 		}
 		if err := s.StepBE(temp, power, step); err != nil {
 			return err

@@ -98,9 +98,6 @@ func (rep *HarnessReplica) serve(w http.ResponseWriter, r *http.Request) {
 // what the router's ring holds.
 func (rep *HarnessReplica) Addr() string { return rep.ln.Addr().String() }
 
-// Alive reports whether the replica is serving.
-func (rep *HarnessReplica) Alive() bool { return rep.alive.Load() }
-
 // Kill simulates abrupt process death: in-flight and future connections are
 // severed and the handler (with all its in-memory state) is dropped. The
 // port keeps listening so the address stays valid for Revive.

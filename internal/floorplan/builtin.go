@@ -43,9 +43,6 @@ func EV6() *Floorplan {
 	})
 }
 
-// EV6DieThickness is the silicon thickness used with the EV6 floorplan.
-const EV6DieThickness = 0.5e-3
-
 // Athlon returns the AMD Athlon 64-like floorplan with the 22 blocks of the
 // paper's Fig. 5 (fresh copy). Die is 14×14 mm.
 func Athlon() *Floorplan {

@@ -810,9 +810,6 @@ func (c *CholeskyOperator) Matrix() *CSR { return c.m }
 // NNZL returns the strictly-lower-triangular entry count of the factor.
 func (c *CholeskyOperator) NNZL() int { return c.sym.nnzL }
 
-// FillRatio reports nnz(L+D+Lᵀ) / nnz(A) for the factorization.
-func (c *CholeskyOperator) FillRatio() float64 { return c.sym.FillRatio(c.m) }
-
 // Supernodes returns the number of panels in the factor.
 func (c *CholeskyOperator) Supernodes() int { return c.sym.Supernodes() }
 

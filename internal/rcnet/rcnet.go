@@ -85,9 +85,6 @@ func (n *Network) Index(name string) int {
 // Name returns the name of node i.
 func (n *Network) Name(i int) string { return n.names[i] }
 
-// Capacitance returns the heat capacitance of node i (J/K).
-func (n *Network) Capacitance(i int) float64 { return n.cap[i] }
-
 // Connect adds a thermal conductance g = 1/R (W/K) between nodes i and j.
 // Repeated calls accumulate (parallel resistances).
 func (n *Network) Connect(i, j int, g float64) {
@@ -432,15 +429,6 @@ func (n *Network) checkGrounded() error {
 		}
 	}
 	return nil
-}
-
-// Net returns the underlying network.
-func (s *Solver) Net() *Network { return s.net }
-
-// FactorInfo reports the conductance factor's size (strictly-lower
-// entries) and fill ratio nnz(L+D+Lᵀ)/nnz(A).
-func (s *Solver) FactorInfo() (nnzL int, fillRatio float64) {
-	return s.op.NNZL(), s.op.FillRatio()
 }
 
 // SteadyState returns the equilibrium temperatures (Kelvin) for constant

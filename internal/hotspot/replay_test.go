@@ -160,7 +160,8 @@ type panicRows struct {
 }
 
 func (r *panicRows) Next(dst []float64) error {
-	if r.n++; r.n > 3 {
+	r.n++
+	if r.n > 3 {
 		panic("row source exploded")
 	}
 	return r.RowReader.Next(dst)

@@ -797,8 +797,7 @@ type cellRun struct {
 	finished bool     // result recorded
 
 	// Step counts behind the time metrics, which finishCell multiplies by
-	// the step once: summing dt per step would drift (20 engaged 0.1 ms
-	// steps summed to 0.0020000000000000005 s).
+	// the step once: summing dt per step would drift.
 	engaged, violated, covered, engagedNonWork int
 }
 

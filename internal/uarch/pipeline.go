@@ -118,6 +118,10 @@ type CPU struct {
 
 	fu [5][]uint64 // next-free time per functional unit, indexed by fuKind
 
+	// fetched is set by the first instruction after a reset, which fetches
+	// its I-cache line wherever it falls in the line.
+	fetched bool
+
 	counts    [NumUnits]uint64
 	committed uint64
 }
@@ -263,9 +267,10 @@ func (c *CPU) step() {
 		c.fetchSlot = 1
 	}
 
-	// I-cache access once per line.
+	// I-cache access once per line, and for the first instruction.
 	lineInstrs := uint64(cfg.LineBytes / 4)
-	if in.PC/4%lineInstrs == 0 || c.counts[UIcache] == 0 {
+	if in.PC/4%lineInstrs == 0 || !c.fetched {
+		c.fetched = true
 		c.counts[UIcache]++
 		c.counts[UITB]++
 		if !c.l1i.Access(in.PC) {
@@ -379,7 +384,9 @@ func (c *CPU) fpOverhead() {
 
 // Run simulates until at least totalCycles have elapsed, flushing an
 // ActivitySample every intervalCycles. The final partial interval is
-// included when it covers at least one cycle.
+// included when it covers at least one cycle. Splitting a run never changes
+// the simulated machine: runs to the same end cycle dispatch the same
+// instructions with the same timing and counts, however they are chunked.
 func (c *CPU) Run(totalCycles, intervalCycles uint64) ([]ActivitySample, error) {
 	if intervalCycles == 0 || totalCycles < intervalCycles {
 		return nil, fmt.Errorf("uarch: need totalCycles ≥ intervalCycles > 0")

@@ -79,10 +79,10 @@ func TestWidthMatters(t *testing.T) {
 }
 
 // TestIntervalCountsAdditive: the per-interval activity counts must sum to
-// the whole-run counts (no activity lost or double-counted at interval
-// boundaries).
+// the whole-run counts exactly (no activity lost or double-counted at
+// interval boundaries). Both runs stop at the same instruction.
 func TestIntervalCountsAdditive(t *testing.T) {
-	mk := func(interval uint64) [NumUnits]uint64 {
+	mk := func(interval uint64) (uint64, [NumUnits]uint64) {
 		s, err := NewStream(GCC(), 99)
 		if err != nil {
 			t.Fatal(err)
@@ -95,25 +95,75 @@ func TestIntervalCountsAdditive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var committed uint64
 		var total [NumUnits]uint64
 		for _, sm := range samples {
+			committed += sm.Committed
 			for u := range sm.Counts {
 				total[u] += sm.Counts[u]
 			}
 		}
-		return total
+		return committed, total
 	}
-	coarse := mk(1_000_000)
-	fine := mk(10_000)
+	coarseCommitted, coarse := mk(1_000_000)
+	fineCommitted, fine := mk(10_000)
+	if coarseCommitted != fineCommitted {
+		t.Fatalf("committed not additive: %d vs %d", coarseCommitted, fineCommitted)
+	}
 	for u := Unit(0); u < NumUnits; u++ {
-		// The fine run may include a few extra instructions in the final
-		// partial interval; allow a tiny relative slack.
-		a, b := float64(coarse[u]), float64(fine[u])
-		if a == 0 && b == 0 {
+		if coarse[u] != fine[u] {
+			t.Fatalf("unit %v: counts not additive: %d vs %d", u, coarse[u], fine[u])
+		}
+	}
+}
+
+// runTotals runs c to each end cycle in turn, as the scenario producer does
+// (skipping an end the CPU already reached), and sums the samples' committed
+// instructions and unit counts.
+func runTotals(t *testing.T, c *CPU, ends []uint64) (committed uint64, counts [NumUnits]uint64) {
+	t.Helper()
+	for _, end := range ends {
+		if c.Cycle() >= end {
 			continue
 		}
-		if diff := (b - a) / (a + 1); diff < -0.02 || diff > 0.02 {
-			t.Fatalf("unit %v: counts not additive: %d vs %d", u, coarse[u], fine[u])
+		want := end - c.Cycle()
+		samples, err := c.Run(want, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			committed += s.Committed
+			for u := range counts {
+				counts[u] += s.Counts[u]
+			}
+		}
+	}
+	return committed, counts
+}
+
+// TestRunChunkInvariant: one Run to cycle N and Runs to every multiple of a
+// chunk size up to N stop at the same instruction, with the same cycle,
+// committed instructions and unit counts. Splitting a run must not change
+// the simulated machine: a control loop cuts a workload into steps of any
+// length.
+func TestRunChunkInvariant(t *testing.T) {
+	const n = 300_000
+	for _, w := range []Workload{GCC(), MCF(), ART()} {
+		for _, seed := range []int64{2009, 7} {
+			whole := newCPU(t, w, seed)
+			wantCommitted, wantCounts := runTotals(t, whole, []uint64{n})
+			for _, chunk := range []uint64{997, 1500, 15_000, 30_000} {
+				var ends []uint64
+				for end := chunk; end < n; end += chunk {
+					ends = append(ends, end)
+				}
+				c := newCPU(t, w, seed)
+				committed, counts := runTotals(t, c, append(ends, n))
+				if c.Cycle() != whole.Cycle() || committed != wantCommitted || counts != wantCounts {
+					t.Errorf("%s seed %d, %d-cycle chunks: cycle %d committed %d counts %v; one run: cycle %d committed %d counts %v",
+						w.Name, seed, chunk, c.Cycle(), committed, counts, whole.Cycle(), wantCommitted, wantCounts)
+				}
+			}
 		}
 	}
 }

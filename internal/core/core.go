@@ -67,7 +67,7 @@ func (w WorkloadSpec) defaulted() WorkloadSpec {
 // the per-block EV6 power trace.
 func RunWorkload(spec WorkloadSpec) (*trace.PowerTrace, error) {
 	spec = spec.defaulted()
-	wl, ok := uarch.Workloads()[spec.Name]
+	wl, ok := uarch.Preset(spec.Name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown workload %q (have gcc, mcf, art)", spec.Name)
 	}

@@ -6,8 +6,8 @@
 // rate plus an idle fraction of its peak power (imperfect clock gating),
 // a clock-tree power spread over the core, and an area-proportional leakage
 // term with exponential temperature dependence (the feedback the paper's §6
-// future-work discussion flags; ActivityPower/LeakagePower expose the split
-// the closed-loop engine needs to apply it online).
+// future-work discussion flags; ActivityPower, StaticPower and LeakagePower
+// expose the split the closed-loop engine needs to apply it online).
 package power
 
 import (
@@ -181,14 +181,7 @@ func (m *Model) BlockPower(s uarch.ActivitySample) []float64 {
 		eJ := m.cfg.EnergyNJ[u] * 1e-9
 		dyn := eJ * float64(s.Counts[u]) / dt
 		idle := m.cfg.IdleFrac * eJ * m.cfg.PeakRate[u] * m.cfg.ClockHz
-		p := dyn + idle
-		if bi := m.unitIdx[u]; bi >= 0 {
-			out[bi] += p
-		} else {
-			for k, l2bi := range m.l2Idx {
-				out[l2bi] += p * m.l2Share[k]
-			}
-		}
+		m.deposit(out, u, dyn+idle)
 	}
 	// Clock tree over core blocks, leakage over everything, by area.
 	for _, bi := range m.coreIdx {
@@ -200,47 +193,59 @@ func (m *Model) BlockPower(s uarch.ActivitySample) []float64 {
 	return out
 }
 
-// ActivityPower splits one activity sample's power into its dynamic and
-// static components over an explicit wall-clock interval (s), per block in
-// floorplan order:
+// ActivityPower writes one activity sample's dynamic power into dyn, per
+// block in floorplan order: energy-per-access × counts over an explicit
+// wall-clock interval (s). Passing the wall-clock interval rather than
+// deriving it from the sample's cycle count matters for closed-loop
+// co-simulation: a throttled CPU executes fewer cycles in the same
+// wall-clock step, and its dynamic energy must be spread over the step, not
+// the cycles.
 //
-//   - dyn is the activity-proportional power (energy-per-access × counts /
-//     wallDT). Passing the wall-clock interval rather than deriving it from
-//     the sample's cycle count matters for closed-loop co-simulation: a
-//     throttled CPU executes fewer cycles in the same wall-clock step, and
-//     its dynamic energy must be spread over the step, not the cycles.
-//   - static is the always-on portion at nominal voltage and frequency: the
-//     idle (imperfect clock gating) term plus the clock tree.
-//
-// Leakage is excluded from both — closed-loop callers add the
-// temperature-dependent LeakagePower of the current state instead of the
-// flat reference term BlockPower folds in. BlockPower(s) equals
-// dyn + static + LeakagePower(T_ref) when wallDT matches the sample's own
-// interval.
-func (m *Model) ActivityPower(s uarch.ActivitySample, wallDT float64) (dyn, static []float64, err error) {
+// The always-on StaticPower and the leakage are excluded — closed-loop
+// callers add the temperature-dependent LeakagePower of the current state
+// instead of the flat reference term BlockPower folds in. BlockPower(s)
+// equals dyn + StaticPower() + LeakagePower(T_ref) when wallDT matches the
+// sample's own interval.
+func (m *Model) ActivityPower(s uarch.ActivitySample, wallDT float64, dyn []float64) error {
 	if !(wallDT > 0) {
-		return nil, nil, fmt.Errorf("power: non-positive interval %g", wallDT)
+		return fmt.Errorf("power: non-positive interval %g", wallDT)
 	}
-	dyn = make([]float64, m.fp.N())
-	static = make([]float64, m.fp.N())
-	deposit := func(dst []float64, u uarch.Unit, p float64) {
-		if bi := m.unitIdx[u]; bi >= 0 {
-			dst[bi] += p
-		} else {
-			for k, l2bi := range m.l2Idx {
-				dst[l2bi] += p * m.l2Share[k]
-			}
-		}
+	if len(dyn) != m.fp.N() {
+		return fmt.Errorf("power: got %d blocks to fill, floorplan has %d", len(dyn), m.fp.N())
 	}
+	clear(dyn)
+	for u := uarch.Unit(0); u < uarch.NumUnits; u++ {
+		m.deposit(dyn, u, m.cfg.EnergyNJ[u]*1e-9*float64(s.Counts[u])/wallDT)
+	}
+	return nil
+}
+
+// StaticPower returns the always-on power at nominal voltage and frequency,
+// per block in floorplan order: the idle (imperfect clock gating) term plus
+// the clock tree. It does not depend on activity, so a closed-loop caller
+// computes it once.
+func (m *Model) StaticPower() []float64 {
+	static := make([]float64, m.fp.N())
 	for u := uarch.Unit(0); u < uarch.NumUnits; u++ {
 		eJ := m.cfg.EnergyNJ[u] * 1e-9
-		deposit(dyn, u, eJ*float64(s.Counts[u])/wallDT)
-		deposit(static, u, m.cfg.IdleFrac*eJ*m.cfg.PeakRate[u]*m.cfg.ClockHz)
+		m.deposit(static, u, m.cfg.IdleFrac*eJ*m.cfg.PeakRate[u]*m.cfg.ClockHz)
 	}
 	for _, bi := range m.coreIdx {
 		static[bi] += m.cfg.ClockTreeW * m.fp.Blocks[bi].Area() / m.coreArea
 	}
-	return dyn, static, nil
+	return static
+}
+
+// deposit adds unit u's power p to its block, or splits it over the L2
+// slices by area.
+func (m *Model) deposit(dst []float64, u uarch.Unit, p float64) {
+	if bi := m.unitIdx[u]; bi >= 0 {
+		dst[bi] += p
+		return
+	}
+	for k, l2bi := range m.l2Idx {
+		dst[l2bi] += p * m.l2Share[k]
+	}
 }
 
 // Trace converts a run of activity samples into a power trace. All samples
@@ -278,16 +283,15 @@ func (m *Model) LeakageScale(tempC float64) float64 {
 	return math.Pow(2, (tempC-m.cfg.LeakRefC)/m.cfg.LeakDoubleC)
 }
 
-// LeakagePower returns the per-block leakage (W) at the given per-block
-// temperatures (°C, floorplan order).
-func (m *Model) LeakagePower(blockTempC []float64) ([]float64, error) {
-	if len(blockTempC) != m.fp.N() {
-		return nil, fmt.Errorf("power: got %d temperatures, floorplan has %d", len(blockTempC), m.fp.N())
+// LeakagePower writes the per-block leakage (W) at the given per-block
+// temperatures (°C, floorplan order) into leak.
+func (m *Model) LeakagePower(blockTempC, leak []float64) error {
+	if len(blockTempC) != m.fp.N() || len(leak) != m.fp.N() {
+		return fmt.Errorf("power: got %d temperatures and %d blocks to fill, floorplan has %d", len(blockTempC), len(leak), m.fp.N())
 	}
-	out := make([]float64, m.fp.N())
 	for bi, b := range m.fp.Blocks {
 		base := m.cfg.LeakageW * b.Area() / m.totalArea
-		out[bi] = base * m.LeakageScale(blockTempC[bi])
+		leak[bi] = base * m.LeakageScale(blockTempC[bi])
 	}
-	return out, nil
+	return nil
 }

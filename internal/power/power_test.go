@@ -157,8 +157,8 @@ func TestLeakageScaling(t *testing.T) {
 	for i := range temps {
 		temps[i] = m.cfg.LeakRefC
 	}
-	leak, err := m.LeakagePower(temps)
-	if err != nil {
+	leak := make([]float64, m.fp.N())
+	if err := m.LeakagePower(temps, leak); err != nil {
 		t.Fatal(err)
 	}
 	var total float64
@@ -168,8 +168,11 @@ func TestLeakageScaling(t *testing.T) {
 	if math.Abs(total-m.cfg.LeakageW) > 1e-9 {
 		t.Fatalf("reference leakage sums to %g, want %g", total, m.cfg.LeakageW)
 	}
-	if _, err := m.LeakagePower(temps[:3]); err == nil {
-		t.Fatal("length mismatch should error")
+	if err := m.LeakagePower(temps[:3], leak); err == nil {
+		t.Fatal("temperature length mismatch should error")
+	}
+	if err := m.LeakagePower(temps, leak[:3]); err == nil {
+		t.Fatal("output length mismatch should error")
 	}
 }
 
@@ -205,16 +208,21 @@ func TestActivityPowerReassemblesBlockPower(t *testing.T) {
 	m, samples := gccTrace(t, 200_000, 10_000)
 	s := samples[0]
 	wallDT := float64(s.Cycles) / m.Config().ClockHz
-	dyn, static, err := m.ActivityPower(s, wallDT)
-	if err != nil {
+	n := m.Floorplan().N()
+	dyn := make([]float64, n)
+	for i := range dyn {
+		dyn[i] = math.NaN() // ActivityPower overwrites, never accumulates
+	}
+	if err := m.ActivityPower(s, wallDT, dyn); err != nil {
 		t.Fatal(err)
 	}
-	refC := make([]float64, m.Floorplan().N())
+	static := m.StaticPower()
+	refC := make([]float64, n)
 	for i := range refC {
 		refC[i] = m.Config().LeakRefC
 	}
-	leak, err := m.LeakagePower(refC)
-	if err != nil {
+	leak := make([]float64, n)
+	if err := m.LeakagePower(refC, leak); err != nil {
 		t.Fatal(err)
 	}
 	want := m.BlockPower(s)
@@ -224,20 +232,20 @@ func TestActivityPowerReassemblesBlockPower(t *testing.T) {
 			t.Fatalf("block %d: dyn+static+leak = %g, BlockPower = %g (Δ %g)", bi, got, want[bi], d)
 		}
 	}
-	// Stretching the wall interval dilutes only the dynamic part.
-	dyn2, static2, err := m.ActivityPower(s, 2*wallDT)
-	if err != nil {
+	// Stretching the wall interval dilutes the dynamic part.
+	dyn2 := make([]float64, n)
+	if err := m.ActivityPower(s, 2*wallDT, dyn2); err != nil {
 		t.Fatal(err)
 	}
 	for bi := range dyn {
 		if math.Abs(dyn2[bi]-dyn[bi]/2) > 1e-12*math.Max(1, dyn[bi]) {
 			t.Fatalf("block %d: doubling wallDT should halve dynamic power", bi)
 		}
-		if static2[bi] != static[bi] {
-			t.Fatalf("block %d: static power must not depend on wallDT", bi)
-		}
 	}
-	if _, _, err := m.ActivityPower(s, 0); err == nil {
+	if err := m.ActivityPower(s, 0, dyn); err == nil {
 		t.Fatal("zero interval should fail")
+	}
+	if err := m.ActivityPower(s, wallDT, dyn[:3]); err == nil {
+		t.Fatal("length mismatch should fail")
 	}
 }

@@ -149,8 +149,10 @@ type Compiled struct {
 
 	sensorIdx []int
 	sensorOff []float64
-	// flatLeak is the reference-temperature leakage vector (nil without
-	// workload phases), precomputed so flat-leakage steps allocate nothing.
+	// static is the workload phases' always-on power and flatLeak their
+	// reference-temperature leakage (both nil without workload phases),
+	// precomputed because neither depends on the step.
+	static   []float64
 	flatLeak []float64
 
 	// nominal (unthrottled) schedule statistics from the compile-time
@@ -231,7 +233,9 @@ func Compile(spec *Spec, opts Options) (*Compiled, error) {
 		if err != nil {
 			return nil, specErrf("floorplan", "workload phases need the EV6 block set: %v", err)
 		}
-		if c.flatLeak, err = c.pm.LeakagePower(c.refTemps()); err != nil {
+		c.static = c.pm.StaticPower()
+		c.flatLeak = make([]float64, c.fp.N())
+		if err := c.pm.LeakagePower(c.refTemps(), c.flatLeak); err != nil {
 			return nil, err
 		}
 	}
@@ -432,7 +436,7 @@ func (c *Compiled) compilePhase(i int, p Phase) (compiledPhase, error) {
 	switch {
 	case p.Workload != "":
 		cp.kind = phaseWorkload
-		cp.workload = uarch.Workloads()[p.Workload]
+		cp.workload, _ = uarch.Preset(p.Workload)
 		cp.seed = c.spec.Seed + int64(i)
 		cp.cyclesPerStep = c.dt * c.pm.Config().ClockHz
 		if cp.cyclesPerStep < 1 {
@@ -484,9 +488,11 @@ type producer struct {
 	entered int // phases entered so far
 
 	// workload phase state: the CPU, taken from livePool at the first
-	// workload phase and reset at each entry, and the cycles it owes
+	// workload phase and reset at each entry, the cycles it owes, and the
+	// scratch for temperature-dependent leakage
 	targetCycles float64
 	live         *liveCPU
+	leak         []float64
 }
 
 // liveCPU is a workload phase's CPU with the stream it executes.
@@ -581,18 +587,21 @@ func (p *producer) next(blockPower []float64, progress, vScale, sScale, rowScale
 				}
 			}
 		}
-		dyn, static, err := c.pm.ActivityPower(agg, c.dt)
-		if err != nil {
+		if err := c.pm.ActivityPower(agg, c.dt, blockPower); err != nil {
 			return 0, err
 		}
 		leak := c.flatLeak
 		if leakTempsC != nil {
-			if leak, err = c.pm.LeakagePower(leakTempsC); err != nil {
+			if p.leak == nil {
+				p.leak = make([]float64, len(blockPower))
+			}
+			leak = p.leak
+			if err := c.pm.LeakagePower(leakTempsC, leak); err != nil {
 				return 0, err
 			}
 		}
-		for bi := range blockPower {
-			blockPower[bi] = dyn[bi]*vScale + static[bi]*sScale + leak[bi]
+		for bi, dyn := range blockPower {
+			blockPower[bi] = dyn*vScale + c.static[bi]*sScale + leak[bi]
 		}
 		committed = agg.Committed
 	case phaseTrace:

@@ -251,7 +251,7 @@ func (p Phase) validate(i int) error {
 	sources := 0
 	if p.Workload != "" {
 		sources++
-		if _, ok := uarch.Workloads()[p.Workload]; !ok {
+		if _, ok := uarch.Preset(p.Workload); !ok {
 			return specErrf(field("workload"), "unknown workload %q (have gcc, mcf, art)", p.Workload)
 		}
 	}

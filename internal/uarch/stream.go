@@ -410,7 +410,16 @@ func ART() Workload {
 	}
 }
 
-// Workloads returns all presets by name.
-func Workloads() map[string]Workload {
-	return map[string]Workload{"gcc": GCC(), "mcf": MCF(), "art": ART()}
+// Preset returns the named workload preset ("gcc", "mcf" or "art"),
+// building only that one.
+func Preset(name string) (Workload, bool) {
+	switch name {
+	case "gcc":
+		return GCC(), true
+	case "mcf":
+		return MCF(), true
+	case "art":
+		return ART(), true
+	}
+	return Workload{}, false
 }

@@ -96,10 +96,17 @@ func TestBPredPatternLearning(t *testing.T) {
 }
 
 func TestWorkloadValidation(t *testing.T) {
-	for name, w := range Workloads() {
+	for _, name := range []string{"gcc", "mcf", "art"} {
+		w, ok := Preset(name)
+		if !ok || w.Name != name {
+			t.Fatalf("Preset(%q) = %q, %v", name, w.Name, ok)
+		}
 		if err := w.Validate(); err != nil {
 			t.Fatalf("preset %q invalid: %v", name, err)
 		}
+	}
+	if _, ok := Preset("gzip"); ok {
+		t.Fatal("unknown preset found")
 	}
 	bad := GCC()
 	bad.Transition = bad.Transition[:1]
@@ -377,7 +384,8 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 	})
 	others := map[string]Workload{"gcc": MCF(), "mcf": ART(), "art": GCC()}
-	for name, w := range Workloads() {
+	for _, w := range []Workload{GCC(), MCF(), ART()} {
+		name := w.Name
 		for _, seed := range []int64{2009, 7} {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 				fresh := newCPU(t, w, seed)

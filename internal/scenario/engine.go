@@ -22,9 +22,16 @@ import (
 // step cap from 200k (a 2M-step cell is ~2000 s of simulated time at the
 // 1 ms control interval — long thermal-cycling studies — and the batched
 // solve kernels keep it tractable); the cycle cap is unchanged.
+//
+// maxTapeInstrs caps the instructions one compiled scenario tapes (DESIGN.md
+// §6.2): a workload phase is taped only if the most instructions its first
+// entry can dispatch, uarch.CPUConfig.MaxInstrs of its nominal end cycle,
+// fit in what earlier phases left. At 9 bytes per instruction that bounds
+// a scenario's tapes to 36 MiB, and it covers 2^20 nominal cycles.
 const (
 	maxCellSteps          = 2_000_000
 	maxWorkloadCyclesCell = 1_000_000_000
+	maxTapeInstrs         = 1 << 22
 )
 
 // Options tune Compile.
@@ -37,7 +44,8 @@ type Options struct {
 	// the direct path compiles each distinct package exactly once.
 	Models func(hotspot.Config) (*hotspot.Model, error)
 	// Ctx, when non-nil, bounds the expensive parts of Compile itself — the
-	// nominal workload prepass (up to 1e9 co-simulated CPU cycles), model
+	// nominal workload prepass and its tape recording (up to 1e9
+	// co-simulated CPU cycles, checked every control step), model
 	// resolution and the initial steady solves — so a deadline or client
 	// disconnect cannot pin a serving slot in compilation. RunGrid takes its
 	// own context.
@@ -112,10 +120,14 @@ type compiledPhase struct {
 	kind  phaseKind
 	steps int
 
-	// workload
+	// workload; tapeSteps is the step count of the phase's first entry when
+	// the phase is taped (0 otherwise), and tape its record, set by the
+	// prepass
 	workload      uarch.Workload
 	seed          int64
 	cyclesPerStep float64
+	tapeSteps     int
+	tape          *uarch.Tape
 
 	// trace: rows in floorplan order (unnamed blocks zero-filled)
 	rows        [][]float64
@@ -282,6 +294,7 @@ func Compile(spec *Spec, opts Options) (*Compiled, error) {
 		if cycles > maxWorkloadCyclesCell {
 			return nil, specErrf("interval", "scenario co-simulates %.3g CPU cycles per cell, limit %d (lower power.clock_hz or the duration)", cycles, int64(maxWorkloadCyclesCell))
 		}
+		c.planTapes()
 	}
 
 	// Sensors.
@@ -477,51 +490,74 @@ func (c *Compiled) compilePhase(i int, p Phase) (compiledPhase, error) {
 	return cp, nil
 }
 
+// planTapes decides, from the spec alone, which workload phases the
+// prepass tapes: in schedule order, each phase whose first entry's worst
+// case fits what is left of maxTapeInstrs. The first entry is a phase's
+// longest: a later one repeats it in full or ends the schedule early.
+func (c *Compiled) planTapes() {
+	left := uint64(maxTapeInstrs)
+	start := 0 // the first entry's step in the schedule
+	for i := range c.phases {
+		ph := &c.phases[i]
+		steps := min(max(c.steps-start, 0), ph.steps)
+		start += ph.steps
+		if ph.kind != phaseWorkload || steps == 0 {
+			continue
+		}
+		var target float64
+		for k := 0; k < steps; k++ {
+			target += ph.cyclesPerStep
+		}
+		if n := uarch.DefaultCPU().MaxInstrs(uint64(target)); n <= left {
+			ph.tapeSteps = steps
+			left -= n
+		}
+	}
+}
+
 // producer walks the phase schedule step by step and fills per-step block
-// power. Workload phases step a live CPU whose progress is throttled by the
-// controller's engagement — the closed loop; trace and pulse phases scale
-// their rows by the policy's power multiplier.
+// power. Workload phases advance through the phase's instruction stream at
+// the pace the controller's engagement allows — the closed loop; trace and
+// pulse phases scale their rows by the policy's power multiplier.
 type producer struct {
 	c       *Compiled
 	phase   int
 	inPhase int
 	entered int // phases entered so far
 
-	// workload phase state: the CPU, taken from livePool at the first
-	// workload phase and reset at each entry, the cycles it owes, and the
-	// scratch for temperature-dependent leakage
+	// workload phase state: the cycles the phase owes so far; where its
+	// instructions come from — the phase's tape, or for an untaped phase a
+	// CPU taken from livePool at the first one and reset at each entry; and
+	// the scratch for temperature-dependent leakage
 	targetCycles float64
+	tape         uarch.TapeReader
 	live         *liveCPU
 	leak         []float64
 }
 
-// liveCPU is a workload phase's CPU with the stream it executes.
+// liveCPU is a workload phase's CPU with the stream it executes, and the
+// scratch tape the prepass records into.
 type liveCPU struct {
 	cpu    *uarch.CPU
 	stream *uarch.Stream
+	tape   uarch.Tape
 }
 
-// livePool holds the CPUs of finished producers. Every producer builds
-// uarch.DefaultCPU(), so any pooled CPU serves any phase once reset.
+// livePool holds the CPUs of the prepass and of producers of untaped
+// phases. Every CPU is uarch.DefaultCPU(), so any pooled CPU serves any
+// phase once reset.
 var livePool sync.Pool
 
-// enterPhase starts the current phase. A workload phase resets the
-// producer's CPU and stream to exactly what a fresh CPU over a fresh,
-// identically seeded stream would be: cold caches, an untrained predictor,
-// phase i's seed. Every grid cell therefore sees the same nominal
-// instruction sequence and diverges only through closed-loop throttling,
-// whichever pooled CPU it runs on.
-func (p *producer) enterPhase() {
-	p.entered++
-	ph := &p.c.phases[p.phase]
-	if ph.kind != phaseWorkload {
-		return
+// startLive readies a CPU for workload phase ph — live, else one from
+// livePool, else a new one — reset to exactly what a fresh CPU over a
+// fresh, identically seeded stream would be: cold caches, an untrained
+// predictor, the phase's seed. Which CPU runs a phase therefore never shows
+// in its result.
+func startLive(live *liveCPU, ph *compiledPhase) *liveCPU {
+	if live == nil {
+		live, _ = livePool.Get().(*liveCPU)
 	}
-	p.targetCycles = 0
-	if p.live == nil {
-		p.live, _ = livePool.Get().(*liveCPU)
-	}
-	if p.live == nil {
+	if live == nil {
 		stream, err := uarch.NewStream(ph.workload, ph.seed)
 		if err != nil {
 			panic(fmt.Sprintf("scenario: compiled workload rejected: %v", err))
@@ -530,15 +566,54 @@ func (p *producer) enterPhase() {
 		if err != nil {
 			panic(fmt.Sprintf("scenario: compiled CPU rejected: %v", err))
 		}
-		p.live = &liveCPU{cpu: cpu, stream: stream}
-		return
+		return &liveCPU{cpu: cpu, stream: stream}
 	}
-	if err := p.live.stream.Reset(ph.workload, ph.seed); err != nil {
+	if err := live.stream.Reset(ph.workload, ph.seed); err != nil {
 		panic(fmt.Sprintf("scenario: compiled workload rejected: %v", err))
 	}
-	if err := p.live.cpu.Reset(p.live.stream); err != nil {
+	if err := live.cpu.Reset(live.stream); err != nil {
 		panic(fmt.Sprintf("scenario: compiled CPU rejected: %v", err))
 	}
+	return live
+}
+
+// enterPhase starts the current phase. A workload phase starts over from
+// its first instruction: the start of its tape, or a reset CPU. Every grid
+// cell therefore sees the same nominal instruction sequence and diverges
+// only through closed-loop throttling.
+func (p *producer) enterPhase() {
+	p.entered++
+	ph := &p.c.phases[p.phase]
+	if ph.kind != phaseWorkload {
+		return
+	}
+	p.targetCycles = 0
+	if ph.tape != nil {
+		p.tape = ph.tape.Reader()
+		return
+	}
+	p.live = startLive(p.live, ph)
+}
+
+// workload advances the current workload phase until the cycle reached is
+// at least end, the step's end cycle, and returns the step's activity.
+func (p *producer) workload(ph *compiledPhase, end uint64) (uarch.ActivitySample, error) {
+	if ph.tape != nil {
+		return p.tape.ReadTo(end)
+	}
+	var agg uarch.ActivitySample
+	cpu := p.live.cpu
+	if cpu.Cycle() >= end {
+		return agg, nil
+	}
+	samples, err := cpu.Run(end-cpu.Cycle(), end-cpu.Cycle())
+	for _, s := range samples {
+		agg.Committed += s.Committed
+		for u := range agg.Counts {
+			agg.Counts[u] += s.Counts[u]
+		}
+	}
+	return agg, err
 }
 
 // release returns the producer's CPU, if it took one, to livePool. The
@@ -572,20 +647,14 @@ func (p *producer) next(blockPower []float64, progress, vScale, sScale, rowScale
 	ph := &c.phases[p.phase]
 	switch ph.kind {
 	case phaseWorkload:
+		// The step ends at cycle floor(targetCycles). A throttled cell's
+		// target never exceeds the nominal one (each term is at most
+		// cyclesPerStep, and rounding is monotone), so it never reads past
+		// the tape the nominal prepass recorded.
 		p.targetCycles += ph.cyclesPerStep * progress
-		var agg uarch.ActivitySample
-		cpu := p.live.cpu
-		if want := p.targetCycles - float64(cpu.Cycle()); want >= 1 {
-			samples, err := cpu.Run(uint64(want), uint64(want))
-			if err != nil {
-				return 0, fmt.Errorf("scenario: workload step: %w", err)
-			}
-			for _, s := range samples {
-				agg.Committed += s.Committed
-				for u := range agg.Counts {
-					agg.Counts[u] += s.Counts[u]
-				}
-			}
+		agg, err := p.workload(ph, uint64(p.targetCycles))
+		if err != nil {
+			return 0, fmt.Errorf("scenario: workload step: %w", err)
 		}
 		if err := c.pm.ActivityPower(agg, c.dt, blockPower); err != nil {
 			return 0, err
@@ -647,10 +716,14 @@ func (c *Compiled) refTemps() []float64 {
 	return ref
 }
 
-// nominalPrepass runs the schedule once without throttling to record the
-// average nominal block power (the InitialSteady operating point) and the
-// nominal committed-instruction baseline for PerfPenalty.
+// nominalPrepass records the tapes, then runs the schedule once without
+// throttling to record the average nominal block power (the InitialSteady
+// operating point) and the nominal committed-instruction baseline for
+// PerfPenalty.
 func (c *Compiled) nominalPrepass(ctx context.Context) error {
+	if err := c.recordTapes(ctx); err != nil {
+		return err
+	}
 	sums := make([]float64, c.fp.N())
 	blockPower := make([]float64, c.fp.N())
 	pr := &producer{c: c}
@@ -681,13 +754,47 @@ func (c *Compiled) nominalPrepass(ctx context.Context) error {
 	return nil
 }
 
+// recordTapes simulates the first entry of every taped workload phase once,
+// unthrottled, recording it into a pooled CPU's scratch tape, and keeps an
+// exact-size copy on the phase. Each control step's end cycle is the one
+// the nominal producer computes, so the tape ends where the prepass's last
+// step of the phase does.
+func (c *Compiled) recordTapes(ctx context.Context) error {
+	var live *liveCPU
+	defer func() {
+		if live != nil {
+			livePool.Put(live)
+		}
+	}()
+	for i := range c.phases {
+		ph := &c.phases[i]
+		if ph.tapeSteps == 0 {
+			continue
+		}
+		live = startLive(live, ph)
+		live.tape.Reset()
+		var target float64
+		for k := 0; k < ph.tapeSteps; k++ {
+			// Per step, as in the prepass proper.
+			if err := compileCtxErr(ctx); err != nil {
+				return err
+			}
+			target += ph.cyclesPerStep
+			live.cpu.Record(&live.tape, uint64(target))
+		}
+		ph.tape = live.tape.Clone()
+	}
+	return nil
+}
+
 // RunGrid co-simulates every grid cell across a worker pool (workers ≤ 0 =
 // GOMAXPROCS) and returns per-cell results indexed like Cells(). Every cell
 // is one hotspot.RunLoops job whose power fill runs the cell's control step
 // against its own live temperatures, so same-package cells share both the
 // cached backward-Euler factor and each step's factor traversal (one
 // batched solve per step for the lockstep group). Cells themselves stay
-// fully independent (own CPU state, own temperatures, own controller), and
+// fully independent (own place in each phase's tape or own CPU, own
+// temperatures, own controller), and
 // batching never changes per-column arithmetic, so the results are
 // bit-identical for any worker count. onCell, when non-nil, is called once
 // per cell as it finishes (any order, serialized) — the service's NDJSON

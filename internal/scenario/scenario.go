@@ -107,9 +107,13 @@ type Phase struct {
 	Name string `json:"name,omitempty"`
 	// Duration of the phase (s). Required, positive.
 	Duration float64 `json:"duration"`
-	// Workload names a synthetic uarch preset ("gcc", "mcf", "art"): the
-	// phase steps a private CPU instance per grid cell, so throttling
-	// changes the instruction stream's timing — the genuinely closed loop.
+	// Workload names a synthetic uarch preset ("gcc", "mcf", "art"): every
+	// grid cell runs the phase's instruction stream from its start, as far
+	// as its throttling lets it get in each step, so throttling changes the
+	// stream's timing — the genuinely closed loop. Compile simulates the
+	// stream once, unthrottled, and cells read their steps from that
+	// record; a phase too long to record steps a CPU in each cell instead,
+	// with the same result (DESIGN.md §6.2).
 	Workload string `json:"workload,omitempty"`
 	// Trace is an inline power trace sampled at the phase's own interval;
 	// it loops if shorter than the phase.

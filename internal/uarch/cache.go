@@ -7,9 +7,13 @@
 // and a dataflow pipeline model, and emits per-interval activity counts for
 // every microarchitectural unit of the EV6 floorplan. Package power converts
 // those counts into the per-block power traces consumed by the thermal
-// model; the closed-loop scenario engine (internal/scenario) steps a CPU
-// instance per DTM grid cell so throttling feeds back into the stream's
-// timing.
+// model. A CPU's run can also be recorded as a Tape, one cycle and one kind
+// byte per instruction; because splitting a run never changes the
+// simulated machine, a throttled run of the same stream is a prefix of the
+// tape cut at other cycles. The closed-loop scenario engine
+// (internal/scenario) records each workload phase once per request and
+// lets every DTM grid cell read its throttled steps from the tape, so
+// throttling feeds back into the stream's timing without a CPU per cell.
 //
 // The timing model is deliberately at the "interval simulation" altitude:
 // per-instruction dataflow with functional-unit contention and in-order

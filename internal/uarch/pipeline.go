@@ -121,9 +121,6 @@ type CPU struct {
 	// fetched is set by the first instruction after a reset, which fetches
 	// its I-cache line wherever it falls in the line.
 	fetched bool
-
-	counts    [NumUnits]uint64
-	committed uint64
 }
 
 type fuKind int
@@ -198,7 +195,7 @@ func (cfg *CPUConfig) validate() error {
 
 // Reset returns the CPU to the state NewCPU builds over stream: cold
 // caches, an untrained predictor, empty rings, idle functional units, cycle
-// zero and no counts. Only the allocations are kept.
+// zero and no instruction fetched yet. Only the allocations are kept.
 func (c *CPU) Reset(stream *Stream) error {
 	if stream == nil {
 		return fmt.Errorf("uarch: nil stream")
@@ -238,23 +235,97 @@ func (c *CPU) claimFU(kind fuKind, earliest uint64, busy int) uint64 {
 	return start
 }
 
-// memLatency performs the cache walk for a data access and returns the load-
-// to-use latency.
-func (c *CPU) memLatency(addr uint64) int {
+// memAccess performs the cache walk for a data access and returns the load-
+// to-use latency and whether the L1 D-cache missed.
+func (c *CPU) memAccess(addr uint64) (lat int, l1Miss bool) {
 	if c.l1d.Access(addr) {
-		return c.cfg.LatL1Hit
+		return c.cfg.LatL1Hit, false
 	}
-	c.counts[UL2]++
 	if c.l2.Access(addr) {
-		return c.cfg.LatL2Hit
+		return c.cfg.LatL2Hit, true
 	}
-	return c.cfg.LatMem
+	return c.cfg.LatMem, true
 }
 
-// step dispatches one instruction and advances the model.
-func (c *CPU) step() {
+// Instruction kinds. A dispatched instruction's unit activity depends only
+// on its class and on whether it fetched an I-cache line, missed the L1
+// I-cache on that fetch, or missed the L1 D-cache, so one byte holds it:
+// the class in the low three bits, then one bit per event. kindUnits turns
+// a kind into unit counts; Run counts kinds, and a Tape stores one kind per
+// instruction.
+const (
+	kindClass = 7      // mask of the InstrClass bits
+	kindFetch = 1 << 3 // fetched an I-cache line: an I-cache and an ITB access
+	kindIMiss = 1 << 4 // that fetch missed the L1 I-cache: an L2 access
+	kindDMiss = 1 << 5 // the load or store missed the L1 D-cache: an L2 access
+	numKinds  = 1 << 6
+)
+
+// kindUnits holds the unit counts of one instruction of each kind.
+var kindUnits = func() (t [numKinds][NumUnits]uint8) {
+	for k := range t {
+		u := &t[k]
+		switch InstrClass(k & kindClass) {
+		case IntALU, IntMul:
+			u[UIntExec]++
+		case FPAdd:
+			u[UFPAdd]++
+		case FPMul:
+			u[UFPMul]++
+		case Load, Store:
+			u[UDcache]++
+			u[UDTB]++
+			u[ULdStQ]++
+		case Branch:
+			u[UBpred]++
+			u[UIntExec]++
+		default:
+			continue // no instruction has this class
+		}
+		if c := InstrClass(k & kindClass); c == FPAdd || c == FPMul {
+			u[UFPMap]++
+			u[UFPQ]++
+			u[UFPReg] += 3
+		} else {
+			u[UIntMap]++
+			u[UIntQ]++
+			u[UIntReg] += 3 // two reads, one write
+		}
+		if k&kindFetch != 0 {
+			u[UIcache]++
+			u[UITB]++
+		}
+		if k&kindIMiss != 0 {
+			u[UL2]++
+		}
+		if k&kindDMiss != 0 {
+			u[UL2]++
+		}
+	}
+	return t
+}()
+
+// countKinds sums a histogram of instruction kinds into committed
+// instructions and unit counts.
+func countKinds(hist *[numKinds]uint64) (committed uint64, counts [NumUnits]uint64) {
+	for k, n := range hist {
+		if n == 0 {
+			continue
+		}
+		committed += n
+		for u, d := range &kindUnits[k] {
+			counts[u] += n * uint64(d)
+		}
+	}
+	return committed, counts
+}
+
+// step dispatches one instruction, advances the model and returns the
+// instruction's kind.
+func (c *CPU) step() uint8 {
 	in := c.stream.Next()
 	cfg := &c.cfg
+	kind := uint8(in.Class)
 
 	// Fetch bandwidth: Width instructions per cycle.
 	if c.fetchSlot >= cfg.Width {
@@ -271,10 +342,9 @@ func (c *CPU) step() {
 	lineInstrs := uint64(cfg.LineBytes / 4)
 	if in.PC/4%lineInstrs == 0 || !c.fetched {
 		c.fetched = true
-		c.counts[UIcache]++
-		c.counts[UITB]++
+		kind |= kindFetch
 		if !c.l1i.Access(in.PC) {
-			c.counts[UL2]++
+			kind |= kindIMiss
 			lat := cfg.LatL2Hit
 			if !c.l2.Access(in.PC) {
 				lat = cfg.LatMem
@@ -309,44 +379,28 @@ func (c *CPU) step() {
 	case IntALU:
 		start := c.claimFU(fuIntALU, ready, 1)
 		done = start + uint64(cfg.LatIntALU)
-		c.counts[UIntExec]++
-		c.intOverhead()
 	case IntMul:
 		start := c.claimFU(fuIntMul, ready, cfg.LatIntMul) // unpipelined
 		done = start + uint64(cfg.LatIntMul)
-		c.counts[UIntExec]++
-		c.intOverhead()
 	case FPAdd:
 		start := c.claimFU(fuFPAdd, ready, 1)
 		done = start + uint64(cfg.LatFPAdd)
-		c.counts[UFPAdd]++
-		c.fpOverhead()
 	case FPMul:
 		start := c.claimFU(fuFPMul, ready, 1)
 		done = start + uint64(cfg.LatFPMul)
-		c.counts[UFPMul]++
-		c.fpOverhead()
-	case Load:
+	case Load, Store:
 		start := c.claimFU(fuMem, ready, 1)
-		c.counts[UDcache]++
-		c.counts[UDTB]++
-		c.counts[ULdStQ]++
-		done = start + uint64(c.memLatency(in.Addr))
-		c.intOverhead()
-	case Store:
-		start := c.claimFU(fuMem, ready, 1)
-		c.counts[UDcache]++
-		c.counts[UDTB]++
-		c.counts[ULdStQ]++
-		done = start + 1 // buffered store
-		_ = c.memLatency(in.Addr)
-		c.intOverhead()
+		lat, miss := c.memAccess(in.Addr)
+		if miss {
+			kind |= kindDMiss
+		}
+		done = start + uint64(lat)
+		if in.Class == Store {
+			done = start + 1 // buffered store
+		}
 	case Branch:
 		start := c.claimFU(fuIntALU, ready, 1)
 		done = start + uint64(cfg.LatIntALU)
-		c.counts[UBpred]++
-		c.counts[UIntExec]++
-		c.intOverhead()
 		if !c.bp.Predict(in.PC, in.Taken) {
 			refill := done + uint64(cfg.MispredictPenalty)
 			if refill > c.fetchReady {
@@ -367,19 +421,7 @@ func (c *CPU) step() {
 	}
 	c.effCommit[idx] = eff
 	c.seq++
-	c.committed++
-}
-
-func (c *CPU) intOverhead() {
-	c.counts[UIntMap]++
-	c.counts[UIntQ]++
-	c.counts[UIntReg] += 3 // two reads, one write
-}
-
-func (c *CPU) fpOverhead() {
-	c.counts[UFPMap]++
-	c.counts[UFPQ]++
-	c.counts[UFPReg] += 3
+	return kind
 }
 
 // Run simulates until at least totalCycles have elapsed, flushing an
@@ -392,23 +434,19 @@ func (c *CPU) Run(totalCycles, intervalCycles uint64) ([]ActivitySample, error) 
 		return nil, fmt.Errorf("uarch: need totalCycles ≥ intervalCycles > 0")
 	}
 	var out []ActivitySample
+	var hist [numKinds]uint64
 	intervalStart := c.cycle
 	flush := func(end uint64) {
-		s := ActivitySample{
-			StartCycle: intervalStart,
-			Cycles:     end - intervalStart,
-			Committed:  c.committed,
-			Counts:     c.counts,
-		}
+		s := ActivitySample{StartCycle: intervalStart, Cycles: end - intervalStart}
+		s.Committed, s.Counts = countKinds(&hist)
 		out = append(out, s)
-		c.counts = [NumUnits]uint64{}
-		c.committed = 0
+		hist = [numKinds]uint64{}
 		intervalStart = end
 	}
 	endCycle := c.cycle + totalCycles
 	next := intervalStart + intervalCycles
 	for c.cycle < endCycle {
-		c.step()
+		hist[c.step()]++
 		for c.cycle >= next && next <= endCycle {
 			flush(next)
 			next += intervalCycles

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -209,5 +210,59 @@ func TestPhaseNameAccessible(t *testing.T) {
 	}
 	if len(found) < 2 {
 		t.Fatalf("phase transitions never happened: %v", found)
+	}
+}
+
+// TestTapeReplaysRun: a tape recorded to cycle n in uneven pieces, read
+// back to an uneven sequence of end cycles, gives every sample and cycle a
+// CPU running to the same end cycles gives, and a read past the tape's end
+// is an error. The tape never outgrows MaxInstrs, also on a one-wide
+// machine, whose bound is tightest.
+func TestTapeReplaysRun(t *testing.T) {
+	const n = 200_000
+	narrow := DefaultCPU()
+	narrow.Width = 1
+	for _, cfg := range []CPUConfig{DefaultCPU(), narrow} {
+		for _, w := range []Workload{GCC(), MCF(), ART()} {
+			s, _ := NewStream(w, 11)
+			rec, err := NewCPU(cfg, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tape Tape
+			for end := uint64(0); end < n; {
+				end = min(end+7_919, n)
+				rec.Record(&tape, end)
+			}
+			if got, bound := uint64(tape.Len()), cfg.MaxInstrs(n); got > bound {
+				t.Fatalf("%s width %d: tape holds %d instructions, MaxInstrs %d", w.Name, cfg.Width, got, bound)
+			}
+			s2, _ := NewStream(w, 11)
+			cpu, _ := NewCPU(cfg, s2)
+			r := tape.Clone().Reader()
+			rng := rand.New(rand.NewSource(3))
+			for end := uint64(0); end < n; {
+				end = min(end+uint64(rng.Intn(20_000)), n)
+				got, err := r.ReadTo(end)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ActivitySample{StartCycle: cpu.Cycle()}
+				if cpu.Cycle() < end {
+					samples, err := cpu.Run(end-cpu.Cycle(), end-cpu.Cycle())
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = samples[0]
+				}
+				if got != want || r.Cycle() != cpu.Cycle() {
+					t.Fatalf("%s width %d, end %d: tape read %+v at cycle %d, Run %+v at cycle %d",
+						w.Name, cfg.Width, end, got, r.Cycle(), want, cpu.Cycle())
+				}
+			}
+			if _, err := r.ReadTo(r.Cycle() + 1); err == nil {
+				t.Fatalf("%s: a read past the tape's end must fail", w.Name)
+			}
+		}
 	}
 }

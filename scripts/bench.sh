@@ -94,7 +94,7 @@ for procs in $BENCH_PROCS; do
   echo "== live-CPU benchmarks (-benchtime $LIVE_BENCHTIME)"
   GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkUarchThroughput$' \
     -benchmem -benchtime "$LIVE_BENCHTIME" . | tee -a "$tmp"
-  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkScenarioLiveGrid$' \
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkScenarioLiveGrid$|BenchmarkScenarioLiveGridDiverged$' \
     -benchmem -benchtime "$LIVE_BENCHTIME" ./internal/scenario | tee -a "$tmp"
 
   prev_args=()

@@ -775,7 +775,8 @@ func (c *Compiled) recordTapes(ctx context.Context) error {
 		live.tape.Reset()
 		var target float64
 		for k := 0; k < ph.tapeSteps; k++ {
-			// Per step, as in the prepass proper.
+			// Per control step, like the prepass: one step can
+			// co-simulate millions of CPU cycles.
 			if err := compileCtxErr(ctx); err != nil {
 				return err
 			}
@@ -794,12 +795,12 @@ func (c *Compiled) recordTapes(ctx context.Context) error {
 // cached backward-Euler factor and each step's factor traversal (one
 // batched solve per step for the lockstep group). Cells themselves stay
 // fully independent (own place in each phase's tape or own CPU, own
-// temperatures, own controller), and
-// batching never changes per-column arithmetic, so the results are
-// bit-identical for any worker count. onCell, when non-nil, is called once
-// per cell as it finishes (any order, serialized) — the service's NDJSON
-// streaming hook. ctx, when non-nil, aborts unfinished cells with its error
-// once cancelled; finished cells keep their results.
+// temperatures, own controller), and batching never changes per-column
+// arithmetic, so the results are bit-identical for any worker count.
+// onCell, when non-nil, is called once per cell as it finishes (any order,
+// serialized) — the service's NDJSON streaming hook. ctx, when non-nil,
+// aborts unfinished cells with its error once cancelled; finished cells
+// keep their results.
 func (c *Compiled) RunGrid(ctx context.Context, workers int, onCell func(CellResult)) []CellResult {
 	return c.runGrid(ctx, workers, onCell, nil)
 }

@@ -255,12 +255,12 @@ func TestTapeReplaysRun(t *testing.T) {
 					}
 					want = samples[0]
 				}
-				if got != want || r.Cycle() != cpu.Cycle() {
+				if got != want || r.cycle != cpu.Cycle() {
 					t.Fatalf("%s width %d, end %d: tape read %+v at cycle %d, Run %+v at cycle %d",
-						w.Name, cfg.Width, end, got, r.Cycle(), want, cpu.Cycle())
+						w.Name, cfg.Width, end, got, r.cycle, want, cpu.Cycle())
 				}
 			}
-			if _, err := r.ReadTo(r.Cycle() + 1); err == nil {
+			if _, err := r.ReadTo(r.cycle + 1); err == nil {
 				t.Fatalf("%s: a read past the tape's end must fail", w.Name)
 			}
 		}

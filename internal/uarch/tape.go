@@ -61,14 +61,11 @@ type TapeReader struct {
 // zero, as the recorded CPU was after its reset.
 func (t *Tape) Reader() TapeReader { return TapeReader{tape: t} }
 
-// Cycle returns the cycle reached after the instructions consumed so far.
-func (r *TapeReader) Cycle() uint64 { return r.cycle }
-
 // ReadTo consumes taped instructions until the cycle reached is at least
-// endCycle, stopping at the instruction where the CPU's Run stopped, and
-// returns their activity as the one sample Run(endCycle−Cycle(),
-// endCycle−Cycle()) returns. It reads nothing when the cycle already
-// reached endCycle, and fails if the tape ends first.
+// endCycle, stopping at the instruction where the recorded CPU's Run to
+// endCycle stopped, and returns their activity as the one sample that Run
+// returned. It reads nothing when the cycle already reached endCycle, and
+// fails if the tape ends first.
 func (r *TapeReader) ReadTo(endCycle uint64) (ActivitySample, error) {
 	s := ActivitySample{StartCycle: r.cycle}
 	if r.cycle >= endCycle {

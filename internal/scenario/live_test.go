@@ -220,13 +220,16 @@ func TestTapeMatchesLiveCPU(t *testing.T) {
 		u := untaped(c)
 		n := c.fp.N()
 		rng := rand.New(rand.NewSource(1))
-		patterns := map[string]func(k int) bool{
-			"always":    func(int) bool { return true },
-			"alternate": func(k int) bool { return k%2 == 1 },
-			"bursts":    func(k int) bool { return k%7 < 3 },
-			"random":    func(int) bool { return rng.Intn(2) == 0 },
-		}
-		for name, engaged := range patterns {
+		for _, pattern := range []struct {
+			name    string
+			engaged func(k int) bool
+		}{
+			{"always", func(int) bool { return true }},
+			{"alternate", func(k int) bool { return k%2 == 1 }},
+			{"bursts", func(k int) bool { return k%7 < 3 }},
+			{"random", func(int) bool { return rng.Intn(2) == 0 }},
+		} {
+			name, engaged := pattern.name, pattern.engaged
 			for _, f := range []float64{1, 0.9, 0.5, 0.25} {
 				tp, cp := &producer{c: c}, &producer{c: u}
 				got, want := make([]float64, n), make([]float64, n)

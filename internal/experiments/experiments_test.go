@@ -431,5 +431,7 @@ func TestExtDesignSpace(t *testing.T) {
 		byName["oil 10 m/s"].TauS < byName["air-sink R=0.8"].TauS) {
 		t.Fatalf("tau ordering wrong: %+v", r.Points)
 	}
+	// Every field of every design point, DTM penalty included, is pinned.
+	checkGolden(t, "designspace.golden.json", r.Points)
 	_ = r.String()
 }

@@ -122,7 +122,8 @@ type Phase struct {
 	Pulse *PulseSpec `json:"pulse,omitempty"`
 }
 
-// TraceSpec is an inline per-block power trace.
+// TraceSpec is an inline per-block power trace: one column per distinct
+// block name. Blocks it does not name dissipate nothing.
 type TraceSpec struct {
 	Names    []string    `json:"names"`
 	Interval float64     `json:"interval"`
@@ -263,6 +264,13 @@ func (p Phase) validate(i int) error {
 		sources++
 		if len(p.Trace.Names) == 0 {
 			return specErrf(field("trace.names"), "no block names")
+		}
+		seen := make(map[string]bool, len(p.Trace.Names))
+		for j, name := range p.Trace.Names {
+			if seen[name] {
+				return specErrf(fmt.Sprintf("phases[%d].trace.names[%d]", i, j), "duplicate block %q", name)
+			}
+			seen[name] = true
 		}
 		if !finitePos(p.Trace.Interval) {
 			return specErrf(field("trace.interval"), "must be a positive finite duration, got %g", p.Trace.Interval)

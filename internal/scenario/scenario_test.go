@@ -105,6 +105,12 @@ func TestHostileSpecsReturnTypedErrors(t *testing.T) {
 		s.Phases[0].Trace = &TraceSpec{Names: []string{"IntReg"}, Interval: 1e-3, Rows: [][]float64{{1, 2}}}
 		wantSpecError(t, s.Validate(), "phases[0].trace.rows[0]")
 	})
+	t.Run("duplicate trace block", func(t *testing.T) {
+		s := validSpec()
+		s.Phases[0].Pulse = nil
+		s.Phases[0].Trace = &TraceSpec{Names: []string{"IntReg", "IntReg"}, Interval: 1e-3, Rows: [][]float64{{1, 2}}}
+		wantSpecError(t, s.Validate(), "phases[0].trace.names[1]")
+	})
 	t.Run("unknown trace block", func(t *testing.T) {
 		s := validSpec()
 		s.Phases[0].Pulse = nil

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
 )
@@ -25,7 +26,7 @@ type AblationLocalHResult struct {
 
 // AblationLocalH runs the Fig. 11 sweep with and without the local-h model.
 func AblationLocalH(opt Options) (*AblationLocalHResult, error) {
-	tr, err := gccPowerTrace(8_000_000, 3_000_000)
+	tr, err := core.RunWorkload(core.WorkloadSpec{Cycles: 8_000_000, WarmupCycles: 3_000_000})
 	if err != nil {
 		return nil, err
 	}

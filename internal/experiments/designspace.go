@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/dtm"
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
@@ -40,7 +41,7 @@ func ExtDesignSpace(opt Options) (*ExtDesignSpaceResult, error) {
 	if opt.Quick {
 		cycles = 8_000_000
 	}
-	tr, err := gccPowerTrace(cycles, 3_000_000)
+	tr, err := core.RunWorkload(core.WorkloadSpec{Cycles: cycles, WarmupCycles: 3_000_000})
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
 	"repro/internal/materials"
@@ -34,7 +35,7 @@ func Fig10SteadyMaps(opt Options) (*Fig10Result, error) {
 	if opt.Quick {
 		cycles, warmup = 10_000_000, 3_000_000
 	}
-	tr, err := gccPowerTrace(cycles, warmup)
+	tr, err := core.RunWorkload(core.WorkloadSpec{Cycles: cycles, WarmupCycles: warmup})
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +107,7 @@ func Fig11FlowDirections(opt Options) (*Fig11Result, error) {
 	if opt.Quick {
 		cycles, warmup = 8_000_000, 3_000_000
 	}
-	tr, err := gccPowerTrace(cycles, warmup)
+	tr, err := core.RunWorkload(core.WorkloadSpec{Cycles: cycles, WarmupCycles: warmup})
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +167,7 @@ func Fig12TempTraces(opt Options) (*Fig12Result, error) {
 	if opt.Quick {
 		cycles, warmup = 20_000_000, 3_000_000
 	}
-	tr, err := gccPowerTrace(cycles, warmup)
+	tr, err := core.RunWorkload(core.WorkloadSpec{Cycles: cycles, WarmupCycles: warmup})
 	if err != nil {
 		return nil, err
 	}

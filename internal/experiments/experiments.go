@@ -16,9 +16,7 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
-	"repro/internal/power"
 	"repro/internal/trace"
-	"repro/internal/uarch"
 )
 
 // Options tune experiment cost.
@@ -86,35 +84,6 @@ func evAir(rconvec float64, secondary bool, ambientK float64) (*hotspot.Model, e
 		Air:       hotspot.AirSinkConfig{RConvec: rconvec},
 		Secondary: hotspot.SecondaryPathConfig{Enabled: secondary},
 	})
-}
-
-// gccPowerTrace runs the uarch+power pipeline for the gcc workload and
-// returns the per-block EV6 power trace sampled every 10K cycles (≈3.3 µs),
-// exactly as the paper's Fig. 12 setup describes. warmup cycles are run
-// first to fill caches and train the predictor.
-func gccPowerTrace(totalCycles, warmupCycles uint64) (*trace.PowerTrace, error) {
-	stream, err := uarch.NewStream(uarch.GCC(), 2009)
-	if err != nil {
-		return nil, err
-	}
-	cpu, err := uarch.NewCPU(uarch.DefaultCPU(), stream)
-	if err != nil {
-		return nil, err
-	}
-	if warmupCycles > 0 {
-		if _, err := cpu.Run(warmupCycles, warmupCycles); err != nil {
-			return nil, err
-		}
-	}
-	samples, err := cpu.Run(totalCycles, 10_000)
-	if err != nil {
-		return nil, err
-	}
-	pm, err := power.New(power.DefaultWattch(), floorplan.EV6())
-	if err != nil {
-		return nil, err
-	}
-	return pm.Trace(samples)
 }
 
 // avgPowerMap converts a trace's average to a per-block map.

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hotspot"
 )
 
@@ -235,7 +236,7 @@ func TestFig12MatchesRowReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := gccPowerTrace(20_000_000, 3_000_000) // Fig12TempTraces' quick run
+	tr, err := core.RunWorkload(core.WorkloadSpec{Cycles: 20_000_000, WarmupCycles: 3_000_000}) // Fig12TempTraces' quick run
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dtm"
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
@@ -19,7 +20,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 	fp := floorplan.EV6()
 
 	// 1. Workload → power.
-	tr, err := gccPowerTrace(6_000_000, 2_000_000)
+	tr, err := core.RunWorkload(core.WorkloadSpec{Cycles: 6_000_000, WarmupCycles: 2_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}

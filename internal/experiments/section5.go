@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
 	"repro/internal/ircam"
@@ -85,7 +86,7 @@ func Sec53SensorGranularity(opt Options) (*Sec53Result, error) {
 	if opt.Quick {
 		cycles = 8_000_000
 	}
-	tr, err := gccPowerTrace(cycles, 3_000_000)
+	tr, err := core.RunWorkload(core.WorkloadSpec{Cycles: cycles, WarmupCycles: 3_000_000})
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +179,7 @@ func Sec54PlacementInversion(opt Options) (*Sec54Result, error) {
 	if opt.Quick {
 		cycles = 8_000_000
 	}
-	tr, err := gccPowerTrace(cycles, 3_000_000)
+	tr, err := core.RunWorkload(core.WorkloadSpec{Cycles: cycles, WarmupCycles: 3_000_000})
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,11 @@
 // Package core is the high-level entry point of the reproduction (the
 // workload layer of DESIGN.md §1): it wires the synthetic workload engine
 // (uarch), the Wattch-style power model (power), the modified HotSpot
-// thermal model (hotspot) and the analysis layers (sensors, dtm, ircam)
-// into one-call scenarios reproducing the paper's §5 experimental setup.
-// The cmd/ tools and examples/ programs are thin shells over this package.
+// thermal model (hotspot) and the IR-camera inversion (ircam) into
+// one-call scenarios reproducing the paper's §5 experimental setup.
+// Closed-loop DTM runs in internal/scenario, which resolves its packages
+// through BuildConfig. The cmd/ tools and examples/ programs are thin
+// shells over this package.
 //
 // It also implements the paper's stated future-work goal (§6): ascertaining
 // the thermal response of an air-cooled chip from measurements taken under

@@ -5,14 +5,13 @@ import (
 	"math"
 )
 
-// Controller is the step-quantized DTM control law, shared by the offline
-// trace replay (Run) and the closed-loop scenario engine
-// (internal/scenario): it samples a sensor observation on a fixed step
-// schedule and latches engagement for a fixed number of steps after each
-// trigger.
+// Controller is the step-quantized DTM control law that every grid cell of
+// the closed-loop scenario engine (internal/scenario) runs: it samples a
+// sensor observation on a fixed step schedule and latches engagement for a
+// fixed number of steps after each trigger.
 //
 // Quantization contract: the controller advances in units of the simulation
-// step dt (the power-trace interval). Policy.SampleInterval and
+// step dt (the scenario's control interval). Policy.SampleInterval and
 // Policy.EngageDuration are quantized to a whole number of steps by rounding
 // half-up (math.Round), with a minimum of one step. A 3.3e-4 s sampling
 // interval on 1e-4 s steps therefore samples every 3 steps (3.0e-4 s

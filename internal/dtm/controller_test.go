@@ -1,12 +1,6 @@
 package dtm
 
-import (
-	"testing"
-
-	"repro/internal/floorplan"
-	"repro/internal/hotspot"
-	"repro/internal/trace"
-)
+import "testing"
 
 // TestControllerQuantizesRoundHalfUp: SampleInterval and EngageDuration
 // quantize to whole trace steps by rounding half-up, never below one step.
@@ -75,37 +69,5 @@ func TestControllerEngagementLatch(t *testing.T) {
 	}
 	if c.Observe(12, 60); c.Engagements() != 2 {
 		t.Fatal("below-trigger observation must not engage")
-	}
-}
-
-// TestRunNonIntegerSampleRatio is the regression test for the quantization
-// fix: a 3.3e-4 s sampling interval on a 1e-4 s trace behaves exactly like
-// the 3.0e-4 s interval it rounds to, instead of drifting between 3- and
-// 4-step gaps through float accumulation.
-func TestRunNonIntegerSampleRatio(t *testing.T) {
-	fp := floorplan.EV6()
-	m := evModel(t, hotspot.OilSilicon, 1.0)
-	tr, err := trace.PulseTrain(fp.Names(), "IntReg", 3.0, 3e-3, 7e-3, 1e-4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(sample float64) Metrics {
-		p := basePolicy()
-		p.TriggerC = 55
-		p.SampleInterval = sample
-		p.EngageDuration = 2e-3
-		met, _, err := Run(Config{Model: m, Trace: tr, Policy: p, EmergencyC: 1000, InitialSteady: true}, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return met
-	}
-	got := run(3.3e-4)
-	want := run(3.0e-4)
-	if got != want {
-		t.Fatalf("3.3e-4 s sampling on 1e-4 s steps should equal the rounded 3.0e-4 s schedule:\n got %+v\nwant %+v", got, want)
-	}
-	if up, four := run(3.5e-4), run(4.0e-4); up != four {
-		t.Fatalf("3.5e-4 s sampling should round half-up to 4 steps:\n got %+v\nwant %+v", up, four)
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dtm"
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -47,6 +47,11 @@ func ExtDesignSpace(opt Options) (*ExtDesignSpaceResult, error) {
 	}
 	powers := avgPowerMap(tr)
 	fp := floorplan.EV6()
+	pulse, err := pulseOverloadTrace(fp)
+	if err != nil {
+		return nil, err
+	}
+	pulseAvg := avgPowerMap(pulse)
 
 	type cfgSpec struct {
 		name string
@@ -78,29 +83,34 @@ func ExtDesignSpace(opt Options) (*ExtDesignSpaceResult, error) {
 		// this package cost? The trigger sits a fixed margin above the
 		// pulse workload's own baseline so every package faces the same
 		// headroom.
-		pulse, err := pulseOverloadTrace(fp)
-		if err != nil {
-			return nil, err
-		}
-		pulseAvg := avgPowerMap(pulse)
 		pulseVec, err := m.PowerVector(pulseAvg)
 		if err != nil {
 			return nil, err
 		}
 		_, pulseBase := m.SteadyState(pulseVec).Hottest()
-		metrics, _, err := dtm.Run(dtm.Config{
-			Model: m, Trace: pulse,
-			Policy: dtm.Policy{
-				TriggerC:       pulseBase + 1.5,
-				EngageDuration: 10e-3,
-				SampleInterval: 1e-3,
-				PerfFactor:     0.5,
-			},
+		// The loop is a one-cell scenario whose resolver hands back this
+		// design point's model whatever its package spec resolves to:
+		// microchannel is not a core.BuildConfig kind, and adding one would
+		// open microchannel cooling to served scenarios.
+		c, err := scenario.Compile(&scenario.Spec{
+			Interval:      pulse.Interval,
 			EmergencyC:    pulseBase + 50,
 			InitialSteady: true,
-		}, "")
+			Phases:        []scenario.Phase{tracePhase(pulse)},
+			Packages:      []scenario.PackageSpec{{Label: spec.name}},
+			Policies: scenario.PolicyGrid{
+				TriggerC:        []float64{pulseBase + 1.5},
+				EngageDurationS: []float64{10e-3},
+				SampleIntervalS: []float64{1e-3},
+				PerfFactor:      []float64{0.5},
+			},
+		}, scenario.Options{Models: func(hotspot.Config) (*hotspot.Model, error) { return m, nil }})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", spec.name, err)
+		}
+		cell := c.RunGrid(nil, 1, nil)[0]
+		if cell.Err != nil {
+			return nil, fmt.Errorf("%s: %w", spec.name, cell.Err)
 		}
 		res.Points = append(res.Points, DesignPoint{
 			Name:         spec.name,
@@ -109,7 +119,7 @@ func ExtDesignSpace(opt Options) (*ExtDesignSpaceResult, error) {
 			MaxC:         maxC,
 			SpreadC:      ss.Spread(),
 			TauS:         m.DominantTimeConstant(),
-			DTMPenalty:   metrics.PerfPenalty,
+			DTMPenalty:   cell.Metrics.PerfPenalty,
 		})
 	}
 	return res, nil
@@ -118,6 +128,15 @@ func ExtDesignSpace(opt Options) (*ExtDesignSpaceResult, error) {
 // pulseOverloadTrace builds the shared DTM stress input.
 func pulseOverloadTrace(fp *floorplan.Floorplan) (*trace.PowerTrace, error) {
 	return trace.PulseTrain(fp.Names(), "IntReg", 3.0, 30e-3, 70e-3, 1e-3, 5)
+}
+
+// tracePhase is a scenario phase that plays tr once, one row per control
+// step when the scenario's interval is tr's.
+func tracePhase(tr *trace.PowerTrace) scenario.Phase {
+	return scenario.Phase{
+		Duration: tr.Duration(),
+		Trace:    &scenario.TraceSpec{Names: tr.Names, Interval: tr.Interval, Rows: tr.Rows},
+	}
 }
 
 func (r *ExtDesignSpaceResult) String() string {

@@ -1,14 +1,15 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dtm"
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
 	"repro/internal/ircam"
+	"repro/internal/scenario"
 	"repro/internal/sensors"
 )
 
@@ -39,7 +40,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	steady := model.SteadyState(vec)
-	hotName, hotC := steady.Hottest()
+	_, hotC := steady.Hottest()
 	if hotC <= materials45() {
 		t.Fatalf("hot spot %.1f °C below ambient", hotC)
 	}
@@ -65,28 +66,39 @@ func TestFullPipelineIntegration(t *testing.T) {
 		t.Fatal("sensor not attached to a block")
 	}
 
-	// 4. DTM closed loop using the placed sensors.
-	views := make([]dtm.SensorView, len(placed))
-	for i, s := range placed {
-		views[i] = dtm.SensorView{Block: s.Block}
-	}
-	metrics, _, err := dtm.Run(dtm.Config{
-		Model: model, Trace: tr,
-		Sensors: views,
-		Policy: dtm.Policy{
-			TriggerC:       hotC - 2,
-			EngageDuration: 5e-3,
-			SampleInterval: tr.Interval * 10,
-			PerfFactor:     0.5,
-		},
+	// 4. DTM closed loop using the placed sensors: a one-cell scenario that
+	// replays the trace, one row per control step, on the same package.
+	spec := &scenario.Spec{
+		Interval:      tr.Interval,
 		EmergencyC:    hotC + 20,
 		InitialSteady: true,
-	}, hotName)
+		Phases:        []scenario.Phase{tracePhase(tr)},
+		Packages:      []scenario.PackageSpec{{Kind: "oil-silicon", Rconv: 0.3, Direction: "left-to-right", Secondary: true}},
+		Policies: scenario.PolicyGrid{
+			TriggerC:        []float64{hotC - 2},
+			EngageDurationS: []float64{5e-3},
+			SampleIntervalS: []float64{tr.Interval * 10},
+			PerfFactor:      []float64{0.5},
+		},
+	}
+	for _, s := range placed {
+		spec.Sensors = append(spec.Sensors, scenario.Sensor{Block: s.Block})
+	}
+	loop, err := scenario.Compile(spec, scenario.Options{Models: func(cfg hotspot.Config) (*hotspot.Model, error) {
+		if cfg.Fingerprint() != model.Config().Fingerprint() {
+			return nil, errors.New("package spec differs from the steady-state model")
+		}
+		return model, nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if metrics.PeakC < 45 {
-		t.Fatalf("implausible DTM peak %.1f", metrics.PeakC)
+	cell := loop.RunGrid(nil, 1, nil)[0]
+	if cell.Err != nil {
+		t.Fatal(cell.Err)
+	}
+	if cell.Metrics.PeakC < 45 {
+		t.Fatalf("implausible DTM peak %.1f", cell.Metrics.PeakC)
 	}
 
 	// 5. IR camera over the same map: blurred max ≤ true max.

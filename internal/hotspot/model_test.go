@@ -187,6 +187,50 @@ func TestLongTermWarmupFasterForOil(t *testing.T) {
 	}
 }
 
+func TestOilRecoversSlowerThanAir(t *testing.T) {
+	// §5.1: "it takes longer to bring the processor out of potential
+	// thermal emergencies in OIL-SILICON" — after an identical burst, the
+	// oil configuration needs more time for the hot block to shed half of
+	// its excess temperature, so DTM engagements must be longer.
+	fp := floorplan.EV6()
+	recoveryTime := func(m *Model) float64 {
+		base := map[string]float64{"IntReg": 0.45}
+		burst := map[string]float64{"IntReg": 3.0}
+		pBase, err := m.PowerVector(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pBurst, err := m.PowerVector(burst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		temps := m.SteadyState(pBase).Temps
+		t0 := m.NewResult(temps).BlockC("IntReg")
+		if err := m.Transient(temps, pBurst, 15e-3, 1e-4); err != nil {
+			t.Fatal(err)
+		}
+		peak := m.NewResult(temps).BlockC("IntReg")
+		half := t0 + (peak-t0)/2
+		// Power back to base; time the decay to the halfway point.
+		const dt = 0.5e-3
+		for tm := 0.0; tm < 5.0; tm += dt {
+			if err := m.Transient(temps, pBase, dt, dt); err != nil {
+				t.Fatal(err)
+			}
+			if m.NewResult(temps).BlockC("IntReg") <= half {
+				return tm + dt
+			}
+		}
+		t.Fatalf("%v never recovered", m.Config().Package)
+		return 0
+	}
+	oil := recoveryTime(oilModel(t, fp, Uniform, 1.0, false))
+	air := recoveryTime(airModel(t, fp, 1.0, false))
+	if oil <= 2*air {
+		t.Fatalf("oil half-recovery %gs should be ≫ air %gs", oil, air)
+	}
+}
+
 func TestFlowDirectionMovesHeat(t *testing.T) {
 	// Paper §4.2/Fig. 11: a block near the leading edge is cooled best.
 	// IntReg sits near the top of the EV6 die: top-to-bottom flow must cool

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/floorplan"
 	"repro/internal/hotspot"
+	"repro/internal/trace"
 )
 
 // sweepSpec is the acceptance-criteria scenario: a bursty pulse workload on
@@ -214,8 +216,26 @@ func TestDTMReducesPeak(t *testing.T) {
 }
 
 // TestMisplacedSensorLowersCoverage: a sensor on a cool block misses
-// emergencies the oracle catches (§5.3/§5.4) — violation coverage drops.
+// emergencies the oracle catches (§5.3/§5.4) — violation coverage drops. In
+// a never-engaging pair on the burst trace, the L2 sensor under-reports by
+// far, and sensing leaves the true peak unchanged.
 func TestMisplacedSensorLowersCoverage(t *testing.T) {
+	quiet := func(block string) Metrics {
+		s := burstSpec(t, 30e-3, 70e-3, 1e-3, PolicyGrid{TriggerC: []float64{1e6}})
+		s.EmergencyC = 75
+		if block != "" {
+			s.Sensors = []Sensor{{Block: block}}
+		}
+		return runCells(t, s)[0]
+	}
+	quietOracle, quietL2 := quiet(""), quiet("L2")
+	if quietL2.ObservedPeakC >= quietOracle.ObservedPeakC-5 {
+		t.Fatalf("L2 sensor should badly under-report: %g vs oracle %g", quietL2.ObservedPeakC, quietOracle.ObservedPeakC)
+	}
+	if quietL2.PeakC != quietOracle.PeakC {
+		t.Fatalf("true peak must not depend on sensing: %g vs %g", quietL2.PeakC, quietOracle.PeakC)
+	}
+
 	air, oil := baselines(t)
 	base := max(air, oil)
 	mk := func(block string) *Spec {
@@ -227,19 +247,8 @@ func TestMisplacedSensorLowersCoverage(t *testing.T) {
 		}
 		return s
 	}
-	run := func(s *Spec) Metrics {
-		c, err := Compile(s, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := c.RunGrid(nil, 1, nil)
-		if r[0].Err != nil {
-			t.Fatal(r[0].Err)
-		}
-		return r[0].Metrics
-	}
-	oracle := run(mk(""))
-	bad := run(mk("L2"))
+	oracle := runCells(t, mk(""))[0]
+	bad := runCells(t, mk("L2"))[0]
 	if oracle.ViolationS == 0 {
 		t.Skip("burst too cool to violate in this configuration")
 	}
@@ -251,6 +260,145 @@ func TestMisplacedSensorLowersCoverage(t *testing.T) {
 	}
 	if bad.ObservedPeakC >= oracle.ObservedPeakC {
 		t.Fatal("L2 sensor should under-report the peak")
+	}
+}
+
+// burstSpec is one closed loop over a trace phase: ten periods of 3 W
+// bursts on IntReg, onS on and offS off, one row per control interval, on
+// OIL-SILICON at R_conv 1 from the average power's steady state. Unthrottled
+// at 30/70 ms it starts at 70 °C and peaks near 98 °C.
+func burstSpec(t *testing.T, onS, offS, interval float64, policies PolicyGrid) *Spec {
+	t.Helper()
+	tr, err := trace.PulseTrain(floorplan.EV6().Names(), "IntReg", 3.0, onS, offS, interval, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Spec{
+		Interval:      interval,
+		EmergencyC:    1000,
+		InitialSteady: true,
+		Phases: []Phase{{
+			Name:     "burst",
+			Duration: tr.Duration(),
+			Trace:    &TraceSpec{Names: tr.Names, Interval: tr.Interval, Rows: tr.Rows},
+		}},
+		Packages: []PackageSpec{{Kind: "oil-silicon", Rconv: 1}},
+		Policies: policies,
+	}
+}
+
+// runCells compiles spec and runs its grid serially, failing on any error.
+func runCells(t *testing.T, spec *Spec) []Metrics {
+	t.Helper()
+	c, err := Compile(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Metrics
+	for _, r := range c.RunGrid(nil, 1, nil) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		out = append(out, r.Metrics)
+	}
+	return out
+}
+
+// TestBurstPolicyAxes spans the trigger, sampling and actuator axes in one
+// grid on the burst trace. At the same performance factor DVFS cuts power
+// cubically and peaks lower than fetch gating; a 50 ms sampler sees a
+// couple of instants per 100 ms burst period, so it throttles less and runs
+// no cooler than a 1 ms one; a higher trigger throttles less and costs
+// less.
+func TestBurstPolicyAxes(t *testing.T) {
+	m := runCells(t, burstSpec(t, 30e-3, 70e-3, 1e-3, PolicyGrid{
+		TriggerC:        []float64{50, 55, 75},
+		SampleIntervalS: []float64{1e-3, 50e-3},
+		Actuators:       []string{"fetch-gate", "dvfs"},
+	}))
+	// Cells run trigger outermost, then sampling interval, then actuator.
+	at := func(trigger, sample, actuator int) Metrics { return m[(trigger*2+sample)*2+actuator] }
+
+	fetchGate, dvfs := at(1, 0, 0), at(1, 0, 1)
+	if fetchGate.EngagedS == 0 || dvfs.EngagedS == 0 {
+		t.Fatal("both actuators should engage")
+	}
+	if dvfs.PeakC >= fetchGate.PeakC {
+		t.Fatalf("DVFS peak %.2f should undercut fetch-gate %.2f", dvfs.PeakC, fetchGate.PeakC)
+	}
+
+	fast, slow := at(1, 0, 0), at(1, 1, 0)
+	if slow.EngagedS >= fast.EngagedS {
+		t.Fatalf("slow sampling should throttle less: %g vs %g s", slow.EngagedS, fast.EngagedS)
+	}
+	if slow.PeakC < fast.PeakC-1e-9 {
+		t.Fatalf("slow sampling should not lower the peak: %.2f vs %.2f", slow.PeakC, fast.PeakC)
+	}
+
+	low, high := at(0, 0, 0), at(2, 0, 0)
+	if high.EngagedS > low.EngagedS {
+		t.Fatalf("higher trigger should engage less: %g vs %g", high.EngagedS, low.EngagedS)
+	}
+	if high.PerfPenalty > low.PerfPenalty {
+		t.Fatalf("higher trigger should cost less: %g vs %g", high.PerfPenalty, low.PerfPenalty)
+	}
+}
+
+// TestViolationAccounting: against a 60 °C limit the unthrottled burst
+// violates, and an aggressive policy (trigger 55 °C, 50 ms engagements at a
+// quarter of full speed) cuts the violation time.
+func TestViolationAccounting(t *testing.T) {
+	s := burstSpec(t, 30e-3, 70e-3, 1e-3, PolicyGrid{
+		TriggerC:        []float64{55, 1e6},
+		EngageDurationS: []float64{50e-3},
+		PerfFactor:      []float64{0.25},
+	})
+	s.EmergencyC = 60
+	m := runCells(t, s)
+	on, off := m[0], m[1]
+	if off.ViolationS == 0 {
+		t.Fatal("the unthrottled burst should violate a 60 °C limit")
+	}
+	if on.ViolationS >= off.ViolationS {
+		t.Fatalf("DTM should reduce violation time: %g vs %g", on.ViolationS, off.ViolationS)
+	}
+}
+
+// TestSensorOffsetShiftsTriggering: a sensor reading 8 °C low engages less
+// and observes a lower peak.
+func TestSensorOffsetShiftsTriggering(t *testing.T) {
+	run := func(offsetC float64) Metrics {
+		s := burstSpec(t, 30e-3, 70e-3, 1e-3, PolicyGrid{TriggerC: []float64{58}})
+		s.Sensors = []Sensor{{Block: "IntReg", OffsetC: offsetC}}
+		return runCells(t, s)[0]
+	}
+	exact, low := run(0), run(-8)
+	if low.EngagedS > exact.EngagedS {
+		t.Fatalf("under-reading sensor should engage less: %g vs %g", low.EngagedS, exact.EngagedS)
+	}
+	if low.ObservedPeakC >= exact.ObservedPeakC {
+		t.Fatal("offset must shift observations")
+	}
+}
+
+// TestGridNonIntegerSampleRatio: on 1e-4 s control steps a 3.3e-4 s sampling
+// interval behaves exactly like the 3.0e-4 s it rounds to, and 3.5e-4 s
+// exactly like 4.0e-4 s (the Controller's round-half-up contract), instead
+// of drifting between 3- and 4-step gaps; the two schedules differ.
+func TestGridNonIntegerSampleRatio(t *testing.T) {
+	m := runCells(t, burstSpec(t, 3e-3, 7e-3, 1e-4, PolicyGrid{
+		TriggerC:        []float64{55},
+		EngageDurationS: []float64{2e-3},
+		SampleIntervalS: []float64{3.0e-4, 3.3e-4, 3.5e-4, 4.0e-4},
+	}))
+	if m[1] != m[0] {
+		t.Fatalf("3.3e-4 s sampling should equal the rounded 3.0e-4 s schedule:\n got %+v\nwant %+v", m[1], m[0])
+	}
+	if m[2] != m[3] {
+		t.Fatalf("3.5e-4 s sampling should round half-up to 4 steps:\n got %+v\nwant %+v", m[2], m[3])
+	}
+	if m[1] == m[2] {
+		t.Fatal("3- and 4-step sampling schedules should differ")
 	}
 }
 

@@ -5,7 +5,9 @@
 // DTM policies, and the engine co-simulates every (package, policy) grid
 // cell in closed loop — uarch pipeline → power → hotspot thermal step →
 // sensors → dtm controller — so that throttling feeds back into the next
-// step's power, which an offline trace replay (dtm.Run) cannot represent.
+// step's power. It is the repository's one closed-loop DTM engine: the
+// experiments that replay a recorded power trace under a policy run it as
+// a one-cell scenario with a trace phase.
 // RunGrid runs every cell as one hotspot.RunLoops job, so same-package cells
 // step in lockstep through one batched solve per step, and is bit-identical
 // at any worker count; internal/service exposes it as POST

@@ -3,6 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -239,4 +240,106 @@ func TestAMDLargeGridUncapped(t *testing.T) {
 	if rn := Norm2(r) / (1 + Norm2(b)); rn > 1e-10 {
 		t.Fatalf("residual %g at n=%d", rn, n)
 	}
+}
+
+// --- reverse Cuthill-McKee ordering ---
+
+// rcmOrder returns a reverse Cuthill-McKee permutation of the matrix graph:
+// perm[k] is the original index of the k-th pivot. The ordering is a
+// breadth-first numbering from a pseudo-peripheral start, neighbours visited
+// by ascending degree, then reversed — which concentrates the profile of a
+// mesh-like graph near the diagonal and bounds Cholesky fill by the
+// bandwidth. It is the bandwidth-quality baseline the ordering tests
+// compare AMD against. Deterministic: ties break on node index, components
+// are entered in index order.
+func rcmOrder(m *CSR) []int {
+	n := m.N
+	deg := make([]int, n)
+	for i := 0; i < n; i++ {
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			if m.ColIdx[p] != i {
+				deg[i]++
+			}
+		}
+	}
+	perm := make([]int, 0, n)
+	visited := make([]bool, n)
+	level := make([]int, n)
+	scratch := make([]int, 0, 16)
+	for seed := 0; seed < n; seed++ {
+		if visited[seed] {
+			continue
+		}
+		start := pseudoPeripheral(m, seed, deg, level)
+		// Cuthill-McKee BFS from start.
+		from := len(perm)
+		perm = append(perm, start)
+		visited[start] = true
+		for q := from; q < len(perm); q++ {
+			u := perm[q]
+			scratch = scratch[:0]
+			for p := m.RowPtr[u]; p < m.RowPtr[u+1]; p++ {
+				v := m.ColIdx[p]
+				if v != u && !visited[v] {
+					visited[v] = true
+					scratch = append(scratch, v)
+				}
+			}
+			sort.Slice(scratch, func(a, b int) bool {
+				if deg[scratch[a]] != deg[scratch[b]] {
+					return deg[scratch[a]] < deg[scratch[b]]
+				}
+				return scratch[a] < scratch[b]
+			})
+			perm = append(perm, scratch...)
+		}
+	}
+	for l, r := 0, n-1; l < r; l, r = l+1, r-1 {
+		perm[l], perm[r] = perm[r], perm[l]
+	}
+	return perm
+}
+
+// pseudoPeripheral finds a node of near-maximal eccentricity in seed's
+// component by repeated BFS: start anywhere, move to a minimum-degree node
+// of the last level, stop when the eccentricity stops growing.
+func pseudoPeripheral(m *CSR, seed int, deg, level []int) int {
+	start := seed
+	ecc := -1
+	queue := make([]int, 0, 64)
+	for iter := 0; iter < 8; iter++ {
+		queue = queue[:0]
+		queue = append(queue, start)
+		level[start] = 0
+		mark := make(map[int]bool, 64)
+		mark[start] = true
+		last := start
+		for q := 0; q < len(queue); q++ {
+			u := queue[q]
+			last = u
+			for p := m.RowPtr[u]; p < m.RowPtr[u+1]; p++ {
+				v := m.ColIdx[p]
+				if v != u && !mark[v] {
+					mark[v] = true
+					level[v] = level[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+		newEcc := level[last]
+		if newEcc <= ecc {
+			break
+		}
+		ecc = newEcc
+		// Minimum-degree node on the deepest level (ties: lowest index, via
+		// BFS order determinism).
+		best := last
+		for _, u := range queue {
+			if level[u] == newEcc && (deg[u] < deg[best] || (deg[u] == deg[best] && u < best)) {
+				best = u
+			}
+		}
+		start = best
+	}
+	return start
 }

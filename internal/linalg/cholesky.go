@@ -923,214 +923,3 @@ func (c *CholeskyOperator) Shift(diag []float64) (*CholeskyOperator, error) {
 	}
 	return &CholeskyOperator{m: m2, sym: c.sym, f: f}, nil
 }
-
-// --- scalar reference kernel ---
-
-// scalarFactor is the PR 4 column-at-a-time LDLᵀ factorization, retained as
-// the in-package parity oracle for the supernodal kernels: same symbolic
-// analysis, scalar up-looking numeric phase, per-entry triangular solves.
-type scalarFactor struct {
-	rowIdx []int
-	values []float64
-	invD   []float64
-}
-
-// factorScalarLDL runs the up-looking numeric phase on the permuted matrix:
-// row k of L is the solution of a sparse triangular system whose pattern is
-// read off the elimination tree. Rejects non-positive pivots.
-func factorScalarLDL(m *CSR, sym *cholSymbolic) (*scalarFactor, error) {
-	n := sym.n
-	f := &scalarFactor{
-		rowIdx: make([]int, sym.nnzL),
-		values: make([]float64, sym.nnzL),
-		invD:   make([]float64, n),
-	}
-	y := make([]float64, n)   // dense accumulator for row k
-	flag := make([]int, n)    // step marker
-	pattern := make([]int, n) // tree path scratch
-	stack := make([]int, n)   // row pattern in topological order
-	lnz := make([]int, n)     // entries placed so far per column
-	d := make([]float64, n)   // pivots of D
-	for i := range flag {
-		flag[i] = -1
-	}
-	for k := 0; k < n; k++ {
-		top := n
-		flag[k] = k
-		row := sym.perm[k]
-		for p := m.RowPtr[row]; p < m.RowPtr[row+1]; p++ {
-			i := sym.iperm[m.ColIdx[p]]
-			if i > k {
-				continue // lower triangle of the permuted matrix: symmetric twin covers it
-			}
-			y[i] += m.Values[p]
-			ln := 0
-			for ; flag[i] != k; i = sym.parent[i] {
-				pattern[ln] = i
-				ln++
-				flag[i] = k
-			}
-			for ln > 0 {
-				ln--
-				top--
-				stack[top] = pattern[ln]
-			}
-		}
-		dk := y[k]
-		y[k] = 0
-		for s := top; s < n; s++ {
-			i := stack[s]
-			yi := y[i]
-			y[i] = 0
-			p2 := sym.colPtr[i] + lnz[i]
-			for p := sym.colPtr[i]; p < p2; p++ {
-				y[f.rowIdx[p]] -= f.values[p] * yi
-			}
-			lki := yi / d[i]
-			dk -= lki * yi
-			f.rowIdx[p2] = k
-			f.values[p2] = lki
-			lnz[i]++
-		}
-		if dk <= 0 {
-			return nil, fmt.Errorf("%w: pivot %d (node %d) is %g", ErrNotSPD, k, sym.perm[k], dk)
-		}
-		d[k] = dk
-		f.invD[k] = 1 / dk
-	}
-	return f, nil
-}
-
-// solveScalar runs the PR 4 per-entry permuted triangular solves against a
-// scalar factor (oracle for the panel solves).
-func (f *scalarFactor) solveScalar(sym *cholSymbolic, b []float64) []float64 {
-	n := sym.n
-	y := make([]float64, n)
-	for k, p := range sym.perm {
-		y[k] = b[p]
-	}
-	colPtr := sym.colPtr
-	for j := 0; j < n; j++ {
-		yj := y[j]
-		if yj == 0 {
-			continue
-		}
-		for p := colPtr[j]; p < colPtr[j+1]; p++ {
-			y[f.rowIdx[p]] -= f.values[p] * yj
-		}
-	}
-	for j := n - 1; j >= 0; j-- {
-		s := y[j] * f.invD[j]
-		for p := colPtr[j]; p < colPtr[j+1]; p++ {
-			s -= f.values[p] * y[f.rowIdx[p]]
-		}
-		y[j] = s
-	}
-	dst := make([]float64, n)
-	for k, p := range sym.perm {
-		dst[p] = y[k]
-	}
-	return dst
-}
-
-// --- reverse Cuthill-McKee ordering ---
-
-// rcmOrder returns a reverse Cuthill-McKee permutation of the matrix graph:
-// perm[k] is the original index of the k-th pivot. The ordering is a
-// breadth-first numbering from a pseudo-peripheral start, neighbours visited
-// by ascending degree, then reversed — which concentrates the profile of a
-// mesh-like graph near the diagonal and bounds Cholesky fill by the
-// bandwidth. It survives PR 5 as the bandwidth-quality baseline the ordering
-// tests compare AMD against. Deterministic: ties break on node index,
-// components are entered in index order.
-func rcmOrder(m *CSR) []int {
-	n := m.N
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			if m.ColIdx[p] != i {
-				deg[i]++
-			}
-		}
-	}
-	perm := make([]int, 0, n)
-	visited := make([]bool, n)
-	level := make([]int, n)
-	scratch := make([]int, 0, 16)
-	for seed := 0; seed < n; seed++ {
-		if visited[seed] {
-			continue
-		}
-		start := pseudoPeripheral(m, seed, deg, level)
-		// Cuthill-McKee BFS from start.
-		from := len(perm)
-		perm = append(perm, start)
-		visited[start] = true
-		for q := from; q < len(perm); q++ {
-			u := perm[q]
-			scratch = scratch[:0]
-			for p := m.RowPtr[u]; p < m.RowPtr[u+1]; p++ {
-				v := m.ColIdx[p]
-				if v != u && !visited[v] {
-					visited[v] = true
-					scratch = append(scratch, v)
-				}
-			}
-			sort.Slice(scratch, func(a, b int) bool {
-				if deg[scratch[a]] != deg[scratch[b]] {
-					return deg[scratch[a]] < deg[scratch[b]]
-				}
-				return scratch[a] < scratch[b]
-			})
-			perm = append(perm, scratch...)
-		}
-	}
-	for l, r := 0, n-1; l < r; l, r = l+1, r-1 {
-		perm[l], perm[r] = perm[r], perm[l]
-	}
-	return perm
-}
-
-// pseudoPeripheral finds a node of near-maximal eccentricity in seed's
-// component by repeated BFS: start anywhere, move to a minimum-degree node
-// of the last level, stop when the eccentricity stops growing.
-func pseudoPeripheral(m *CSR, seed int, deg, level []int) int {
-	start := seed
-	ecc := -1
-	queue := make([]int, 0, 64)
-	for iter := 0; iter < 8; iter++ {
-		queue = queue[:0]
-		queue = append(queue, start)
-		level[start] = 0
-		mark := make(map[int]bool, 64)
-		mark[start] = true
-		last := start
-		for q := 0; q < len(queue); q++ {
-			u := queue[q]
-			last = u
-			for p := m.RowPtr[u]; p < m.RowPtr[u+1]; p++ {
-				v := m.ColIdx[p]
-				if v != u && !mark[v] {
-					mark[v] = true
-					level[v] = level[u] + 1
-					queue = append(queue, v)
-				}
-			}
-		}
-		newEcc := level[last]
-		if newEcc <= ecc {
-			break
-		}
-		ecc = newEcc
-		// Minimum-degree node on the deepest level (ties: lowest index, via
-		// BFS order determinism).
-		best := last
-		for _, u := range queue {
-			if level[u] == newEcc && (deg[u] < deg[best] || (deg[u] == deg[best] && u < best)) {
-				best = u
-			}
-		}
-		start = best
-	}
-	return start
-}

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -199,4 +200,113 @@ func TestParallelFactorBitStable(t *testing.T) {
 			t.Fatalf("pivot %d: parallel %v vs serial %v", i, got.d[i], ref.d[i])
 		}
 	}
+}
+
+// --- scalar reference kernel ---
+
+// scalarFactor is the column-at-a-time LDLᵀ factorization the supernodal
+// kernels replaced, kept as their parity oracle: same symbolic analysis,
+// scalar up-looking numeric phase, per-entry triangular solves.
+type scalarFactor struct {
+	rowIdx []int
+	values []float64
+	invD   []float64
+}
+
+// factorScalarLDL runs the up-looking numeric phase on the permuted matrix:
+// row k of L is the solution of a sparse triangular system whose pattern is
+// read off the elimination tree. Rejects non-positive pivots.
+func factorScalarLDL(m *CSR, sym *cholSymbolic) (*scalarFactor, error) {
+	n := sym.n
+	f := &scalarFactor{
+		rowIdx: make([]int, sym.nnzL),
+		values: make([]float64, sym.nnzL),
+		invD:   make([]float64, n),
+	}
+	y := make([]float64, n)   // dense accumulator for row k
+	flag := make([]int, n)    // step marker
+	pattern := make([]int, n) // tree path scratch
+	stack := make([]int, n)   // row pattern in topological order
+	lnz := make([]int, n)     // entries placed so far per column
+	d := make([]float64, n)   // pivots of D
+	for i := range flag {
+		flag[i] = -1
+	}
+	for k := 0; k < n; k++ {
+		top := n
+		flag[k] = k
+		row := sym.perm[k]
+		for p := m.RowPtr[row]; p < m.RowPtr[row+1]; p++ {
+			i := sym.iperm[m.ColIdx[p]]
+			if i > k {
+				continue // lower triangle of the permuted matrix: symmetric twin covers it
+			}
+			y[i] += m.Values[p]
+			ln := 0
+			for ; flag[i] != k; i = sym.parent[i] {
+				pattern[ln] = i
+				ln++
+				flag[i] = k
+			}
+			for ln > 0 {
+				ln--
+				top--
+				stack[top] = pattern[ln]
+			}
+		}
+		dk := y[k]
+		y[k] = 0
+		for s := top; s < n; s++ {
+			i := stack[s]
+			yi := y[i]
+			y[i] = 0
+			p2 := sym.colPtr[i] + lnz[i]
+			for p := sym.colPtr[i]; p < p2; p++ {
+				y[f.rowIdx[p]] -= f.values[p] * yi
+			}
+			lki := yi / d[i]
+			dk -= lki * yi
+			f.rowIdx[p2] = k
+			f.values[p2] = lki
+			lnz[i]++
+		}
+		if dk <= 0 {
+			return nil, fmt.Errorf("%w: pivot %d (node %d) is %g", ErrNotSPD, k, sym.perm[k], dk)
+		}
+		d[k] = dk
+		f.invD[k] = 1 / dk
+	}
+	return f, nil
+}
+
+// solveScalar runs the per-entry permuted triangular solves against a
+// scalar factor (oracle for the panel solves).
+func (f *scalarFactor) solveScalar(sym *cholSymbolic, b []float64) []float64 {
+	n := sym.n
+	y := make([]float64, n)
+	for k, p := range sym.perm {
+		y[k] = b[p]
+	}
+	colPtr := sym.colPtr
+	for j := 0; j < n; j++ {
+		yj := y[j]
+		if yj == 0 {
+			continue
+		}
+		for p := colPtr[j]; p < colPtr[j+1]; p++ {
+			y[f.rowIdx[p]] -= f.values[p] * yj
+		}
+	}
+	for j := n - 1; j >= 0; j-- {
+		s := y[j] * f.invD[j]
+		for p := colPtr[j]; p < colPtr[j+1]; p++ {
+			s -= f.values[p] * y[f.rowIdx[p]]
+		}
+		y[j] = s
+	}
+	dst := make([]float64, n)
+	for k, p := range sym.perm {
+		dst[p] = y[k]
+	}
+	return dst
 }

@@ -51,9 +51,10 @@ type Floorplan struct {
 }
 
 // New builds a floorplan from blocks and validates name uniqueness and
-// geometry: sizes must be positive and all coordinates finite (a zero-area
-// block has no thermal mass and would divide the RC assembly by zero; NaN
-// or Inf geometry would poison every downstream bound and resistance).
+// geometry: sizes must be positive and all coordinates finite, far edges
+// X+Width and Y+Height included (a zero-area block has no thermal mass and
+// would divide the RC assembly by zero; NaN or Inf geometry would poison
+// every downstream bound and resistance).
 func New(blocks []Block) (*Floorplan, error) {
 	fp := &Floorplan{Blocks: blocks, byName: make(map[string]int, len(blocks))}
 	for i, b := range blocks {
@@ -63,7 +64,7 @@ func New(blocks []Block) (*Floorplan, error) {
 		if !(b.Width > 0) || !(b.Height > 0) { // also rejects NaN
 			return nil, fmt.Errorf("floorplan: block %q has non-positive size %g×%g", b.Name, b.Width, b.Height)
 		}
-		for _, v := range []float64{b.Width, b.Height, b.X, b.Y} {
+		for _, v := range []float64{b.Width, b.Height, b.X, b.Y, b.X + b.Width, b.Y + b.Height} {
 			if math.IsInf(v, 0) || math.IsNaN(v) {
 				return nil, fmt.Errorf("floorplan: block %q has non-finite geometry", b.Name)
 			}
@@ -291,7 +292,28 @@ func (fp *Floorplan) Rasterize(nx, ny int) []int {
 //
 // Fields may be separated by any run of spaces or tabs. Extra fields (the
 // optional HotSpot resistivity/capacitance overrides) are ignored.
-func Parse(r io.Reader) (*Floorplan, error) {
+func Parse(r io.Reader) (*Floorplan, error) { return parse(r, 0) }
+
+// MaxInlineBlocks bounds a floorplan that arrives as client input, an
+// inline .flp in a served request or a scenario spec: it is the block count
+// of the largest named grid, 128×128.
+const MaxInlineBlocks = 128 * 128
+
+// ParseInline parses a client-supplied .flp: it refuses the text once it
+// holds more than MaxInlineBlocks blocks, and refuses blocks that overlap.
+func ParseInline(flp string) (*Floorplan, error) {
+	fp, err := parse(strings.NewReader(flp), MaxInlineBlocks)
+	if err != nil {
+		return nil, err
+	}
+	if err := fp.ValidateNoOverlap(); err != nil {
+		return nil, err
+	}
+	return fp, nil
+}
+
+// parse reads a .flp; maxBlocks > 0 caps the block count.
+func parse(r io.Reader, maxBlocks int) (*Floorplan, error) {
 	var blocks []Block
 	sc := bufio.NewScanner(r)
 	line := 0
@@ -312,6 +334,9 @@ func Parse(r io.Reader) (*Floorplan, error) {
 				return nil, fmt.Errorf("floorplan: line %d field %d: %v", line, k+2, err)
 			}
 			vals[k] = v
+		}
+		if maxBlocks > 0 && len(blocks) == maxBlocks {
+			return nil, fmt.Errorf("floorplan: line %d: more than %d blocks", line, maxBlocks)
 		}
 		blocks = append(blocks, Block{Name: f[0], Width: vals[0], Height: vals[1], X: vals[2], Y: vals[3]})
 	}

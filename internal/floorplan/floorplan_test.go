@@ -27,6 +27,30 @@ func TestNewRejectsBad(t *testing.T) {
 	}
 }
 
+// TestNewRejectsOverflowingEdge: a block whose far edge X+Width or
+// Y+Height rounds past the largest float has no finite bounds, so New and
+// Parse refuse it.
+func TestNewRejectsOverflowingEdge(t *testing.T) {
+	for _, b := range []Block{
+		{Name: "x", Width: 1e308, Height: 1e-3, X: 1e308},
+		{Name: "y", Width: 1e-3, Height: 1e308, Y: 1e308},
+	} {
+		if _, err := New([]Block{b}); err == nil || !strings.Contains(err.Error(), "non-finite geometry") {
+			t.Fatalf("block %+v: err = %v, want non-finite geometry", b, err)
+		}
+	}
+	if _, err := Parse(strings.NewReader("a\t1e308\t1e-3\t1e308\t0\n")); err == nil {
+		t.Fatal("Parse accepted a block whose right edge overflows")
+	}
+	fp, err := New([]Block{{Name: "edge", Width: 1e308, Height: 1e-3, X: 7e307}})
+	if err != nil {
+		t.Fatalf("a far edge below the largest float must pass: %v", err)
+	}
+	if w := fp.Width(); math.IsInf(w, 0) || w != 1e308 {
+		t.Fatalf("Width() = %g", w)
+	}
+}
+
 func TestBlockGeometry(t *testing.T) {
 	b := Block{Name: "b", Width: 2, Height: 4, X: 1, Y: 3}
 	if b.Area() != 8 {

@@ -8,8 +8,9 @@ import (
 
 // FuzzParse feeds arbitrary text through the .flp parser. Invariants: never
 // panic; any floorplan the parser accepts has only finite, positive block
-// geometry (zero-area blocks and NaN/Inf coordinates must be rejected), a
-// finite bounding box, and survives the geometric helpers.
+// geometry (zero-area blocks, NaN/Inf coordinates and far edges past the
+// largest float must be rejected), a finite bounding box, and survives the
+// geometric helpers.
 func FuzzParse(f *testing.F) {
 	f.Add("a\t1e-3\t2e-3\t0\t0\nb\t1e-3\t2e-3\t1e-3\t0\n")
 	f.Add("# comment\nblk 0.016 0.016 0 0 extra fields ignored\n")
@@ -20,6 +21,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("dup\t1e-3\t1e-3\t0\t0\ndup\t1e-3\t1e-3\t1e-3\t0\n")
 	f.Add("short 1 2\n")
 	f.Add("huge\t1e300\t1e300\t-1e300\t1e300\n")
+	f.Add("a\t1e308\t1e-3\t1e308\t0\n") // X+Width overflows to +Inf
 	f.Fuzz(func(t *testing.T, data string) {
 		fp, err := Parse(strings.NewReader(data))
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -382,11 +381,8 @@ func Compile(spec *Spec, opts Options) (*Compiled, error) {
 
 func resolveFloorplan(s *Spec) (*floorplan.Floorplan, error) {
 	if s.FLP != "" {
-		fp, err := floorplan.Parse(strings.NewReader(s.FLP))
+		fp, err := floorplan.ParseInline(s.FLP)
 		if err != nil {
-			return nil, specErrf("flp", "%v", err)
-		}
-		if err := fp.ValidateNoOverlap(); err != nil {
 			return nil, specErrf("flp", "%v", err)
 		}
 		return fp, nil

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/floorplan"
 )
 
 // validSpec is a minimal well-formed pulse scenario.
@@ -34,6 +36,26 @@ func wantSpecError(t *testing.T, err error, field string) {
 	}
 	if se.Field != field {
 		t.Fatalf("want error on field %q, got %q (%v)", field, se.Field, se)
+	}
+}
+
+// TestInlineFLPBlockCap: an inline floorplan of floorplan.MaxInlineBlocks
+// blocks (the 128×128 named grid's count) resolves; one more block is a
+// *SpecError at flp.
+func TestInlineFLPBlockCap(t *testing.T) {
+	var sb strings.Builder
+	if err := floorplan.GridDie(16e-3, 16e-3, 128, 128).Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := resolveFloorplan(&Spec{FLP: sb.String()})
+	if err != nil || fp.N() != floorplan.MaxInlineBlocks {
+		t.Fatalf("%d inline blocks: %v", floorplan.MaxInlineBlocks, err)
+	}
+	sb.WriteString("extra\t1e-3\t1e-3\t20e-3\t0\n")
+	_, err = resolveFloorplan(&Spec{FLP: sb.String()})
+	wantSpecError(t, err, "flp")
+	if !strings.Contains(err.Error(), "more than 16384 blocks") {
+		t.Fatalf("error %q does not name the cap", err)
 	}
 }
 

@@ -61,7 +61,8 @@ type ModelSpec struct {
 }
 
 // maxGridSide bounds synthetic grid floorplans (128×128 blocks ≈ 33k RC
-// nodes under oil — already a stress-test size).
+// nodes under oil — already a stress-test size). Inline floorplans are held
+// to the same block count, floorplan.MaxInlineBlocks.
 const maxGridSide = 128
 
 // namedFloorplans memoizes floorplans resolved from name specs ("ev6",
@@ -80,14 +81,7 @@ const maxNamedFloorplans = 64
 // resolveFloorplan builds (or recalls) the floorplan the spec names.
 func (sp ModelSpec) resolveFloorplan() (*floorplan.Floorplan, error) {
 	if sp.FLP != "" {
-		fp, err := floorplan.Parse(strings.NewReader(sp.FLP))
-		if err != nil {
-			return nil, err
-		}
-		if err := fp.ValidateNoOverlap(); err != nil {
-			return nil, err
-		}
-		return fp, nil
+		return floorplan.ParseInline(sp.FLP)
 	}
 	namedFloorplans.Lock()
 	cached := namedFloorplans.m[sp.Floorplan]

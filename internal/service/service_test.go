@@ -716,6 +716,41 @@ func TestInlineFLPSpec(t *testing.T) {
 	}
 }
 
+// capFLP returns a 128×128-grid .flp, floorplan.MaxInlineBlocks blocks,
+// with extra more blocks set beside the grid.
+func capFLP(t *testing.T, extra int) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := floorplan.GridDie(16e-3, 16e-3, 128, 128).Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < extra; i++ {
+		fmt.Fprintf(&sb, "extra%d\t1e-3\t1e-3\t%g\t0\n", i, 20e-3+float64(i)*1e-3)
+	}
+	return sb.String()
+}
+
+// TestInlineFLPBlockCap: an inline floorplan of floorplan.MaxInlineBlocks
+// blocks (the 128×128 named grid's count) resolves; one more block answers
+// 400 naming the cap, before any model is built.
+func TestInlineFLPBlockCap(t *testing.T) {
+	if _, err := (ModelSpec{FLP: capFLP(t, 0), Package: "oil-silicon"}).Fingerprint(); err != nil {
+		t.Fatalf("%d inline blocks: %v", floorplan.MaxInlineBlocks, err)
+	}
+	over := ModelSpec{FLP: capFLP(t, 1), Package: "oil-silicon"}
+	if _, err := over.Fingerprint(); err == nil {
+		t.Fatalf("%d inline blocks: Fingerprint accepted them", floorplan.MaxInlineBlocks+1)
+	}
+	srv, ts := newTestServer(t, Config{})
+	resp, raw := postJSON(t, ts.URL+"/v1/steady", SteadyRequest{Model: over, Power: map[string]float64{"c0_0": 1}})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "more than 16384 blocks") {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if st := srv.Stats(); st.Cache.Misses != 0 {
+		t.Fatalf("cache misses %d: a refused floorplan reached the model cache", st.Cache.Misses)
+	}
+}
+
 func TestDeadlineMidReplay(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// A replay that takes far longer than the deadline (≈100 ms of stepping

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -144,10 +143,6 @@ func (fp *Floorplan) TotalArea() float64 {
 	return a
 }
 
-// geomTol is the tolerance used when comparing coordinates; floorplans are
-// expressed in meters, so a nanometer slack absorbs decimal rounding.
-const geomTol = 1e-9
-
 // Validate checks that no two blocks overlap and that the blocks tile the
 // bounding box without gaps (within tolerance). A floorplan that merely must
 // not overlap (e.g. sparse sensor sites) can use ValidateNoOverlap.
@@ -162,74 +157,6 @@ func (fp *Floorplan) Validate() error {
 	}
 	return nil
 }
-
-// ValidateNoOverlap checks pairwise that no blocks overlap.
-func (fp *Floorplan) ValidateNoOverlap() error {
-	for i := 0; i < len(fp.Blocks); i++ {
-		for j := i + 1; j < len(fp.Blocks); j++ {
-			a, b := fp.Blocks[i], fp.Blocks[j]
-			ox := overlap1D(a.X, a.X+a.Width, b.X, b.X+b.Width)
-			oy := overlap1D(a.Y, a.Y+a.Height, b.Y, b.Y+b.Height)
-			if ox > geomTol && oy > geomTol {
-				return fmt.Errorf("floorplan: blocks %q and %q overlap by %.3g×%.3g m", a.Name, b.Name, ox, oy)
-			}
-		}
-	}
-	return nil
-}
-
-func overlap1D(a0, a1, b0, b1 float64) float64 {
-	lo := math.Max(a0, b0)
-	hi := math.Min(a1, b1)
-	if hi > lo {
-		return hi - lo
-	}
-	return 0
-}
-
-// Adjacency describes two blocks sharing an edge.
-type Adjacency struct {
-	I, J int // block indices, I < J
-	// SharedLen is the length of the shared edge in meters.
-	SharedLen float64
-	// Horizontal is true when the shared edge is vertical (the blocks are
-	// left/right neighbours and heat flows horizontally between them).
-	Horizontal bool
-}
-
-// Adjacencies computes all pairs of blocks that share an edge of positive
-// length. Results are ordered deterministically.
-func (fp *Floorplan) Adjacencies() []Adjacency {
-	var out []Adjacency
-	for i := 0; i < len(fp.Blocks); i++ {
-		for j := i + 1; j < len(fp.Blocks); j++ {
-			a, b := fp.Blocks[i], fp.Blocks[j]
-			// Left/right neighbours: a's right edge touches b's left edge
-			// (or vice versa) and they overlap vertically.
-			if touches(a.X+a.Width, b.X) || touches(b.X+b.Width, a.X) {
-				if l := overlap1D(a.Y, a.Y+a.Height, b.Y, b.Y+b.Height); l > geomTol {
-					out = append(out, Adjacency{I: i, J: j, SharedLen: l, Horizontal: true})
-					continue
-				}
-			}
-			// Top/bottom neighbours.
-			if touches(a.Y+a.Height, b.Y) || touches(b.Y+b.Height, a.Y) {
-				if l := overlap1D(a.X, a.X+a.Width, b.X, b.X+b.Width); l > geomTol {
-					out = append(out, Adjacency{I: i, J: j, SharedLen: l, Horizontal: false})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(x, y int) bool {
-		if out[x].I != out[y].I {
-			return out[x].I < out[y].I
-		}
-		return out[x].J < out[y].J
-	})
-	return out
-}
-
-func touches(a, b float64) bool { return math.Abs(a-b) <= geomTol }
 
 // EdgeBlocks returns the indices of blocks touching the given die edge.
 // The edge is one of "left", "right", "top", "bottom".
@@ -296,7 +223,8 @@ func Parse(r io.Reader) (*Floorplan, error) { return parse(r, 0) }
 
 // MaxInlineBlocks bounds a floorplan that arrives as client input, an
 // inline .flp in a served request or a scenario spec: it is the block count
-// of the largest named grid, 128×128.
+// of the largest named grid, 128×128. The geometry checks are near-linear,
+// so without it nothing would bound the model such a floorplan builds.
 const MaxInlineBlocks = 128 * 128
 
 // ParseInline parses a client-supplied .flp: it refuses the text once it

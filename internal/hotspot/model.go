@@ -81,11 +81,12 @@ func (m *Model) build() error {
 	for i, b := range fp.Blocks {
 		m.blockNode[i] = m.net.AddNode("si:"+b.Name, materials.SlabCapacitance(materials.Silicon, tSi, b.Area()))
 	}
-	m.addLateral(fp, m.blockNode, materials.Silicon, tSi, m.cfg.LateralConstriction)
+	adj := fp.Adjacencies()
+	m.addLateral(adj, m.blockNode, materials.Silicon, tSi, m.cfg.LateralConstriction)
 
 	switch m.cfg.Package {
 	case AirSink:
-		if err := m.buildAirSink(); err != nil {
+		if err := m.buildAirSink(adj); err != nil {
 			return err
 		}
 	case OilSilicon:
@@ -110,8 +111,9 @@ func (m *Model) build() error {
 // combination of each block's half-extent perpendicular to the shared edge,
 // scaled by the constriction factor (see Config.LateralConstriction):
 // R = constriction · (d_i + d_j) / (k · t · w_shared).
-func (m *Model) addLateral(fp *floorplan.Floorplan, nodes []int, mat materials.Solid, thickness, constriction float64) {
-	for _, adj := range fp.Adjacencies() {
+func (m *Model) addLateral(adjs []floorplan.Adjacency, nodes []int, mat materials.Solid, thickness, constriction float64) {
+	fp := m.cfg.Floorplan
+	for _, adj := range adjs {
 		a, b := fp.Blocks[adj.I], fp.Blocks[adj.J]
 		var da, db float64
 		if adj.Horizontal {
@@ -125,8 +127,9 @@ func (m *Model) addLateral(fp *floorplan.Floorplan, nodes []int, mat materials.S
 }
 
 // buildAirSink assembles TIM, spreader (per-block center + 4 peripheral
-// nodes), lumped sink body and the convection stage.
-func (m *Model) buildAirSink() error {
+// nodes), lumped sink body and the convection stage. The spreader's centre
+// nodes couple laterally along the die's block adjacencies adj.
+func (m *Model) buildAirSink(adj []floorplan.Adjacency) error {
 	fp := m.cfg.Floorplan
 	a := m.cfg.Air
 	tSi := m.cfg.DieThickness
@@ -148,7 +151,7 @@ func (m *Model) buildAirSink() error {
 			materials.VerticalResistance(materials.Copper, a.SpreaderThickness/2, b.Area())
 		m.net.ConnectR(timNode[i], spNode[i], r)
 	}
-	m.addLateral(fp, spNode, materials.Copper, a.SpreaderThickness, 1)
+	m.addLateral(adj, spNode, materials.Copper, a.SpreaderThickness, 1)
 
 	// Spreader periphery: four trapezoidal copper regions beyond the die.
 	ring := (a.SpreaderSide - math.Max(fp.Width(), fp.Height())) / 2

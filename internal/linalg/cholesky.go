@@ -848,14 +848,17 @@ func (c *CholeskyOperator) Solve(b, dst []float64, ws *Workspace) []float64 {
 }
 
 // SolveBatch solves A·X = B for K = len(b) right-hand sides through the
-// widest applicable interleaved sweep kernels — greedily 16, then 8, then 4
-// per factor traversal, the remainder through the single-column path — so
-// a K-wide lockstep batch pays ⌈K/16⌉-ish traversals instead of K. Each
-// column's arithmetic — entry order, fused permutes, fused D⁻¹ — is
-// exactly the single Solve kernel's, so batched and
-// sequential results are bit-identical; batching changes memory traffic,
-// never arithmetic. dst (or any of its columns) may be nil; dst[k] may
-// alias b[k]. Allocation-free when dst and ws are provided.
+// widest applicable interleaved sweep kernels — greedily 16, then 8 per
+// factor traversal; a remainder of 5–7 as one 8-wide traversal, of 4 as one
+// 4-wide, of 1–3 through the single-column path (31 → 16+8+(7 run as 8)) —
+// so a K-wide lockstep batch pays ⌈K/16⌉-ish traversals instead of K. A
+// padded remainder's spare columns re-solve its first right-hand side into
+// workspace scratch and are discarded. Each column's arithmetic — entry
+// order, fused permutes, fused D⁻¹ — is exactly the single Solve kernel's,
+// so batched and sequential results are bit-identical; batching changes
+// memory traffic, never arithmetic. dst (or any of its columns) may be nil;
+// dst[k] may alias b[k] (every sweep reads all of b before it writes x).
+// Allocation-free when dst and ws are provided.
 func (c *CholeskyOperator) SolveBatch(b, dst [][]float64, ws *Workspace) [][]float64 {
 	n := c.m.N
 	kk := len(b)
@@ -886,7 +889,14 @@ func (c *CholeskyOperator) SolveBatch(b, dst [][]float64, ws *Workspace) [][]flo
 		c.solveChunk(b[k:k+8], dst[k:k+8], ws)
 		k += 8
 	}
-	if kk-k >= 4 {
+	switch r := kk - k; {
+	case r > 4:
+		// One 8-wide traversal costs less than a 4-wide one plus 1–3
+		// single ones.
+		bs, xs := ws.padTo8(b[k:], dst[k:], n)
+		c.solveChunk(bs, xs, ws)
+		k = kk
+	case r == 4:
 		c.solveChunk(b[k:k+4], dst[k:k+4], ws)
 		k += 4
 	}

@@ -56,22 +56,34 @@ func TestFactorBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestKernelSolveCounters: the workspace must attribute solves to the
-// kernel widths the greedy dispatch actually used.
+// kernel widths the dispatch actually used: greedy 16- and 8-wide passes,
+// then a 5–7 remainder as one 8-wide pass, 4 as one 4-wide and 1–3 as
+// single solves. Together the widths cover every counter slot.
 func TestKernelSolveCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 120
 	op := cholOf(t, n, spdEntries(rng, n))
-	b := make([][]float64, 31) // 16 + 8 + 4 + 3×1
-	for k := range b {
-		b[k] = make([]float64, n)
-		for i := range b[k] {
-			b[k][i] = rng.NormFloat64()
+	for _, tc := range []struct {
+		kk   int
+		want [4]int64
+	}{
+		{31, [4]int64{0, 0, 2, 1}}, // 16 + 8 + (7 run as 8)
+		{28, [4]int64{0, 1, 1, 1}}, // 16 + 8 + 4
+		{27, [4]int64{3, 0, 1, 1}}, // 16 + 8 + 3×1
+		{13, [4]int64{0, 0, 2, 0}}, // 8 + (5 run as 8)
+		{6, [4]int64{0, 0, 1, 0}},  // 6 run as 8
+	} {
+		b := make([][]float64, tc.kk)
+		for k := range b {
+			b[k] = make([]float64, n)
+			for i := range b[k] {
+				b[k][i] = rng.NormFloat64()
+			}
 		}
-	}
-	ws := &Workspace{}
-	op.SolveBatch(b, nil, ws)
-	want := [4]int64{3, 1, 1, 1}
-	if ws.KernelSolves != want {
-		t.Fatalf("kernel counters %v, want %v", ws.KernelSolves, want)
+		ws := &Workspace{}
+		op.SolveBatch(b, nil, ws)
+		if ws.KernelSolves != tc.want {
+			t.Fatalf("K=%d: kernel counters %v, want %v", tc.kk, ws.KernelSolves, tc.want)
+		}
 	}
 }

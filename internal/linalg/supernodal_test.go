@@ -102,8 +102,10 @@ func TestSupernodePartitionInvariants(t *testing.T) {
 
 // TestSolveBatchMatchesSequential: SolveBatch must agree with K successive
 // Solve calls to the last bit for every K in 1..17 — which exercises the
-// 16-, 8- and 4-wide kernels and every ragged tail — plus widths past the
-// lockstep group cap.
+// 16-, 8- and 4-wide kernels, the padded 5–7-wide remainder and every
+// ragged tail — plus widths past the lockstep group cap, both into fresh
+// destinations and in place (dst[k] aliasing b[k], as rcnet's batched step
+// solves).
 func TestSolveBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const n = 160
@@ -127,11 +129,21 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 			seq[k] = op.Solve(b[k], nil, ws)
 		}
 		got := op.SolveBatch(b, nil, &Workspace{})
-		for k := range seq {
-			for i := range seq[k] {
-				if got[k][i] != seq[k][i] {
-					t.Fatalf("K=%d: column %d row %d: batch %v vs sequential %v",
-						kk, k, i, got[k][i], seq[k][i])
+		inPlace := make([][]float64, kk)
+		for k := range b {
+			inPlace[k] = append([]float64(nil), b[k]...)
+		}
+		op.SolveBatch(inPlace, inPlace, &Workspace{})
+		for _, run := range []struct {
+			name string
+			x    [][]float64
+		}{{"fresh", got}, {"aliased", inPlace}} {
+			for k := range seq {
+				for i := range seq[k] {
+					if run.x[k][i] != seq[k][i] {
+						t.Fatalf("K=%d %s: column %d row %d: batch %v vs sequential %v",
+							kk, run.name, k, i, run.x[k][i], seq[k][i])
+					}
 				}
 			}
 		}
@@ -140,12 +152,13 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 
 // TestSolveBatchAllocationFree: the batched direct solve must not allocate
 // once workspace and destination buffers exist — through the 4-, 8- and
-// 16-wide kernels and the mixed-width tail dispatch.
+// 16-wide kernels, the padded 5–7-wide remainder and the mixed-width tail
+// dispatch.
 func TestSolveBatchAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n = 300
 	op := cholOf(t, n, spdEntries(rng, n))
-	for _, kk := range []int{4, 8, 16, 23} {
+	for _, kk := range []int{4, 5, 6, 7, 8, 13, 16, 23} {
 		b := make([][]float64, kk)
 		dst := make([][]float64, kk)
 		for k := range b {

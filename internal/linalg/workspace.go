@@ -8,6 +8,11 @@ type Workspace struct {
 	y                []float64 // direct-solve scratch (Cholesky permuted solve)
 	yb               []float64 // interleaved K-wide block (batched direct solves)
 
+	// padB and padX are the 8-wide views of a 5–7-wide batch remainder;
+	// pad receives its spare columns' solutions.
+	padB, padX [8][]float64
+	pad        []float64
+
 	// KernelSolves counts direct triangular-sweep kernel invocations made
 	// through this workspace, by kernel width: slots 0..3 are the 1-, 4-,
 	// 8- and 16-wide kernels. Per-goroutine like the rest of the workspace; callers
@@ -32,6 +37,21 @@ func (w *Workspace) batchBuf(n int) []float64 {
 		w.yb = make([]float64, n)
 	}
 	return w.yb[:n]
+}
+
+// padTo8 returns 8-wide views of the 5–7 right-hand sides b and their
+// destinations dst: the spare columns re-solve b[0] into the length-n pad
+// vector, so the caller discards them.
+func (w *Workspace) padTo8(b, dst [][]float64, n int) (bs, xs [][]float64) {
+	if cap(w.pad) < n {
+		w.pad = make([]float64, n)
+	}
+	copy(w.padB[:], b)
+	copy(w.padX[:], dst)
+	for k := len(b); k < 8; k++ {
+		w.padB[k], w.padX[k] = b[0], w.pad[:n]
+	}
+	return w.padB[:], w.padX[:]
 }
 
 // vectors returns the five length-n scratch vectors, growing them if needed.

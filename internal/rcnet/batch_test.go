@@ -287,10 +287,10 @@ func TestBatchWidthHistogram(t *testing.T) {
 	if st.Supernodes <= 0 || st.MaxPanelRows <= 0 {
 		t.Fatalf("supernodal factor stats missing: %+v", st)
 	}
-	// A width-6 group dispatches greedily onto one 4-wide kernel plus two
-	// singles per step; the per-workspace counters must surface here.
-	if st.KernelSolves["4"] != steps || st.KernelSolves["1"] != 2*steps {
-		t.Fatalf("kernel solve counters: %v, want %d×\"4\" and %d×\"1\"", st.KernelSolves, steps, 2*steps)
+	// A width-6 group runs as one padded 8-wide kernel pass per step; the
+	// per-workspace counters must surface here.
+	if st.KernelSolves["8"] != steps || st.KernelSolves["4"] != 0 || st.KernelSolves["1"] != 0 {
+		t.Fatalf("kernel solve counters: %v, want %d×\"8\" and no \"4\" or \"1\"", st.KernelSolves, steps)
 	}
 }
 

@@ -26,7 +26,8 @@ import (
 // §6.2): a workload phase is taped only if the most instructions its first
 // entry can dispatch, uarch.CPUConfig.MaxInstrs of its nominal end cycle,
 // fit in what earlier phases left. At 9 bytes per instruction that bounds
-// a scenario's tapes to 36 MiB, and it covers 2^20 nominal cycles.
+// a scenario's tapes to 36 MiB, and it covers 2^20 nominal cycles. A
+// TapeCache holds at most as many.
 const (
 	maxCellSteps          = 2_000_000
 	maxWorkloadCyclesCell = 1_000_000_000
@@ -49,6 +50,12 @@ type Options struct {
 	// disconnect cannot pin a serving slot in compilation. RunGrid takes its
 	// own context.
 	Ctx context.Context
+	// Tapes, when non-nil, keeps the workload tapes the prepass records
+	// across compiles: a taped phase whose recording the cache holds is
+	// read, not simulated. The simulation service passes one cache per
+	// server, as it does its model cache; nil records every taped phase in
+	// every compile. A recording cut short by Ctx is never cached.
+	Tapes *TapeCache
 }
 
 // Cell identifies one grid cell: a package × policy combination.
@@ -119,9 +126,10 @@ type compiledPhase struct {
 	kind  phaseKind
 	steps int
 
-	// workload; tapeSteps is the step count of the phase's first entry when
-	// the phase is taped (0 otherwise), and tape its record, set by the
-	// prepass
+	// workload, from the named preset; tapeSteps is the step count of the
+	// phase's first entry when the phase is taped (0 otherwise), and tape
+	// its record, set by the prepass
+	preset        string
 	workload      uarch.Workload
 	seed          int64
 	cyclesPerStep float64
@@ -358,7 +366,7 @@ func Compile(spec *Spec, opts Options) (*Compiled, error) {
 		c.pkgs = append(c.pkgs, compiledPackage{label: label, model: m})
 	}
 
-	if err := c.nominalPrepass(opts.Ctx); err != nil {
+	if err := c.nominalPrepass(opts.Ctx, opts.Tapes); err != nil {
 		return nil, err
 	}
 	for i := range c.pkgs {
@@ -445,6 +453,7 @@ func (c *Compiled) compilePhase(i int, p Phase) (compiledPhase, error) {
 	switch {
 	case p.Workload != "":
 		cp.kind = phaseWorkload
+		cp.preset = p.Workload
 		cp.workload, _ = uarch.Preset(p.Workload)
 		cp.seed = c.spec.Seed + int64(i)
 		cp.cyclesPerStep = c.dt * c.pm.Config().ClockHz
@@ -712,12 +721,12 @@ func (c *Compiled) refTemps() []float64 {
 	return ref
 }
 
-// nominalPrepass records the tapes, then runs the schedule once without
-// throttling to record the average nominal block power (the InitialSteady
-// operating point) and the nominal committed-instruction baseline for
-// PerfPenalty.
-func (c *Compiled) nominalPrepass(ctx context.Context) error {
-	if err := c.recordTapes(ctx); err != nil {
+// nominalPrepass takes the tapes from the cache or records them, then runs
+// the schedule once without throttling to record the average nominal block
+// power (the InitialSteady operating point) and the nominal
+// committed-instruction baseline for PerfPenalty.
+func (c *Compiled) nominalPrepass(ctx context.Context, tapes *TapeCache) error {
+	if err := c.recordTapes(ctx, tapes); err != nil {
 		return err
 	}
 	sums := make([]float64, c.fp.N())
@@ -750,21 +759,27 @@ func (c *Compiled) nominalPrepass(ctx context.Context) error {
 	return nil
 }
 
-// recordTapes simulates the first entry of every taped workload phase once,
-// unthrottled, recording it into a pooled CPU's scratch tape, and keeps an
-// exact-size copy on the phase. Each control step's end cycle is the one
-// the nominal producer computes, so the tape ends where the prepass's last
-// step of the phase does.
-func (c *Compiled) recordTapes(ctx context.Context) error {
+// recordTapes gives every taped workload phase its tape: the one cached
+// under the phase's key, or else a recording of its first entry, simulated
+// once, unthrottled, into a pooled CPU's scratch tape and kept as an
+// exact-size copy. Each control step's end cycle is the one the nominal
+// producer computes, so the tape ends where the prepass's last step of the
+// phase does. The recordings go into the cache only once all of them are
+// whole, so a compile that ctx cuts short caches nothing.
+func (c *Compiled) recordTapes(ctx context.Context, cache *TapeCache) error {
 	var live *liveCPU
 	defer func() {
 		if live != nil {
 			livePool.Put(live)
 		}
 	}()
+	var recorded []int
 	for i := range c.phases {
 		ph := &c.phases[i]
 		if ph.tapeSteps == 0 {
+			continue
+		}
+		if ph.tape = cache.get(ph.tapeKey()); ph.tape != nil {
 			continue
 		}
 		live = startLive(live, ph)
@@ -780,6 +795,11 @@ func (c *Compiled) recordTapes(ctx context.Context) error {
 			live.cpu.Record(&live.tape, uint64(target))
 		}
 		ph.tape = live.tape.Clone()
+		recorded = append(recorded, i)
+	}
+	for _, i := range recorded {
+		ph := &c.phases[i]
+		ph.tape = cache.put(ph.tapeKey(), ph.tape)
 	}
 	return nil
 }

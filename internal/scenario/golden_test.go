@@ -66,31 +66,37 @@ func TestLiveTelemetryGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var serial string
-	for _, workers := range []int{1, 4} {
-		sink := &gridSink{}
-		for _, r := range c.RunGridTelemetry(context.Background(), workers, nil, sink) {
-			if r.Err != nil {
-				t.Fatalf("workers %d cell %d: %v", workers, r.Cell.Index, r.Err)
-			}
-		}
-		var b strings.Builder
-		for _, cell := range c.Cells() {
-			for _, series := range c.TelemetrySeries(cell.Index) {
-				rows := sink.rows[series]
-				if len(rows) == 0 {
-					t.Fatalf("workers %d: series %s recorded no rows", workers, series)
-				}
-				for _, row := range rows {
-					fmt.Fprintf(&b, "%s %.17g %.17g\n", series, row.t, row.v)
-				}
-			}
-		}
-		if workers == 1 {
-			serial = b.String()
-			checkGolden(t, "testdata/live_telemetry.golden", serial)
-		} else if b.String() != serial {
-			t.Fatalf("workers %d telemetry differs from workers 1", workers)
+	serial := liveTelemetry(t, c, 1)
+	checkGolden(t, liveTelemetryGolden, serial)
+	if liveTelemetry(t, c, 4) != serial {
+		t.Fatal("workers 4 telemetry differs from workers 1")
+	}
+}
+
+// liveTelemetryGolden holds the live-CPU spec's telemetry rows.
+const liveTelemetryGolden = "testdata/live_telemetry.golden"
+
+// liveTelemetry runs c's grid at the given worker count and prints every
+// telemetry row in grid order, as the live telemetry golden holds them.
+func liveTelemetry(t *testing.T, c *Compiled, workers int) string {
+	t.Helper()
+	sink := &gridSink{}
+	for _, r := range c.RunGridTelemetry(context.Background(), workers, nil, sink) {
+		if r.Err != nil {
+			t.Fatalf("workers %d cell %d: %v", workers, r.Cell.Index, r.Err)
 		}
 	}
+	var b strings.Builder
+	for _, cell := range c.Cells() {
+		for _, series := range c.TelemetrySeries(cell.Index) {
+			rows := sink.rows[series]
+			if len(rows) == 0 {
+				t.Fatalf("workers %d: series %s recorded no rows", workers, series)
+			}
+			for _, row := range rows {
+				fmt.Fprintf(&b, "%s %.17g %.17g\n", series, row.t, row.v)
+			}
+		}
+	}
+	return b.String()
 }

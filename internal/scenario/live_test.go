@@ -34,10 +34,11 @@ func cachedModels() func(hotspot.Config) (*hotspot.Model, error) {
 	}
 }
 
-// liveRequest is one live-CPU request as the service serves it: Compile
-// through the resolver, then RunGrid.
-func liveRequest(tb testing.TB, spec *Spec, models func(hotspot.Config) (*hotspot.Model, error), workers int) []CellResult {
-	c, err := Compile(spec, Options{Models: models})
+// liveRequest is one live-CPU request: Compile through the resolver and
+// the tape cache (nil records the tapes, as direct callers do; the service
+// passes its server's cache), then RunGrid.
+func liveRequest(tb testing.TB, spec *Spec, models func(hotspot.Config) (*hotspot.Model, error), tapes *TapeCache, workers int) []CellResult {
+	c, err := Compile(spec, Options{Models: models, Tapes: tapes})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestProducerEntersEachScheduledPhaseOnce(t *testing.T) {
 func TestLiveGridPooledConcurrent(t *testing.T) {
 	spec := loadSpec(t, liveSpecPath)
 	models := cachedModels()
-	serial := liveRequest(t, spec, models, 1)
+	serial := liveRequest(t, spec, models, nil, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -128,31 +129,29 @@ func TestLiveGridPooledConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLiveGridAllocBudget: a warm live request (models cached, the
-// prepass's CPU and scratch tape pooled) allocates at most 1 MB, most of it
-// the exact-size copies of its two tapes (51,177 instructions at 9 bytes).
-// A cold one builds a CPU, whose 2 MB L2 alone holds 512 KiB of tags and
-// stamps. GC is off while measuring so the pool cannot be emptied mid-run.
+// TestLiveGridAllocBudget: a warm live request as the service serves it
+// (models and tapes cached) allocates at most 128 KiB. Recording the tapes
+// again would cost their exact-size copies alone, 51,177 instructions at 9
+// bytes (460 KB), and a cold request builds a CPU, whose 2 MB L2 alone
+// holds 512 KiB of tags and stamps. GC is off while measuring.
 func TestLiveGridAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	spec := loadSpec(t, liveSpecPath)
 	models := cachedModels()
-	liveRequest(t, spec, models, 1)
+	tapes := NewTapeCache()
+	liveRequest(t, spec, models, tapes, 1)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		liveRequest(t, spec, models, 1)
+		liveRequest(t, spec, models, tapes, 1)
 	}
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / n
 	objects := (after.Mallocs - before.Mallocs) / n
 	t.Logf("warm live request: %d B in %d objects", bytes, objects)
-	if bytes > 1<<20 {
-		t.Fatalf("warm live request allocated %d B, budget 1 MiB", bytes)
+	if bytes > 128<<10 {
+		t.Fatalf("warm live request allocated %d B, budget 128 KiB", bytes)
 	}
 }
 
@@ -331,29 +330,35 @@ func TestTapeMatchesLiveCPU(t *testing.T) {
 	})
 }
 
-// BenchmarkScenarioLiveGrid is one warm live-CPU request of the benchmark's
-// live spec, as the service serves it: Compile through a model cache, then
-// RunGrid at workers 1.
+// BenchmarkScenarioLiveGrid is one live-CPU request of the benchmark's
+// live spec that records its tapes, as a direct caller's compile or a
+// server's first request of the spec does: Compile through a model cache,
+// then RunGrid at workers 1.
 func BenchmarkScenarioLiveGrid(b *testing.B) {
-	spec := loadSpec(b, liveSpecPath)
-	models := cachedModels()
-	liveRequest(b, spec, models, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		liveRequest(b, spec, models, 1)
-	}
+	benchLiveGrid(b, loadSpec(b, liveSpecPath), nil)
 }
 
-// BenchmarkScenarioLiveGridDiverged is one warm request of the 24-cell
-// divergedSpec grid, whose cells throttle at different steps, at workers 1.
+// BenchmarkScenarioLiveGridWarmTapes is the same request as the service
+// serves a repeat of it: its tapes come from a TapeCache.
+func BenchmarkScenarioLiveGridWarmTapes(b *testing.B) {
+	benchLiveGrid(b, loadSpec(b, liveSpecPath), NewTapeCache())
+}
+
+// BenchmarkScenarioLiveGridDiverged is one request of the 24-cell
+// divergedSpec grid, whose cells throttle at different steps, at workers 1;
+// it records its tapes.
 func BenchmarkScenarioLiveGridDiverged(b *testing.B) {
-	spec := divergedSpec(b, 0)
+	benchLiveGrid(b, divergedSpec(b, 0), nil)
+}
+
+// benchLiveGrid times warm requests of spec: models cached, and tapes too
+// when tapes is non-nil.
+func benchLiveGrid(b *testing.B, spec *Spec, tapes *TapeCache) {
 	models := cachedModels()
-	liveRequest(b, spec, models, 1)
+	liveRequest(b, spec, models, tapes, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		liveRequest(b, spec, models, 1)
+		liveRequest(b, spec, models, tapes, 1)
 	}
 }

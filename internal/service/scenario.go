@@ -109,7 +109,9 @@ func cellJSON(r scenario.CellResult) ScenarioCellJSON {
 
 // compileScenario compiles a scenario request, resolving its package models
 // through the single-flight compiled-model cache (the same fingerprint
-// keying every other endpoint uses). ctx bounds the compile itself (nominal
+// keying every other endpoint uses) and its workload tapes through the
+// server's tape cache, so a repeated live-CPU spec simulates no CPU before
+// its grid runs. ctx bounds the compile itself (nominal
 // prepass, model builds, initial steady solves) so a deadline cannot pin the
 // serving slot; a compile the deadline cut short answers 504. The returned
 // cache state is "hit" iff no package needed a compile.
@@ -123,7 +125,8 @@ func (s *Server) compileScenario(ctx context.Context, req ScenarioRequest) (*sce
 	}
 	misses := 0
 	compiled, err := scenario.Compile(spec, scenario.Options{
-		Ctx: ctx,
+		Ctx:   ctx,
+		Tapes: s.tapes,
 		Models: func(cfg hotspot.Config) (*hotspot.Model, error) {
 			cm, hit, err := s.cache.Get(cfg.Fingerprint(), func() (*hotspot.Model, error) {
 				return hotspot.New(cfg)

@@ -312,3 +312,55 @@ func TestScenarioStreamGolden(t *testing.T) {
 		t.Fatalf("golden has %d lines, got %d", len(wl), len(gl))
 	}
 }
+
+// TestScenarioRepeatReadsCachedTapes: the server keeps the tapes its first
+// live-CPU request records, so the second of two identical requests
+// records none, and its NDJSON body still matches the repeat in the
+// TestScenarioStreamGolden golden byte for byte.
+func TestScenarioRepeatReadsCachedTapes(t *testing.T) {
+	spec, err := os.ReadFile(filepath.Join("..", "scenario", "testdata", "live-cpu.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "scenario_stream.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, repeat, ok := strings.Cut(string(golden), "=== live-cpu.json repeat\n")
+	if !ok {
+		t.Fatal("the golden has no live-cpu.json repeat")
+	}
+	repeat, _, _ = strings.Cut(repeat, "=== ")
+	s, ts := newTestServer(t, Config{})
+	body, err := json.Marshal(ScenarioRequest{Spec: spec, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []scenario.TapeCacheStats{
+		{Tapes: 2, Misses: 2},
+		{Tapes: 2, Misses: 2, Hits: 2},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/scenario/stream", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i+1, resp.StatusCode, raw)
+		}
+		st := s.tapes.Stats()
+		st.Instrs = 0
+		if st != want {
+			t.Fatalf("request %d: tape cache %+v, want %+v", i+1, st, want)
+		}
+		if i == 1 {
+			if got := solveMSField.ReplaceAllString(string(raw), `"solve_ms":"*"`); got != repeat {
+				t.Fatalf("repeat body differs from the golden:\n got    %s\n golden %s", got, repeat)
+			}
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/hotspot"
 	"repro/internal/ircam"
 	"repro/internal/pool"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/tstore"
 )
@@ -70,6 +71,7 @@ func (c Config) defaulted() Config {
 type Server struct {
 	cfg       Config
 	cache     *ModelCache
+	tapes     *scenario.TapeCache // live-CPU scenarios' workload tapes
 	admission *admission.Controller
 	retrier   *flushRetrier
 	metrics   *metrics
@@ -82,6 +84,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		cache: NewModelCache(cfg.CacheCap),
+		tapes: scenario.NewTapeCache(),
 		admission: admission.New(admission.Config{
 			Slots:      cfg.MaxConcurrent,
 			QueueDepth: cfg.QueueDepth,

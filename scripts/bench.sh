@@ -3,7 +3,10 @@
 #
 # Runs the solver-path micro-benchmarks (the root EV6 benchmarks, the rcnet
 # backend matrix with the N=16384/N=65536 reference-grid rows, the linalg
-# kernel benchmarks: numeric refactorization, solve-kernel widths, and the
+# kernel benchmarks: numeric refactorization, solve-kernel widths, the
+# lockstep-width rows: one backward-Euler step of a 1-, 4-, 4+1-, 5-, 6-,
+# 7- and 8-wide group on the EV6 air-sink and grid:64x64 oil factors, in
+# ns/step (5–7 run as one padded 8-wide pass), and the
 # tstore telemetry-store group: ingest rows/s — gated at ≥1M rows/s on one
 # core — plus rollup and raw query latency, and the fleet routing group:
 # bounded-load ring lookups, proxy wire overhead against no-op backends,
@@ -13,7 +16,8 @@
 # service handler rows: an 8-trace grid:64x64 sweep and a 64-block
 # grid:32x32 steady request, with B/op and allocs/op, and the live-CPU
 # rows: uarch cycles/s on gcc and one warm live-CPU scenario request of the
-# dtm-grid workload's spec, with B/op and allocs/op) and emits
+# dtm-grid workload's spec, recording its tapes and with them cached, with
+# B/op and allocs/op) and emits
 # BENCH_solver.json via cmd/benchreport:
 # ns/op, B/op, allocs/op, custom metrics, GOMAXPROCS and the commit hash.
 #
@@ -74,6 +78,8 @@ for procs in $BENCH_PROCS; do
   echo "== linalg kernel benchmarks (-benchtime $KERNEL_BENCHTIME)"
   GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkCholeskyFactorNumeric|BenchmarkSolveKernelWidths' \
     -benchmem -benchtime "$KERNEL_BENCHTIME" ./internal/linalg | tee -a "$tmp"
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkLockstepWidths' \
+    -benchmem -benchtime "$KERNEL_BENCHTIME" ./internal/hotspot | tee -a "$tmp"
 
   echo "== tstore telemetry store benchmarks (-benchtime $TSTORE_BENCHTIME)"
   GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkTstore' \
@@ -94,7 +100,7 @@ for procs in $BENCH_PROCS; do
   echo "== live-CPU benchmarks (-benchtime $LIVE_BENCHTIME)"
   GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkUarchThroughput$' \
     -benchmem -benchtime "$LIVE_BENCHTIME" . | tee -a "$tmp"
-  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkScenarioLiveGrid$|BenchmarkScenarioLiveGridDiverged$' \
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkScenarioLiveGrid$|BenchmarkScenarioLiveGridWarmTapes$|BenchmarkScenarioLiveGridDiverged$' \
     -benchmem -benchtime "$LIVE_BENCHTIME" ./internal/scenario | tee -a "$tmp"
 
   prev_args=()

@@ -42,6 +42,14 @@ func (w *Workspace) batchBuf(n int) []float64 {
 // padTo8 returns 8-wide views of the 5–7 right-hand sides b and their
 // destinations dst: the spare columns re-solve b[0] into the length-n pad
 // vector, so the caller discards them.
+//
+// It is kept out of line: inlined, it grew SolveBatch by 742 bytes, which
+// moved the sweep kernels linked after it by 32 bytes off their 64-byte
+// placement, and the 12-wide diverged live grid's RunGrid (sweep8 plus
+// sweep4 per step) measured 5% slower there (3.08 against 2.93 ms, 8
+// alternating rounds at GOMAXPROCS=1, faster in 8 of 8 out of line).
+//
+//go:noinline
 func (w *Workspace) padTo8(b, dst [][]float64, n int) (bs, xs [][]float64) {
 	if cap(w.pad) < n {
 		w.pad = make([]float64, n)

@@ -61,10 +61,12 @@ func newTapeCache(limit int) *TapeCache {
 // TapeCacheStats is a snapshot of a TapeCache.
 type TapeCacheStats struct {
 	// Tapes and Instrs count the tapes held and their instructions.
-	Tapes, Instrs int
-	// Hits counts phases a compile read from the cache; Misses counts
-	// phases it recorded.
-	Hits, Misses int64
+	Tapes  int `json:"tapes"`
+	Instrs int `json:"instrs"`
+	// Hits counts taped phases compiles read from the cache; Misses counts
+	// the ones they recorded.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 }
 
 // Stats returns a snapshot of the cache.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/pctl"
+	"repro/internal/scenario"
 	"repro/internal/tstore"
 )
 
@@ -153,6 +154,10 @@ type Stats struct {
 	Solver              SolverPathStats `json:"solver"`
 	// Degrade reports the graceful-degradation counters.
 	Degrade DegradeStats `json:"degrade"`
+	// ScenarioTapes reports the live-CPU scenarios' tape cache: a miss is
+	// a workload phase simulated to record its tape, a hit one read from
+	// an earlier request's.
+	ScenarioTapes scenario.TapeCacheStats `json:"scenario_tapes"`
 	// Admission is the per-tenant admission snapshot: quotas' effect
 	// (admitted/shed counts), queue-wait percentiles, and the live
 	// pressure/draining state.

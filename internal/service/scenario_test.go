@@ -352,7 +352,7 @@ func TestScenarioRepeatReadsCachedTapes(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i+1, resp.StatusCode, raw)
 		}
-		st := s.tapes.Stats()
+		st := s.Stats().ScenarioTapes
 		st.Instrs = 0
 		if st != want {
 			t.Fatalf("request %d: tape cache %+v, want %+v", i+1, st, want)

@@ -126,6 +126,7 @@ func (s *Server) Stats() Stats {
 	st.Admission = &adm
 	st.InFlight = int64(adm.InFlight)
 	st.Queued = int64(adm.Queued)
+	st.ScenarioTapes = s.tapes.Stats()
 	if s.retrier != nil {
 		st.Degrade.PersistRetries, st.Degrade.PersistRecovered, st.Degrade.PersistPending = s.retrier.stats()
 	}

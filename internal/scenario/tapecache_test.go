@@ -171,8 +171,10 @@ func TestTapeCacheCancelledRecording(t *testing.T) {
 
 // TestTapeCacheEviction: the cache evicts least recently used tapes first
 // and never holds more than its bound, bookkeeping charge included; a
-// tape too large for the bound is kept by its compile but not cached; and
-// a compiled scenario whose tapes were evicted still reads them exactly.
+// second recording of a cached key, as a concurrent miss makes, gets the
+// first one back; a tape too large for the bound is kept by its compile
+// but not cached; and a compiled scenario whose tapes were evicted still
+// reads them exactly.
 func TestTapeCacheEviction(t *testing.T) {
 	if got := NewTapeCache().limit; got != maxTapeInstrs {
 		t.Fatalf("cache bound %d, want maxTapeInstrs %d", got, maxTapeInstrs)
@@ -211,6 +213,9 @@ func TestTapeCacheEviction(t *testing.T) {
 	}
 	if tc.held > tc.limit || tc.held != 3*cost {
 		t.Fatalf("held %d of bound %d, want %d", tc.held, tc.limit, 3*cost)
+	}
+	if tc.put(key(2), record(20_000)) != tape || tc.held != 3*cost {
+		t.Fatal("a second insert of a cached key must return the first tape and hold nothing more")
 	}
 	big := record(200_000)
 	if big.Len()+tapeEntryInstrs <= tc.limit {

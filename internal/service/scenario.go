@@ -111,10 +111,10 @@ func cellJSON(r scenario.CellResult) ScenarioCellJSON {
 // through the single-flight compiled-model cache (the same fingerprint
 // keying every other endpoint uses) and its workload tapes through the
 // server's tape cache, so a repeated live-CPU spec simulates no CPU before
-// its grid runs. ctx bounds the compile itself (nominal
-// prepass, model builds, initial steady solves) so a deadline cannot pin the
-// serving slot; a compile the deadline cut short answers 504. The returned
-// cache state is "hit" iff no package needed a compile.
+// its grid runs. ctx bounds the compile itself (nominal prepass, model
+// builds, initial steady solves) so a deadline cannot pin the serving slot;
+// a compile the deadline cut short answers 504. The returned cache state is
+// "hit" iff no package needed a compile.
 func (s *Server) compileScenario(ctx context.Context, req ScenarioRequest) (*scenario.Compiled, string, error) {
 	if len(req.Spec) == 0 {
 		return nil, "", fmt.Errorf("missing spec")

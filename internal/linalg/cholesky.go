@@ -3,11 +3,7 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-
-	"repro/internal/pool"
 )
 
 // This file implements the sparse direct solver: an approximate-
@@ -139,16 +135,7 @@ type cholSymbolic struct {
 	// updaters[s] lists the supernodes whose row pattern intersects s's
 	// columns, ascending — exactly the panels whose outer products must be
 	// subtracted from s's panel, applied in this (deterministic) order.
-	// levels is a topological level schedule over that DAG: supernodes
-	// within a level touch disjoint panels and parallelize freely.
 	updaters [][]int32
-	levels   [][]int32
-
-	// updCost[s] estimates the multiply-add count of s's scheduled panel
-	// updates. It drives updateChunk's within-panel split of expensive
-	// panels across workers; a pure function of the pattern, so every
-	// factorization of this analysis tiles identically.
-	updCost []int64
 }
 
 // NNZL returns the number of strictly-lower-triangular entries in the
@@ -425,55 +412,16 @@ func (sym *cholSymbolic) partitionSupernodes(m *CSR, counts []int) {
 	// Update schedule: supernode d updates every supernode owning one of
 	// its rows in column range. Rows are sorted and supernodes are
 	// contiguous column ranges, so same-target rows are consecutive;
-	// iterating d ascending leaves each updaters list ascending. Alongside,
-	// accumulate each target's estimated update flops (for a run of nq
-	// target columns starting at row index q0 of d: dw pivots × nq columns ×
-	// (len(rd)−q0) rows, the trapezoid the update kernel walks).
+	// iterating d ascending leaves each updaters list ascending.
 	sym.updaters = make([][]int32, ns)
-	sym.updCost = make([]int64, ns)
 	for d := 0; d < ns; d++ {
-		dw := int64(sym.snStart[d+1] - sym.snStart[d])
-		rd := sym.rows[d]
 		lastS := int32(-1)
-		runStart := 0
-		for qi, r := range rd {
-			s := sym.snOf[r]
-			if s != lastS {
-				if lastS >= 0 {
-					nq := int64(qi - runStart)
-					sym.updCost[lastS] += dw * nq * int64(len(rd)-runStart)
-				}
+		for _, r := range sym.rows[d] {
+			if s := sym.snOf[r]; s != lastS {
 				sym.updaters[s] = append(sym.updaters[s], int32(d))
 				lastS = s
-				runStart = qi
 			}
 		}
-		if lastS >= 0 {
-			nq := int64(len(rd) - runStart)
-			sym.updCost[lastS] += dw * nq * int64(len(rd)-runStart)
-		}
-	}
-
-	// Level schedule: level(s) = 1 + max level of its updaters (all of
-	// which precede s). Supernodes within a level have all dependencies in
-	// earlier levels and factor in parallel.
-	level := make([]int32, ns)
-	maxLevel := int32(0)
-	for s := 0; s < ns; s++ {
-		lv := int32(0)
-		for _, d := range sym.updaters[s] {
-			if l := level[d] + 1; l > lv {
-				lv = l
-			}
-		}
-		level[s] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	sym.levels = make([][]int32, maxLevel+1)
-	for s := 0; s < ns; s++ {
-		sym.levels[level[s]] = append(sym.levels[level[s]], int32(s))
 	}
 }
 
@@ -494,72 +442,22 @@ type cholFactor struct {
 	invD []float64
 }
 
-// parallelFactorMinN gates the level-parallel factorization: below this the
-// per-level barrier costs more than the panels, and the serial sweep is
-// already cache-resident. The numeric result is bit-identical either way —
-// panels are written disjointly and each panel applies its updates in the
-// same deterministic order.
-const parallelFactorMinN = 2048
-
-// splitFlops is the target per-task multiply-add count when updateChunk
-// splits one panel's update across workers: big enough that task scheduling
-// stays noise (tens of microseconds of arithmetic per task), small enough
-// that the heavy panels near the etree root — where a level holds fewer
-// independent panels than the pool holds workers — fan out instead of
-// serializing their level.
-const splitFlops = 1 << 17
-
-// splitMinCols floors the width of a split update chunk: narrower chunks
-// would starve the 4-column update tiles that make the panel kernel fast.
-const splitMinCols = 4
-
-// updateChunk returns the target-column chunk width used to process (and,
-// on the parallel path, split) supernode s's panel update; w means no
-// split. A pure function of the symbolic analysis, so serial and parallel
-// factorizations walk identical tiles and stay bit-for-bit reproducible at
-// any GOMAXPROCS.
-func (sym *cholSymbolic) updateChunk(s int32) int {
-	w := int(sym.snStart[s+1] - sym.snStart[s])
-	if w <= splitMinCols {
-		return w
-	}
-	nt := int(sym.updCost[s] / splitFlops)
-	if maxT := w / splitMinCols; nt > maxT {
-		nt = maxT
-	}
-	if nt <= 1 {
-		return w
-	}
-	return (w + nt - 1) / nt
-}
-
-// snScratch is the per-worker factorization scratch: the global-row → panel-
-// row map for the current target panel, the scalar-tail accumulation buffer
-// and the update tiles' scale-factor buffer.
+// snScratch is the factorization's scratch: the global-row → panel-row map
+// for the current target panel, the scalar-tail accumulation buffer and the
+// update tiles' scale-factor buffer.
 type snScratch struct {
 	rowLoc []int32
 	wbuf   []float64
 	abuf   []float64
 }
 
-func newSnScratch(sym *cholSymbolic) *snScratch {
-	return &snScratch{
-		rowLoc: make([]int32, sym.n),
-		wbuf:   make([]float64, sym.maxNR),
-		abuf:   make([]float64, 4*max(sym.maxW, 1)),
-	}
-}
-
-// factorSupernodal runs the numeric phase: every supernode assembles its
-// panel from the permuted matrix, subtracts the outer-product updates of
-// earlier panels through the 4×4 register-blocked tile kernel, and factors
-// the panel with the rank-4 blocked dense LDLᵀ kernel. Supernodes are
-// scheduled level by level across the worker pool on large systems, and a
-// panel whose update cost dominates its level is itself split into column-
-// range tasks (updateChunk) so the pool stays busy near the etree root.
-// Chunking is a pure function of the symbolic analysis and every output
-// entry accumulates its updates in the same deterministic order, so factors
-// are bit-stable at any GOMAXPROCS.
+// factorSupernodal runs the numeric phase: supernode by supernode, in column
+// order, it assembles the panel from the permuted matrix, subtracts the
+// outer-product updates of earlier panels through the 4×4 register-blocked
+// tile kernel, and factors the panel with the rank-4 blocked dense LDLᵀ
+// kernel. Every output entry accumulates its updates in one deterministic
+// order, so the factor's bits depend on the matrix alone. The first failing
+// pivot, the lowest column, is the one reported.
 func factorSupernodal(m *CSR, sym *cholSymbolic) (*cholFactor, error) {
 	n := sym.n
 	f := &cholFactor{
@@ -567,73 +465,15 @@ func factorSupernodal(m *CSR, sym *cholSymbolic) (*cholFactor, error) {
 		d:    make([]float64, n),
 		invD: make([]float64, n),
 	}
-	ns := sym.Supernodes()
-	if n < parallelFactorMinN || runtime.GOMAXPROCS(0) == 1 {
-		ws := newSnScratch(sym)
-		for s := int32(0); int(s) < ns; s++ {
-			w := int(sym.snStart[s+1] - sym.snStart[s])
-			chunk := sym.updateChunk(s)
-			for lo := 0; lo < w; lo += chunk {
-				factorPanelCols(m, sym, f, s, lo, min(lo+chunk, w), ws)
-			}
-			if err := densePanelLDL(sym, f, s); err != nil {
-				return nil, err
-			}
-		}
-		f.compress(sym)
-		return f, nil
+	ws := &snScratch{
+		rowLoc: make([]int32, n),
+		wbuf:   make([]float64, sym.maxNR),
+		abuf:   make([]float64, 4*max(sym.maxW, 1)),
 	}
-	errs := make([]error, ns)
-	// Worker scratch is pooled across levels: a deep schedule would
-	// otherwise allocate levels×workers n-sized buffers per factorization.
-	var scratch sync.Pool
-	scratch.New = func() any { return newSnScratch(sym) }
-	// spans and deferred are rebuilt per level (capacity is reused; every
-	// pool.Run completes before the next level starts).
-	type span struct {
-		s      int32
-		lo, hi int32
-		factor bool // dense-factor the panel right after its only chunk
-	}
-	var spans []span
-	var deferred []int32 // split panels: dense factor runs after all chunks
-	for _, lvl := range sym.levels {
-		spans = spans[:0]
-		deferred = deferred[:0]
-		for _, s := range lvl {
-			w := int(sym.snStart[s+1] - sym.snStart[s])
-			chunk := sym.updateChunk(s)
-			if chunk >= w {
-				spans = append(spans, span{s: s, lo: 0, hi: int32(w), factor: true})
-				continue
-			}
-			for lo := 0; lo < w; lo += chunk {
-				spans = append(spans, span{s: s, lo: int32(lo), hi: int32(min(lo+chunk, w))})
-			}
-			deferred = append(deferred, s)
-		}
-		ts := spans
-		pool.Run(len(ts), 0, func() func(int) {
-			return func(i int) {
-				ws := scratch.Get().(*snScratch)
-				t := ts[i]
-				factorPanelCols(m, sym, f, t.s, int(t.lo), int(t.hi), ws)
-				if t.factor {
-					errs[t.s] = densePanelLDL(sym, f, t.s)
-				}
-				scratch.Put(ws)
-			}
-		})
-		if len(deferred) > 0 {
-			df := deferred
-			pool.Run(len(df), 0, func() func(int) {
-				return func(i int) { errs[df[i]] = densePanelLDL(sym, f, df[i]) }
-			})
-		}
-		for _, s := range lvl {
-			if errs[s] != nil {
-				return nil, errs[s] // lowest-column failure of the level
-			}
+	for s := int32(0); int(s) < sym.Supernodes(); s++ {
+		factorPanelCols(m, sym, f, s, ws)
+		if err := densePanelLDL(sym, f, s); err != nil {
+			return nil, err
 		}
 	}
 	f.compress(sym)
@@ -707,12 +547,10 @@ func (f *cholFactor) compress(sym *cholSymbolic) {
 	}
 }
 
-// factorPanelCols assembles target columns [tLo, tHi) of supernode s's panel
-// from the permuted matrix and applies every scheduled outer-product update
-// to them. All reads from other panels are to supernodes scheduled in
-// earlier levels; distinct column ranges of one panel write disjoint memory,
-// so chunks of the same panel run on different workers concurrently.
-func factorPanelCols(m *CSR, sym *cholSymbolic, f *cholFactor, s int32, tLo, tHi int, ws *snScratch) {
+// factorPanelCols assembles supernode s's panel from the permuted matrix and
+// applies every scheduled outer-product update to it. All reads from other
+// panels are to earlier, already factored supernodes.
+func factorPanelCols(m *CSR, sym *cholSymbolic, f *cholFactor, s int32, ws *snScratch) {
 	c0 := int(sym.snStart[s])
 	c1 := int(sym.snStart[s+1])
 	w := c1 - c0
@@ -729,7 +567,7 @@ func factorPanelCols(m *CSR, sym *cholSymbolic, f *cholFactor, s int32, tLo, tHi
 	}
 
 	// Assemble the lower part of the permuted matrix columns.
-	for j := c0 + tLo; j < c0+tHi; j++ {
+	for j := c0; j < c1; j++ {
 		col := P[(j-c0)*nr:]
 		row := sym.perm[j]
 		for p := m.RowPtr[row]; p < m.RowPtr[row+1]; p++ {
@@ -742,8 +580,8 @@ func factorPanelCols(m *CSR, sym *cholSymbolic, f *cholFactor, s int32, tLo, tHi
 	// Outer-product updates from earlier panels, ascending supernode order:
 	// 4-column register-blocked tiles, scalar columns on the tail. Both
 	// paths accumulate each output entry over ascending pivots and write it
-	// once, so tiling (and chunk boundaries) never changes the result bits.
-	lo32, hi32 := int32(c0+tLo), int32(c0+tHi)
+	// once, so tiling never changes the result bits.
+	lo32, hi32 := int32(c0), int32(c1)
 	for _, d := range sym.updaters[s] {
 		dc0 := int(sym.snStart[d])
 		dw := int(sym.snStart[d+1]) - dc0
@@ -848,11 +686,11 @@ func (c *CholeskyOperator) Solve(b, dst []float64, ws *Workspace) []float64 {
 }
 
 // SolveBatch solves A·X = B for K = len(b) right-hand sides through the
-// widest applicable interleaved sweep kernels — greedily 16, then 8 per
-// factor traversal; a remainder of 5–7 as one 8-wide traversal, of 4 as one
-// 4-wide, of 1–3 through the single-column path (31 → 16+8+(7 run as 8)) —
-// so a K-wide lockstep batch pays ⌈K/16⌉-ish traversals instead of K. A
-// padded remainder's spare columns re-solve its first right-hand side into
+// widest applicable interleaved sweep kernels — 8 per factor traversal; a
+// remainder of 5–7 as one 8-wide traversal, of 4 as one 4-wide, of 1–3
+// through the single-column path (31 → 8+8+8+(7 run as 8)) — so a K-wide
+// lockstep batch pays ⌈K/8⌉-ish traversals instead of K. A padded
+// remainder's spare columns re-solve its first right-hand side into
 // workspace scratch and are discarded. Each column's arithmetic — entry
 // order, fused permutes, fused D⁻¹ — is exactly the single Solve kernel's,
 // so batched and sequential results are bit-identical; batching changes
@@ -882,12 +720,8 @@ func (c *CholeskyOperator) SolveBatch(b, dst [][]float64, ws *Workspace) [][]flo
 		}
 	}
 	k := 0
-	for ; kk-k >= 16; k += 16 {
-		c.solveChunk(b[k:k+16], dst[k:k+16], ws)
-	}
-	if kk-k >= 8 {
+	for ; kk-k >= 8; k += 8 {
 		c.solveChunk(b[k:k+8], dst[k:k+8], ws)
-		k += 8
 	}
 	switch r := kk - k; {
 	case r > 4:
@@ -906,8 +740,8 @@ func (c *CholeskyOperator) SolveBatch(b, dst [][]float64, ws *Workspace) [][]flo
 	return dst
 }
 
-// solveChunk solves len(bs) ∈ {4, 8, 16} right-hand sides through one
-// K-wide sweep kernel invocation.
+// solveChunk solves len(bs) ∈ {4, 8} right-hand sides through one K-wide
+// sweep kernel invocation.
 func (c *CholeskyOperator) solveChunk(bs, xs [][]float64, ws *Workspace) {
 	kw := len(bs)
 	yb := ws.batchBuf(c.m.N * kw)

@@ -10,10 +10,9 @@ import "fmt"
 //     in-panel LDLᵀ (densePanelLDL). Both keep the per-entry operation
 //     sequence of the scalar kernels — every output entry accumulates its
 //     pivot contributions in ascending order and is written once — so the
-//     factor is bit-identical however the panel work is tiled or split
-//     across workers.
+//     factor is bit-identical however the panel work is tiled.
 //   - Solve-side: the interleaved K-wide forward/backward sweeps
-//     (sweepSolve, sweep4, sweep8, sweep16).
+//     (sweepSolve, sweep4, sweep8).
 
 // compFactor is the zero-dropped compressed view of a finished factor the
 // sweeps traverse: column form (backward sweep) and row-gather form
@@ -37,8 +36,8 @@ type compFactor struct {
 // column. ab must have room for 4·dw scale factors.
 //
 // Per entry this performs exactly the scalar path's operations — alpha
-// products, ascending-t accumulation, one subtraction — so tiled, scalar and
-// split-panel updates agree to the last bit.
+// products, ascending-t accumulation, one subtraction — so tiled and scalar
+// updates agree to the last bit.
 func updateTile4(P []float64, nr int, Pd []float64, dnr, dw int, rd []int32, q int, rowLoc []int32, dpiv, ab []float64) {
 	nrd := len(rd)
 	// ab[4t+c] = L[target_c, t]·d_t: the scalar path's alpha, one per
@@ -141,8 +140,8 @@ func updateTile4(P []float64, nr int, Pd []float64, dnr, dw int, rd []int32, q i
 // densePanelLDL runs the dense left-looking LDLᵀ factorization of one
 // assembled, fully updated panel, with the trailing update blocked four
 // pivot columns at a time (a rank-4 fused GEMV: four column loads and four
-// multiply-adds per output element). Always executed by exactly one worker
-// per panel, after all update chunks of that panel have completed.
+// multiply-adds per output element). It runs once per panel, after all of
+// the panel's updates.
 func densePanelLDL(sym *cholSymbolic, f *cholFactor, s int32) error {
 	c0 := int(sym.snStart[s])
 	w := int(sym.snStart[s+1]) - c0
@@ -320,140 +319,28 @@ func sweep8(cf *compFactor, perm []int, invD, yb []float64, bs, xs [][]float64) 
 	}
 }
 
-// sweep16 is the 16-wide interleaved sweep: one factor traversal per sixteen
-// right-hand sides. Sixteen live accumulators would exceed the architectural
-// register file on amd64 (16 SSE registers) and spill on every nonzero, so
-// each unknown's nonzero segment runs as two 8-wide half-passes: the column
-// indices and factor values are L1-hot on the second pass, while the 16-wide
-// working block still streams the factor from memory exactly once. Per
-// accumulator the operation sequence is identical to sweepSolve.
-func sweep16(cf *compFactor, perm []int, invD, yb []float64, bs, xs [][]float64) {
-	n := len(perm)
-	b0, b1, b2, b3 := bs[0], bs[1], bs[2], bs[3]
-	b4, b5, b6, b7 := bs[4], bs[5], bs[6], bs[7]
-	b8, b9, b10, b11 := bs[8], bs[9], bs[10], bs[11]
-	b12, b13, b14, b15 := bs[12], bs[13], bs[14], bs[15]
-	x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
-	x4, x5, x6, x7 := xs[4], xs[5], xs[6], xs[7]
-	x8, x9, x10, x11 := xs[8], xs[9], xs[10], xs[11]
-	x12, x13, x14, x15 := xs[12], xs[13], xs[14], xs[15]
-	rptr, rcols, rvals := cf.rptr, cf.rcols, cf.rvals
-	for j := 0; j < n; j++ {
-		pj := perm[j]
-		p0, p1 := rptr[j], rptr[j+1]
-		o := j * 16
-		s0, s1, s2, s3 := b0[pj], b1[pj], b2[pj], b3[pj]
-		s4, s5, s6, s7 := b4[pj], b5[pj], b6[pj], b7[pj]
-		for p := p0; p < p1; p++ {
-			ri := int(rcols[p]) * 16
-			v := rvals[p]
-			y := yb[ri : ri+8 : ri+8]
-			s0 -= v * y[0]
-			s1 -= v * y[1]
-			s2 -= v * y[2]
-			s3 -= v * y[3]
-			s4 -= v * y[4]
-			s5 -= v * y[5]
-			s6 -= v * y[6]
-			s7 -= v * y[7]
-		}
-		ylo := yb[o : o+8 : o+8]
-		ylo[0], ylo[1], ylo[2], ylo[3] = s0, s1, s2, s3
-		ylo[4], ylo[5], ylo[6], ylo[7] = s4, s5, s6, s7
-		s0, s1, s2, s3 = b8[pj], b9[pj], b10[pj], b11[pj]
-		s4, s5, s6, s7 = b12[pj], b13[pj], b14[pj], b15[pj]
-		for p := p0; p < p1; p++ {
-			ri := int(rcols[p])*16 + 8
-			v := rvals[p]
-			y := yb[ri : ri+8 : ri+8]
-			s0 -= v * y[0]
-			s1 -= v * y[1]
-			s2 -= v * y[2]
-			s3 -= v * y[3]
-			s4 -= v * y[4]
-			s5 -= v * y[5]
-			s6 -= v * y[6]
-			s7 -= v * y[7]
-		}
-		yhi := yb[o+8 : o+16 : o+16]
-		yhi[0], yhi[1], yhi[2], yhi[3] = s0, s1, s2, s3
-		yhi[4], yhi[5], yhi[6], yhi[7] = s4, s5, s6, s7
-	}
-	cptr, crows, cvals := cf.cptr, cf.crows, cf.cvals
-	for j := n - 1; j >= 0; j-- {
-		pj := perm[j]
-		p0, p1 := cptr[j], cptr[j+1]
-		o := j * 16
-		d := invD[j]
-		ylo := yb[o : o+8 : o+8]
-		s0, s1, s2, s3 := ylo[0]*d, ylo[1]*d, ylo[2]*d, ylo[3]*d
-		s4, s5, s6, s7 := ylo[4]*d, ylo[5]*d, ylo[6]*d, ylo[7]*d
-		for p := p0; p < p1; p++ {
-			ri := int(crows[p]) * 16
-			v := cvals[p]
-			y := yb[ri : ri+8 : ri+8]
-			s0 -= v * y[0]
-			s1 -= v * y[1]
-			s2 -= v * y[2]
-			s3 -= v * y[3]
-			s4 -= v * y[4]
-			s5 -= v * y[5]
-			s6 -= v * y[6]
-			s7 -= v * y[7]
-		}
-		ylo[0], ylo[1], ylo[2], ylo[3] = s0, s1, s2, s3
-		ylo[4], ylo[5], ylo[6], ylo[7] = s4, s5, s6, s7
-		x0[pj], x1[pj], x2[pj], x3[pj] = s0, s1, s2, s3
-		x4[pj], x5[pj], x6[pj], x7[pj] = s4, s5, s6, s7
-		yhi := yb[o+8 : o+16 : o+16]
-		s0, s1, s2, s3 = yhi[0]*d, yhi[1]*d, yhi[2]*d, yhi[3]*d
-		s4, s5, s6, s7 = yhi[4]*d, yhi[5]*d, yhi[6]*d, yhi[7]*d
-		for p := p0; p < p1; p++ {
-			ri := int(crows[p])*16 + 8
-			v := cvals[p]
-			y := yb[ri : ri+8 : ri+8]
-			s0 -= v * y[0]
-			s1 -= v * y[1]
-			s2 -= v * y[2]
-			s3 -= v * y[3]
-			s4 -= v * y[4]
-			s5 -= v * y[5]
-			s6 -= v * y[6]
-			s7 -= v * y[7]
-		}
-		yhi[0], yhi[1], yhi[2], yhi[3] = s0, s1, s2, s3
-		yhi[4], yhi[5], yhi[6], yhi[7] = s4, s5, s6, s7
-		x8[pj], x9[pj], x10[pj], x11[pj] = s0, s1, s2, s3
-		x12[pj], x13[pj], x14[pj], x15[pj] = s4, s5, s6, s7
-	}
-}
-
-// sweepSolveK dispatches a K-wide interleaved sweep; K must be 4, 8 or 16
-// (SolveBatch's greedy width decomposition guarantees it).
+// sweepSolveK dispatches a K-wide interleaved sweep; K must be 4 or 8
+// (SolveBatch's width decomposition guarantees it).
 func sweepSolveK(cf *compFactor, perm []int, invD, yb []float64, bs, xs [][]float64) {
 	switch len(bs) {
 	case 4:
 		sweep4(cf, perm, invD, yb, bs, xs)
 	case 8:
 		sweep8(cf, perm, invD, yb, bs, xs)
-	case 16:
-		sweep16(cf, perm, invD, yb, bs, xs)
 	default:
-		panic("linalg: sweepSolveK width must be 4, 8 or 16")
+		panic("linalg: sweepSolveK width must be 4 or 8")
 	}
 }
 
 // kernelWidthIndex maps a solve-kernel width to its Workspace.KernelSolves
-// slot: 1, 4, 8, 16 → 0, 1, 2, 3.
+// slot: 1, 4, 8 → 0, 1, 2.
 func kernelWidthIndex(k int) int {
 	switch k {
 	case 1:
 		return 0
 	case 4:
 		return 1
-	case 8:
-		return 2
 	default:
-		return 3
+		return 2
 	}
 }

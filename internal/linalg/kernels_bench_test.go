@@ -7,9 +7,8 @@ import (
 )
 
 // Benchmarks for the PR 6 register-blocked kernels: numeric refactorization
-// throughput (the multicore scaling row — run at GOMAXPROCS=1 and >1), the
-// wide solve kernels against repeated narrow invocations. scripts/bench.sh
-// runs these into BENCH_solver.json.
+// throughput and the wide solve kernels against repeated narrow
+// invocations. scripts/bench.sh runs these into BENCH_solver.json.
 
 // benchGrid builds and factors a reference-style 5-point grid operator.
 func benchGrid(b *testing.B, nx, ny int) (*CSR, *CholeskyOperator) {
@@ -25,8 +24,8 @@ func benchGrid(b *testing.B, nx, ny int) (*CSR, *CholeskyOperator) {
 
 // BenchmarkCholeskyFactorNumeric measures the numeric factorization alone
 // (symbolic analysis amortized through Shift, exactly the backward-Euler
-// refactorization path). The N=16384 row is the multicore headline: the
-// level schedule plus within-panel splits should scale it with GOMAXPROCS.
+// refactorization path). The factorization is serial, so its rows should
+// not move with GOMAXPROCS.
 func BenchmarkCholeskyFactorNumeric(b *testing.B) {
 	for _, sz := range []struct{ nx, ny int }{{64, 64}, {128, 128}} {
 		_, op := benchGrid(b, sz.nx, sz.ny)
@@ -42,8 +41,8 @@ func BenchmarkCholeskyFactorNumeric(b *testing.B) {
 }
 
 // BenchmarkSolveKernelWidths solves the same 16 right-hand sides as four
-// 4-wide kernel passes, two 8-wide, and one 16-wide: the register-blocking
-// payoff is the panel traversals each variant pays for.
+// 4-wide kernel passes and as two 8-wide: the register-blocking payoff is
+// the panel traversals each variant pays for.
 func BenchmarkSolveKernelWidths(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	const nx, ny = 128, 128
@@ -59,7 +58,7 @@ func BenchmarkSolveKernelWidths(b *testing.B) {
 			bs[k][i] = rng.NormFloat64()
 		}
 	}
-	for _, width := range []int{4, 8, 16} {
+	for _, width := range []int{4, 8} {
 		ws := &Workspace{}
 		op.solveChunk(bs[:width], dst[:width], ws) // warm scratch
 		b.Run(fmt.Sprintf("%dx%d", kk/width, width), func(b *testing.B) {

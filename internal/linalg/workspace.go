@@ -14,11 +14,11 @@ type Workspace struct {
 	pad        []float64
 
 	// KernelSolves counts direct triangular-sweep kernel invocations made
-	// through this workspace, by kernel width: slots 0..3 are the 1-, 4-,
-	// 8- and 16-wide kernels. Per-goroutine like the rest of the workspace; callers
-	// that aggregate solver statistics read and reset the slots between
-	// solves.
-	KernelSolves [4]int64
+	// through this workspace, by kernel width: slots 0..2 are the 1-, 4-
+	// and 8-wide kernels. Per-goroutine like the rest of the workspace;
+	// callers that aggregate solver statistics read and reset the slots
+	// between solves.
+	KernelSolves [3]int64
 }
 
 // direct returns the length-n direct-solve scratch vector, growing it if

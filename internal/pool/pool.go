@@ -1,11 +1,11 @@
 // Package pool provides the fixed-size goroutine worker pool shared by the
 // batched thermal-simulation APIs (the hotspot stepping core behind
 // ReplayBatchResults, ReplayFinalPeak and RunLoops, which scenario.RunGrid
-// runs on; the supernodal factorization; service sweeps). It exists so the
-// concurrency pattern — worker clamp, job fan-out, per-worker state,
-// completion barrier — lives in exactly one place; DESIGN.md §1.3 records
-// the concurrency model (immutable shared operators, per-group batch
-// sessions on each worker) these pools implement.
+// runs on; service sweeps). It exists so the concurrency pattern — worker
+// clamp, job fan-out, per-worker state, completion barrier — lives in
+// exactly one place; DESIGN.md §1.3 records the concurrency model
+// (immutable shared operators, per-group batch sessions on each worker)
+// these pools implement.
 package pool
 
 import (

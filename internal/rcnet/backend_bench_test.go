@@ -111,8 +111,8 @@ func BenchmarkBackendTransientBE(b *testing.B) {
 }
 
 // BenchmarkTransientBatch measures lockstep trace replay throughput: 16
-// independent 100-step replays on a ~1000-node network, as
-// one 16-wide group and as 16 width-1 groups.
+// independent 100-step replays on a ~1000-node network, as one 16-wide
+// group (two 8-wide kernel passes per step) and as 16 width-1 groups.
 func BenchmarkTransientBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	net := gridNetwork(rng, 23, 23)

@@ -20,11 +20,11 @@ import (
 // power fill reads its own live state.
 
 // MaxBatchWidth caps how many right-hand sides one lockstep group solves per
-// factor traversal. The packed block costs n·K floats of workspace; with the
-// PR 6 register-blocked solve kernels a 64-wide group decomposes into four
-// 16-wide kernel passes, amortizing panel loads to noise while a 2048-node
-// model's block still fits in L2. Groups wider than this split — per-job
-// results are unaffected (batching never changes per-column arithmetic).
+// step. The group's right-hand sides cost n·K floats of workspace; with the
+// PR 6 register-blocked solve kernels a 64-wide group decomposes into eight
+// 8-wide kernel passes, amortizing panel loads to noise. Groups wider than
+// this split — per-job results are unaffected (batching never changes
+// per-column arithmetic).
 const MaxBatchWidth = 64
 
 // batchSession is a K-wide backward-Euler stepping context over one

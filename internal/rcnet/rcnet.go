@@ -220,7 +220,7 @@ func batchBucket(w int) int {
 
 // kernelWidthLabels names the solve-kernel widths the factor
 // dispatches over (linalg.Workspace.KernelSolves slot order).
-var kernelWidthLabels = [...]string{"1", "4", "8", "16"}
+var kernelWidthLabels = [...]string{"1", "4", "8"}
 
 // solverStats holds the solver's atomic counters; SolverStats is the
 // exported snapshot.
@@ -279,9 +279,10 @@ type SolverStats struct {
 	// "1" bucket counts single-state steps (Solver.StepBE, TransientBE) too.
 	BatchWidths map[string]int64 `json:"batch_widths,omitempty"`
 	// KernelSolves counts sparse triangular-solve kernel invocations by
-	// register-block width ("1", "4", "8", "16"): one batched step over K
-	// right-hand sides decomposes greedily (e.g. K=31 → one 16-wide, one
-	// 8-wide, one 4-wide and three 1-wide invocations).
+	// register-block width ("1", "4", "8"): one batched step over K
+	// right-hand sides runs 8-wide passes, then a remainder of 5–7 as one
+	// padded 8-wide pass, of 4 as one 4-wide pass and of 1–3 as single
+	// solves (e.g. K=31 → four 8-wide invocations, the last padded).
 	KernelSolves map[string]int64 `json:"kernel_solves,omitempty"`
 }
 

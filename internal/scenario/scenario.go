@@ -181,7 +181,7 @@ type PolicyGrid struct {
 
 // MaxCells bounds the policy grid (packages × policies): specs are client
 // input, and each cell is a full co-simulation. PR 6 raised the cap from
-// 1024 — the batched lockstep engine now amortizes cells through 16-wide
+// 1024 — the batched lockstep engine now amortizes cells through 8-wide
 // solve kernels, so production-scale design sweeps fit in one spec; the
 // guard remains to keep a hostile spec from requesting unbounded work.
 const MaxCells = 16384

@@ -117,8 +117,8 @@ type SolverPathStats struct {
 	// replay-batch and scenario-grid traffic.
 	BatchWidths map[string]int64 `json:"batch_widths,omitempty"`
 	// KernelSolves counts sparse triangular-solve kernel invocations by
-	// register-block width ("1", "4", "8", "16"), summed over resident
-	// models: how batched steps actually decomposed onto the wide kernels.
+	// register-block width ("1", "4", "8"), summed over resident models:
+	// how batched steps actually decomposed onto the wide kernels.
 	KernelSolves map[string]int64 `json:"kernel_solves,omitempty"`
 }
 

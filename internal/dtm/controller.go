@@ -55,9 +55,6 @@ func quantizeSteps(d, dt float64) int {
 	return n
 }
 
-// Policy returns the controller's policy.
-func (c *Controller) Policy() Policy { return c.policy }
-
 // SampleSteps returns the effective sampling period in steps.
 func (c *Controller) SampleSteps() int { return c.sampleSteps }
 

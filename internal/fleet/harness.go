@@ -124,9 +124,6 @@ func (rep *HarnessReplica) Revive() {
 	rep.alive.Store(true)
 }
 
-// Replica returns replica i.
-func (h *Harness) Replica(i int) *HarnessReplica { return h.replicas[i] }
-
 // Addrs lists every replica address in index order.
 func (h *Harness) Addrs() []string {
 	out := make([]string, len(h.replicas))

@@ -138,10 +138,6 @@ type cholSymbolic struct {
 	updaters [][]int32
 }
 
-// NNZL returns the number of strictly-lower-triangular entries in the
-// factor.
-func (s *cholSymbolic) NNZL() int { return s.nnzL }
-
 // FillRatio reports nnz(L+D+Lᵀ) / nnz(A): 1.0 means no fill at all.
 func (s *cholSymbolic) FillRatio(m *CSR) float64 {
 	return float64(2*s.nnzL+s.n) / float64(max(m.NNZ(), 1))
@@ -641,9 +637,6 @@ type CholeskyOperator struct {
 	sym *cholSymbolic
 	f   *cholFactor
 }
-
-// Matrix exposes the underlying CSR (read-only).
-func (c *CholeskyOperator) Matrix() *CSR { return c.m }
 
 // NNZL returns the strictly-lower-triangular entry count of the factor.
 func (c *CholeskyOperator) NNZL() int { return c.sym.nnzL }

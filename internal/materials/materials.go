@@ -76,16 +76,6 @@ var MineralOil = Fluid{
 	KinViscosity: 4.42e-5,
 }
 
-// Air at roughly 300 K; used for the negligible secondary-path convection of
-// an AIR-SINK system (natural convection inside the case).
-var Air = Fluid{
-	Name:         "air",
-	Conductivity: 0.026,
-	Density:      1.16,
-	SpecificHeat: 1007,
-	KinViscosity: 1.6e-5,
-}
-
 // AmbientK is the default ambient temperature used by the models (Kelvin).
 // The paper's Fig. 12 experiments use 45 °C; earlier experiments use a
 // generic ambient around this value.

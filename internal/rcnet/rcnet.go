@@ -30,11 +30,6 @@ type Network struct {
 	ambG    []float64 // conductance to ambient per node, W/K
 	pairs   map[[2]int]float64
 	ambient float64 // ambient temperature, K
-
-	// compile-once state for Compiled.
-	compileOnce sync.Once
-	compiled    *Solver
-	compileErr  error
 }
 
 // New creates an empty network with the given ambient temperature (Kelvin).

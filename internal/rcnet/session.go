@@ -29,9 +29,6 @@ func (s *Solver) NewSession() *Session {
 	return &Session{s: s}
 }
 
-// Solver returns the compiled solver this session runs against.
-func (se *Session) Solver() *Solver { return se.s }
-
 // SteadyState returns the equilibrium temperatures (Kelvin) for constant
 // per-node power injection. A repeat of the session's previous power map
 // returns the memoized solution; anything else solves. Results are

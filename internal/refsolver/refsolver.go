@@ -157,12 +157,6 @@ func New(cfg Config) (*Solver, error) {
 func (s *Solver) siIdx(ix, iy, iz int) int { return (iz*s.ny+iy)*s.nx + ix }
 func (s *Solver) oilIdx(ix, iy int) int    { return s.nx*s.ny*s.nz + iy*s.nx + ix }
 
-// N returns the number of unknowns.
-func (s *Solver) N() int { return s.n }
-
-// AmbientK returns the free-stream temperature.
-func (s *Solver) AmbientK() float64 { return s.cfg.AmbientK }
-
 // ResetPower zeroes the injected power.
 func (s *Solver) ResetPower() {
 	for i := range s.power {

@@ -185,9 +185,6 @@ type Compiled struct {
 // Name returns the scenario's label.
 func (c *Compiled) Name() string { return c.spec.Name }
 
-// Floorplan returns the resolved floorplan.
-func (c *Compiled) Floorplan() *floorplan.Floorplan { return c.fp }
-
 // Interval returns the control step (s).
 func (c *Compiled) Interval() float64 { return c.dt }
 

@@ -168,7 +168,10 @@ func (m *Model) AmbientState() []float64 { return m.solver.AmbientVector() }
 // Transient advances the temperature state in place by duration seconds
 // under constant power, using backward Euler with the given step. Backward
 // Euler is the default because OIL-SILICON networks are stiff (the tiny oil
-// boundary-layer capacitance sits next to the silicon mass).
+// boundary-layer capacitance sits next to the silicon mass). It steps the
+// model's one shared width-1 rcnet session, so it must not run concurrently
+// on one model; concurrent transients go through the lockstep replay APIs
+// (ReplayBatchResults, ReplayFinalPeak, RunLoops).
 func (m *Model) Transient(temps, power []float64, duration, dt float64) error {
 	return m.solver.TransientBE(temps, power, duration, dt)
 }

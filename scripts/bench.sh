@@ -23,10 +23,11 @@
 #
 # The suite runs once per GOMAXPROCS value in BENCH_PROCS (default "1 4"):
 # the single-core run is the per-core trajectory row, the multicore run
-# exercises the level-parallel factorization and within-panel splits. Each
-# run chains into the report via -prev, so the history array carries one
-# entry per (commit, gomaxprocs) and baselines/speedups match per core
-# count (see cmd/benchreport).
+# exercises the worker pools of the batched sweeps and replays (the
+# factorization is serial, so its rows should not scale). Each run chains
+# into the report via -prev, so the history array carries one entry per
+# (commit, gomaxprocs) and baselines/speedups match per core count (see
+# cmd/benchreport).
 #
 # Usage, from the repository root:
 #

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// Tests for the PR 6 register-blocked kernels: a factorization whose bits
-// do not depend on GOMAXPROCS, and the per-width kernel counters.
+// Tests for the register-blocked kernels: a factorization whose bits do
+// not depend on GOMAXPROCS, and the per-width kernel counters.
 
 // TestFactorBitIdenticalAcrossGOMAXPROCS: the numeric factorization must
 // produce identical bits at GOMAXPROCS 1, 2 and 4 on a 96×96 grid.

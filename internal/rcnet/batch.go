@@ -21,10 +21,10 @@ import (
 
 // MaxBatchWidth caps how many right-hand sides one lockstep group solves per
 // step. The group's right-hand sides cost n·K floats of workspace; with the
-// PR 6 register-blocked solve kernels a 64-wide group decomposes into eight
-// 8-wide kernel passes, amortizing panel loads to noise. Groups wider than
-// this split — per-job results are unaffected (batching never changes
-// per-column arithmetic).
+// register-blocked solve kernels a 64-wide group decomposes into eight 8-wide
+// kernel passes, amortizing panel loads to noise. Groups wider than this
+// split — per-job results are unaffected (batching never changes per-column
+// arithmetic).
 const MaxBatchWidth = 64
 
 // batchSession is a K-wide backward-Euler stepping context over one

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -15,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/admission"
 	"repro/internal/floorplan"
 	"repro/internal/tstore"
 )
@@ -28,7 +26,7 @@ type corpusRow struct {
 	store bool // the server has a telemetry store
 	// setup prepares the server before the stats snapshot:
 	//   hold   the only solve slot is held, so the request queues
-	//   rate   the "metered" tenant's one token is spent
+	//   queue-full the slot is held and the one queue place taken
 	//   drain  the server is draining
 	//   prime  the ev6 air-sink model is compiled
 	//   series the store holds five rows of runs/q/IntReg
@@ -209,7 +207,7 @@ func corpusRows() []corpusRow {
 	for _, e := range admitted {
 		store := strings.HasPrefix(e.name, "query")
 		rows = append(rows,
-			corpusRow{name: e.name + "/429-rate", store: store, setup: "rate", tenant: "metered",
+			corpusRow{name: e.name + "/429-queue-full", store: store, setup: "queue-full",
 				method: e.method, path: e.path, ctype: e.ctype, body: e.body},
 			corpusRow{name: e.name + "/503-draining", store: store, setup: "drain",
 				method: e.method, path: e.path, ctype: e.ctype, body: e.body},
@@ -311,10 +309,7 @@ func roundFloats(body string) string {
 
 func runCorpusRow(t *testing.T, row corpusRow) string {
 	t.Helper()
-	cfg := Config{
-		MaxConcurrent: 1,
-		Tenants:       map[string]admission.Quota{"metered": {RatePerSec: 0.001, Burst: 1}},
-	}
+	cfg := Config{MaxConcurrent: 1, QueueDepth: 1}
 	var st *tstore.Store
 	if row.store {
 		var err error
@@ -332,12 +327,10 @@ func runCorpusRow(t *testing.T, row corpusRow) string {
 	case "":
 	case "hold":
 		release = occupySlots(t, srv, "hold", 1)
-	case "rate":
-		dec, err := srv.admission.Admit(context.Background(), "metered")
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec.Release()
+	case "queue-full":
+		hold := occupySlots(t, srv, "hold", 1)
+		withdraw := fillQueue(t, srv)
+		release = func() { withdraw(); hold() }
 	case "drain":
 		srv.BeginDrain()
 	case "prime":

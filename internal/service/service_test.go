@@ -465,6 +465,25 @@ func occupySlots(t *testing.T, srv *Server, tenant string, n int) func() {
 	}
 }
 
+// fillQueue parks one waiter in the admission queue behind held slots; the
+// returned func withdraws it.
+func fillQueue(t *testing.T, srv *Server) func() {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if dec, err := srv.admission.Admit(ctx, "hold"); err == nil {
+			dec.Release()
+		}
+	}()
+	waitCond(t, "queue place taken", func() bool { return srv.admission.Queued() == 1 })
+	return func() {
+		cancel()
+		<-done
+	}
+}
+
 func TestBackpressureAndDeadline(t *testing.T) {
 	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1, DefaultTimeout: 5 * time.Second})
 

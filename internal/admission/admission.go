@@ -1,23 +1,15 @@
-// Package admission is the per-tenant admission controller for the thermal
-// serving stack (DESIGN.md §12). It decides, for every incoming solve
-// request, whether the request runs now, waits in a bounded queue, or is
-// shed with a typed error that tells the client when to retry.
+// Package admission is the admission controller for the thermal serving
+// stack (DESIGN.md §12). It decides, for every incoming solve request,
+// whether the request runs now, waits in a bounded queue, or is shed with a
+// typed error that tells the client when to retry.
 //
-// Three mechanisms compose:
-//
-//   - Token buckets bound each tenant's sustained request rate. A tenant
-//     with RatePerSec r and Burst b may always issue b back-to-back
-//     requests and r per second thereafter; beyond that, requests are shed
-//     immediately with a Retry-After derived from the bucket's refill.
-//   - Concurrency and queue quotas bound each tenant's share of the solve
-//     slots and of the global queue, so one tenant's backlog cannot occupy
-//     every slot a lighter tenant needs.
-//   - Start-time weighted fair queuing orders the global queue: each
-//     tenant advances a virtual start time by 1/Weight per dispatched
-//     request, and the waiter with the smallest virtual time runs next.
-//     A heavy tenant's deep backlog therefore costs it (its virtual time
-//     races ahead) while an occasional tenant is dispatched almost
-//     immediately on arrival.
+// A request takes one of Slots solve slots when one is free and nobody
+// waits. Otherwise it joins one QueueDepth-bounded queue, and a full queue
+// sheds it. Start-time fair queuing orders the queue with every tenant at
+// an equal share: each tenant advances a virtual start time by one per
+// admitted request, and the waiter with the smallest virtual time runs
+// next. A tenant's deep backlog therefore races ahead in virtual time,
+// while an occasional tenant is dispatched almost immediately on arrival.
 //
 // The controller also keeps per-tenant statistics and the live queue
 // occupancy for /v1/stats.
@@ -33,48 +25,6 @@ import (
 	"repro/internal/pctl"
 )
 
-// Quota bounds one tenant's resource share. Zero fields fall back to
-// "unlimited" for rates and to controller-wide bounds for the rest.
-type Quota struct {
-	// RatePerSec is the sustained request rate; 0 disables rate limiting
-	// for the tenant.
-	RatePerSec float64 `json:"rate_per_sec,omitempty"`
-	// Burst is the token-bucket depth; 0 with a positive rate defaults to
-	// max(1, ceil(RatePerSec)).
-	Burst int `json:"burst,omitempty"`
-	// MaxConcurrent caps the tenant's in-flight solves; 0 means "up to all
-	// slots".
-	MaxConcurrent int `json:"max_concurrent,omitempty"`
-	// MaxQueue caps the tenant's waiters in the global queue; 0 means "up
-	// to the whole queue".
-	MaxQueue int `json:"max_queue,omitempty"`
-	// Weight is the fair-queuing share; 0 defaults to 1. A tenant with
-	// weight 3 drains three queued requests for every one a weight-1
-	// tenant drains under contention.
-	Weight float64 `json:"weight,omitempty"`
-}
-
-func (q Quota) weight() float64 {
-	if q.Weight <= 0 {
-		return 1
-	}
-	return q.Weight
-}
-
-func (q Quota) burst() float64 {
-	if q.RatePerSec <= 0 {
-		return 0
-	}
-	if q.Burst > 0 {
-		return float64(q.Burst)
-	}
-	b := q.RatePerSec
-	if b < 1 {
-		b = 1
-	}
-	return float64(int(b + 0.999999))
-}
-
 // Config sizes a Controller.
 type Config struct {
 	// Slots is the number of concurrent solve slots (required, > 0).
@@ -82,31 +32,20 @@ type Config struct {
 	// QueueDepth bounds the total number of waiters across all tenants;
 	// 0 means no queue: a request either gets a slot or is shed.
 	QueueDepth int
-	// Default is the quota applied to tenants without an explicit entry.
-	Default Quota
-	// Tenants maps tenant name → quota override.
-	Tenants map[string]Quota
-	// Now is a test seam for the clock; nil means time.Now.
-	Now func() time.Time
 }
 
 // Reason classifies why a request was shed.
 type Reason string
 
 const (
-	// ReasonRate: the tenant's token bucket was empty.
-	ReasonRate Reason = "rate"
-	// ReasonTenantQueue: the tenant hit its MaxQueue share.
-	ReasonTenantQueue Reason = "tenant-queue"
-	// ReasonQueueFull: the global queue was full.
+	// ReasonQueueFull: the queue was full.
 	ReasonQueueFull Reason = "queue-full"
 	// ReasonDraining: the controller is draining for shutdown.
 	ReasonDraining Reason = "draining"
 )
 
 // ShedError reports an admission rejection. RetryAfter is the controller's
-// estimate of when a retry could succeed: the token-bucket refill time for
-// rate sheds, a smoothed service-time estimate for queue sheds.
+// estimate of when a retry could succeed: a smoothed slot-hold time.
 type ShedError struct {
 	Tenant     string
 	Reason     Reason
@@ -137,7 +76,7 @@ func (d *Decision) Release() { d.release() }
 // waiter is one queued request.
 type waiter struct {
 	tenant *tenant
-	vtime  float64   // virtual start time for WFQ ordering
+	vtime  float64   // virtual start time for fair-queuing order
 	seq    uint64    // FIFO tie-break within equal vtime
 	ready  chan bool // true = slot granted, false = evicted (drain)
 }
@@ -146,19 +85,13 @@ type waiter struct {
 // controller mutex.
 type tenant struct {
 	name  string
-	quota Quota
-
-	tokens   float64   // token bucket level
-	lastFill time.Time // last refill timestamp
-
-	vtime float64 // WFQ virtual start time
+	vtime float64 // fair-queuing virtual start time
 
 	inFlight int
 	queued   int
 
 	// Monotonic counters for /v1/stats.
 	admitted     int64
-	shedRate     int64
 	shedQueue    int64
 	queueWaits   *pctl.Ring // queue waits, milliseconds
 	totalWaitNS  int64
@@ -169,10 +102,9 @@ type tenant struct {
 type Controller struct {
 	mu  sync.Mutex
 	cfg Config
-	now func() time.Time
 
 	tenants map[string]*tenant
-	queue   []*waiter // WFQ-ordered waiters (smallest vtime first)
+	queue   []*waiter // waiters in (vtime, seq) order
 	seq     uint64
 
 	inFlight int
@@ -181,7 +113,7 @@ type Controller struct {
 	draining bool
 
 	// holdEWMA is a smoothed solve hold time used to estimate Retry-After
-	// for queue sheds (how long until a slot likely frees).
+	// (how long until a slot likely frees).
 	holdEWMA time.Duration
 }
 
@@ -194,15 +126,7 @@ func New(cfg Config) *Controller {
 	if cfg.QueueDepth < 0 {
 		panic("admission: QueueDepth must be >= 0")
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	return &Controller{
-		cfg:     cfg,
-		now:     now,
-		tenants: make(map[string]*tenant),
-	}
+	return &Controller{cfg: cfg, tenants: make(map[string]*tenant)}
 }
 
 // DefaultTenant is the tenant requests without an X-Tenant header map to.
@@ -214,55 +138,15 @@ func (c *Controller) tenantLocked(name string) *tenant {
 	}
 	t, ok := c.tenants[name]
 	if !ok {
-		q, ok := c.cfg.Tenants[name]
-		if !ok {
-			q = c.cfg.Default
-		}
-		t = &tenant{
-			name:       name,
-			quota:      q,
-			tokens:     q.burst(),
-			lastFill:   c.now(),
-			vtime:      c.vclock,
-			queueWaits: pctl.NewRing(512),
-		}
+		t = &tenant{name: name, vtime: c.vclock, queueWaits: pctl.NewRing(512)}
 		c.tenants[name] = t
 	}
 	return t
 }
 
-// refillLocked tops up the tenant's token bucket for elapsed wall time.
-func (c *Controller) refillLocked(t *tenant, now time.Time) {
-	if t.quota.RatePerSec <= 0 {
-		return
-	}
-	dt := now.Sub(t.lastFill).Seconds()
-	if dt <= 0 {
-		return
-	}
-	t.tokens += dt * t.quota.RatePerSec
-	if b := t.quota.burst(); t.tokens > b {
-		t.tokens = b
-	}
-	t.lastFill = now
-}
-
-// retryAfterRateLocked estimates when the bucket next holds a full token.
-func (c *Controller) retryAfterRateLocked(t *tenant) time.Duration {
-	deficit := 1 - t.tokens
-	if deficit <= 0 {
-		return time.Millisecond
-	}
-	d := time.Duration(deficit / t.quota.RatePerSec * float64(time.Second))
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
-}
-
-// retryAfterQueueLocked estimates when queue space frees: the smoothed hold
-// time, floored at 100ms so clients never thundering-herd a hot server.
-func (c *Controller) retryAfterQueueLocked() time.Duration {
+// retryAfterLocked estimates when a slot frees: the smoothed hold time,
+// floored at 100ms so clients never thundering-herd a hot server.
+func (c *Controller) retryAfterLocked() time.Duration {
 	d := c.holdEWMA
 	if d < 100*time.Millisecond {
 		d = 100 * time.Millisecond
@@ -270,20 +154,16 @@ func (c *Controller) retryAfterQueueLocked() time.Duration {
 	return d
 }
 
-// maxConc resolves the tenant's concurrency cap against the slot count.
-func (c *Controller) maxConc(t *tenant) int {
-	if t.quota.MaxConcurrent <= 0 || t.quota.MaxConcurrent > c.cfg.Slots {
-		return c.cfg.Slots
+// stampLocked returns the tenant's virtual start time for its next request
+// and advances it by the equal share of one. Catching the tenant up to the
+// global clock first stops an idle tenant from banking credit while it was
+// away.
+func (c *Controller) stampLocked(t *tenant) float64 {
+	if t.vtime < c.vclock {
+		t.vtime = c.vclock
 	}
-	return t.quota.MaxConcurrent
-}
-
-// maxQueue resolves the tenant's queue cap against the global depth.
-func (c *Controller) maxQueue(t *tenant) int {
-	if t.quota.MaxQueue <= 0 || t.quota.MaxQueue > c.cfg.QueueDepth {
-		return c.cfg.QueueDepth
-	}
-	return t.quota.MaxQueue
+	t.vtime++
+	return t.vtime - 1
 }
 
 // Admit gates one request. It blocks while the request waits in the queue,
@@ -291,83 +171,59 @@ func (c *Controller) maxQueue(t *tenant) int {
 // the waiter and returns ctx.Err(). Rejections return *ShedError.
 func (c *Controller) Admit(ctx context.Context, tenantName string) (*Decision, error) {
 	c.mu.Lock()
-	now := c.now()
 	t := c.tenantLocked(tenantName)
 
 	if c.draining {
 		c.mu.Unlock()
-		return nil, &ShedError{Tenant: t.name, Reason: ReasonDraining, RetryAfter: c.retryAfterQueueLocked()}
+		return nil, &ShedError{Tenant: t.name, Reason: ReasonDraining, RetryAfter: c.retryAfterLocked()}
 	}
 
-	// Rate gate first: a rate-shed request never consumes queue space.
-	if t.quota.RatePerSec > 0 {
-		c.refillLocked(t, now)
-		if t.tokens < 1 {
-			t.shedRate++
-			retry := c.retryAfterRateLocked(t)
-			c.mu.Unlock()
-			return nil, &ShedError{Tenant: t.name, Reason: ReasonRate, RetryAfter: retry}
-		}
-		t.tokens--
-	}
-
-	// Fast path: free slot, tenant under its concurrency cap, and nobody
-	// ahead in the queue (granting out of order would starve waiters).
-	if c.inFlight < c.cfg.Slots && t.inFlight < c.maxConc(t) && len(c.queue) == 0 {
-		d := c.grantLocked(t, now, false, 0)
+	// Fast path: a free slot and nobody ahead in the queue (granting out of
+	// order would starve waiters). It advances the tenant's virtual time
+	// too, so a tenant hammering the fast path still pays its share when
+	// the queue later forms.
+	if c.inFlight < c.cfg.Slots && len(c.queue) == 0 {
+		c.stampLocked(t)
+		c.inFlight++
+		t.inFlight++
+		t.admitted++
+		d := c.decisionLocked(t, false, 0)
 		c.mu.Unlock()
 		return d, nil
 	}
 
-	// Queue gates. A queue-shed request never ran, so its rate token is
-	// refunded — the rate quota charges work performed, not work attempted.
 	if len(c.queue) >= c.cfg.QueueDepth {
 		t.shedQueue++
-		c.refundLocked(t)
-		retry := c.retryAfterQueueLocked()
+		retry := c.retryAfterLocked()
 		c.mu.Unlock()
 		return nil, &ShedError{Tenant: t.name, Reason: ReasonQueueFull, RetryAfter: retry}
 	}
-	if t.queued >= c.maxQueue(t) {
-		t.shedQueue++
-		c.refundLocked(t)
-		retry := c.retryAfterQueueLocked()
-		c.mu.Unlock()
-		return nil, &ShedError{Tenant: t.name, Reason: ReasonTenantQueue, RetryAfter: retry}
-	}
 
-	// Enqueue under WFQ. Catching the tenant's virtual time up to the
-	// global clock on enqueue stops an idle tenant from banking credit
-	// while it was away.
-	if t.vtime < c.vclock {
-		t.vtime = c.vclock
-	}
+	enqueued := time.Now()
 	c.seq++
-	w := &waiter{tenant: t, vtime: t.vtime, seq: c.seq, ready: make(chan bool, 1)}
-	t.vtime += 1 / t.quota.weight()
+	w := &waiter{tenant: t, vtime: c.stampLocked(t), seq: c.seq, ready: make(chan bool, 1)}
 	c.insertWaiterLocked(w)
 	t.queued++
 	c.mu.Unlock()
 
 	select {
 	case granted := <-w.ready:
-		if !granted {
-			// Evicted by drain.
-			c.mu.Lock()
-			retry := c.retryAfterQueueLocked()
-			c.mu.Unlock()
-			return nil, &ShedError{Tenant: t.name, Reason: ReasonDraining, RetryAfter: retry}
-		}
 		c.mu.Lock()
-		wait := c.now().Sub(now)
-		d := c.grantQueuedLocked(t, now, wait)
-		c.mu.Unlock()
-		return d, nil
+		defer c.mu.Unlock()
+		if !granted { // evicted by drain
+			return nil, &ShedError{Tenant: t.name, Reason: ReasonDraining, RetryAfter: c.retryAfterLocked()}
+		}
+		// Slot and gauge accounting already happened in dispatchLocked;
+		// this only records the wait.
+		wait := time.Since(enqueued)
+		t.queueWaits.Add(float64(wait) / float64(time.Millisecond))
+		t.totalWaitNS += int64(wait)
+		t.queuedEvents++
+		return c.decisionLocked(t, true, wait), nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		if c.removeWaiterLocked(w) {
 			t.queued--
-			c.refundLocked(t)
 			c.mu.Unlock()
 			return nil, ctx.Err()
 		}
@@ -378,7 +234,6 @@ func (c *Controller) Admit(ctx context.Context, tenantName string) (*Decision, e
 		if granted := <-w.ready; granted {
 			c.mu.Lock()
 			t.admitted--
-			c.refundLocked(t)
 			c.inFlight--
 			t.inFlight--
 			c.dispatchLocked()
@@ -388,47 +243,10 @@ func (c *Controller) Admit(ctx context.Context, tenantName string) (*Decision, e
 	}
 }
 
-// refundLocked returns the rate token a cancelled waiter consumed: the
-// request never ran, so it should not count against the tenant's rate.
-func (c *Controller) refundLocked(t *tenant) {
-	if t.quota.RatePerSec <= 0 {
-		return
-	}
-	t.tokens++
-	if b := t.quota.burst(); t.tokens > b {
-		t.tokens = b
-	}
-}
-
-// grantLocked admits a request that never queued.
-func (c *Controller) grantLocked(t *tenant, now time.Time, queued bool, wait time.Duration) *Decision {
-	c.inFlight++
-	t.inFlight++
-	t.admitted++
-	// Fast-path dispatch advances the tenant's virtual time too, so a
-	// tenant hammering the fast path still pays its fair share when the
-	// queue later forms.
-	if t.vtime < c.vclock {
-		t.vtime = c.vclock
-	}
-	t.vtime += 1 / t.quota.weight()
-	return c.decisionLocked(t, now, queued, wait)
-}
-
-// grantQueuedLocked finalizes a queued request after its ready signal.
-// Slot and gauge accounting already happened in dispatchLocked; this only
-// builds the Decision and records the wait.
-func (c *Controller) grantQueuedLocked(t *tenant, start time.Time, wait time.Duration) *Decision {
-	t.queueWaits.Add(float64(wait) / float64(time.Millisecond))
-	t.totalWaitNS += int64(wait)
-	t.queuedEvents++
-	return c.decisionLocked(t, start, true, wait)
-}
-
-func (c *Controller) decisionLocked(t *tenant, now time.Time, queued bool, wait time.Duration) *Decision {
+func (c *Controller) decisionLocked(t *tenant, queued bool, wait time.Duration) *Decision {
 	var once sync.Once
 	d := &Decision{Tenant: t.name, Queued: queued, QueueWait: wait}
-	start := c.now()
+	start := time.Now()
 	d.release = func() {
 		once.Do(func() { c.release(t, start) })
 	}
@@ -436,11 +254,11 @@ func (c *Controller) decisionLocked(t *tenant, now time.Time, queued bool, wait 
 }
 
 // release frees a slot, updates the hold-time estimate and dispatches the
-// next eligible waiter.
+// next waiter.
 func (c *Controller) release(t *tenant, start time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	hold := c.now().Sub(start)
+	hold := time.Since(start)
 	if c.holdEWMA == 0 {
 		c.holdEWMA = hold
 	} else {
@@ -451,22 +269,11 @@ func (c *Controller) release(t *tenant, start time.Time) {
 	c.dispatchLocked()
 }
 
-// dispatchLocked hands free slots to queued waiters in WFQ order, skipping
-// tenants at their concurrency cap.
+// dispatchLocked hands free slots to the queue's head waiters.
 func (c *Controller) dispatchLocked() {
-	for c.inFlight < c.cfg.Slots {
-		idx := -1
-		for i, w := range c.queue {
-			if w.tenant.inFlight < c.maxConc(w.tenant) {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return
-		}
-		w := c.queue[idx]
-		c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
+	for c.inFlight < c.cfg.Slots && len(c.queue) > 0 {
+		w := c.queue[0]
+		c.queue = append(c.queue[:0], c.queue[1:]...)
 		if w.vtime > c.vclock {
 			c.vclock = w.vtime
 		}

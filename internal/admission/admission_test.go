@@ -11,28 +11,6 @@ import (
 	"time"
 )
 
-// fakeClock is a manually-advanced clock for deterministic rate tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Unix(1_000_000, 0)}
-}
-
-func (f *fakeClock) now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) advance(d time.Duration) {
-	f.mu.Lock()
-	f.t = f.t.Add(d)
-	f.mu.Unlock()
-}
-
 func mustAdmit(t *testing.T, c *Controller, tenant string) *Decision {
 	t.Helper()
 	d, err := c.Admit(context.Background(), tenant)
@@ -63,44 +41,6 @@ func TestFastPathAdmitRelease(t *testing.T) {
 	}
 }
 
-func TestRateLimitShedsWithRetryAfter(t *testing.T) {
-	clk := newFakeClock()
-	c := New(Config{
-		Slots: 8, QueueDepth: 8,
-		Tenants: map[string]Quota{"metered": {RatePerSec: 2, Burst: 3}},
-		Now:     clk.now,
-	})
-	for i := 0; i < 3; i++ {
-		mustAdmit(t, c, "metered").Release()
-	}
-	_, err := c.Admit(context.Background(), "metered")
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != ReasonRate {
-		t.Fatalf("4th burst request: %v", err)
-	}
-	// Bucket is empty; one token refills in 1/2 s.
-	if shed.RetryAfter < 400*time.Millisecond || shed.RetryAfter > 600*time.Millisecond {
-		t.Fatalf("retry-after %v, want ~500ms", shed.RetryAfter)
-	}
-	// An unmetered tenant is unaffected.
-	mustAdmit(t, c, "other").Release()
-	// After the advertised wait the request is admitted.
-	clk.advance(shed.RetryAfter)
-	mustAdmit(t, c, "metered").Release()
-	// Idle time refills to burst, no further: 10s >> 3 tokens / 2 per sec.
-	clk.advance(10 * time.Second)
-	for i := 0; i < 3; i++ {
-		mustAdmit(t, c, "metered").Release()
-	}
-	if _, err := c.Admit(context.Background(), "metered"); !errors.As(err, &shed) {
-		t.Fatalf("bucket refilled past burst: %v", err)
-	}
-	st := c.Stats().Tenants["metered"]
-	if st.ShedRate != 2 || st.Admitted != 7 {
-		t.Fatalf("metered stats %+v, want 2 rate sheds, 7 admitted", st)
-	}
-}
-
 // occupy fills every slot with "hold" admissions and returns their release.
 func occupy(t *testing.T, c *Controller, tenant string, n int) func() {
 	t.Helper()
@@ -115,11 +55,8 @@ func occupy(t *testing.T, c *Controller, tenant string, n int) func() {
 	}
 }
 
-func TestQueueFullShedsAndRefundsToken(t *testing.T) {
-	c := New(Config{
-		Slots: 1, QueueDepth: 1,
-		Tenants: map[string]Quota{"m": {RatePerSec: 1, Burst: 10}},
-	})
+func TestQueueFullSheds(t *testing.T) {
+	c := New(Config{Slots: 1, QueueDepth: 1})
 	freeHold := occupy(t, c, "hold", 1)
 
 	// One waiter fills the queue.
@@ -145,47 +82,9 @@ func TestQueueFullShedsAndRefundsToken(t *testing.T) {
 	if err := <-waitErr; err != nil {
 		t.Fatalf("queued request: %v", err)
 	}
-	// The shed consumed no net token: burst 10, the queued waiter spent 1
-	// and the shed's token was refunded → 9 immediate admissions remain
-	// (refill over the test's few milliseconds adds < 0.01 token at 1/s).
-	for i := 0; i < 9; i++ {
-		mustAdmit(t, c, "m").Release()
+	if st := c.Stats().Tenants["m"]; st.Admitted != 1 || st.ShedQueue != 1 {
+		t.Fatalf("tenant stats %+v, want 1 admitted, 1 queue shed", st)
 	}
-	if _, err := c.Admit(context.Background(), "m"); !errors.As(err, &shed) || shed.Reason != ReasonRate {
-		t.Fatalf("10th request: %v (queue shed must refund its rate token)", err)
-	}
-}
-
-func TestTenantQueueCap(t *testing.T) {
-	c := New(Config{
-		Slots: 1, QueueDepth: 8,
-		Tenants: map[string]Quota{"capped": {MaxQueue: 1}},
-	})
-	freeHold := occupy(t, c, "hold", 1)
-	defer freeHold()
-
-	done := make(chan error, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		d, err := c.Admit(ctx, "capped")
-		if d != nil {
-			d.Release()
-		}
-		done <- err
-	}()
-	waitUntil(t, func() bool { return c.Queued() == 1 })
-
-	_, err := c.Admit(context.Background(), "capped")
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != ReasonTenantQueue {
-		t.Fatalf("capped tenant second waiter: %v", err)
-	}
-	// Other tenants still queue freely.
-	go func() { _, _ = c.Admit(ctx, "free") }()
-	waitUntil(t, func() bool { return c.Queued() == 2 })
-	cancel()
-	<-done
 }
 
 func TestCancelWhileQueuedRestoresGauges(t *testing.T) {
@@ -215,24 +114,19 @@ func TestCancelWhileQueuedRestoresGauges(t *testing.T) {
 	mustAdmit(t, c, "t").Release()
 }
 
-// TestWeightedFairDispatch pins the WFQ property: with every slot contended,
-// a weight-3 tenant drains ~3 queued requests for each weight-1 dispatch.
-func TestWeightedFairDispatch(t *testing.T) {
-	c := New(Config{
-		Slots: 1, QueueDepth: 64,
-		Tenants: map[string]Quota{
-			"heavy": {Weight: 3},
-			"light": {Weight: 1},
-		},
-	})
+// TestEqualShareDispatch pins the fair-queuing order at equal shares: a
+// tenant that queued its whole backlog first still alternates with a tenant
+// that queued after it, instead of draining ahead of it.
+func TestEqualShareDispatch(t *testing.T) {
+	c := New(Config{Slots: 1, QueueDepth: 64})
 	freeHold := occupy(t, c, "hold", 1)
 
-	const perTenant = 12
+	const perTenant = 8
 	var order []string
 	var omu sync.Mutex
 	var wg sync.WaitGroup
-	for _, tenant := range []string{"heavy", "light"} {
-		for i := 0; i < perTenant; i++ {
+	for i, tenant := range []string{"first", "second"} {
+		for j := 0; j < perTenant; j++ {
 			wg.Add(1)
 			go func(tn string) {
 				defer wg.Done()
@@ -247,85 +141,25 @@ func TestWeightedFairDispatch(t *testing.T) {
 				d.Release()
 			}(tenant)
 		}
+		waitUntil(t, func() bool { return c.Queued() == (i+1)*perTenant })
 	}
-	waitUntil(t, func() bool { return c.Queued() == 2*perTenant })
 	freeHold()
 	wg.Wait()
 
-	// While both tenants have backlog (the first 16 dispatches — heavy's 12
-	// drain within them at a 3:1 share), every window of 8 consecutive
-	// dispatches gives heavy ~6 and light ~2. The remaining dispatches are
-	// light's leftovers and carry no fairness signal.
-	for start := 0; start+8 <= 16; start += 8 {
-		heavy := 0
-		for _, tn := range order[start : start+8] {
-			if tn == "heavy" {
-				heavy++
-			}
-		}
-		if heavy < 5 || heavy > 7 {
-			t.Fatalf("window %d: heavy got %d of 8 dispatches, want ~6 (order %v)", start, heavy, order)
+	// One slot: each dispatch waits for the previous release, so order is
+	// the dispatch order exactly.
+	for i, tn := range order {
+		if want := []string{"first", "second"}[i%2]; tn != want {
+			t.Fatalf("dispatch %d went to %s, want %s (order %v)", i, tn, want, order)
 		}
 	}
-	// Exhaustion check: both drained completely.
 	st := c.Stats()
-	if st.Tenants["heavy"].Admitted != perTenant || st.Tenants["light"].Admitted != perTenant {
+	if st.Tenants["first"].Admitted != perTenant || st.Tenants["second"].Admitted != perTenant {
 		t.Fatalf("admitted %+v", st.Tenants)
 	}
-	if st.Tenants["heavy"].QueueWaitP99MS == 0 {
+	if st.Tenants["second"].QueueWaitP99MS == 0 {
 		t.Fatal("queued dispatches recorded no wait percentile")
 	}
-}
-
-// TestConcurrencyCapHoldsSlotForOthers: a tenant at MaxConcurrent cannot
-// take a free slot even at the head of the queue; an eligible tenant behind
-// it is dispatched instead.
-func TestConcurrencyCap(t *testing.T) {
-	c := New(Config{
-		Slots: 2, QueueDepth: 8,
-		Tenants: map[string]Quota{"capped": {MaxConcurrent: 1}},
-	})
-	dCap := mustAdmit(t, c, "capped") // capped tenant at its cap
-	// Advance "other"'s virtual time past "capped"'s so the capped waiter
-	// heads the queue below — the dispatch must skip past it.
-	for i := 0; i < 3; i++ {
-		mustAdmit(t, c, "other").Release()
-	}
-	freeHold := occupy(t, c, "hold", 1)
-
-	capDone := make(chan *Decision, 1)
-	go func() {
-		d, err := c.Admit(context.Background(), "capped")
-		if err != nil {
-			t.Errorf("capped: %v", err)
-		}
-		capDone <- d
-	}()
-	waitUntil(t, func() bool { return c.Queued() == 1 })
-
-	otherDone := make(chan *Decision, 1)
-	go func() {
-		d, err := c.Admit(context.Background(), "other")
-		if err != nil {
-			t.Errorf("other: %v", err)
-		}
-		otherDone <- d
-	}()
-	waitUntil(t, func() bool { return c.Queued() == 2 })
-
-	// Free one generic slot: "capped" heads the queue but is at its cap, so
-	// "other" must be dispatched past it.
-	freeHold()
-	dOther := <-otherDone
-	select {
-	case <-capDone:
-		t.Fatal("capped tenant dispatched past its concurrency cap")
-	case <-time.After(20 * time.Millisecond):
-	}
-	// Releasing the capped tenant's original slot unblocks its waiter.
-	dCap.Release()
-	(<-capDone).Release()
-	dOther.Release()
 }
 
 func TestDrainEvictsQueueAndShedsNew(t *testing.T) {
@@ -376,13 +210,7 @@ func TestGaugeInvariantsUnderStress(t *testing.T) {
 		workers = 32
 		iters   = 200
 	)
-	c := New(Config{
-		Slots: slots, QueueDepth: depth,
-		Tenants: map[string]Quota{
-			"a": {Weight: 2, MaxConcurrent: 3},
-			"b": {MaxQueue: 4},
-		},
-	})
+	c := New(Config{Slots: slots, QueueDepth: depth})
 	stop := make(chan struct{})
 	var monWG sync.WaitGroup
 	monWG.Add(1)
@@ -458,7 +286,7 @@ func TestGaugeInvariantsUnderStress(t *testing.T) {
 	var stAdmitted, stShed int64
 	for _, ts := range st.Tenants {
 		stAdmitted += ts.Admitted
-		stShed += ts.ShedRate + ts.ShedQueue
+		stShed += ts.ShedQueue
 	}
 	if total := admitted.Load() + shedTotal.Load() + cancelled.Load(); total != workers*iters {
 		t.Fatalf("outcomes %d != requests %d", total, workers*iters)
@@ -475,12 +303,7 @@ func TestGaugeInvariantsUnderStress(t *testing.T) {
 }
 
 func TestSnapshotShape(t *testing.T) {
-	clk := newFakeClock()
-	c := New(Config{
-		Slots: 2, QueueDepth: 4,
-		Default: Quota{RatePerSec: 100},
-		Now:     clk.now,
-	})
+	c := New(Config{Slots: 2, QueueDepth: 4})
 	d := mustAdmit(t, c, "")
 	st := c.Stats()
 	if st.Slots != 2 || st.QueueDepth != 4 || st.InFlight != 1 || st.Queued != 0 {
@@ -490,7 +313,7 @@ func TestSnapshotShape(t *testing.T) {
 	if !ok {
 		t.Fatalf("no default tenant in %+v", st.Tenants)
 	}
-	if ts.Admitted != 1 || ts.InFlight != 1 || ts.Weight != 1 {
+	if ts.Admitted != 1 || ts.InFlight != 1 {
 		t.Fatalf("tenant stats %+v", ts)
 	}
 	d.Release()
@@ -556,8 +379,8 @@ func waitUntil(t *testing.T, cond func() bool) {
 
 // TestShedErrorMessage pins the error string format clients see in logs.
 func TestShedErrorMessage(t *testing.T) {
-	e := &ShedError{Tenant: "t", Reason: ReasonRate, RetryAfter: time.Second}
-	want := `admission: tenant "t" shed (rate), retry after 1s`
+	e := &ShedError{Tenant: "t", Reason: ReasonQueueFull, RetryAfter: time.Second}
+	want := `admission: tenant "t" shed (queue-full), retry after 1s`
 	if e.Error() != want {
 		t.Fatalf("error %q, want %q", e.Error(), want)
 	}

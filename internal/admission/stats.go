@@ -4,10 +4,10 @@ package admission
 type TenantStats struct {
 	// Admitted counts granted admissions (fast-path and queued).
 	Admitted int64 `json:"admitted"`
-	// ShedRate counts rejections from an empty token bucket.
-	ShedRate int64 `json:"shed_rate,omitempty"`
-	// ShedQueue counts rejections from queue bounds (global, per-tenant,
-	// or drain eviction).
+	// ShedRate is always 0: no request is shed by rate. It stays for
+	// readers that still sum it with ShedQueue.
+	ShedRate int64 `json:"-"`
+	// ShedQueue counts rejections from the queue bound or drain eviction.
 	ShedQueue int64 `json:"shed_queue,omitempty"`
 	// InFlight and Queued are current gauges, exact under the controller
 	// mutex.
@@ -21,8 +21,6 @@ type TenantStats struct {
 	// MeanQueueWaitMS averages every wait ever recorded (not just the
 	// window).
 	MeanQueueWaitMS float64 `json:"mean_queue_wait_ms,omitempty"`
-	// Weight echoes the effective fair-queuing weight.
-	Weight float64 `json:"weight"`
 }
 
 // Snapshot is the controller's /v1/stats payload.
@@ -58,14 +56,12 @@ func (c *Controller) Stats() Snapshot {
 		ps := t.queueWaits.Percentiles(50, 99)
 		ts := TenantStats{
 			Admitted:       t.admitted,
-			ShedRate:       t.shedRate,
 			ShedQueue:      t.shedQueue,
 			InFlight:       t.inFlight,
 			Queued:         t.queued,
 			QueuedEvents:   t.queuedEvents,
 			QueueWaitP50MS: ps[0],
 			QueueWaitP99MS: ps[1],
-			Weight:         t.quota.weight(),
 		}
 		if t.queuedEvents > 0 {
 			ts.MeanQueueWaitMS = float64(t.totalWaitNS) / float64(t.queuedEvents) / 1e6

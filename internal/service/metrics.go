@@ -48,11 +48,10 @@ type metrics struct {
 	mu       sync.Mutex
 	requests map[string]int64 // per endpoint
 
-	rejectedQueueFull   atomic.Int64
-	rejectedRateLimited atomic.Int64
-	deadlineExceeded    atomic.Int64
-	badRequests         atomic.Int64
-	solveErrors         atomic.Int64
+	rejectedQueueFull atomic.Int64
+	deadlineExceeded  atomic.Int64
+	badRequests       atomic.Int64
+	solveErrors       atomic.Int64
 
 	persistDeferred atomic.Int64
 
@@ -141,17 +140,15 @@ type DegradeStats struct {
 type Stats struct {
 	Requests          map[string]int64 `json:"requests"`
 	RejectedQueueFull int64            `json:"rejected_queue_full"`
-	// RejectedRateLimited counts 429s from per-tenant token buckets.
-	RejectedRateLimited int64           `json:"rejected_rate_limited"`
-	DeadlineExceeded    int64           `json:"deadline_exceeded"`
-	BadRequests         int64           `json:"bad_requests"`
-	SolveErrors         int64           `json:"solve_errors"`
-	InFlight            int64           `json:"in_flight"`
-	Queued              int64           `json:"queued"`
-	Cache               CacheStats      `json:"cache"`
-	CacheHitRate        float64         `json:"cache_hit_rate"`
-	SolveLatency        LatencyStats    `json:"solve_latency"`
-	Solver              SolverPathStats `json:"solver"`
+	DeadlineExceeded  int64            `json:"deadline_exceeded"`
+	BadRequests       int64            `json:"bad_requests"`
+	SolveErrors       int64            `json:"solve_errors"`
+	InFlight          int64            `json:"in_flight"`
+	Queued            int64            `json:"queued"`
+	Cache             CacheStats       `json:"cache"`
+	CacheHitRate      float64          `json:"cache_hit_rate"`
+	SolveLatency      LatencyStats     `json:"solve_latency"`
+	Solver            SolverPathStats  `json:"solver"`
 	// Degrade reports the graceful-degradation counters.
 	Degrade DegradeStats `json:"degrade"`
 	// ScenarioTapes reports the live-CPU scenarios' tape cache: a miss is
@@ -202,16 +199,15 @@ func (m *metrics) snapshot(cache *ModelCache) Stats {
 		solver.MeanStepSolveUS /= float64(solver.DirectSteps)
 	}
 	return Stats{
-		Requests:            m.requestCounts(),
-		RejectedQueueFull:   m.rejectedQueueFull.Load(),
-		RejectedRateLimited: m.rejectedRateLimited.Load(),
-		DeadlineExceeded:    m.deadlineExceeded.Load(),
-		BadRequests:         m.badRequests.Load(),
-		SolveErrors:         m.solveErrors.Load(),
-		Cache:               cs,
-		CacheHitRate:        hitRate,
-		SolveLatency:        LatencyStats{Window: window, Total: total, P50MS: ps[0], P90MS: ps[1], P99MS: ps[2]},
-		Solver:              solver,
-		Degrade:             DegradeStats{PersistDeferred: m.persistDeferred.Load()},
+		Requests:          m.requestCounts(),
+		RejectedQueueFull: m.rejectedQueueFull.Load(),
+		DeadlineExceeded:  m.deadlineExceeded.Load(),
+		BadRequests:       m.badRequests.Load(),
+		SolveErrors:       m.solveErrors.Load(),
+		Cache:             cs,
+		CacheHitRate:      hitRate,
+		SolveLatency:      LatencyStats{Window: window, Total: total, P50MS: ps[0], P90MS: ps[1], P99MS: ps[2]},
+		Solver:            solver,
+		Degrade:           DegradeStats{PersistDeferred: m.persistDeferred.Load()},
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/faultfs"
 	"repro/internal/floorplan"
 	"repro/internal/trace"
@@ -61,38 +60,6 @@ func steadyReq() SteadyRequest {
 	}
 }
 
-// TestRateLimitRetryAfter: a tenant with an exhausted token bucket sheds
-// with 429 and a Retry-After derived from the bucket refill, counted both
-// globally and per tenant.
-func TestRateLimitRetryAfter(t *testing.T) {
-	srv, ts := newTestServer(t, Config{
-		Tenants: map[string]admission.Quota{"metered": {RatePerSec: 0.001, Burst: 1}},
-	})
-	resp, raw := postJSONTenant(t, ts.URL+"/v1/steady", "metered", steadyReq())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first request: status %d: %s", resp.StatusCode, raw)
-	}
-	resp, raw = postJSONTenant(t, ts.URL+"/v1/steady", "metered", steadyReq())
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second request: status %d, want 429: %s", resp.StatusCode, raw)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("rate-limited 429 missing Retry-After header")
-	}
-	st := srv.Stats()
-	if st.RejectedRateLimited != 1 {
-		t.Fatalf("rejected_rate_limited = %d, want 1", st.RejectedRateLimited)
-	}
-	ten := st.Admission.Tenants["metered"]
-	if ten.Admitted != 1 || ten.ShedRate != 1 {
-		t.Fatalf("metered tenant stats: %+v", ten)
-	}
-	// A different tenant is unaffected by the metered tenant's empty bucket.
-	if resp, raw := postJSONTenant(t, ts.URL+"/v1/steady", "other", steadyReq()); resp.StatusCode != http.StatusOK {
-		t.Fatalf("other tenant: status %d: %s", resp.StatusCode, raw)
-	}
-}
-
 // TestOversizedTenantRejected: unbounded client-chosen tenant names would be
 // an unbounded-memory vector, so they are a 400.
 func TestOversizedTenantRejected(t *testing.T) {
@@ -108,16 +75,10 @@ func TestOversizedTenantRejected(t *testing.T) {
 }
 
 // TestTwoTenantOverload is the overload acceptance scenario: a heavy tenant
-// bursting far past its queue bound is shed with 429 + Retry-After while a
+// bursting far past the queue bound is shed with 429 + Retry-After while a
 // light tenant keeps succeeding with bounded queue waits.
 func TestTwoTenantOverload(t *testing.T) {
-	srv, ts := newTestServer(t, Config{
-		MaxConcurrent: 2, QueueDepth: 8,
-		Tenants: map[string]admission.Quota{
-			"heavy": {MaxQueue: 4},
-			"light": {Weight: 2},
-		},
-	})
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 2, QueueDepth: 8})
 	// Prime the model cache so overloaded requests measure queuing, not
 	// compiles.
 	if resp, raw := postJSON(t, ts.URL+"/v1/steady", steadyReq()); resp.StatusCode != http.StatusOK {
@@ -176,8 +137,8 @@ func TestTwoTenantOverload(t *testing.T) {
 		return srv.admission.Stats().Tenants["light"].Queued == 4
 	})
 
-	// Heavy burst: 30 concurrent requests against a per-tenant queue bound
-	// of 4 — the rest shed immediately.
+	// Heavy burst: 30 concurrent requests against the 4 queue places the
+	// light wave left — the rest shed immediately.
 	wg.Add(30)
 	for i := 0; i < 30; i++ {
 		go post("heavy", heavy)
@@ -192,9 +153,9 @@ func TestTwoTenantOverload(t *testing.T) {
 	// bound: ≤4 light waiting + ≤4 heavy queued ≤ QueueDepth).
 	hold()
 	released = true
-	// The first light wave fills the global queue with the heavy backlog;
+	// The first light wave shares the full queue with the heavy backlog;
 	// let it drain before the second wave arrives, or the second wave races
-	// the dequeue and is shed by the full global queue.
+	// the dequeue and is shed by the full queue.
 	waitCond(t, "first light wave dequeued", func() bool {
 		return srv.admission.Stats().Tenants["light"].Queued == 0
 	})
@@ -244,7 +205,7 @@ func TestTwoTenantOverload(t *testing.T) {
 
 	st := srv.Stats()
 	lt, ht := st.Admission.Tenants["light"], st.Admission.Tenants["heavy"]
-	if lt.Admitted != 12 || lt.ShedRate+lt.ShedQueue != 0 {
+	if lt.Admitted != 12 || lt.ShedQueue != 0 {
 		t.Fatalf("light tenant stats: %+v", lt)
 	}
 	if ht.Admitted != int64(heavyOK) || ht.ShedQueue != int64(heavySheds) {

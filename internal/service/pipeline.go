@@ -137,8 +137,8 @@ func (s *Server) deadline(r *http.Request, timeoutMS int) (context.Context, cont
 
 // admit gates a request through the admission controller under its tenant
 // ("default" when the X-Tenant header is absent). The caller must Release a
-// returned decision. Rejections carry their status: 429 for a rate or queue
-// shed, 503 while draining, 504 for a deadline hit while queued.
+// returned decision. Rejections carry their status: 429 for a queue shed,
+// 503 while draining, 504 for a deadline hit while queued.
 func (s *Server) admit(ctx context.Context, tenant string) (*admission.Decision, error) {
 	if len(tenant) > maxTenantName {
 		return nil, fmt.Errorf("X-Tenant longer than %d bytes", maxTenantName)
@@ -151,15 +151,11 @@ func (s *Server) admit(ctx context.Context, tenant string) (*admission.Decision,
 	if !errors.As(err, &shed) { // context deadline or cancellation while queued
 		return nil, withStatus(http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded while queued: %v", err))
 	}
-	switch shed.Reason {
-	case admission.ReasonDraining:
+	if shed.Reason == admission.ReasonDraining {
 		return nil, &statusError{code: http.StatusServiceUnavailable, retry: shed.RetryAfter,
 			err: errors.New("server draining for shutdown")}
-	case admission.ReasonRate:
-		s.metrics.rejectedRateLimited.Add(1)
-	default: // global or per-tenant queue bound
-		s.metrics.rejectedQueueFull.Add(1)
 	}
+	s.metrics.rejectedQueueFull.Add(1)
 	return nil, &statusError{code: http.StatusTooManyRequests, retry: shed.RetryAfter, err: err}
 }
 

@@ -30,13 +30,6 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline when the request carries
 	// none (default 30 s).
 	DefaultTimeout time.Duration
-	// DefaultQuota is the admission quota for tenants without an entry in
-	// Tenants. The zero quota means unmetered: no rate limit, weight 1,
-	// bounded only by the global slots and queue.
-	DefaultQuota admission.Quota
-	// Tenants maps tenant name (the X-Tenant request header) to its
-	// admission quota.
-	Tenants map[string]admission.Quota
 	// DrainTimeout bounds graceful shutdown: after Serve's context is
 	// cancelled, in-flight solves get this long to finish while new
 	// requests shed with 503 (default 5 s).
@@ -88,8 +81,6 @@ func New(cfg Config) *Server {
 		admission: admission.New(admission.Config{
 			Slots:      cfg.MaxConcurrent,
 			QueueDepth: cfg.QueueDepth,
-			Default:    cfg.DefaultQuota,
-			Tenants:    cfg.Tenants,
 		}),
 		metrics: newMetrics(),
 		mux:     http.NewServeMux(),

@@ -132,11 +132,21 @@ func New(cfg Config) *Controller {
 // DefaultTenant is the tenant requests without an X-Tenant header map to.
 const DefaultTenant = "default"
 
+// maxTenants bounds the tenants the controller keeps state for: a name
+// first seen once this many are tracked is admitted as DefaultTenant, so
+// client-chosen names cannot grow the controller or /v1/stats without
+// bound. Each tenant holds a 512-sample wait ring, about 4.4 KB.
+const maxTenants = 1024
+
 func (c *Controller) tenantLocked(name string) *tenant {
 	if name == "" {
 		name = DefaultTenant
 	}
 	t, ok := c.tenants[name]
+	if !ok && len(c.tenants) >= maxTenants {
+		name = DefaultTenant
+		t, ok = c.tenants[name]
+	}
 	if !ok {
 		t = &tenant{name: name, vtime: c.vclock, queueWaits: pctl.NewRing(512)}
 		c.tenants[name] = t

@@ -87,6 +87,39 @@ func TestQueueFullSheds(t *testing.T) {
 	}
 }
 
+// TestTenantBound: client-chosen names cannot grow the controller without
+// bound. Past maxTenants tracked names, a new name is admitted as
+// DefaultTenant.
+func TestTenantBound(t *testing.T) {
+	c := New(Config{Slots: 1})
+	const names = 20000
+	for i := 0; i < names; i++ {
+		name := fmt.Sprintf("t%d", i)
+		d := mustAdmit(t, c, name)
+		want := name
+		if i >= maxTenants {
+			want = DefaultTenant
+		}
+		if d.Tenant != want {
+			t.Fatalf("name %d admitted as %q, want %q", i, d.Tenant, want)
+		}
+		d.Release()
+	}
+	st := c.Stats()
+	if len(st.Tenants) > maxTenants+1 {
+		t.Fatalf("%d tenants tracked, want at most %d", len(st.Tenants), maxTenants+1)
+	}
+	if got := st.Tenants[DefaultTenant].Admitted; got != names-maxTenants {
+		t.Fatalf("default tenant admitted %d, want %d", got, names-maxTenants)
+	}
+	// A tracked name keeps its own entry.
+	d := mustAdmit(t, c, "t0")
+	d.Release()
+	if d.Tenant != "t0" {
+		t.Fatalf("tracked name admitted as %q", d.Tenant)
+	}
+}
+
 func TestCancelWhileQueuedRestoresGauges(t *testing.T) {
 	c := New(Config{Slots: 1, QueueDepth: 4})
 	freeHold := occupy(t, c, "hold", 1)

@@ -32,7 +32,8 @@ type Snapshot struct {
 	// Pressure is the current queue occupancy in [0, 1].
 	Pressure float64 `json:"pressure"`
 	Draining bool    `json:"draining,omitempty"`
-	// Tenants holds one entry per tenant ever seen.
+	// Tenants holds one entry per tenant seen: at most maxTenants names,
+	// plus DefaultTenant.
 	Tenants map[string]TenantStats `json:"tenants"`
 }
 

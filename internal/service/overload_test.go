@@ -60,8 +60,8 @@ func steadyReq() SteadyRequest {
 	}
 }
 
-// TestOversizedTenantRejected: unbounded client-chosen tenant names would be
-// an unbounded-memory vector, so they are a 400.
+// TestOversizedTenantRejected: a tenant name longer than maxTenantName is a
+// 400.
 func TestOversizedTenantRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	long := make([]byte, maxTenantName+1)

@@ -25,9 +25,9 @@ const MaxBodyBytes = 64 << 20
 // readHeaderTimeout bounds how long Serve waits for a request's headers.
 const readHeaderTimeout = 10 * time.Second
 
-// maxTenantName bounds the X-Tenant header: the admission controller keeps
-// per-tenant state forever, so unbounded client-chosen names would be an
-// unbounded-memory vector.
+// maxTenantName bounds the X-Tenant header. The admission controller keeps
+// every name it tracks, up to its tenant bound, for the server's life, as a
+// key of its state and of /v1/stats.
 const maxTenantName = 64
 
 // statusError is an error answered with a status other than 400, the status

@@ -18,7 +18,7 @@ func BenchmarkFleetRingOwner(b *testing.B) {
 	for i := range replicas {
 		replicas[i] = fmt.Sprintf("10.0.0.%d:7070", i+1)
 	}
-	r := NewRing(replicas, 0)
+	r := NewRing(replicas)
 	keys := ringKeys(1024)
 	all := func(string) bool { return true }
 	load := func(string) int { return 4 }

@@ -32,11 +32,6 @@ import (
 type Config struct {
 	// Replicas lists the backend addresses ("host:port" or "http://host:port").
 	Replicas []string
-	// Vnodes is the per-replica virtual-node count (default DefaultVnodes).
-	Vnodes int
-	// BoundedLoadFactor caps any replica's share of in-flight load at this
-	// multiple of the fleet mean (default 1.25; values < 1 take the default).
-	BoundedLoadFactor float64
 	// ProbeInterval spaces health-probe rounds (default 1 s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request (default 500 ms).
@@ -55,12 +50,6 @@ type Config struct {
 }
 
 func (c Config) defaulted() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
-	}
-	if c.BoundedLoadFactor < 1 {
-		c.BoundedLoadFactor = 1.25
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
@@ -161,7 +150,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:      cfg,
-		ring:     NewRing(names, cfg.Vnodes),
+		ring:     NewRing(names),
 		replicas: replicas,
 		client:   &http.Client{Transport: transport},
 		stopc:    make(chan struct{}),

@@ -33,18 +33,19 @@ type ringPoint struct {
 	replica int // index into replicas
 }
 
-// DefaultVnodes is the per-replica virtual-node count. 128 points per
-// replica keeps the share imbalance under a few percent for small fleets.
-const DefaultVnodes = 128
+// vnodes is the per-replica virtual-node count. 128 points per replica
+// keeps the share imbalance under a few percent for small fleets.
+const vnodes = 128
 
-// NewRing builds the ring over the replica list. vnodes <= 0 selects
-// DefaultVnodes. Replica order does not affect key ownership (points sort by
-// hash), but ties — astronomically unlikely with 64-bit FNV — break by
-// replica index, so the list order still pins a total order.
-func NewRing(replicas []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
+// boundedLoadFactor is the router's bounded-load factor: no replica takes
+// more than 1.25 times the mean in-flight load.
+const boundedLoadFactor = 1.25
+
+// NewRing builds the ring over the replica list. Replica order does not
+// affect key ownership (points sort by hash), but ties — astronomically
+// unlikely with 64-bit FNV — break by replica index, so the list order
+// still pins a total order.
+func NewRing(replicas []string) *Ring {
 	r := &Ring{
 		replicas: append([]string(nil), replicas...),
 		points:   make([]ringPoint, 0, len(replicas)*vnodes),
@@ -140,7 +141,7 @@ func (r *Ring) OwnerBounded(key string, c float64, available func(string) bool, 
 		return "", -1
 	}
 	if c < 1 {
-		c = 1.25
+		c = boundedLoadFactor
 	}
 	alive, total := 0, 0
 	for _, o := range owners {

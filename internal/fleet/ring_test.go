@@ -21,8 +21,8 @@ func ringKeys(n int) []string {
 func TestRingDeterministic(t *testing.T) {
 	replicas := []string{"10.0.0.1:7070", "10.0.0.2:7070", "10.0.0.3:7070", "10.0.0.4:7070", "10.0.0.5:7070"}
 	shuffled := []string{"10.0.0.4:7070", "10.0.0.1:7070", "10.0.0.5:7070", "10.0.0.3:7070", "10.0.0.2:7070"}
-	r1 := NewRing(replicas, 0)
-	r2 := NewRing(shuffled, 0)
+	r1 := NewRing(replicas)
+	r2 := NewRing(shuffled)
 	for _, key := range ringKeys(2000) {
 		o1 := r1.Owners(key, 0)
 		o2 := r2.Owners(key, 0)
@@ -44,11 +44,11 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
-// TestRingShareBalance: with DefaultVnodes the per-replica key share stays
-// within a loose band around the fair 1/N share.
+// TestRingShareBalance: with vnodes points per replica, each replica's key
+// share stays within a loose band around the fair 1/N share.
 func TestRingShareBalance(t *testing.T) {
 	replicas := []string{"a:1", "b:1", "c:1", "d:1", "e:1"}
-	r := NewRing(replicas, 0)
+	r := NewRing(replicas)
 	keys := ringKeys(20000)
 	counts := map[string]int{}
 	for _, key := range keys {
@@ -70,7 +70,7 @@ func TestRingShareBalance(t *testing.T) {
 // original exactly.
 func TestRingMinimalMoves(t *testing.T) {
 	replicas := []string{"r0:1", "r1:1", "r2:1", "r3:1", "r4:1"}
-	r := NewRing(replicas, 0)
+	r := NewRing(replicas)
 	keys := ringKeys(10000)
 	all := func(string) bool { return true }
 
@@ -129,7 +129,7 @@ func TestRingMinimalMoves(t *testing.T) {
 // capacity c·ceil((total+1)/alive) is skipped in favor of the key's next
 // preference.
 func TestRingBoundedLoadSkipsHotReplica(t *testing.T) {
-	r := NewRing([]string{"a:1", "b:1", "c:1"}, 0)
+	r := NewRing([]string{"a:1", "b:1", "c:1"})
 	key := "some-model-fingerprint"
 	owners := r.Owners(key, 0)
 	all := func(string) bool { return true }
@@ -162,7 +162,7 @@ func TestRingBoundedLoadSkipsHotReplica(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if o := r.Owner("k"); o != "" {
 		t.Fatalf("empty ring Owner = %q, want empty", o)
 	}

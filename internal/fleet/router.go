@@ -175,7 +175,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // winner's body: the winner's context travels out in the result's release.
 func (rt *Router) dispatch(r *http.Request, body []byte, key string, hedge bool) upstreamResult {
 	ctx := r.Context()
-	primary, _ := rt.ring.OwnerBounded(key, rt.cfg.BoundedLoadFactor, rt.available, rt.loadOf)
+	primary, _ := rt.ring.OwnerBounded(key, boundedLoadFactor, rt.available, rt.loadOf)
 	if primary == "" {
 		return upstreamResult{err: errNoReplica}
 	}

@@ -53,18 +53,12 @@ func RK4Step(f Derivs, t float64, y []float64, h float64, scratch []float64) {
 type AdaptiveOptions struct {
 	// AbsTol is the per-step absolute error tolerance (default 1e-4).
 	AbsTol float64
-	// MinStep is the smallest step the controller may take (default
-	// duration·1e-12). The integrator returns an error rather than
-	// silently under-stepping.
-	MinStep float64
-	// InitialStep seeds the controller (default duration/16, clamped to
-	// MaxStep when one is set).
-	InitialStep float64
 	// MaxStep caps the step size the controller may grow to (0 = no cap).
 	MaxStep float64
-	// MaxSteps bounds the total number of accepted steps (default 10^7).
-	MaxSteps int
 }
+
+// maxAdaptiveSteps bounds the accepted steps of one AdaptiveRK4 call.
+const maxAdaptiveSteps = 10_000_000
 
 // Stats reports what the adaptive integrator did.
 type Stats struct {
@@ -78,7 +72,9 @@ type Stats struct {
 // substeps; the difference estimates the local error. On acceptance y is
 // advanced with the more accurate fine solution (with the usual 4th-order
 // local extrapolation). This is the HotSpot-style integrator used for all
-// non-stiff transients in this repository.
+// non-stiff transients in this repository. The first step is duration/16,
+// clamped to MaxStep; a step halved below duration·1e-12 is an error rather
+// than silent under-stepping.
 func AdaptiveRK4(f Derivs, t0 float64, y []float64, duration float64, opt AdaptiveOptions) (Stats, error) {
 	var st Stats
 	if duration <= 0 {
@@ -87,17 +83,9 @@ func AdaptiveRK4(f Derivs, t0 float64, y []float64, duration float64, opt Adapti
 	if opt.AbsTol == 0 {
 		opt.AbsTol = 1e-4
 	}
-	if opt.MinStep == 0 {
-		opt.MinStep = duration * 1e-12
-	}
-	if opt.InitialStep == 0 {
-		opt.InitialStep = duration / 16
-	}
-	if opt.MaxStep > 0 && opt.InitialStep > opt.MaxStep {
-		opt.InitialStep = opt.MaxStep
-	}
-	if opt.MaxSteps == 0 {
-		opt.MaxSteps = 10_000_000
+	minStep, h := duration*1e-12, duration/16
+	if opt.MaxStep > 0 && h > opt.MaxStep {
+		h = opt.MaxStep
 	}
 	n := len(y)
 	scratch := make([]float64, 5*n)
@@ -106,7 +94,6 @@ func AdaptiveRK4(f Derivs, t0 float64, y []float64, duration float64, opt Adapti
 
 	t := t0
 	end := t0 + duration
-	h := math.Min(opt.InitialStep, duration)
 	for t < end-1e-15*duration {
 		if h > end-t {
 			h = end - t
@@ -130,8 +117,8 @@ func AdaptiveRK4(f Derivs, t0 float64, y []float64, duration float64, opt Adapti
 			t += h
 			st.Accepted++
 			st.LastStep = h
-			if st.Accepted > opt.MaxSteps {
-				return st, fmt.Errorf("ode: exceeded %d steps", opt.MaxSteps)
+			if st.Accepted > maxAdaptiveSteps {
+				return st, fmt.Errorf("ode: exceeded %d steps", maxAdaptiveSteps)
 			}
 			// Grow cautiously, honoring the step-size cap.
 			if errMax < opt.AbsTol/32 {
@@ -143,7 +130,7 @@ func AdaptiveRK4(f Derivs, t0 float64, y []float64, duration float64, opt Adapti
 		} else {
 			st.Rejected++
 			h /= 2
-			if h < opt.MinStep {
+			if h < minStep {
 				return st, fmt.Errorf("ode: step size underflow at t=%g (h=%g, err=%g)", t, h, errMax)
 			}
 		}

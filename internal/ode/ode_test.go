@@ -163,9 +163,8 @@ func TestAdaptiveRK4MaxStepHonored(t *testing.T) {
 	if min := int(4.0 / maxStep); st.Accepted < min {
 		t.Fatalf("accepted %d steps, a MaxStep of %g over 4 s needs at least %d", st.Accepted, maxStep, min)
 	}
-	// And a MaxStep below the default initial step must clamp the first
-	// step too (the regression this test guards: MaxStep used to be fed to
-	// InitialStep, which only seeded the first step and never capped growth).
+	// And a MaxStep below the first step of duration/16 must clamp that
+	// step too, and cap every step after it.
 	y = []float64{1}
 	st, err = AdaptiveRK4(derivs, 0, y, 4.0, AdaptiveOptions{AbsTol: 1e3, MaxStep: 0.05})
 	if err != nil {

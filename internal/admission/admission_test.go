@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,21 +148,19 @@ func TestCancelWhileQueuedRestoresGauges(t *testing.T) {
 	mustAdmit(t, c, "t").Release()
 }
 
-// TestEqualShareDispatch pins the fair-queuing order at equal shares: a
-// tenant that queued its whole backlog first still alternates with a tenant
-// that queued after it, instead of draining ahead of it.
-func TestEqualShareDispatch(t *testing.T) {
-	c := New(Config{Slots: 1, QueueDepth: 64})
+// queueAndDrain holds the only slot, queues n requests per tenant, one
+// tenant after another, then frees the slot and returns the dispatch order.
+// Each dispatch waits for the previous release, so the order is exact.
+func queueAndDrain(t *testing.T, c *Controller, n int, tenants ...string) string {
+	t.Helper()
 	freeHold := occupy(t, c, "hold", 1)
-
-	const perTenant = 8
 	var order []string
 	var omu sync.Mutex
 	var wg sync.WaitGroup
-	for i, tenant := range []string{"first", "second"} {
-		for j := 0; j < perTenant; j++ {
+	for i, tn := range tenants {
+		for j := 0; j < n; j++ {
 			wg.Add(1)
-			go func(tn string) {
+			go func() {
 				defer wg.Done()
 				d, err := c.Admit(context.Background(), tn)
 				if err != nil {
@@ -172,19 +171,24 @@ func TestEqualShareDispatch(t *testing.T) {
 				order = append(order, tn)
 				omu.Unlock()
 				d.Release()
-			}(tenant)
+			}()
 		}
-		waitUntil(t, func() bool { return c.Queued() == (i+1)*perTenant })
+		waitUntil(t, func() bool { return c.Queued() == (i+1)*n })
 	}
 	freeHold()
 	wg.Wait()
+	return strings.Join(order, " ")
+}
 
-	// One slot: each dispatch waits for the previous release, so order is
-	// the dispatch order exactly.
-	for i, tn := range order {
-		if want := []string{"first", "second"}[i%2]; tn != want {
-			t.Fatalf("dispatch %d went to %s, want %s (order %v)", i, tn, want, order)
-		}
+// TestEqualShareDispatch pins the fair-queuing order at equal shares: a
+// tenant that queued its whole backlog first still alternates with a tenant
+// that queued after it, instead of draining ahead of it.
+func TestEqualShareDispatch(t *testing.T) {
+	c := New(Config{Slots: 1, QueueDepth: 64})
+	const perTenant = 8
+	order := queueAndDrain(t, c, perTenant, "first", "second")
+	if want := strings.Repeat("first second ", perTenant-1) + "first second"; order != want {
+		t.Fatalf("dispatch order %q, want %q", order, want)
 	}
 	st := c.Stats()
 	if st.Tenants["first"].Admitted != perTenant || st.Tenants["second"].Admitted != perTenant {
@@ -192,6 +196,25 @@ func TestEqualShareDispatch(t *testing.T) {
 	}
 	if st.Tenants["second"].QueueWaitP99MS == 0 {
 		t.Fatal("queued dispatches recorded no wait percentile")
+	}
+}
+
+// TestNoBankedCredit: fast-path admissions count against a tenant's share,
+// and a tenant idle while the queue drained catches up to the global
+// virtual clock instead of banking credit.
+func TestNoBankedCredit(t *testing.T) {
+	c := New(Config{Slots: 1, QueueDepth: 64})
+	mustAdmit(t, c, "idle").Release()
+	for i := 0; i < 3; i++ {
+		mustAdmit(t, c, "busy").Release()
+	}
+	// busy's three fast-path admissions put it behind a new tenant.
+	if order, want := queueAndDrain(t, c, 3, "busy", "fresh"), "fresh fresh fresh busy busy busy"; order != want {
+		t.Fatalf("after fast-path admissions: order %q, want %q", order, want)
+	}
+	// idle's one early admission earns it no run of dispatches now.
+	if order, want := queueAndDrain(t, c, 3, "busy", "idle"), "idle busy idle busy idle busy"; order != want {
+		t.Fatalf("after idling: order %q, want %q", order, want)
 	}
 }
 

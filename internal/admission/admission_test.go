@@ -71,7 +71,11 @@ func TestQueueFullSheds(t *testing.T) {
 	}()
 	waitUntil(t, func() bool { return c.Queued() == 1 })
 
-	_, err := c.Admit(context.Background(), "m")
+	// The deadline turns an overflow that queues instead of shedding into
+	// a failure rather than a hang behind the held slot.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_, err := c.Admit(ctx, "m")
 	var shed *ShedError
 	if !errors.As(err, &shed) || shed.Reason != ReasonQueueFull {
 		t.Fatalf("overflow admit: %v", err)

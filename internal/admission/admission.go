@@ -184,8 +184,9 @@ func (c *Controller) Admit(ctx context.Context, tenantName string) (*Decision, e
 	t := c.tenantLocked(tenantName)
 
 	if c.draining {
+		retry := c.retryAfterLocked()
 		c.mu.Unlock()
-		return nil, &ShedError{Tenant: t.name, Reason: ReasonDraining, RetryAfter: c.retryAfterLocked()}
+		return nil, &ShedError{Tenant: t.name, Reason: ReasonDraining, RetryAfter: retry}
 	}
 
 	// Fast path: a free slot and nobody ahead in the queue (granting out of

@@ -258,6 +258,33 @@ func TestDrainEvictsQueueAndShedsNew(t *testing.T) {
 	}
 }
 
+// TestDrainShedWhileReleasing: a request shed by drain reads the hold-time
+// estimate that concurrent releases write, so it must read it under the
+// controller mutex. The race detector checks it.
+func TestDrainShedWhileReleasing(t *testing.T) {
+	const n = 64
+	c := New(Config{Slots: n})
+	ds := make([]*Decision, n)
+	for i := range ds {
+		ds[i] = mustAdmit(t, c, "")
+	}
+	c.Drain()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, d := range ds {
+			d.Release()
+		}
+	}()
+	for i := 0; i < n; i++ {
+		var shed *ShedError
+		if _, err := c.Admit(context.Background(), ""); !errors.As(err, &shed) || shed.Reason != ReasonDraining {
+			t.Fatalf("admit while draining: %v", err)
+		}
+	}
+	<-done
+}
+
 // TestGaugeInvariantsUnderStress is the accounting regression test for the
 // queued-gauge race the admission controller replaced: hammer Admit/Release
 // from many goroutines with random cancellations while a monitor asserts,

@@ -155,8 +155,8 @@ type Stats struct {
 	// a workload phase simulated to record its tape, a hit one read from
 	// an earlier request's.
 	ScenarioTapes scenario.TapeCacheStats `json:"scenario_tapes"`
-	// Admission is the per-tenant admission snapshot: quotas' effect
-	// (admitted/shed counts), queue-wait percentiles, and the live
+	// Admission is the admission controller's snapshot: per-tenant
+	// admitted/shed counts and queue-wait percentiles, and the live
 	// pressure/draining state.
 	Admission *admission.Snapshot `json:"admission,omitempty"`
 	// Telemetry summarizes the attached tstore (absent when the server runs

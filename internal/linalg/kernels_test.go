@@ -9,8 +9,40 @@ import (
 	"testing"
 )
 
-// Tests for the register-blocked kernels: the lowest failing pivot at every
-// GOMAXPROCS, and the per-width kernel counters.
+// Tests for the register-blocked kernels: a factorization whose bits do
+// not depend on GOMAXPROCS, and the per-width kernel counters.
+
+// TestFactorBitIdenticalAcrossGOMAXPROCS: the numeric factorization must
+// produce identical bits at GOMAXPROCS 1, 2 and 4 on a 96×96 grid.
+func TestFactorBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	n, entries := gridEntries(96, 96)
+	m := NewCSR(n, entries)
+	sym := analyzeCholesky(m)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	var ref *cholFactor
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		f, err := factorSupernodal(m, sym)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = f
+			continue
+		}
+		for i := range ref.vals {
+			if f.vals[i] != ref.vals[i] {
+				t.Fatalf("GOMAXPROCS=%d: panel value %d: %v vs %v", procs, i, f.vals[i], ref.vals[i])
+			}
+		}
+		for i := range ref.d {
+			if f.d[i] != ref.d[i] {
+				t.Fatalf("GOMAXPROCS=%d: pivot %d: %v vs %v", procs, i, f.d[i], ref.d[i])
+			}
+		}
+	}
+}
 
 // TestNotSPDNamesLowestPivot: a matrix that fails at two pivots must
 // report the lower one at every GOMAXPROCS. On a 2304-unknown grid the
